@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,7 +16,13 @@ from .certify import check_theorem1, check_theorem2
 from .errors import DegenerateVoltageError, MplfError, NonConvergenceError
 from .linearize import evaluate_linear, fot_linearize, fpl_linearize, stack_injections
 from .netmodel import NetworkModel, ZeroLoadProfile
-from .powerflow import InjectionSet, SolveResult, newton_oracle, solve_fixed_point
+from .powerflow import (
+    BASE_RESIDUAL_TOL,
+    InjectionSet,
+    SolveResult,
+    newton_oracle,
+    solve_fixed_point,
+)
 
 log = logging.getLogger(__name__)
 
@@ -125,7 +132,7 @@ def recentered_interval(
     tol_kappa: float = 1e-3,
     scan_points: int = 10000,
     tol_step: float = 1e-10,
-    tol_residual: float = 1e-8,
+    tol_residual: float = BASE_RESIDUAL_TOL,
     max_iter: int = 1000,
 ) -> tuple[float, float]:
     """Certified interval after re-basing at the solution for ``base_kappa``.
@@ -184,17 +191,16 @@ def linear_error_sweep(
     tol_kappa: float = 1e-3,
     scan_points: int = 10000,
     tol_step: float = 1e-10,
-    tol_residual: float = 1e-8,
+    tol_residual: float = BASE_RESIDUAL_TOL,
     max_iter: int = 1000,
-    jobs: int = 1,
 ) -> ContinuationResult:
     """Solve along the ray and record relative errors of both linear models.
 
     Models are built once at the supplied base.  Exact solutions prefer the
     fixed-point solver and fall back to Newton, warm-started from the
-    neighboring kappa (two chains walking outward from ``base_kappa``, which
-    may run concurrently with ``jobs > 1``).  Certificates on each row are
-    the explicit (closed-form) kind around the same base.
+    neighboring kappa (two chains walking outward from ``base_kappa``).
+    Certificates on each row are the explicit (closed-form) kind around the
+    same base.
     """
     kappas = np.sort(np.asarray(kappa_grid, dtype=float))
     fot = fot_linearize(model, base_solution, base_inj, tol_residual=tol_residual)
@@ -224,17 +230,8 @@ def linear_error_sweep(
 
     upper = [i for i, k in enumerate(kappas) if k >= base_kappa]
     lower = [i for i, k in enumerate(kappas) if k < base_kappa][::-1]
-    if jobs > 1 and upper and lower:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            futures = [pool.submit(run_chain, chain) for chain in (upper, lower)]
-            results = {}
-            for fut in futures:
-                results.update(fut.result())
-    else:
-        results = run_chain(upper)
-        results.update(run_chain(lower))
+    results = run_chain(upper)
+    results.update(run_chain(lower))
 
     certificates, solutions, fot_errors, fpl_errors = [], [], [], []
     for idx in range(len(kappas)):
@@ -273,15 +270,16 @@ def linear_error_sweep(
 CSV_COLUMNS = ("kappa", "cert_pass", "rho_ddagger", "rho_dagger", "solver_iters", "fot_err", "fpl_err")
 
 
-def write_continuation_csv(path, result: ContinuationResult):
-    """Write the continuation table; absent values become empty cells."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for row in result.rows():
-            writer.writerow(
-                ["" if row[col] is None else row[col] for col in CSV_COLUMNS]
-            )
+def write_continuation_csv(dest, result: ContinuationResult):
+    """Write the continuation table to a path or an open text stream;
+    absent values become empty cells."""
+    if isinstance(dest, (str, os.PathLike)):
+        with open(dest, "w", newline="") as fh:
+            return write_continuation_csv(fh, result)
+    writer = csv.writer(dest)
+    writer.writerow(CSV_COLUMNS)
+    for row in result.rows():
+        writer.writerow(["" if row[col] is None else row[col] for col in CSV_COLUMNS])
 
 
 def interval_summary(result: ContinuationResult, kappa_bounds, zero_base: bool = True) -> dict:

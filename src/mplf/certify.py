@@ -15,11 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateProfileError, InvalidBaseError
-from .netmodel import ConnectionMatrix, NetworkModel, ZeroLoadProfile, complex_to_doc
-from .powerflow import InjectionSet, power_flow_residual
-
-BASE_RESIDUAL_TOL = 1e-8
+from .errors import DegenerateProfileError
+from .netmodel import NetworkModel, ZeroLoadProfile, complex_to_doc, json_safe
+from .powerflow import BASE_RESIDUAL_TOL, InjectionSet, checked_base
 
 
 @dataclass(frozen=True)
@@ -43,8 +41,11 @@ class GammaQuantities:
     """Minimum voltage margins of a profile relative to the zero-load one.
 
     ``beta`` is ``inf`` when the model has no phase-pair connections, so the
-    combined margin reduces to the wye-only form.  At ``v = w`` all three
-    equal one.
+    combined margin reduces to the wye-only form.  At ``v = w``, ``alpha`` is
+    one but ``beta`` is at most one: a pair voltage ``|w_i - w_j|`` falls
+    short of ``|w_i| + |w_j|``, to ``sqrt(3)/2`` of it on a balanced
+    three-phase bus, so ``gamma(w)`` is below one on most feeders with
+    delta connections.
     """
 
     alpha: float
@@ -55,39 +56,30 @@ class GammaQuantities:
         return min(self.alpha, self.beta)
 
 
-def xi_norms(
-    model: NetworkModel,
-    w_profile: ZeroLoadProfile,
-    connection: ConnectionMatrix,
-    inj: InjectionSet,
-) -> XiQuantities:
+def xi_norms(model: NetworkModel, w_profile: ZeroLoadProfile, inj: InjectionSet) -> XiQuantities:
     """Evaluate the injection norms.
 
     The wye part is the max absolute row sum of
     ``diag(w)^-1 yll^-1 diag(w)^-1 diag(s_wye)`` and the delta part the same
     for ``diag(w)^-1 yll^-1 H^T diag(L|w|)^-1 diag(s_delta)``; column scaling
-    by a diagonal reduces both to weighted absolute matrix-vector products.
+    by a diagonal reduces both to weighted absolute matrix-vector products
+    with the profile's cached weights.
     """
-    w = w_profile.w
-    yinv = model.yll_inverse
-    weights_w = np.abs(yinv / w[:, None] / w[None, :])
+    weights_w, weights_d = w_profile.xi_weights
     xi_wye = float((weights_w @ np.abs(inj.s_wye)).max()) if model.n_phases else 0.0
-    if model.n_delta:
-        weights_d = np.abs((yinv @ connection.H.T) / w[:, None] / w_profile.Lw[None, :])
-        xi_delta = float((weights_d @ np.abs(inj.s_delta)).max())
-    else:
-        xi_delta = 0.0
+    xi_delta = float((weights_d @ np.abs(inj.s_delta)).max()) if model.n_delta else 0.0
     return XiQuantities(xi_wye=xi_wye, xi_delta=xi_delta)
 
 
-def gamma_quantities(w_profile: ZeroLoadProfile, connection: ConnectionMatrix, v) -> GammaQuantities:
+def gamma_quantities(w_profile: ZeroLoadProfile, v) -> GammaQuantities:
     """Minimum phase and phase-pair voltage margins of ``v``."""
     v = np.asarray(v, dtype=complex)
     alpha = float((np.abs(v) / w_profile.w_abs).min())
-    if connection.H.shape[0]:
+    H = w_profile.model.connection.H
+    if H.shape[0]:
         if w_profile.Lw.min() <= 0.0:
             raise DegenerateProfileError("zero phase-pair entry in the zero-load profile")
-        beta = float((np.abs(connection.H @ v) / w_profile.Lw).min())
+        beta = float((np.abs(H @ v) / w_profile.Lw).min())
     else:
         beta = math.inf
     return GammaQuantities(alpha=alpha, beta=beta)
@@ -121,13 +113,6 @@ class Certificate:
         return rho * w_profile.w_abs
 
     def to_dict(self) -> dict:
-        def scrub(value):
-            if isinstance(value, dict):
-                return {k: scrub(v) for k, v in value.items()}
-            if isinstance(value, float) and math.isinf(value):
-                return None
-            return value
-
         return {
             "kind": self.kind,
             "satisfied": bool(self.satisfied),
@@ -138,20 +123,8 @@ class Certificate:
                 "s_wye": [complex_to_doc(z) for z in self.base_s.s_wye],
                 "s_delta": [complex_to_doc(z) for z in self.base_s.s_delta],
             },
-            "diagnostics": scrub(self.diagnostics),
+            "diagnostics": json_safe(self.diagnostics),
         }
-
-
-def _validate_base(model, w_profile, base, tol_residual):
-    v_hat, s_hat = base
-    v_hat = np.asarray(v_hat, dtype=complex)
-    residual = power_flow_residual(model, w_profile, v_hat, s_hat)
-    res_inf = float(residual.max()) if residual.size else 0.0
-    if res_inf > tol_residual:
-        raise InvalidBaseError(
-            f"base pair residual {res_inf:.3e} exceeds tolerance {tol_residual:.1e}"
-        )
-    return v_hat, s_hat
 
 
 def check_theorem2(
@@ -174,11 +147,11 @@ def check_theorem2(
     reachable by the fixed-point iteration from anywhere in it, and contained
     in the tighter ``rho_dagger`` ball.
     """
-    conn = model.connection
-    v_hat, s_hat = _validate_base(model, w_profile, base, tol_residual)
-    gam = gamma_quantities(w_profile, conn, v_hat)
-    xi_hat = xi_norms(model, w_profile, conn, s_hat)
-    xi_diff = xi_norms(model, w_profile, conn, target - s_hat)
+    s_hat = base[1]
+    v_hat = checked_base(model, base[0], s_hat, tol_residual)[0]
+    gam = gamma_quantities(w_profile, v_hat)
+    xi_hat = xi_norms(model, w_profile, s_hat)
+    xi_diff = xi_norms(model, w_profile, target - s_hat)
 
     cond1_rhs = gam.gamma**2
     cond1_ok = xi_hat.xi_total < cond1_rhs
@@ -226,12 +199,12 @@ def check_theorem1(
     general, so a grid is used instead of root finding.  The smallest
     passing radius is returned.
     """
-    conn = model.connection
-    v_hat, s_hat = _validate_base(model, w_profile, base, tol_residual)
-    gam = gamma_quantities(w_profile, conn, v_hat)
-    xi_hat = xi_norms(model, w_profile, conn, s_hat)
-    xi_diff = xi_norms(model, w_profile, conn, target - s_hat)
-    xi_target = xi_norms(model, w_profile, conn, target)
+    s_hat = base[1]
+    v_hat = checked_base(model, base[0], s_hat, tol_residual)[0]
+    gam = gamma_quantities(w_profile, v_hat)
+    xi_hat = xi_norms(model, w_profile, s_hat)
+    xi_diff = xi_norms(model, w_profile, target - s_hat)
+    xi_target = xi_norms(model, w_profile, target)
 
     if scan_points < 1:
         raise ValueError("scan_points must be positive")

@@ -11,17 +11,16 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import analysis, certify, linearize
 from .errors import MplfError
-from .netmodel import complex_to_doc, network_from_file, zero_load_voltage
-from .powerflow import InjectionSet, injections_from_file, solve_fixed_point
+from .netmodel import complex_to_doc, json_safe, network_from_file, zero_load_voltage
+from .powerflow import BASE_RESIDUAL_TOL, InjectionSet, injections_from_file, solve_fixed_point
 
 log = logging.getLogger(__name__)
 
@@ -32,14 +31,17 @@ EXIT_NOT_CERTIFIED = 2
 
 @dataclass
 class RunConfig:
-    """Validated run parameters shared by the subcommands."""
+    """Validated run parameters shared by the subcommands.
+
+    The field defaults are the command-line defaults as well.
+    """
 
     subcommand: str
     network_path: str
     injections_path: str
     base_injections_path: str | None = None
     tol_step: float = 1e-10
-    tol_residual: float = 1e-8
+    tol_residual: float = BASE_RESIDUAL_TOL
     tol_kappa: float = 1e-3
     max_iter: int = 1000
     theorem: int = 2
@@ -48,16 +50,20 @@ class RunConfig:
     base_kappa: float = 1.0
     scan_points: int = 10000
     kind: str = "fot"
-    jobs: int = 1
     output_path: str | None = None
     interval_output_path: str | None = None
+
+    @property
+    def solver_options(self) -> dict:
+        """Keyword arguments of the load-flow solves."""
+        return dict(tol_step=self.tol_step, tol_residual=self.tol_residual, max_iter=self.max_iter)
 
     def validate(self):
         for name in ("tol_step", "tol_residual", "tol_kappa"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be strictly positive")
-        if self.max_iter < 1 or self.points < 1 or self.scan_points < 1 or self.jobs < 1:
-            raise ValueError("max_iter, points, scan_points and jobs must be >= 1")
+        if self.max_iter < 1 or self.points < 1 or self.scan_points < 1:
+            raise ValueError("max_iter, points and scan_points must be >= 1")
         if self.kappa_range[0] > self.kappa_range[1]:
             raise ValueError("kappa range must be well ordered (min <= max)")
         if self.theorem not in (1, 2):
@@ -65,20 +71,13 @@ class RunConfig:
         return self
 
 
-def _scrub(value):
-    """Make a structure strict-JSON safe (non-finite floats become null)."""
-    if isinstance(value, dict):
-        return {k: _scrub(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_scrub(v) for v in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
+def _to_stdout(path) -> bool:
+    return path is None or path == "-"
 
 
 def _emit_json(doc, path):
-    text = json.dumps(_scrub(doc), indent=2, sort_keys=True) + "\n"
-    if path is None or path == "-":
+    text = json.dumps(json_safe(doc), indent=2, sort_keys=True) + "\n"
+    if _to_stdout(path):
         sys.stdout.write(text)
     else:
         with open(path, "w") as fh:
@@ -97,27 +96,13 @@ def _solve_base(cfg, model, w_profile):
     if cfg.base_injections_path is None:
         return w_profile.w, InjectionSet.zeros(model)
     base_inj = injections_from_file(cfg.base_injections_path, model)
-    sol = solve_fixed_point(
-        model,
-        w_profile,
-        base_inj,
-        tol_step=cfg.tol_step,
-        tol_residual=cfg.tol_residual,
-        max_iter=cfg.max_iter,
-    )
+    sol = solve_fixed_point(model, w_profile, base_inj, **cfg.solver_options)
     return sol.v, base_inj
 
 
 def cmd_solve(cfg: RunConfig) -> int:
     model, w_profile, inj = _load(cfg)
-    sol = solve_fixed_point(
-        model,
-        w_profile,
-        inj,
-        tol_step=cfg.tol_step,
-        tol_residual=cfg.tol_residual,
-        max_iter=cfg.max_iter,
-    )
+    sol = solve_fixed_point(model, w_profile, inj, **cfg.solver_options)
     doc = {
         "converged": sol.converged,
         "iterations": sol.iterations,
@@ -147,14 +132,7 @@ def cmd_certify(cfg: RunConfig) -> int:
 
 def cmd_linearize(cfg: RunConfig) -> int:
     model, w_profile, inj = _load(cfg)
-    sol = solve_fixed_point(
-        model,
-        w_profile,
-        inj,
-        tol_step=cfg.tol_step,
-        tol_residual=cfg.tol_residual,
-        max_iter=cfg.max_iter,
-    )
+    sol = solve_fixed_point(model, w_profile, inj, **cfg.solver_options)
     if cfg.kind == "fot":
         lin = linearize.fot_linearize(model, sol, inj)
     else:
@@ -166,14 +144,7 @@ def cmd_linearize(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig) -> int:
     model, w_profile, s_ref = _load(cfg)
     base_inj = s_ref.scaled(cfg.base_kappa)
-    base_sol = solve_fixed_point(
-        model,
-        w_profile,
-        base_inj,
-        tol_step=cfg.tol_step,
-        tol_residual=cfg.tol_residual,
-        max_iter=cfg.max_iter,
-    )
+    base_sol = solve_fixed_point(model, w_profile, base_inj, **cfg.solver_options)
     kappas = np.linspace(cfg.kappa_range[0], cfg.kappa_range[1], cfg.points)
     result = analysis.linear_error_sweep(
         model,
@@ -186,20 +157,11 @@ def cmd_sweep(cfg: RunConfig) -> int:
         kappa_bounds=cfg.kappa_range,
         tol_kappa=cfg.tol_kappa,
         scan_points=cfg.scan_points,
-        tol_step=cfg.tol_step,
-        tol_residual=cfg.tol_residual,
-        max_iter=cfg.max_iter,
-        jobs=cfg.jobs,
+        **cfg.solver_options,
     )
-    if cfg.output_path is None or cfg.output_path == "-":
-        import csv as _csv
-
-        writer = _csv.writer(sys.stdout)
-        writer.writerow(analysis.CSV_COLUMNS)
-        for row in result.rows():
-            writer.writerow(["" if row[c] is None else row[c] for c in analysis.CSV_COLUMNS])
-    else:
-        analysis.write_continuation_csv(cfg.output_path, result)
+    analysis.write_continuation_csv(
+        sys.stdout if _to_stdout(cfg.output_path) else cfg.output_path, result
+    )
     if cfg.interval_output_path is not None:
         summary = analysis.interval_summary(
             result, cfg.kappa_range, zero_base=(cfg.base_kappa == 0.0)
@@ -214,28 +176,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multiphase distribution load flow: solve, certify, linearize, sweep.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # Options are stored under RunConfig's field names and take its defaults.
 
     def common(p, kappa=False):
         p.add_argument("network", help="network JSON document")
         p.add_argument("injections", help="injection JSON document")
-        p.add_argument("--tol-step", type=float, default=1e-10)
-        p.add_argument("--tol-residual", type=float, default=1e-8)
-        p.add_argument("--max-iter", type=int, default=1000)
-        p.add_argument("--output", default=None, help="output path (default: stdout)")
+        p.add_argument("--tol-step", type=float, default=RunConfig.tol_step)
+        p.add_argument("--tol-residual", type=float, default=RunConfig.tol_residual)
+        p.add_argument("--max-iter", type=int, default=RunConfig.max_iter)
+        p.add_argument("--output", dest="output_path", help="output path (default: stdout)")
         if kappa:
-            p.add_argument("--kappa-min", type=float, default=-1.5)
-            p.add_argument("--kappa-max", type=float, default=1.5)
+            p.add_argument("--kappa-min", type=float, default=RunConfig.kappa_range[0])
+            p.add_argument("--kappa-max", type=float, default=RunConfig.kappa_range[1])
 
     p_solve = sub.add_parser("solve", help="run the fixed-point load-flow solver")
     common(p_solve)
 
     p_cert = sub.add_parser("certify", help="evaluate a solvability certificate")
     common(p_cert)
-    p_cert.add_argument("--theorem", type=int, choices=(1, 2), default=2)
-    p_cert.add_argument("--scan-points", type=int, default=10000)
+    p_cert.add_argument("--theorem", type=int, choices=(1, 2), default=RunConfig.theorem)
+    p_cert.add_argument("--scan-points", type=int, default=RunConfig.scan_points)
     p_cert.add_argument(
         "--base-injections",
-        default=None,
+        dest="base_injections_path",
         help="recenter the certificate at the solution for these injections",
     )
 
@@ -245,37 +208,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="continuation sweep along kappa * injections")
     common(p_sweep, kappa=True)
-    p_sweep.add_argument("--points", type=int, default=61)
-    p_sweep.add_argument("--base-kappa", type=float, default=1.0)
-    p_sweep.add_argument("--tol-kappa", type=float, default=1e-3)
-    p_sweep.add_argument("--scan-points", type=int, default=10000)
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--points", type=int, default=RunConfig.points)
+    p_sweep.add_argument("--base-kappa", type=float, default=RunConfig.base_kappa)
+    p_sweep.add_argument("--tol-kappa", type=float, default=RunConfig.tol_kappa)
+    p_sweep.add_argument("--scan-points", type=int, default=RunConfig.scan_points)
     p_sweep.add_argument(
-        "--interval-output", default=None, help="write the interval summary JSON here"
+        "--jobs", type=int, help="ignored: the sweep runs serially (kept for old command lines)"
+    )
+    p_sweep.add_argument(
+        "--interval-output",
+        dest="interval_output_path",
+        help="write the interval summary JSON here",
     )
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    opts = vars(args)
     cfg = RunConfig(
-        subcommand=args.subcommand,
         network_path=args.network,
         injections_path=args.injections,
-        tol_step=args.tol_step,
-        tol_residual=args.tol_residual,
-        max_iter=args.max_iter,
-        output_path=args.output,
+        **{f.name: opts[f.name] for f in fields(RunConfig) if f.name in opts},
     )
-    cfg.base_injections_path = getattr(args, "base_injections", None)
-    cfg.theorem = getattr(args, "theorem", 2)
-    cfg.scan_points = getattr(args, "scan_points", 10000)
-    cfg.kind = getattr(args, "kind", "fot")
-    cfg.tol_kappa = getattr(args, "tol_kappa", 1e-3)
-    cfg.points = getattr(args, "points", 61)
-    cfg.base_kappa = getattr(args, "base_kappa", 1.0)
-    cfg.jobs = getattr(args, "jobs", 1)
-    cfg.interval_output_path = getattr(args, "interval_output", None)
-    if hasattr(args, "kappa_min"):
+    if "kappa_min" in opts:
         cfg.kappa_range = (args.kappa_min, args.kappa_max)
     return cfg.validate()
 

@@ -19,13 +19,17 @@ from .certify import check_theorem2, gamma_quantities, xi_norms
 from .errors import (
     CertificateRequiredError,
     DegenerateVoltageError,
-    InvalidBaseError,
     SingularSensitivityError,
 )
 from .netmodel import NetworkModel, ZeroLoadProfile, complex_to_doc
-from .powerflow import EPS_DELTA, EPS_V, InjectionSet, SolveResult, power_flow_residual
-
-BASE_RESIDUAL_TOL = 1e-8
+from .powerflow import (
+    BASE_RESIDUAL_TOL,
+    EPS_DELTA,
+    EPS_V,
+    InjectionSet,
+    SolveResult,
+    checked_base,
+)
 
 
 def stack_injections(inj: InjectionSet) -> np.ndarray:
@@ -94,17 +98,6 @@ def _magnitude_maps(v_hat, m_wye, m_delta, x_wye_hat, x_delta_hat):
     return k_wye, k_delta, b
 
 
-def _check_base(model, base_solution, base_inj, tol_residual):
-    # The balance mismatch does not involve the zero-load profile.
-    v_hat = np.asarray(base_solution.v, dtype=complex)
-    residual = power_flow_residual(model, None, v_hat, base_inj)
-    if residual.size and residual.max() > tol_residual:
-        raise InvalidBaseError(
-            f"linearization base residual {residual.max():.3e} exceeds {tol_residual:.1e}"
-        )
-    return v_hat
-
-
 def fot_linearize(
     model: NetworkModel,
     base_solution: SolveResult,
@@ -124,17 +117,10 @@ def fot_linearize(
         The stacked operator is singular: the tangent model is not uniquely
         defined at this base (neither solvability hypothesis holds).
     """
-    v_hat = _check_base(model, base_solution, base_inj, tol_residual)
+    v_hat, ic_delta, i_hat = checked_base(model, base_solution.v, base_inj, tol_residual)
     H = model.connection.H
     n, d = model.n_phases, model.n_delta
-
     hv = H @ v_hat
-    live = base_inj.s_delta != 0
-    if np.any(live & (np.abs(hv) <= EPS_DELTA)):
-        raise DegenerateVoltageError("degenerate phase-pair voltage at the base point")
-    ic_delta = np.zeros(d, dtype=complex)
-    ic_delta[live] = base_inj.s_delta[live] / hv[live]
-    i_hat = model.yl0 @ model.v0 + model.yll @ v_hat
 
     # Balance rows: complex-linear part in dV, conjugate part, and the dI part.
     a1 = np.diag(H.T @ ic_delta) - np.diag(np.conj(i_hat))
@@ -207,7 +193,7 @@ def fpl_linearize(
     zero-load voltage, so the model interpolates both the zero-load pair and
     the base pair.
     """
-    v_hat = _check_base(model, base_solution, base_inj, tol_residual)
+    v_hat = checked_base(model, base_solution.v, base_inj, tol_residual)[0]
     H = model.connection.H
     if np.abs(v_hat).min() <= EPS_V:
         raise DegenerateVoltageError("degenerate phase voltage at the base point")
@@ -271,7 +257,8 @@ def fpl_error_bound(
     Raises
     ------
     CertificateRequiredError
-        The explicit certificate does not hold for this base/target pair.
+        The explicit certificate does not hold for this base/target pair, or
+        its contraction coefficient ``q`` is not below one.
     """
     cert = check_theorem2(model, w_profile, base, target, tol_residual=tol_residual)
     if not cert.satisfied:
@@ -279,11 +266,14 @@ def fpl_error_bound(
             "explicit certificate fails for the target injections; no bound available"
         )
     rho_d = cert.rho_dagger
-    gam = gamma_quantities(w_profile, model.connection, np.asarray(base[0], dtype=complex))
-    xi_t = xi_norms(model, w_profile, model.connection, target)
+    gam = gamma_quantities(w_profile, base[0])
+    xi_t = xi_norms(model, w_profile, target)
     q = xi_t.xi_wye / (gam.alpha - rho_d) ** 2
     if model.n_delta:
         q += xi_t.xi_delta / (gam.beta - rho_d) ** 2
-    assert q < 1.0, "contraction coefficient must be < 1 under a passing certificate"
+    if not q < 1.0:
+        raise CertificateRequiredError(
+            f"contraction coefficient q = {q:.6g} is not below one; no bound available"
+        )
     bound = q * rho_d * float(w_profile.w_abs.max())
     return bound, q

@@ -11,6 +11,7 @@ impedance-to-admittance conversion from feeder data sheets lives in the
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -225,6 +226,15 @@ class NetworkModel:
         return inv
 
 
+def _line_block(blk, k, where):
+    blk = np.asarray(blk, dtype=complex)
+    if blk.shape != (k, k):
+        raise ModelError(f"{where} must be {k}x{k}, got {blk.shape}")
+    if not np.all(np.isfinite(blk)):
+        raise InputFormatError(f"{where} must be finite")
+    return blk
+
+
 def assemble_network(buses, lines, slack) -> NetworkModel:
     """Assemble the partitioned admittance model by standard nodal assembly.
 
@@ -239,6 +249,8 @@ def assemble_network(buses, lines, slack) -> NetworkModel:
 
     Raises
     ------
+    InputFormatError
+        A non-finite slack voltage or admittance entry.
     ModelError
         Duplicate/unknown buses, phase mismatches, PQ bus not electrically
         reachable from the slack, or a non-symmetric assembled matrix.
@@ -270,6 +282,8 @@ def assemble_network(buses, lines, slack) -> NetworkModel:
         raise ModelError(
             f"slack voltage vector has length {v0.size}, expected {len(slack_phases)}"
         )
+    if not np.all(np.isfinite(v0)):
+        raise InputFormatError("slack voltages must be finite")
 
     pq_ids = [b for b in order if b != slack.id]
     index = build_phase_index(
@@ -296,9 +310,7 @@ def assemble_network(buses, lines, slack) -> NetworkModel:
                     f"{''.join(sorted(missing))!r} absent at bus {end!r}"
                 )
         k = len(phases)
-        ys = np.asarray(line.y_series, dtype=complex)
-        if ys.shape != (k, k):
-            raise ModelError(f"line {li}: series block must be {k}x{k}, got {ys.shape}")
+        ys = _line_block(line.y_series, k, f"line {li}: series block")
         fi = [gidx[(line.from_bus, p)] for p in phases]
         ti = [gidx[(line.to_bus, p)] for p in phases]
         full[np.ix_(fi, fi)] += ys
@@ -308,10 +320,7 @@ def assemble_network(buses, lines, slack) -> NetworkModel:
         for attr, idx in (("y_shunt_from", fi), ("y_shunt_to", ti)):
             blk = getattr(line, attr)
             if blk is not None:
-                blk = np.asarray(blk, dtype=complex)
-                if blk.shape != (k, k):
-                    raise ModelError(f"line {li}: {attr} block must be {k}x{k}")
-                full[np.ix_(idx, idx)] += blk
+                full[np.ix_(idx, idx)] += _line_block(blk, k, f"line {li}: {attr} block")
         if np.abs(ys).max() > 0.0:
             adjacency[line.from_bus].add(line.to_bus)
             adjacency[line.to_bus].add(line.from_bus)
@@ -346,7 +355,7 @@ def assemble_network(buses, lines, slack) -> NetworkModel:
 
 @dataclass(frozen=True)
 class ZeroLoadProfile:
-    """Voltage profile with all injections at zero.
+    """Voltage profile of ``model`` with all injections at zero.
 
     ``w`` solves ``yll @ w = -yl0 @ v0``; ``w_abs`` and ``Lw`` are the
     entrywise magnitudes and pair sums used throughout the certificates.
@@ -357,7 +366,19 @@ class ZeroLoadProfile:
     w: np.ndarray
     w_abs: np.ndarray
     Lw: np.ndarray
-    w_inverse_available: bool = True
+    model: NetworkModel = field(repr=False, compare=False)
+
+    @cached_property
+    def xi_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Weights of the injection norms, built from ``yll^-1`` on first use:
+        ``|diag(w)^-1 yll^-1 diag(w)^-1|`` for wye injections and
+        ``|diag(w)^-1 yll^-1 H^T diag(L|w|)^-1|`` for delta injections."""
+        w, yinv = self.w, self.model.yll_inverse
+        weights_w = np.abs(yinv / w[:, None] / w[None, :])
+        weights_d = np.abs((yinv @ self.model.connection.H.T) / w[:, None] / self.Lw[None, :])
+        for arr in (weights_w, weights_d):
+            arr.setflags(write=False)
+        return weights_w, weights_d
 
 
 def zero_load_voltage(model: NetworkModel) -> ZeroLoadProfile:
@@ -377,7 +398,7 @@ def zero_load_voltage(model: NetworkModel) -> ZeroLoadProfile:
         raise DegenerateProfileError("zero-load voltage has a (near-)zero phase-pair entry")
     for arr in (w, w_abs, Lw):
         arr.setflags(write=False)
-    return ZeroLoadProfile(w=w, w_abs=w_abs, Lw=Lw)
+    return ZeroLoadProfile(w=w, w_abs=w_abs, Lw=Lw, model=model)
 
 
 # ---------------------------------------------------------------------------
@@ -388,14 +409,28 @@ def zero_load_voltage(model: NetworkModel) -> ZeroLoadProfile:
 
 def complex_from_doc(obj, where="value") -> complex:
     try:
-        return complex(float(obj["re"]), float(obj["im"]))
+        z = complex(float(obj["re"]), float(obj["im"]))
     except (TypeError, KeyError, ValueError):
         raise InputFormatError(f"{where}: expected a {{'re': ..., 'im': ...}} object") from None
+    if not np.isfinite(z):
+        raise InputFormatError(f"{where}: value must be finite")
+    return z
 
 
 def complex_to_doc(z) -> dict:
     z = complex(z)
     return {"re": z.real, "im": z.imag}
+
+
+def json_safe(value):
+    """Make a structure strict-JSON safe (non-finite floats become null)."""
+    if isinstance(value, dict):
+        return {k: json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_safe(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def _block_from_doc(entries, k, where):

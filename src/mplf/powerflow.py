@@ -16,10 +16,11 @@ import scipy.linalg
 from .errors import (
     DegenerateVoltageError,
     InputFormatError,
+    InvalidBaseError,
     NonConvergenceError,
     SingularJacobianError,
 )
-from .netmodel import NetworkModel, ZeroLoadProfile, zero_load_voltage
+from .netmodel import NetworkModel, ZeroLoadProfile, complex_from_doc, zero_load_voltage
 
 log = logging.getLogger(__name__)
 
@@ -27,6 +28,10 @@ log = logging.getLogger(__name__)
 # small with a nonzero injection mean the map is no longer well defined.
 EPS_V = 1e-9
 EPS_DELTA = 1e-9
+
+# Largest power-balance residual accepted for a solved point: a solver's
+# answer, or the base pair of a certificate or a linear model.
+BASE_RESIDUAL_TOL = 1e-8
 
 
 @dataclass
@@ -96,21 +101,48 @@ def _conj_delta_currents(H, v, s_delta):
     return out
 
 
-def power_flow_residual(model: NetworkModel, w_profile: ZeroLoadProfile, v, inj: InjectionSet):
-    """Entrywise magnitude of the power-balance mismatch at voltages ``v``.
+def power_flow_mismatch(model: NetworkModel, v, inj: InjectionSet):
+    """Complex power-balance mismatch at voltages ``v``.
 
     The phase-pair currents are substituted from their defining relation and
     the net currents from the admittance equation, so only the per-phase
-    balance can be violated.  Callers reduce with the infinity norm.
-    ``w_profile`` is accepted for uniformity with the map-evaluation family;
-    the mismatch itself does not depend on it.
+    balance can be violated.  Returns the mismatch, ``conj(i_delta)`` and
+    ``i = yl0 @ v0 + yll @ v``.
     """
-    v = np.asarray(v, dtype=complex)
     H = model.connection.H
     ic_delta = _conj_delta_currents(H, v, inj.s_delta)
     i = model.yl0 @ model.v0 + model.yll @ v
-    mismatch = (H.T @ ic_delta) * v + inj.s_wye - v * np.conj(i)
-    return np.abs(mismatch)
+    return (H.T @ ic_delta) * v + inj.s_wye - v * np.conj(i), ic_delta, i
+
+
+def power_flow_residual(model: NetworkModel, v, inj: InjectionSet):
+    """Entrywise magnitude of the power-balance mismatch at voltages ``v``;
+    callers reduce with the infinity norm."""
+    return np.abs(power_flow_mismatch(model, np.asarray(v, dtype=complex), inj)[0])
+
+
+def _inf_norm(x) -> float:
+    return float(np.abs(x).max()) if x.size else 0.0
+
+
+def checked_base(model: NetworkModel, base_v, base_inj: InjectionSet, tol_residual: float):
+    """Validate a base pair of a certificate or a linear model.
+
+    Returns the mismatch terms at the base as ``(v, conj(i_delta), i)``.
+
+    Raises
+    ------
+    InvalidBaseError
+        The pair misses the power-flow equations by more than ``tol_residual``.
+    """
+    v = np.asarray(base_v, dtype=complex)
+    mismatch, ic_delta, i = power_flow_mismatch(model, v, base_inj)
+    res_inf = _inf_norm(mismatch)
+    if res_inf > tol_residual:
+        raise InvalidBaseError(
+            f"base pair residual {res_inf:.3e} exceeds tolerance {tol_residual:.1e}"
+        )
+    return v, ic_delta, i
 
 
 def fixed_point_map(model: NetworkModel, w_profile: ZeroLoadProfile, inj: InjectionSet, v):
@@ -133,7 +165,7 @@ def solve_fixed_point(
     inj: InjectionSet,
     v_init=None,
     tol_step: float = 1e-10,
-    tol_residual: float = 1e-8,
+    tol_residual: float = BASE_RESIDUAL_TOL,
     max_iter: int = 1000,
 ) -> SolveResult:
     """Iterate ``v <- G(v)`` until the update norm drops below ``tol_step``.
@@ -167,8 +199,8 @@ def solve_fixed_point(
             step_norms=step_norms,
         )
 
-    residual = power_flow_residual(model, w_profile, v, inj)
-    residual_inf = float(residual.max()) if residual.size else 0.0
+    mismatch, ic_delta, i = power_flow_mismatch(model, v, inj)
+    residual_inf = _inf_norm(mismatch)
     converged = residual_inf <= tol_residual
     if not converged:
         log.warning("step converged but residual %.3e exceeds %.1e", residual_inf, tol_residual)
@@ -179,25 +211,16 @@ def solve_fixed_point(
     ratios = [b / a for a, b in zip(step_norms, step_norms[1:]) if a > floor]
     contraction = max(ratios) if ratios else 0.0
 
-    H = model.connection.H
-    i_delta = np.conj(_conj_delta_currents(H, v, inj.s_delta))
     return SolveResult(
         v=v,
-        i_delta=i_delta,
-        i=model.yl0 @ model.v0 + model.yll @ v,
+        i_delta=np.conj(ic_delta),
+        i=i,
         iterations=iteration,
         residual_inf=residual_inf,
         converged=converged,
         contraction_estimate=float(contraction),
         step_norms=tuple(step_norms),
     )
-
-
-def _complex_mismatch(model, v, inj):
-    H = model.connection.H
-    ic_delta = _conj_delta_currents(H, v, inj.s_delta)
-    i = model.yl0 @ model.v0 + model.yll @ v
-    return (H.T @ ic_delta) * v + inj.s_wye - v * np.conj(i), ic_delta, i
 
 
 def newton_oracle(
@@ -219,8 +242,8 @@ def newton_oracle(
     else:
         v = np.array(v_init, dtype=complex)
 
-    f, ic_delta, i = _complex_mismatch(model, v, inj)
-    fnorm = np.abs(f).max() if f.size else 0.0
+    f, ic_delta, i = power_flow_mismatch(model, v, inj)
+    fnorm = _inf_norm(f)
     for iteration in range(1, max_iter + 1):
         if fnorm <= tol_residual:
             break
@@ -252,7 +275,7 @@ def newton_oracle(
         while True:
             v_try = v + lam * dv
             try:
-                f_try, ic_try, i_try = _complex_mismatch(model, v_try, inj)
+                f_try, ic_try, i_try = power_flow_mismatch(model, v_try, inj)
             except DegenerateVoltageError:
                 f_try = None
             if f_try is not None and np.abs(f_try).max() < fnorm:
@@ -271,11 +294,10 @@ def newton_oracle(
             last_v=v,
         )
 
-    i_delta = np.conj(_conj_delta_currents(H, v, inj.s_delta))
     return SolveResult(
         v=v,
-        i_delta=i_delta,
-        i=model.yl0 @ model.v0 + model.yll @ v,
+        i_delta=np.conj(ic_delta),
+        i=i,
         iterations=iteration,
         residual_inf=float(fnorm),
         converged=True,
@@ -296,33 +318,35 @@ def injections_from_json(doc: dict, model: NetworkModel) -> InjectionSet:
          "delta": [{"bus", "pair",  "re", "im"}]}
 
     Omitted entries are zero.  Entries referencing phases or connections the
-    model does not declare are rejected.
+    model does not declare, repeated entries and non-finite values are
+    rejected.
     """
     if not isinstance(doc, dict):
         raise InputFormatError("injection document must be a JSON object")
     inj = InjectionSet.zeros(model)
-    for i, entry in enumerate(doc.get("wye", ())):
-        where = f"wye[{i}]"
-        try:
-            key = (str(entry["bus"]), str(entry["phase"]))
-            value = complex(float(entry["re"]), float(entry["im"]))
-        except (TypeError, KeyError, ValueError):
-            raise InputFormatError(f"{where}: expected bus, phase, re, im") from None
-        if key not in model.index.phase_index:
-            raise InputFormatError(f"{where}: phase {key[1]!r} does not exist at bus {key[0]!r}")
-        inj.s_wye[model.index.phase_index[key]] += value
-    for i, entry in enumerate(doc.get("delta", ())):
-        where = f"delta[{i}]"
-        try:
-            key = (str(entry["bus"]), str(entry["pair"]))
-            value = complex(float(entry["re"]), float(entry["im"]))
-        except (TypeError, KeyError, ValueError):
-            raise InputFormatError(f"{where}: expected bus, pair, re, im") from None
-        if key not in model.index.delta_index:
-            raise InputFormatError(
-                f"{where}: connection {key[1]!r} is not declared at bus {key[0]!r}"
-            )
-        inj.s_delta[model.index.delta_index[key]] += value
+    sections = (
+        ("wye", "phase", model.index.phase_index, inj.s_wye, "phase {!r} does not exist"),
+        ("delta", "pair", model.index.delta_index, inj.s_delta, "connection {!r} is not declared"),
+    )
+    for section, label, index, values, unknown in sections:
+        seen = {}
+        for i, entry in enumerate(doc.get(section, ())):
+            where = f"{section}[{i}]"
+            try:
+                key = (str(entry["bus"]), str(entry[label]))
+            except (TypeError, KeyError):
+                raise InputFormatError(f"{where}: expected bus, {label}, re, im") from None
+            if key not in index:
+                raise InputFormatError(
+                    f"{where}: {unknown.format(key[1])} at bus {key[0]!r}"
+                )
+            if key in seen:
+                raise InputFormatError(
+                    f"{where}: duplicate of {section}[{seen[key]}] "
+                    f"({label} {key[1]!r} at bus {key[0]!r})"
+                )
+            seen[key] = i
+            values[index[key]] += complex_from_doc(entry, where)
     return inj
 
 

@@ -87,7 +87,7 @@ def random_injections(rng, model, w_profile, target_xi=None):
     s_delta = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     inj = mplf.InjectionSet(s_wye, s_delta)
     if target_xi is not None:
-        xi = xi_norms(model, w_profile, model.connection, inj).xi_total
+        xi = xi_norms(model, w_profile, inj).xi_total
         inj = inj.scaled(target_xi / xi)
     return inj
 

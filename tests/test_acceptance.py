@@ -71,20 +71,19 @@ def test_criterion_3_norm_axioms():
     pairs = 0
     for _ in range(25):
         model, profile = random_network(rng)
-        conn = model.connection
         for _ in range(40):
             s1 = random_injections(rng, model, profile)
             s2 = random_injections(rng, model, profile)
             pairs += 1
-            x1 = xi_norms(model, profile, conn, s1).xi_total
-            x2 = xi_norms(model, profile, conn, s2).xi_total
+            x1 = xi_norms(model, profile, s1).xi_total
+            x2 = xi_norms(model, profile, s2).xi_total
             a = complex(rng.standard_normal(), rng.standard_normal())
-            xa = xi_norms(model, profile, conn, s1.scaled(a)).xi_total
+            xa = xi_norms(model, profile, s1.scaled(a)).xi_total
             assert abs(xa - abs(a) * x1) <= 1e-12 * max(abs(a) * x1, 1e-300)
-            xsum = xi_norms(model, profile, conn, s1 + s2).xi_total
+            xsum = xi_norms(model, profile, s1 + s2).xi_total
             assert xsum <= x1 + x2 + 1e-12
             tiny = s1.scaled(1e-15 / x1)
-            assert xi_norms(model, profile, conn, tiny).xi_total < 1e-14
+            assert xi_norms(model, profile, tiny).xi_total < 1e-14
             stacked = np.concatenate([tiny.s_wye, tiny.s_delta])
             assert np.abs(stacked).max() < 1e-12
     record(3, pairs == 1000, f"{pairs} random pairs: homogeneity, triangle, definiteness")
@@ -97,8 +96,8 @@ def test_criterion_4_contraction_soundness():
         model, profile, inj = certified_instance(rng)
         cert = mplf.check_theorem2(model, profile, zero_base(model, profile), inj)
         assert cert.satisfied
-        gam = gamma_quantities(profile, model.connection, profile.w)
-        xi = xi_norms(model, profile, model.connection, inj)
+        gam = gamma_quantities(profile, profile.w)
+        xi = xi_norms(model, profile, inj)
         q = xi.xi_wye / (gam.alpha - cert.rho_dagger) ** 2
         if model.n_delta:
             q += xi.xi_delta / (gam.beta - cert.rho_dagger) ** 2

@@ -1,12 +1,11 @@
 import csv
 
 import numpy as np
-import numpy.testing as npt
 import pytest
 
 import mplf
 from mplf.analysis import interval_summary, write_continuation_csv
-from conftest import certified_instance, single_phase_model, wye_injection
+from conftest import single_phase_model, wye_injection
 
 
 @pytest.fixture
@@ -118,19 +117,6 @@ class TestLinearErrorSweep:
         assert set(result.interval_endpoints) == {1, 2}
         lo2, hi2 = result.interval_endpoints[2]
         assert (lo2, hi2) == (-1.0, 1.0)  # whole grid certifies
-
-    def test_jobs_two_matches_serial(self, rng):
-        model, profile, inj = certified_instance(rng)
-        base_sol = mplf.solve_fixed_point(model, profile, inj, tol_step=1e-12)
-        kappas = np.linspace(-1.2, 1.2, 9)
-        serial = mplf.linear_error_sweep(
-            model, profile, base_sol, inj, inj, kappas, base_kappa=1.0, jobs=1
-        )
-        threaded = mplf.linear_error_sweep(
-            model, profile, base_sol, inj, inj, kappas, base_kappa=1.0, jobs=2
-        )
-        npt.assert_allclose(serial.fot_errors, threaded.fot_errors, atol=1e-12)
-        npt.assert_allclose(serial.fpl_errors, threaded.fpl_errors, atol=1e-12)
 
 
 class TestOutputs:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import mplf
-from mplf.certify import gamma_quantities, xi_norms
+from mplf.certify import check_theorem2, gamma_quantities, xi_norms
+from mplf.datafiles import bundled_path
 from conftest import (
     certified_instance,
     random_injections,
@@ -20,12 +21,12 @@ RHO_DAGGER_GOLDEN = 0.5 - math.sqrt(0.15)
 class TestXiNorms:
     def test_zero_injections(self, rng):
         model, profile = random_network(rng)
-        xi = xi_norms(model, profile, model.connection, mplf.InjectionSet.zeros(model))
+        xi = xi_norms(model, profile, mplf.InjectionSet.zeros(model))
         assert xi.xi_wye == xi.xi_delta == xi.xi_total == 0.0
 
     def test_single_phase_value(self, golden):
         model, profile, inj = golden
-        xi = xi_norms(model, profile, model.connection, inj)
+        xi = xi_norms(model, profile, inj)
         assert xi.xi_wye == pytest.approx(0.1, abs=1e-15)
         assert xi.xi_delta == 0.0
 
@@ -34,52 +35,78 @@ class TestXiNorms:
         for _ in range(50):
             inj = random_injections(rng, model, profile)
             a = complex(rng.standard_normal(), rng.standard_normal())
-            lhs = xi_norms(model, profile, model.connection, inj.scaled(a)).xi_total
-            rhs = abs(a) * xi_norms(model, profile, model.connection, inj).xi_total
+            lhs = xi_norms(model, profile, inj.scaled(a)).xi_total
+            rhs = abs(a) * xi_norms(model, profile, inj).xi_total
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_triangle_inequality(self, rng):
         model, profile = random_network(rng)
-        conn = model.connection
         for _ in range(50):
             s1 = random_injections(rng, model, profile)
             s2 = random_injections(rng, model, profile)
-            lhs = xi_norms(model, profile, conn, s1 + s2).xi_total
+            lhs = xi_norms(model, profile, s1 + s2).xi_total
             rhs = (
-                xi_norms(model, profile, conn, s1).xi_total
-                + xi_norms(model, profile, conn, s2).xi_total
+                xi_norms(model, profile, s1).xi_total
+                + xi_norms(model, profile, s2).xi_total
             )
             assert lhs <= rhs + 1e-12
 
     def test_definiteness(self, rng):
         model, profile = random_network(rng)
-        conn = model.connection
         for _ in range(20):
             inj = random_injections(rng, model, profile)
-            xi = xi_norms(model, profile, conn, inj).xi_total
+            xi = xi_norms(model, profile, inj).xi_total
             tiny = inj.scaled(1e-15 / xi)
-            assert xi_norms(model, profile, conn, tiny).xi_total < 1e-14
+            assert xi_norms(model, profile, tiny).xi_total < 1e-14
             stacked = np.concatenate([tiny.s_wye, tiny.s_delta])
             assert np.abs(stacked).max() < 1e-12
+
+
+class TestXiWeights:
+    def test_built_once_per_profile(self, rng, monkeypatch):
+        model, _, inj = certified_instance(rng)
+        built = []
+        inverse = type(model).yll_inverse.func
+        monkeypatch.setattr(
+            type(model), "yll_inverse", property(lambda m: built.append(m) or inverse(m))
+        )
+        profile = mplf.zero_load_voltage(model)
+        assert built == []
+        base = (profile.w, mplf.InjectionSet.zeros(model))
+        first = xi_norms(model, profile, inj)
+        weights = profile.xi_weights
+        for _ in range(3):
+            assert xi_norms(model, profile, inj) == first
+            assert check_theorem2(model, profile, base, inj).satisfied
+        assert built == [model]
+        assert all(a is b for a, b in zip(profile.xi_weights, weights))
+        # a new profile of the same model builds its own weights once
+        xi_norms(model, mplf.zero_load_voltage(model), inj)
+        assert built == [model, model]
 
 
 class TestGammaQuantities:
     def test_at_zero_load_profile(self, rng):
         model, profile = random_network(rng)
-        gam = gamma_quantities(profile, model.connection, profile.w)
+        gam = gamma_quantities(profile, profile.w)
         assert gam.alpha == pytest.approx(1.0, abs=1e-12)
-        if model.n_delta:
-            assert gam.beta == pytest.approx(1.0, abs=1e-12)
-        assert gam.gamma == pytest.approx(1.0, abs=1e-12)
+        # Pair voltages fall short of the pair sums L|w|: sqrt(3)/2 on the
+        # balanced three-phase buses of ieee37.
+        feeder = mplf.network_from_file(bundled_path("ieee37_network.json"))
+        gam = gamma_quantities(mplf.zero_load_voltage(feeder), mplf.zero_load_voltage(feeder).w)
+        assert gam.alpha == pytest.approx(1.0, abs=1e-12)
+        assert gam.beta <= 1.0
+        assert gam.beta == pytest.approx(math.sqrt(3) / 2, abs=1e-5)
+        assert gam.gamma == gam.beta
 
     def test_uniform_scaling(self, rng):
         model, profile = random_network(rng)
-        gam = gamma_quantities(profile, model.connection, 0.9 * profile.w)
+        gam = gamma_quantities(profile, 0.9 * profile.w)
         assert gam.alpha == pytest.approx(0.9, abs=1e-12)
 
     def test_no_delta_gives_infinite_beta(self, golden):
         model, profile, _ = golden
-        gam = gamma_quantities(profile, model.connection, profile.w)
+        gam = gamma_quantities(profile, profile.w)
         assert math.isinf(gam.beta)
         assert gam.gamma == gam.alpha
 

@@ -11,6 +11,10 @@ NET1 = str(bundled_path("single_phase_network.json"))
 INJ1 = str(bundled_path("single_phase_injections.json"))
 NET3 = str(bundled_path("three_bus_network.json"))
 INJ3 = str(bundled_path("three_bus_injections.json"))
+IEEE123 = [
+    str(bundled_path("ieee123_network.json")),
+    str(bundled_path("ieee123_injections_mixed.json")),
+]
 
 GOLDEN_V = 0.8872983346207417
 
@@ -142,15 +146,16 @@ class TestSweep:
         run(args + ["--output", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_jobs_flag_keeps_output_identical(self, tmp_path):
-        base = [
-            "sweep", NET3, INJ3,
-            "--kappa-min", "-1", "--kappa-max", "1", "--points", "9",
-        ]
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run(base + ["--output", str(a)])
-        run(base + ["--jobs", "2", "--output", str(b)])
-        assert a.read_bytes() == b.read_bytes()
+    def test_jobs_flag_is_ignored(self):
+        # Two sweep threads sharing one LU factorization used to corrupt the
+        # heap on this feeder; --jobs is now accepted and ignored.
+        cmd = [sys.executable, "-m", "mplf.cli", "sweep", *IEEE123]
+        serial = subprocess.run(cmd, capture_output=True)
+        assert serial.returncode == 0, serial.stderr
+        for _ in range(3):
+            out = subprocess.run(cmd + ["--jobs", "2"], capture_output=True)
+            assert out.returncode == 0, out.stderr
+            assert out.stdout == serial.stdout
 
 
 class TestConfigValidation:

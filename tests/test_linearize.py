@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 import mplf
+from mplf import linearize
 from mplf.linearize import stack_injections
 from conftest import certified_instance, random_network, single_phase_model, wye_injection
 
@@ -211,6 +212,17 @@ class TestErrorBound:
         inj = wye_injection(model, "load", "a", -0.3)
         base = (profile.w, mplf.InjectionSet.zeros(model))
         with pytest.raises(mplf.CertificateRequiredError):
+            mplf.fpl_error_bound(model, profile, base, inj)
+
+    def test_contraction_not_below_one_rejected(self, golden, monkeypatch):
+        # A certificate whose rho-dagger is too large for q < 1: the check
+        # must raise, also where assertions are compiled away.
+        model, profile, inj = golden
+        base = (profile.w, mplf.InjectionSet.zeros(model))
+        cert = mplf.check_theorem2(model, profile, base, inj)
+        cert.rho_dagger = 0.8  # q = 0.1 / (1 - 0.8)^2 = 2.5
+        monkeypatch.setattr(linearize, "check_theorem2", lambda *args, **kwargs: cert)
+        with pytest.raises(mplf.CertificateRequiredError, match=r"q = 2\.5 "):
             mplf.fpl_error_bound(model, profile, base, inj)
 
     def test_bound_sound_on_random_instances(self, rng):

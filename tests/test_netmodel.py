@@ -1,8 +1,12 @@
+import json
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import mplf
+from mplf.datafiles import bundled_path
 from conftest import (
     BALANCED_V0,
     random_injections,
@@ -102,7 +106,6 @@ class TestZeroLoad:
     def test_single_phase_unity(self):
         model, profile = single_phase_model(y=1.0, v0=1.0)
         npt.assert_allclose(profile.w, [1.0])
-        assert profile.w_inverse_available
 
     def test_balanced_three_phase_replicates_slack(self):
         buses = [mplf.BusSpec("s", "abc"), mplf.BusSpec("b", "abc")]
@@ -224,3 +227,56 @@ class TestJson:
         doc["slack"]["voltages"][0] = {"re": 1.0}
         with pytest.raises(mplf.InputFormatError, match="voltages"):
             mplf.network_from_json(doc)
+
+
+
+@pytest.mark.parametrize(
+    "mutate, where",
+    [
+        (lambda net, inj: net["slack"]["voltages"][1].update(re=np.nan), "slack.voltages[1]"),
+        (
+            lambda net, inj: net["lines"][0]["series_admittance"][4].update(im=np.inf),
+            "lines[0].series_admittance[4]",
+        ),
+        (
+            lambda net, inj: net["lines"][1]["series_admittance"][0].update(re=np.nan),
+            "lines[1].series_admittance[0]",
+        ),
+        (
+            lambda net, inj: net["lines"][1].update(shunt_from=[{"re": 0.0, "im": np.inf}] * 4),
+            "lines[1].shunt_from[0]",
+        ),
+        (
+            lambda net, inj: net["lines"][0].update(shunt_to=[{"re": np.nan, "im": 0.0}] * 9),
+            "lines[0].shunt_to[0]",
+        ),
+        (
+            lambda net, inj: inj["wye"].append(dict(inj["wye"][1], re=-0.1)),
+            "wye[3]: duplicate of wye[1]",
+        ),
+        (
+            lambda net, inj: inj["delta"].append(dict(inj["delta"][0], re=-0.1)),
+            "delta[3]: duplicate of delta[0]",
+        ),
+    ],
+)
+def test_bad_input_rejected_with_location(mutate, where):
+    net = json.loads(bundled_path("three_bus_network.json").read_text())
+    inj = json.loads(bundled_path("three_bus_injections.json").read_text())
+    mutate(net, inj)
+    with pytest.raises(mplf.InputFormatError, match=re.escape(where)):
+        mplf.injections_from_json(inj, mplf.network_from_json(net))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_assemble_rejects_nonfinite_specs(bad):
+    buses = [mplf.BusSpec("s", "a"), mplf.BusSpec("b", "a")]
+    line = mplf.LineSpec("s", "b", "a", np.array([[1.0 + 0j]]))
+    slack = mplf.SlackSpec("s", np.array([1.0 + 0j]))
+    with pytest.raises(mplf.InputFormatError, match="slack voltages"):
+        mplf.assemble_network(buses, [line], mplf.SlackSpec("s", np.array([bad + 0j])))
+    with pytest.raises(mplf.InputFormatError, match="line 0: series block"):
+        mplf.assemble_network(buses, [mplf.LineSpec("s", "b", "a", np.array([[bad]]))], slack)
+    shunt = mplf.LineSpec("s", "b", "a", line.y_series, y_shunt_to=np.array([[1j * bad]]))
+    with pytest.raises(mplf.InputFormatError, match="line 0: y_shunt_to block"):
+        mplf.assemble_network(buses, [shunt], slack)

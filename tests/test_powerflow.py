@@ -4,6 +4,7 @@ import pytest
 
 import mplf
 from mplf.certify import check_theorem2, gamma_quantities, xi_norms
+from mplf.datafiles import bundled_path
 from conftest import (
     BALANCED_V0,
     certified_instance,
@@ -30,26 +31,26 @@ class TestResidual:
     def test_zero_at_zero_load(self, rng):
         model, profile = random_network(rng)
         inj = mplf.InjectionSet.zeros(model)
-        res = mplf.power_flow_residual(model, profile, profile.w, inj)
+        res = mplf.power_flow_residual(model, profile.w, inj)
         assert res.max() <= 1e-12
 
     def test_solved_case_below_tolerance(self, golden):
         model, profile, inj = golden
         sol = mplf.solve_fixed_point(model, profile, inj)
-        res = mplf.power_flow_residual(model, profile, sol.v, inj)
+        res = mplf.power_flow_residual(model, sol.v, inj)
         assert res.max() <= 1e-10
 
     def test_scaled_profile_not_a_solution(self, rng):
         model, profile = random_network(rng)
         inj = mplf.InjectionSet.zeros(model)
-        res = mplf.power_flow_residual(model, profile, 1.1 * profile.w, inj)
+        res = mplf.power_flow_residual(model, 1.1 * profile.w, inj)
         assert res.max() > 1e-6
 
     def test_degenerate_pair_voltage_raises(self):
         model, profile, inj = two_phase_delta_case()
         v = np.array([1.0 + 0j, 1.0 + 0j])  # zero phase-to-phase voltage
         with pytest.raises(mplf.DegenerateVoltageError):
-            mplf.power_flow_residual(model, profile, v, inj)
+            mplf.power_flow_residual(model, v, inj)
 
 
 class TestFixedPointMap:
@@ -177,8 +178,8 @@ class TestContractionRegion:
             model, profile, inj = certified_instance(rng)
             base = (profile.w, mplf.InjectionSet.zeros(model))
             cert = check_theorem2(model, profile, base, inj)
-            gam = gamma_quantities(profile, model.connection, profile.w)
-            xi = xi_norms(model, profile, model.connection, inj)
+            gam = gamma_quantities(profile, profile.w)
+            xi = xi_norms(model, profile, inj)
             q = xi.xi_wye / (gam.alpha - cert.rho_dagger) ** 2
             if model.n_delta:
                 q += xi.xi_delta / (gam.beta - cert.rho_dagger) ** 2
@@ -209,17 +210,22 @@ class TestNewtonOracle:
 
 
 class TestInjectionJson:
-    def test_parse_and_accumulate(self, rng):
-        model, _ = random_network(rng)
-        (bus, phase), *_ = model.index.phase_index
+    def test_parse_wye_and_delta(self):
+        model = mplf.network_from_file(bundled_path("three_bus_network.json"))
         doc = {
             "wye": [
-                {"bus": bus, "phase": phase, "re": -0.1, "im": -0.05},
-                {"bus": bus, "phase": phase, "re": -0.1, "im": 0.0},
-            ]
+                {"bus": "end", "phase": "b", "re": -0.1, "im": -0.05},
+                {"bus": "mid", "phase": "b", "re": 0.2, "im": 0.0},
+            ],
+            "delta": [{"bus": "mid", "pair": "ca", "re": -0.3, "im": 0.1}],
         }
         inj = mplf.injections_from_json(doc, model)
-        assert inj.s_wye[model.index.phase_index[(bus, phase)]] == -0.2 - 0.05j
+        expected = np.zeros(model.n_phases, complex)
+        expected[model.index.phase_index[("end", "b")]] = -0.1 - 0.05j
+        expected[model.index.phase_index[("mid", "b")]] = 0.2
+        npt.assert_array_equal(inj.s_wye, expected)
+        assert inj.s_delta[model.index.delta_index[("mid", "ca")]] == -0.3 + 0.1j
+        assert np.count_nonzero(inj.s_delta) == 1
 
     def test_unknown_phase_rejected(self, golden):
         model, _, _ = golden
