@@ -60,11 +60,13 @@ class ContinuationResult:
         return out
 
 
-def _certificate(model, w_profile, base, target, theorem, scan_points):
+def _certificate(model, w_profile, base, target, theorem, scan_points, tol_residual):
     if theorem == 1:
-        return check_theorem1(model, w_profile, base, target, scan_points=scan_points)
+        return check_theorem1(
+            model, w_profile, base, target, scan_points=scan_points, tol_residual=tol_residual
+        )
     if theorem == 2:
-        return check_theorem2(model, w_profile, base, target)
+        return check_theorem2(model, w_profile, base, target, tol_residual=tol_residual)
     raise ValueError(f"theorem must be 1 or 2, got {theorem!r}")
 
 
@@ -78,6 +80,7 @@ def feasible_interval(
     tol_kappa: float = 1e-3,
     scan_points: int = 10000,
     center_kappa: float = 0.0,
+    tol_residual: float = BASE_RESIDUAL_TOL,
 ) -> tuple[float, float]:
     """Largest certified interval of ``kappa`` around a passing center.
 
@@ -90,7 +93,8 @@ def feasible_interval(
     For the explicit certificate around a zero base loading, feasibility is
     monotone in ``|kappa|`` and the bisection is exact to ``tol_kappa``; for
     the scanned certificate or a nonzero base loading, the returned endpoint
-    is only the first sign-change bracket.
+    is only the first sign-change bracket.  ``tol_residual`` is the tolerance
+    of every certificate's base-pair check.
     """
     lo_bound, hi_bound = kappa_bounds
     if not lo_bound <= center_kappa <= hi_bound:
@@ -98,7 +102,7 @@ def feasible_interval(
 
     def passes(kappa: float) -> bool:
         cert = _certificate(
-            model, w_profile, base, s_ref.scaled(kappa), theorem, scan_points
+            model, w_profile, base, s_ref.scaled(kappa), theorem, scan_points, tol_residual
         )
         return cert.satisfied
 
@@ -154,6 +158,7 @@ def recentered_interval(
         tol_kappa=tol_kappa,
         scan_points=scan_points,
         center_kappa=base_kappa,
+        tol_residual=tol_residual,
     )
 
 
@@ -255,6 +260,7 @@ def linear_error_sweep(
             tol_kappa=tol_kappa,
             scan_points=scan_points,
             center_kappa=base_kappa,
+            tol_residual=tol_residual,
         )
 
     return ContinuationResult(

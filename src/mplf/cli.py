@@ -123,9 +123,11 @@ def cmd_certify(cfg: RunConfig) -> int:
     model, w_profile, inj = _load(cfg)
     base = _solve_base(cfg, model, w_profile)
     if cfg.theorem == 1:
-        cert = certify.check_theorem1(model, w_profile, base, inj, scan_points=cfg.scan_points)
+        cert = certify.check_theorem1(
+            model, w_profile, base, inj, scan_points=cfg.scan_points, tol_residual=cfg.tol_residual
+        )
     else:
-        cert = certify.check_theorem2(model, w_profile, base, inj)
+        cert = certify.check_theorem2(model, w_profile, base, inj, tol_residual=cfg.tol_residual)
     _emit_json(cert.to_dict(), cfg.output_path)
     return EXIT_OK if cert.satisfied else EXIT_NOT_CERTIFIED
 
@@ -134,9 +136,9 @@ def cmd_linearize(cfg: RunConfig) -> int:
     model, w_profile, inj = _load(cfg)
     sol = solve_fixed_point(model, w_profile, inj, **cfg.solver_options)
     if cfg.kind == "fot":
-        lin = linearize.fot_linearize(model, sol, inj)
+        lin = linearize.fot_linearize(model, sol, inj, tol_residual=cfg.tol_residual)
     else:
-        lin = linearize.fpl_linearize(model, w_profile, sol, inj)
+        lin = linearize.fpl_linearize(model, w_profile, sol, inj, tol_residual=cfg.tol_residual)
     _emit_json(lin.to_dict(), cfg.output_path)
     return EXIT_OK
 

@@ -9,11 +9,9 @@ voltage magnitudes.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .certify import check_theorem2, gamma_quantities, xi_norms
 from .errors import (
@@ -21,7 +19,7 @@ from .errors import (
     DegenerateVoltageError,
     SingularSensitivityError,
 )
-from .netmodel import NetworkModel, ZeroLoadProfile, complex_to_doc
+from .netmodel import LUFactor, NetworkModel, ZeroLoadProfile, complex_to_doc
 from .powerflow import (
     BASE_RESIDUAL_TOL,
     EPS_DELTA,
@@ -114,8 +112,8 @@ def fot_linearize(
     Raises
     ------
     SingularSensitivityError
-        The stacked operator is singular: the tangent model is not uniquely
-        defined at this base (neither solvability hypothesis holds).
+        The stacked operator's condition estimate is below ``RCOND_FLOOR``: the
+        tangent model is not uniquely defined at this base (neither hypothesis holds).
     """
     v_hat, ic_delta, i_hat = checked_base(model, base_solution.v, base_inj, tol_residual)
     H = model.connection.H
@@ -145,19 +143,7 @@ def fot_linearize(
     rhs[: 2 * n, : 2 * n] = -np.eye(2 * n)
     rhs[2 * n :, 2 * n :] = np.eye(2 * d)
 
-    try:
-        with warnings.catch_warnings():
-            # Exact singularity is detected below from the factor diagonals.
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu = scipy.linalg.lu_factor(op)
-    except (ValueError, scipy.linalg.LinAlgError) as exc:
-        raise SingularSensitivityError(f"stacked sensitivity operator: {exc}") from exc
-    udiag = np.abs(np.diag(lu[0]))
-    if udiag.size and (udiag.min() == 0.0 or udiag.min() < 1e-14 * udiag.max()):
-        raise SingularSensitivityError(
-            "stacked sensitivity operator is singular at this base point"
-        )
-    sol = scipy.linalg.lu_solve(lu, rhs)
+    sol = LUFactor(op, SingularSensitivityError, "stacked sensitivity operator").solve(rhs)
 
     dv = sol[:n, :] + 1j * sol[n : 2 * n, :]
     m_wye = dv[:, : 2 * n]
@@ -197,13 +183,13 @@ def fpl_linearize(
     H = model.connection.H
     if np.abs(v_hat).min() <= EPS_V:
         raise DegenerateVoltageError("degenerate phase voltage at the base point")
-    p = model.solve_yll(np.diag(1.0 / np.conj(v_hat)))
+    p = model.factor.solve(np.diag(1.0 / np.conj(v_hat)))
     m_wye = np.hstack([p, -1j * p])
     if model.n_delta:
         hv_conj = H @ np.conj(v_hat)
         if np.abs(hv_conj).min() <= EPS_DELTA:
             raise DegenerateVoltageError("degenerate phase-pair voltage at the base point")
-        q = model.solve_yll(H.T @ np.diag(1.0 / hv_conj))
+        q = model.factor.solve(H.T @ np.diag(1.0 / hv_conj))
         m_delta = np.hstack([q, -1j * q])
     else:
         m_delta = np.zeros((model.n_phases, 0), dtype=complex)

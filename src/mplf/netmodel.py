@@ -135,6 +135,34 @@ def build_connection_matrix(index: PhaseIndexMap) -> ConnectionMatrix:
     return ConnectionMatrix(H=H, L=L)
 
 
+class LUFactor:
+    """Dense LU factors of a square matrix under one singularity rule.
+
+    Raises ``error`` when the factorization fails or when the 1-norm
+    reciprocal condition estimate ``rcond`` is non-finite or below
+    ``RCOND_FLOOR``; ``what`` names the matrix in the message.
+    """
+
+    def __init__(self, matrix, error, what):
+        try:
+            with warnings.catch_warnings():
+                # Exact singularity is detected below via the condition estimate.
+                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+                self._lu = scipy.linalg.lu_factor(matrix)
+        except (ValueError, scipy.linalg.LinAlgError) as exc:
+            raise error(f"cannot factorize {what}: {exc}") from exc
+        (gecon,) = scipy.linalg.get_lapack_funcs(("gecon",), (matrix,))
+        anorm = np.linalg.norm(matrix, 1) if matrix.size else 0.0
+        rcond, info = gecon(self._lu[0], anorm, norm="1")
+        self.rcond = float(rcond)
+        if info != 0 or not np.isfinite(self.rcond) or self.rcond < RCOND_FLOOR:
+            raise error(f"{what} is singular or near-singular (rcond={self.rcond:.3e})")
+
+    def solve(self, rhs):
+        """Solve ``matrix @ x = rhs``."""
+        return scipy.linalg.lu_solve(self._lu, rhs)
+
+
 @dataclass
 class BusSpec:
     id: str
@@ -169,6 +197,8 @@ class NetworkModel:
         Slack voltage phasors (one per slack phase, p.u.).
     index : PhaseIndexMap
     connection : ConnectionMatrix
+    factor : LUFactor
+        LU factors of ``yll``; every solve with ``yll`` goes through it.
     rcond : float
         Reciprocal condition estimate of ``yll`` from its LU factors.
     """
@@ -191,21 +221,8 @@ class NetworkModel:
         if np.abs(full - full.T).max() > SYMMETRY_RTOL * scale:
             raise ModelError("admittance matrix is not symmetric (non-reciprocal network)")
 
-        try:
-            with warnings.catch_warnings():
-                # Exact singularity is detected below via the condition estimate.
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                self._lu = scipy.linalg.lu_factor(self.yll)
-        except (ValueError, scipy.linalg.LinAlgError) as exc:
-            raise SingularModelError(f"cannot factorize load-bus admittance: {exc}") from exc
-        (gecon,) = scipy.linalg.get_lapack_funcs(("gecon",), (self.yll,))
-        anorm = np.linalg.norm(self.yll, 1) if self.yll.size else 0.0
-        rcond, info = gecon(self._lu[0], anorm, norm="1")
-        self.rcond = float(rcond)
-        if info != 0 or not np.isfinite(self.rcond) or self.rcond < RCOND_FLOOR:
-            raise SingularModelError(
-                f"load-bus admittance block is singular or near-singular (rcond={self.rcond:.3e})"
-            )
+        self.factor = LUFactor(self.yll, SingularModelError, "load-bus admittance block")
+        self.rcond = self.factor.rcond
 
     @property
     def n_phases(self) -> int:
@@ -215,13 +232,9 @@ class NetworkModel:
     def n_delta(self) -> int:
         return self.index.n_delta
 
-    def solve_yll(self, rhs):
-        """Solve ``yll @ x = rhs`` with the cached LU factorization."""
-        return scipy.linalg.lu_solve(self._lu, rhs)
-
     @cached_property
     def yll_inverse(self) -> np.ndarray:
-        inv = self.solve_yll(np.eye(self.n_phases, dtype=complex))
+        inv = self.factor.solve(np.eye(self.n_phases, dtype=complex))
         inv.setflags(write=False)
         return inv
 
@@ -286,6 +299,8 @@ def assemble_network(buses, lines, slack) -> NetworkModel:
         raise InputFormatError("slack voltages must be finite")
 
     pq_ids = [b for b in order if b != slack.id]
+    if not pq_ids:
+        raise ModelError("network has no bus besides the slack")
     index = build_phase_index(
         pq_ids, [bus_phases[b] for b in pq_ids], [bus_delta[b] for b in pq_ids]
     )
@@ -384,7 +399,7 @@ class ZeroLoadProfile:
 def zero_load_voltage(model: NetworkModel) -> ZeroLoadProfile:
     """Compute the zero-load voltage and its pair magnitudes."""
     rhs = -model.yl0 @ model.v0
-    w = model.solve_yll(rhs)
+    w = model.factor.solve(rhs)
     residual = model.yll @ w - rhs
     if residual.size and np.abs(residual).max() > ZERO_LOAD_RESIDUAL_TOL:
         raise SingularModelError(
@@ -410,11 +425,17 @@ def zero_load_voltage(model: NetworkModel) -> ZeroLoadProfile:
 def complex_from_doc(obj, where="value") -> complex:
     try:
         z = complex(float(obj["re"]), float(obj["im"]))
-    except (TypeError, KeyError, ValueError):
+    except (TypeError, KeyError, ValueError, OverflowError):
         raise InputFormatError(f"{where}: expected a {{'re': ..., 'im': ...}} object") from None
     if not np.isfinite(z):
         raise InputFormatError(f"{where}: value must be finite")
     return z
+
+
+def list_from_doc(value, where):
+    if not isinstance(value, (list, tuple)):
+        raise InputFormatError(f"{where}: expected a list")
+    return value
 
 
 def complex_to_doc(z) -> dict:
@@ -436,7 +457,7 @@ def json_safe(value):
 def _block_from_doc(entries, k, where):
     if entries is None:
         return None
-    if len(entries) != k * k:
+    if len(list_from_doc(entries, where)) != k * k:
         raise InputFormatError(f"{where}: expected {k * k} complex entries for {k} phases")
     vals = [complex_from_doc(e, f"{where}[{i}]") for i, e in enumerate(entries)]
     return np.array(vals, dtype=complex).reshape(k, k)
@@ -463,22 +484,21 @@ def network_from_json(doc: dict) -> NetworkModel:
         raise ModelError("multiple slack buses are not supported")
 
     buses = []
-    for i, b in enumerate(doc["buses"]):
+    for i, b in enumerate(list_from_doc(doc["buses"], "buses")):
         where = f"buses[{i}]"
         try:
-            buses.append(
-                BusSpec(
-                    id=str(b["id"]),
-                    phases=str(b["phases"]),
-                    delta_connections=tuple(b.get("delta_connections", ())),
-                )
-            )
+            spec = BusSpec(id=str(b["id"]), phases=str(b["phases"]))
         except (TypeError, KeyError):
             raise InputFormatError(f"{where}: expected id and phases") from None
+        pairs = list_from_doc(b.get("delta_connections", ()), f"{where}.delta_connections")
+        spec.delta_connections = tuple(map(str, pairs))
+        buses.append(spec)
 
     lines = []
-    for i, ln in enumerate(doc["lines"]):
+    for i, ln in enumerate(list_from_doc(doc["lines"], "lines")):
         where = f"lines[{i}]"
+        if not isinstance(ln, dict):
+            raise InputFormatError(f"{where}: expected an object")
         try:
             phases = canonical_phases(str(ln["phases"]))
             k = len(phases)

@@ -11,7 +11,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateVoltageError,
@@ -20,7 +19,14 @@ from .errors import (
     NonConvergenceError,
     SingularJacobianError,
 )
-from .netmodel import NetworkModel, ZeroLoadProfile, complex_from_doc, zero_load_voltage
+from .netmodel import (
+    LUFactor,
+    NetworkModel,
+    ZeroLoadProfile,
+    complex_from_doc,
+    list_from_doc,
+    zero_load_voltage,
+)
 
 log = logging.getLogger(__name__)
 
@@ -156,7 +162,7 @@ def fixed_point_map(model: NetworkModel, w_profile: ZeroLoadProfile, inj: Inject
     if model.n_delta:
         H = model.connection.H
         term = term + H.T @ np.conj(_conj_delta_currents(H, v, inj.s_delta))
-    return w_profile.w + model.solve_yll(term)
+    return w_profile.w + model.factor.solve(term)
 
 
 def solve_fixed_point(
@@ -234,6 +240,7 @@ def newton_oracle(
 
     Test-only cross-validation path: same equations, an unrelated algorithm.
     The step is damped by halving whenever the residual norm would increase.
+    A Jacobian with ``rcond < RCOND_FLOOR`` raises :class:`SingularJacobianError`.
     """
     n = model.n_phases
     H = model.connection.H
@@ -263,12 +270,7 @@ def newton_oracle(
             ]
         )
         rhs = -np.concatenate([f.real, f.imag])
-        try:
-            delta = scipy.linalg.solve(A, rhs)
-        except scipy.linalg.LinAlgError as exc:
-            raise SingularJacobianError(f"singular Newton Jacobian: {exc}") from exc
-        if not np.all(np.isfinite(delta)):
-            raise SingularJacobianError("singular Newton Jacobian (non-finite step)")
+        delta = LUFactor(A, SingularJacobianError, "Newton Jacobian").solve(rhs)
         dv = delta[:n] + 1j * delta[n:]
 
         lam = 1.0
@@ -330,7 +332,7 @@ def injections_from_json(doc: dict, model: NetworkModel) -> InjectionSet:
     )
     for section, label, index, values, unknown in sections:
         seen = {}
-        for i, entry in enumerate(doc.get(section, ())):
+        for i, entry in enumerate(list_from_doc(doc.get(section, ()), section)):
             where = f"{section}[{i}]"
             try:
                 key = (str(entry["bus"]), str(entry[label]))

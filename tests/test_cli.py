@@ -158,6 +158,31 @@ class TestSweep:
             assert out.stdout == serial.stdout
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["linearize", "--kind", "fot"],
+        ["linearize", "--kind", "fpl"],
+        ["certify", "--theorem", "1", "--base-injections", "HALF"],
+        ["certify", "--theorem", "2", "--base-injections", "HALF"],
+        ["sweep"],
+    ],
+    ids=["fot", "fpl", "theorem1", "theorem2", "sweep"],
+)
+def test_tol_residual_reaches_base_checks(tmp_path, args):
+    # Solves at --tol-step 1e-4 leave residuals near 1e-6, inside
+    # --tol-residual 1e-3 but far above the 1e-8 default.
+    half = json.loads(open(IEEE123[1]).read())
+    for entry in half["wye"] + half["delta"]:
+        entry["re"], entry["im"] = 0.5 * entry["re"], 0.5 * entry["im"]
+    half_path = tmp_path / "half.json"
+    half_path.write_text(json.dumps(half))
+    args = [str(half_path) if a == "HALF" else a for a in args]
+    loose = ["--tol-step", "1e-4", "--tol-residual", "1e-3"]
+    out = tmp_path / "out"
+    assert run([args[0], *IEEE123, *args[1:], *loose, "--output", str(out)]) == 0
+
+
 class TestConfigValidation:
     def test_negative_tolerance_rejected(self, capsys):
         assert run(["solve", NET1, INJ1, "--tol-step", "-1"]) == 1

@@ -89,6 +89,11 @@ class TestAssembly:
         with pytest.raises(mplf.SingularModelError):
             mplf.assemble_network(buses, lines, mplf.SlackSpec("s", BALANCED_V0[:2]))
 
+    def test_slack_only_network_rejected(self):
+        slack = mplf.SlackSpec("s", BALANCED_V0)
+        with pytest.raises(mplf.ModelError, match="no bus besides the slack"):
+            mplf.assemble_network([mplf.BusSpec("s", "abc")], [], slack)
+
     def test_phase_mismatch_rejected(self):
         buses = [mplf.BusSpec("s", "a"), mplf.BusSpec("b", "b")]
         lines = [mplf.LineSpec("s", "b", "ab", np.eye(2, dtype=complex))]
@@ -258,6 +263,19 @@ class TestJson:
             lambda net, inj: inj["delta"].append(dict(inj["delta"][0], re=-0.1)),
             "delta[3]: duplicate of delta[0]",
         ),
+        (lambda net, inj: net.update(buses=5), "buses: expected a list"),
+        (lambda net, inj: net.update(lines=None), "lines: expected a list"),
+        (lambda net, inj: net.update(lines=[5]), "lines[0]: expected an object"),
+        (
+            lambda net, inj: net["lines"][0].update(series_admittance=5),
+            "lines[0].series_admittance: expected a list",
+        ),
+        (
+            lambda net, inj: net["buses"][1].update(delta_connections="ab"),
+            "buses[1].delta_connections: expected a list",
+        ),
+        (lambda net, inj: inj.update(wye=5), "wye: expected a list"),
+        (lambda net, inj: inj.update(delta=None), "delta: expected a list"),
     ],
 )
 def test_bad_input_rejected_with_location(mutate, where):

@@ -208,6 +208,14 @@ class TestNewtonOracle:
             nw = mplf.newton_oracle(model, inj)
             assert np.abs(fp.v - nw.v).max() <= 1e-8
 
+    def test_singular_jacobian_rejected(self):
+        # Past the nose at -0.25, and at v = 0.5 the stacked Jacobian is
+        # exactly [[0, 0], [0, 1]].
+        model, _ = single_phase_model()
+        inj = wye_injection(model, "load", "a", -0.3)
+        with pytest.raises(mplf.SingularJacobianError, match="Newton Jacobian"):
+            mplf.newton_oracle(model, inj, v_init=[0.5])
+
 
 class TestInjectionJson:
     def test_parse_wye_and_delta(self):
