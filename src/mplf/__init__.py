@@ -53,6 +53,7 @@ from .netmodel import (
     build_connection_matrix,
     network_from_file,
     network_from_json,
+    write_json,
     zero_load_voltage,
 )
 from .powerflow import (

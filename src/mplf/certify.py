@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateProfileError
-from .netmodel import NetworkModel, ZeroLoadProfile, complex_to_doc, json_safe
+from .netmodel import NetworkModel, ZeroLoadProfile
 from .powerflow import BASE_RESIDUAL_TOL, InjectionSet, checked_base
 
 
@@ -119,11 +119,11 @@ class Certificate:
             "rho_used": self.rho_used,
             "rho_dagger": self.rho_dagger,
             "base": {
-                "v": [complex_to_doc(z) for z in self.base_v],
-                "s_wye": [complex_to_doc(z) for z in self.base_s.s_wye],
-                "s_delta": [complex_to_doc(z) for z in self.base_s.s_delta],
+                "v": self.base_v,
+                "s_wye": self.base_s.s_wye,
+                "s_delta": self.base_s.s_delta,
             },
-            "diagnostics": json_safe(self.diagnostics),
+            "diagnostics": self.diagnostics,
         }
 
 

@@ -9,8 +9,8 @@ is controlled by the ``MPLF_LOG`` environment variable.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import analysis, certify, linearize
 from .errors import MplfError
-from .netmodel import complex_to_doc, json_safe, network_from_file, zero_load_voltage
+from .netmodel import network_from_file, write_json, zero_load_voltage
 from .powerflow import BASE_RESIDUAL_TOL, InjectionSet, injections_from_file, solve_fixed_point
 
 log = logging.getLogger(__name__)
@@ -59,6 +59,16 @@ class RunConfig:
         return dict(tol_step=self.tol_step, tol_residual=self.tol_residual, max_iter=self.max_iter)
 
     def validate(self):
+        for name, value in (
+            ("tol_step", self.tol_step),
+            ("tol_residual", self.tol_residual),
+            ("tol_kappa", self.tol_kappa),
+            ("kappa_range[0]", self.kappa_range[0]),
+            ("kappa_range[1]", self.kappa_range[1]),
+            ("base_kappa", self.base_kappa),
+        ):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         for name in ("tol_step", "tol_residual", "tol_kappa"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be strictly positive")
@@ -71,17 +81,9 @@ class RunConfig:
         return self
 
 
-def _to_stdout(path) -> bool:
-    return path is None or path == "-"
-
-
-def _emit_json(doc, path):
-    text = json.dumps(json_safe(doc), indent=2, sort_keys=True) + "\n"
-    if _to_stdout(path):
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+def _dest(path):
+    """An output path, or standard output for no path or ``-``."""
+    return sys.stdout if path is None or path == "-" else path
 
 
 def _load(cfg: RunConfig):
@@ -100,22 +102,26 @@ def _solve_base(cfg, model, w_profile):
     return sol.v, base_inj
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    model, w_profile, inj = _load(cfg)
-    sol = solve_fixed_point(model, w_profile, inj, **cfg.solver_options)
-    doc = {
+def solve_document(model, sol) -> dict:
+    """The ``solve`` artifact: solver status, labels and the solution vectors."""
+    return {
         "converged": sol.converged,
         "iterations": sol.iterations,
         "residual_inf": sol.residual_inf,
         "contraction_estimate": sol.contraction_estimate,
         "phases": ["{}::{}".format(*key) for key in model.index.phase_labels()],
-        "v": [complex_to_doc(z) for z in sol.v],
-        "v_abs": [float(x) for x in np.abs(sol.v)],
-        "i": [complex_to_doc(z) for z in sol.i],
+        "v": sol.v,
+        "v_abs": np.abs(sol.v),
+        "i": sol.i,
         "delta_connections": ["{}::{}".format(*key) for key in model.index.delta_labels()],
-        "i_delta": [complex_to_doc(z) for z in sol.i_delta],
+        "i_delta": sol.i_delta,
     }
-    _emit_json(doc, cfg.output_path)
+
+
+def cmd_solve(cfg: RunConfig) -> int:
+    model, w_profile, inj = _load(cfg)
+    sol = solve_fixed_point(model, w_profile, inj, **cfg.solver_options)
+    write_json(solve_document(model, sol), _dest(cfg.output_path))
     return EXIT_OK if sol.converged else EXIT_ERROR
 
 
@@ -128,7 +134,7 @@ def cmd_certify(cfg: RunConfig) -> int:
         )
     else:
         cert = certify.check_theorem2(model, w_profile, base, inj, tol_residual=cfg.tol_residual)
-    _emit_json(cert.to_dict(), cfg.output_path)
+    write_json(cert.to_dict(), _dest(cfg.output_path))
     return EXIT_OK if cert.satisfied else EXIT_NOT_CERTIFIED
 
 
@@ -139,7 +145,7 @@ def cmd_linearize(cfg: RunConfig) -> int:
         lin = linearize.fot_linearize(model, sol, inj, tol_residual=cfg.tol_residual)
     else:
         lin = linearize.fpl_linearize(model, w_profile, sol, inj, tol_residual=cfg.tol_residual)
-    _emit_json(lin.to_dict(), cfg.output_path)
+    write_json(lin.to_dict(), _dest(cfg.output_path))
     return EXIT_OK
 
 
@@ -161,14 +167,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
         scan_points=cfg.scan_points,
         **cfg.solver_options,
     )
-    analysis.write_continuation_csv(
-        sys.stdout if _to_stdout(cfg.output_path) else cfg.output_path, result
-    )
+    analysis.write_continuation_csv(_dest(cfg.output_path), result)
     if cfg.interval_output_path is not None:
         summary = analysis.interval_summary(
             result, cfg.kappa_range, zero_base=(cfg.base_kappa == 0.0)
         )
-        _emit_json(summary, cfg.interval_output_path)
+        write_json(summary, _dest(cfg.interval_output_path))
     return EXIT_OK
 
 

@@ -19,7 +19,7 @@ from .errors import (
     DegenerateVoltageError,
     SingularSensitivityError,
 )
-from .netmodel import LUFactor, NetworkModel, ZeroLoadProfile, complex_to_doc
+from .netmodel import LUFactor, NetworkModel, ZeroLoadProfile
 from .powerflow import (
     BASE_RESIDUAL_TOL,
     EPS_DELTA,
@@ -67,22 +67,16 @@ class LinearModel:
         return self.m_delta.shape[1] // 2
 
     def to_dict(self) -> dict:
-        def cmat(mat):
-            return [[complex_to_doc(z) for z in row] for row in mat]
-
-        def rmat(mat):
-            return [[float(x) for x in row] for row in mat]
-
         return {
             "kind": self.kind,
-            "m_wye": cmat(self.m_wye),
-            "m_delta": cmat(self.m_delta),
-            "a": [complex_to_doc(z) for z in self.a],
-            "k_wye": rmat(self.k_wye),
-            "k_delta": rmat(self.k_delta),
-            "b": [float(x) for x in self.b],
-            "base_v": [complex_to_doc(z) for z in self.base_v],
-            "base_x": [float(x) for x in self.base_x],
+            "m_wye": self.m_wye,
+            "m_delta": self.m_delta,
+            "a": self.a,
+            "k_wye": self.k_wye,
+            "k_delta": self.k_delta,
+            "b": self.b,
+            "base_v": self.base_v,
+            "base_x": self.base_x,
         }
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -263,7 +264,8 @@ def assemble_network(buses, lines, slack) -> NetworkModel:
     Raises
     ------
     InputFormatError
-        A non-finite slack voltage or admittance entry.
+        A non-finite slack voltage or admittance entry, or admittance entries
+        whose sums at a bus exceed the float range.
     ModelError
         Duplicate/unknown buses, phase mismatches, PQ bus not electrically
         reachable from the slack, or a non-symmetric assembled matrix.
@@ -339,6 +341,18 @@ def assemble_network(buses, lines, slack) -> NetworkModel:
         if np.abs(ys).max() > 0.0:
             adjacency[line.from_bus].add(line.to_bus)
             adjacency[line.to_bus].add(line.from_bus)
+
+    # Finite entries can still sum past the float range; the 1-norm of the
+    # condition estimate and the symmetry check would then see inf and NaN.
+    with np.errstate(over="ignore"):
+        bad = np.flatnonzero(~np.isfinite(np.abs(full).sum(axis=0)))
+    if bad.size:
+        bus, phase = next(key for key, col in gidx.items() if col == bad[0])
+        at = ", ".join(str(li) for li, ln in enumerate(lines) if bus in (ln.from_bus, ln.to_bus))
+        raise InputFormatError(
+            f"bus {bus!r} phase {phase!r}: admittance entries of line(s) {at} "
+            "sum past the float range"
+        )
 
     reached = {slack.id}
     frontier = [slack.id]
@@ -419,7 +433,11 @@ def zero_load_voltage(model: NetworkModel) -> ZeroLoadProfile:
 # ---------------------------------------------------------------------------
 # JSON interface
 #
-# Complex numbers are serialized as {"re": x, "im": y} everywhere.
+# Complex numbers are {"re": x, "im": y} objects everywhere.  Documents are
+# read with ``json``; every artifact is written by ``write_json``, which takes
+# numpy arrays as they are and produces the bytes of
+# ``json.dumps(doc, indent=2, sort_keys=True) + "\n"`` for the nested-list
+# form of the document, with every non-finite float written as ``null``.
 
 
 def complex_from_doc(obj, where="value") -> complex:
@@ -438,20 +456,73 @@ def list_from_doc(value, where):
     return value
 
 
-def complex_to_doc(z) -> dict:
-    z = complex(z)
-    return {"re": z.real, "im": z.imag}
+def write_json(doc, dest):
+    """Write an artifact document to a path or an open text stream.
+
+    ``doc`` holds dicts with string keys, lists, tuples, strings, ints,
+    bools, ``None``, floats and numpy arrays.  A 1-D complex array becomes a
+    list of ``{"im", "re"}`` objects, a 1-D real array a list of floats, and
+    a higher-dimensional array a list of its rows.  Each vector is formatted
+    in one piece and written at once, so the document is never one string.
+    """
+    if isinstance(dest, (str, os.PathLike)):
+        with open(dest, "w") as fh:
+            return write_json(doc, fh)
+    _write_value(doc, "", dest.write)
+    dest.write("\n")
 
 
-def json_safe(value):
-    """Make a structure strict-JSON safe (non-finite floats become null)."""
-    if isinstance(value, dict):
-        return {k: json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [json_safe(v) for v in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
+def _write_value(value, indent, write):
+    if isinstance(value, np.ndarray) and value.ndim == 1:
+        write(_vector_text(value, indent))
+    elif isinstance(value, dict):
+        items = [(f"{json.dumps(key)}: ", item) for key, item in sorted(value.items())]
+        _write_items("{}", items, indent, write)
+    elif isinstance(value, (list, tuple, np.ndarray)):
+        _write_items("[]", [("", item) for item in value], indent, write)
+    elif value is None or isinstance(value, (str, int)):
+        write(json.dumps(value))
+    elif isinstance(value, float):
+        write(float.__repr__(value) if math.isfinite(value) else "null")
+    else:
+        raise TypeError(f"cannot write {type(value).__name__} to a JSON artifact")
+
+
+def _write_items(brackets, items, indent, write):
+    if not items:
+        write(brackets)
+        return
+    inner = indent + "  "
+    sep = brackets[0] + "\n" + inner
+    for prefix, item in items:
+        write(sep + prefix)
+        _write_value(item, inner, write)
+        sep = ",\n" + inner
+    write("\n" + indent + brackets[1])
+
+
+def _float_texts(arr):
+    values = arr.tolist()
+    texts = list(map(float.__repr__, values))
+    if not np.isfinite(arr).all():
+        texts = [t if math.isfinite(x) else "null" for t, x in zip(texts, values)]
+    return texts
+
+
+def _vector_text(vec, indent):
+    """One vector at nesting ``indent``; its items sit one level deeper."""
+    if not vec.size:
+        return "[]"
+    inner = indent + "  "
+    if np.iscomplexobj(vec):
+        # One {"im": ..., "re": ...} object per entry, in sort_keys order.
+        pairs = zip(_float_texts(vec.imag), _float_texts(vec.real))
+        im = f'{{\n{inner}  "im": '
+        re_ = f',\n{inner}  "re": '
+        entries = f"\n{inner}}},\n{inner}{im}".join(map(re_.join, pairs))
+        return f"[\n{inner}{im}{entries}\n{inner}}}\n{indent}]"
+    items = f",\n{inner}".join(_float_texts(np.asarray(vec, dtype=float)))
+    return f"[\n{inner}{items}\n{indent}]"
 
 
 def _block_from_doc(entries, k, where):

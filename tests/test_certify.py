@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -157,7 +158,9 @@ class TestTheorem2:
     def test_serialization_round_trip(self, golden):
         model, profile, inj = golden
         cert = mplf.check_theorem2(model, profile, (profile.w, mplf.InjectionSet.zeros(model)), inj)
-        doc = json.loads(json.dumps(cert.to_dict()))
+        buf = io.StringIO()
+        mplf.write_json(cert.to_dict(), buf)
+        doc = json.loads(buf.getvalue())
         assert doc["satisfied"] is True
         assert doc["diagnostics"]["beta"] is None  # no pairs -> reported absent
         assert doc["rho_dagger"] == pytest.approx(RHO_DAGGER_GOLDEN, rel=1e-15)

@@ -195,6 +195,26 @@ class TestConfigValidation:
         assert code == 1
         assert "ordered" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["sweep", "--kappa-min", "nan"], "kappa_range[0]"),
+            (["sweep", "--kappa-max", "nan"], "kappa_range[1]"),
+            (["sweep", "--kappa-min=-inf"], "kappa_range[0]"),
+            (["sweep", "--tol-kappa", "nan"], "tol_kappa"),
+            (["sweep", "--base-kappa", "inf"], "base_kappa"),
+            (["solve", "--tol-step", "nan"], "tol_step"),
+            (["certify", "--tol-residual", "inf"], "tol_residual"),
+        ],
+    )
+    def test_non_finite_value_rejected(self, argv, field, capsys):
+        # Each used to run: nan kappa bounds escaped as a KeyError, a nan
+        # tol_kappa or tol_step gave wrong results, inf tol_residual
+        # accepted any base pair.
+        assert run([argv[0], NET1, INJ1, *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mplf: error: ") and f"{field} must be finite" in err
+
 
 def test_console_entry_point(tmp_path):
     out = subprocess.run(

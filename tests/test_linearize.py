@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -243,7 +244,9 @@ class TestSerialization:
         model, profile, inj = golden
         sol = mplf.solve_fixed_point(model, profile, inj)
         lin = mplf.fpl_linearize(model, profile, sol, inj)
-        doc = json.loads(json.dumps(lin.to_dict()))
+        buf = io.StringIO()
+        mplf.write_json(lin.to_dict(), buf)
+        doc = json.loads(buf.getvalue())
         assert doc["kind"] == "fpl"
         got = complex(doc["m_wye"][0][0]["re"], doc["m_wye"][0][0]["im"])
         assert got == lin.m_wye[0, 0]

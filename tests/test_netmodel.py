@@ -1,4 +1,6 @@
+import io
 import json
+import math
 import re
 
 import numpy as np
@@ -6,6 +8,8 @@ import numpy.testing as npt
 import pytest
 
 import mplf
+from mplf import cli
+from mplf.analysis import interval_summary
 from mplf.datafiles import bundled_path
 from conftest import (
     BALANCED_V0,
@@ -234,6 +238,103 @@ class TestJson:
             mplf.network_from_json(doc)
 
 
+def reference_json(doc):
+    """The artifact bytes of the nested-list form of ``doc``: arrays as
+    lists, complex entries as {"re", "im"} objects and non-finite floats as
+    None, through the standard encoder."""
+
+    def plain(value):
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        if isinstance(value, dict):
+            return {key: plain(item) for key, item in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [plain(item) for item in value]
+        if isinstance(value, complex):
+            return {"re": plain(value.real), "im": plain(value.imag)}
+        if isinstance(value, float) and not math.isfinite(value):
+            return None
+        return value
+
+    return json.dumps(plain(doc), indent=2, sort_keys=True) + "\n"
+
+
+def written(doc):
+    buf = io.StringIO()
+    mplf.write_json(doc, buf)
+    return buf.getvalue()
+
+
+def artifact_documents(feeder, injections):
+    """The solve, Theorem 1/2, FOT, FPL and interval-summary documents."""
+    model = mplf.network_from_file(bundled_path(f"{feeder}_network.json"))
+    profile = mplf.zero_load_voltage(model)
+    inj = mplf.injections_from_file(bundled_path(f"{feeder}_{injections}.json"), model)
+    sol = mplf.solve_fixed_point(model, profile, inj)
+    zero = (profile.w, mplf.InjectionSet.zeros(model))
+    sweep = mplf.linear_error_sweep(
+        model, profile, sol, inj, inj, np.linspace(0.5, 1.5, 3),
+        base_kappa=1.0, kappa_bounds=(-1.5, 1.5),
+    )
+    return {
+        "solve": cli.solve_document(model, sol),
+        "theorem1": mplf.check_theorem1(model, profile, zero, inj).to_dict(),
+        "theorem2": mplf.check_theorem2(model, profile, zero, inj).to_dict(),
+        "fot": mplf.fot_linearize(model, sol, inj).to_dict(),
+        "fpl": mplf.fpl_linearize(model, profile, sol, inj).to_dict(),
+        "intervals": interval_summary(sweep, (-1.5, 1.5), zero_base=False),
+    }
+
+
+class TestWriteJson:
+    @pytest.mark.parametrize(
+        "feeder, injections",
+        [
+            ("ieee37", "injections_mixed"),
+            ("three_bus", "injections"),
+            ("single_phase", "injections"),  # no delta pairs
+        ],
+    )
+    def test_artifacts_match_reference_encoder(self, feeder, injections):
+        for name, doc in artifact_documents(feeder, injections).items():
+            assert written(doc) == reference_json(doc), name
+
+    def test_edge_values_match_reference_encoder(self):
+        edge = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2e-308, 1e308, -1e308, 0.1])
+        cedge = edge.astype(complex)
+        cedge.imag = edge[::-1]
+        doc = {
+            "iterations": 7,
+            "satisfied": False,
+            "converged": True,
+            "kind": 'bus "x" \u00fc\n',
+            "scalar": np.float64(-0.0),
+            "nan_scalar": np.float64(np.nan),
+            "inf": float("inf"),
+            "real": edge,
+            "complex": cedge,
+            "empty": np.zeros(0),
+            "empty_complex": np.zeros(0, dtype=complex),
+            "no_columns": np.zeros((3, 0), dtype=complex),
+            "no_rows": np.zeros((0, 4)),
+            "matrix": edge[:8].reshape(2, 4),
+            "cmatrix": cedge[:6].reshape(3, 2),
+            "diagnostics": {
+                "condition1": {"lhs": None, "rhs": np.inf, "satisfied": None},
+                "nested": [None, [], {}, (1, 2.5), [np.nan, {"z": None, "a": -np.inf}]],
+                "empty": {},
+            },
+        }
+        assert written(doc) == reference_json(doc)
+
+    def test_integer_arrays_are_written_as_floats(self):
+        assert written(np.arange(2)) == "[\n  0.0,\n  1.0\n]\n"
+
+    def test_path_destination(self, tmp_path):
+        doc = {"v": np.array([1 + 2j])}
+        mplf.write_json(doc, tmp_path / "doc.json")
+        assert (tmp_path / "doc.json").read_text() == reference_json(doc)
+
 
 @pytest.mark.parametrize(
     "mutate, where",
@@ -276,6 +377,10 @@ class TestJson:
         ),
         (lambda net, inj: inj.update(wye=5), "wye: expected a list"),
         (lambda net, inj: inj.update(delta=None), "delta: expected a list"),
+        (
+            lambda net, inj: [e.update(re=1.7e308) for e in net["lines"][0]["series_admittance"]],
+            "bus 'sub' phase 'a': admittance entries of line(s) 0 sum past the float range",
+        ),
     ],
 )
 def test_bad_input_rejected_with_location(mutate, where):
