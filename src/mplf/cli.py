@@ -257,7 +257,7 @@ def main(argv=None) -> int:
     try:
         cfg = config_from_args(args)
         return COMMANDS[cfg.subcommand](cfg)
-    except (MplfError, ValueError, OSError) as exc:
+    except (MplfError, ValueError, OSError, MemoryError) as exc:
         print(f"mplf: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -57,8 +57,9 @@ class InvalidBaseError(MplfError):
 
 
 class SingularSensitivityError(MplfError):
-    """The stacked sensitivity operator is singular, so the tangent-model
-    coefficients are not uniquely defined at this base point."""
+    """The sensitivity equations at the base point are singular (a
+    degenerate phase-pair voltage or a near-singular reduced operator), so
+    the tangent-model coefficients are not uniquely defined there."""
 
 
 class CertificateRequiredError(MplfError):

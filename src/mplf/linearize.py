@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from .certify import check_theorem2, gamma_quantities, xi_norms
 from .errors import (
@@ -98,50 +99,79 @@ def fot_linearize(
 ) -> LinearModel:
     """Tangent (first-order) model at a solved base point.
 
-    The sensitivity equations couple the unknown columns to their conjugates,
-    so they are real-linear but not complex-linear; the unknowns are stacked
-    as (Re dV, Im dV, Re dI, Im dI) into one real operator that is factorized
-    once and reused for every right-hand-side column.
+    Differentiating the balance rows and the pair rows ``ī∘(Hv) = s_δ``
+    (``ī`` the conjugate pair currents) at the base gives equations in
+    ``(dV, dĪ)``.  The pair rows are eliminated first:
+    ``dĪ = (ds_δ − ī∘(H dV)) / Hv̂``.  Dividing the balance rows by ``v̂``
+    and conjugating them leaves
+
+        yll·dV − F·conj(dV) = conj(ds_Y / v̂) + Hᵀ conj(ds_δ / Hv̂),
+        F = conj(diag((Hᵀī − conj(î)) / v̂) − Hᵀ diag(ī / Hv̂) H),
+
+    with ``F`` bus-local.  The equations are real-linear but not
+    complex-linear, so they are solved as one real ``2n`` operator on
+    ``(Re dV, Im dV)`` with the sparsity of ``yll``, factored once through
+    the sparse path of ``LUFactor``.  Only the ``2n`` unit columns are
+    solved for: the response to ``c·e_k`` is
+    ``Re(c)·(response to e_k) + Im(c)·(response to i·e_k)``, and every
+    injection coordinate enters the right-hand side as such a ``c`` on one
+    phase (wye) or on the two phases of its pair (delta).
 
     Raises
     ------
+    DegenerateVoltageError
+        A base phase voltage is not above ``EPS_V``: the balance rows cannot
+        be divided by it.
     SingularSensitivityError
-        The stacked operator's condition estimate is below ``RCOND_FLOOR``: the
-        tangent model is not uniquely defined at this base (neither hypothesis holds).
+        A base phase-pair voltage ``|Hv̂|`` is not above ``EPS_DELTA`` (the
+        pair rows cannot determine ``dĪ``), or the reduced operator's
+        condition estimate is below ``RCOND_FLOOR``: the tangent model is not
+        uniquely defined at this base (neither hypothesis holds).
     """
     v_hat, ic_delta, i_hat = checked_base(model, base_solution.v, base_inj, tol_residual)
     H = model.connection.H
     n, d = model.n_phases, model.n_delta
+    if np.abs(v_hat).min() <= EPS_V:
+        raise DegenerateVoltageError("degenerate phase voltage at the base point")
     hv = H @ v_hat
+    if d and np.abs(hv).min() <= EPS_DELTA:
+        raise SingularSensitivityError(
+            f"phase-pair voltage |Hv| = {np.abs(hv).min():.3e} at the base is not above "
+            f"{EPS_DELTA:.0e}; the pair currents have no unique sensitivity"
+        )
+    # Each pair row of H is +1 at phase p and -1 at phase q.
+    p, q = np.argmax(H, axis=1), np.argmin(H, axis=1)
 
-    # Balance rows: complex-linear part in dV, conjugate part, and the dI part.
-    a1 = np.diag(H.T @ ic_delta) - np.diag(np.conj(i_hat))
-    a2 = -v_hat[:, None] * np.conj(model.yll)
-    a3 = v_hat[:, None] * H.T
-    # Pair-definition rows.
-    b1 = ic_delta[:, None] * H
-    b2 = np.diag(hv)
-
-    size = 2 * (n + d)
-    op = np.zeros((size, size))
-    op[: 2 * n, : 2 * n] = np.block(
-        [[a1.real + a2.real, -a1.imag + a2.imag], [a1.imag + a2.imag, a1.real - a2.real]]
+    # F = conj(diag(f_diag) - H^T diag(f_pair) H), assembled bus-local in COO form.
+    f_diag = (H.T @ ic_delta - np.conj(i_hat)) / v_hat
+    f_pair = ic_delta / hv
+    rows = np.concatenate([np.arange(n), p, q, p, q])
+    cols = np.concatenate([np.arange(n), p, q, q, p])
+    vals = np.conj(np.concatenate([f_diag, -f_pair, -f_pair, f_pair, f_pair]))
+    f = scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(n, n))
+    y = scipy.sparse.csc_matrix(model.yll)
+    op = scipy.sparse.bmat(
+        [[y.real - f.real, -y.imag - f.imag], [y.imag - f.imag, y.real + f.real]], format="csc"
     )
-    op[: 2 * n, 2 * n :] = np.block([[a3.real, -a3.imag], [a3.imag, a3.real]])
-    op[2 * n :, : 2 * n] = np.block([[b1.real, -b1.imag], [b1.imag, b1.real]])
-    op[2 * n :, 2 * n :] = np.block([[b2.real, -b2.imag], [b2.imag, b2.real]])
+    factor = LUFactor(op, SingularSensitivityError, "reduced sensitivity operator")
+    z = factor.solve(np.eye(2 * n))
+    # Complex dV responses to a real (re_unit) and an imaginary (im_unit)
+    # unit right-hand side on each phase.
+    re_unit = z[:n, :n] + 1j * z[n:, :n]
+    im_unit = z[:n, n:] + 1j * z[n:, n:]
+    del z  # the unit responses are freed before the magnitude maps are built
 
-    # Right-hand sides: injection coordinates enter the balance rows with a
-    # minus sign, pair coordinates enter the pair rows directly.
-    rhs = np.zeros((size, 2 * n + 2 * d))
-    rhs[: 2 * n, : 2 * n] = -np.eye(2 * n)
-    rhs[2 * n :, 2 * n :] = np.eye(2 * d)
+    def response(c, re_cols, im_cols):
+        # dV for the injections (Re x, Im x) whose right-hand sides are (c, -i c).
+        return np.hstack(
+            [re_cols * c.real + im_cols * c.imag, re_cols * c.imag - im_cols * c.real]
+        )
 
-    sol = LUFactor(op, SingularSensitivityError, "stacked sensitivity operator").solve(rhs)
-
-    dv = sol[:n, :] + 1j * sol[n : 2 * n, :]
-    m_wye = dv[:, : 2 * n]
-    m_delta = dv[:, 2 * n :]
+    m_wye = response(1.0 / np.conj(v_hat), re_unit, im_unit)
+    m_delta = response(
+        1.0 / np.conj(hv), re_unit[:, p] - re_unit[:, q], im_unit[:, p] - im_unit[:, q]
+    )
+    del re_unit, im_unit
 
     x_wye_hat = np.concatenate([base_inj.s_wye.real, base_inj.s_wye.imag])
     x_delta_hat = np.concatenate([base_inj.s_delta.real, base_inj.s_delta.imag])

@@ -15,10 +15,12 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from .errors import (
     DegenerateProfileError,
@@ -137,11 +139,16 @@ def build_connection_matrix(index: PhaseIndexMap) -> ConnectionMatrix:
 
 
 class LUFactor:
-    """Dense LU factors of a square matrix under one singularity rule.
+    """LU factors of a square matrix under one singularity rule.
 
-    Raises ``error`` when the factorization fails or when the 1-norm
-    reciprocal condition estimate ``rcond`` is non-finite or below
-    ``RCOND_FLOOR``; ``what`` names the matrix in the message.
+    The matrix type picks the factorization: a dense array goes to LAPACK
+    (``lu_factor``, with ``gecon`` for the condition estimate), a
+    ``scipy.sparse`` matrix to SuperLU (``splu``, with ``‖A‖₁`` times a
+    ``onenormest`` estimate of ``‖A⁻¹‖₁`` from solves with the factors).
+    Either way, ``error`` is raised when the factorization fails or when the
+    1-norm reciprocal condition estimate ``rcond`` is non-finite or below
+    ``RCOND_FLOOR`` (an exactly singular sparse matrix reports
+    ``rcond=0``); ``what`` names the matrix in the message.
     """
 
     def __init__(self, matrix, error, what):
@@ -149,19 +156,49 @@ class LUFactor:
             with warnings.catch_warnings():
                 # Exact singularity is detected below via the condition estimate.
                 warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                self._lu = scipy.linalg.lu_factor(matrix)
+                if scipy.sparse.issparse(matrix):
+                    self._solve, self.rcond = _sparse_lu(matrix)
+                else:
+                    self._solve, self.rcond = _dense_lu(matrix)
         except (ValueError, scipy.linalg.LinAlgError) as exc:
             raise error(f"cannot factorize {what}: {exc}") from exc
-        (gecon,) = scipy.linalg.get_lapack_funcs(("gecon",), (matrix,))
-        anorm = np.linalg.norm(matrix, 1) if matrix.size else 0.0
-        rcond, info = gecon(self._lu[0], anorm, norm="1")
-        self.rcond = float(rcond)
-        if info != 0 or not np.isfinite(self.rcond) or self.rcond < RCOND_FLOOR:
+        if not np.isfinite(self.rcond) or self.rcond < RCOND_FLOOR:
             raise error(f"{what} is singular or near-singular (rcond={self.rcond:.3e})")
 
     def solve(self, rhs):
         """Solve ``matrix @ x = rhs``."""
-        return scipy.linalg.lu_solve(self._lu, rhs)
+        return self._solve(rhs)
+
+
+def _dense_lu(matrix):
+    lu = scipy.linalg.lu_factor(matrix)
+    (gecon,) = scipy.linalg.get_lapack_funcs(("gecon",), (matrix,))
+    anorm = np.linalg.norm(matrix, 1) if matrix.size else 0.0
+    rcond, info = gecon(lu[0], anorm, norm="1")
+    return partial(scipy.linalg.lu_solve, lu), float(rcond) if info == 0 else math.nan
+
+
+def _sparse_lu(matrix):
+    matrix = scipy.sparse.csc_matrix(matrix)
+    try:
+        lu = scipy.sparse.linalg.splu(matrix)
+    except RuntimeError:  # SuperLU: "Factor is exactly singular"
+        return None, 0.0
+    adjoint = partial(lu.solve, trans="H")
+    inverse = scipy.sparse.linalg.LinearOperator(
+        matrix.shape,
+        matvec=lu.solve,
+        rmatvec=adjoint,
+        matmat=lu.solve,
+        rmatmat=adjoint,
+        dtype=matrix.dtype,
+    )
+    anorm = float(abs(matrix).sum(axis=0).max())
+    # One probe column (t=1) is the Hager-Higham estimator that gecon also
+    # uses; more columns would draw from numpy's global random state.
+    with np.errstate(divide="ignore"):
+        rcond = 1.0 / (anorm * scipy.sparse.linalg.onenormest(inverse, t=1))
+    return lu.solve, float(rcond)
 
 
 @dataclass

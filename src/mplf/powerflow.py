@@ -151,6 +151,11 @@ def checked_base(model: NetworkModel, base_v, base_inj: InjectionSet, tol_residu
     return v, ic_delta, i
 
 
+def _check_max_iter(max_iter):
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+
+
 def fixed_point_map(model: NetworkModel, w_profile: ZeroLoadProfile, inj: InjectionSet, v):
     """One application of the voltage-update operator G."""
     v = np.asarray(v, dtype=complex)
@@ -182,12 +187,15 @@ def solve_fixed_point(
 
     Raises
     ------
+    ValueError
+        If ``max_iter`` is below one.
     NonConvergenceError
         If ``max_iter`` updates do not bring the step below ``tol_step``.
         The exception carries the last iterate and all step norms.
     DegenerateVoltageError
         If an iterate degenerates under a nonzero injection.
     """
+    _check_max_iter(max_iter)
     v = np.array(w_profile.w if v_init is None else v_init, dtype=complex)
     step_norms = []
     for iteration in range(1, max_iter + 1):
@@ -240,8 +248,10 @@ def newton_oracle(
 
     Test-only cross-validation path: same equations, an unrelated algorithm.
     The step is damped by halving whenever the residual norm would increase.
-    A Jacobian with ``rcond < RCOND_FLOOR`` raises :class:`SingularJacobianError`.
+    A Jacobian with ``rcond < RCOND_FLOOR`` raises :class:`SingularJacobianError`;
+    ``max_iter`` below one raises ``ValueError``.
     """
+    _check_max_iter(max_iter)
     n = model.n_phases
     H = model.connection.H
     if v_init is None:
@@ -251,9 +261,15 @@ def newton_oracle(
 
     f, ic_delta, i = power_flow_mismatch(model, v, inj)
     fnorm = _inf_norm(f)
-    for iteration in range(1, max_iter + 1):
+    # The pass after the last step only checks the residual.
+    for iteration in range(1, max_iter + 2):
         if fnorm <= tol_residual:
             break
+        if iteration > max_iter:
+            raise NonConvergenceError(
+                f"Newton did not converge in {max_iter} iterations (residual {fnorm:.3e})",
+                last_v=v,
+            )
         hv = H @ v if model.n_delta else np.zeros(0, dtype=complex)
         # Wirtinger blocks of the mismatch: d/dv and d/dconj(v).
         j_v = np.diag(H.T @ ic_delta) - np.diag(np.conj(i))
@@ -290,11 +306,6 @@ def newton_oracle(
                     "Newton damping exhausted without residual decrease",
                     last_v=v,
                 )
-    else:
-        raise NonConvergenceError(
-            f"Newton did not converge in {max_iter} iterations (residual {fnorm:.3e})",
-            last_v=v,
-        )
 
     return SolveResult(
         v=v,

@@ -216,6 +216,24 @@ class TestConfigValidation:
         assert err.startswith("mplf: error: ") and f"{field} must be finite" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--theorem", "1", "--scan-points", str(10**17)],
+        ["sweep", "--points", str(10**17)],
+    ],
+    ids=["scan-points", "points"],
+)
+def test_huge_count_is_an_error_not_a_traceback(argv, capsys):
+    # numpy refuses the 800-petabyte grid before it allocates anything;
+    # this used to end in a MemoryError traceback.
+    ieee37 = [str(bundled_path(f"ieee37_{name}.json")) for name in ("network", "injections_mixed")]
+    assert run([argv[0], *ieee37, *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mplf: error: ") and "allocate" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_console_entry_point(tmp_path):
     out = subprocess.run(
         [sys.executable, "-m", "mplf.cli", "solve", NET1, INJ1],

@@ -8,7 +8,14 @@ import pytest
 import mplf
 from mplf import linearize
 from mplf.linearize import stack_injections
-from conftest import certified_instance, random_network, single_phase_model, wye_injection
+from mplf.datafiles import bundled_path
+from conftest import (
+    BALANCED_V0,
+    certified_instance,
+    random_network,
+    single_phase_model,
+    wye_injection,
+)
 
 GOLDEN_V = (1 + np.sqrt(0.6)) / 2
 
@@ -70,6 +77,22 @@ class TestFotGeneral:
         )
         with pytest.raises(mplf.SingularSensitivityError):
             mplf.fot_linearize(model, base, inj)
+
+    def test_zero_base_voltage_rejected(self):
+        # v = 0 with no load balances exactly, but the balance rows cannot
+        # be divided by it (and |v| = 0 leaves the magnitude map undefined).
+        model, _ = single_phase_model()
+        base = mplf.SolveResult(
+            v=np.zeros(1, complex),
+            i_delta=np.zeros(0, complex),
+            i=np.array([-1.0 + 0j]),
+            iterations=0,
+            residual_inf=0.0,
+            converged=True,
+            contraction_estimate=0.0,
+        )
+        with pytest.raises(mplf.DegenerateVoltageError, match="phase voltage"):
+            mplf.fot_linearize(model, base, mplf.InjectionSet.zeros(model))
 
     def test_invalid_base_rejected(self, golden):
         model, profile, inj = golden
@@ -137,6 +160,112 @@ class TestFotGeneral:
             v_lin, _ = mplf.evaluate_linear(lin, x)
             ratios.append(np.abs(v_lin - v_exact).max() / t)
         assert ratios[0] > ratios[1] > ratios[2]
+
+
+def stacked_reference(model, sol, inj):
+    """The tangent model from the unreduced operator on (Re dV, Im dV, Re dI, Im dI).
+
+    The balance rows and the pair-definition rows are kept side by side in
+    one dense real 2(n+d) system, solved against every injection column.
+    """
+    v_hat = sol.v
+    H = model.connection.H
+    n, d = model.n_phases, model.n_delta
+    hv = H @ v_hat
+    ic_delta = inj.s_delta / hv
+    i_hat = model.yl0 @ model.v0 + model.yll @ v_hat
+    a1 = np.diag(H.T @ ic_delta) - np.diag(np.conj(i_hat))
+    a2 = -v_hat[:, None] * np.conj(model.yll)
+    a3 = v_hat[:, None] * H.T
+    b1 = ic_delta[:, None] * H
+    b2 = np.diag(hv)
+
+    def real(lin, conj=None):
+        # Real form of x -> lin x (+ conj conj(x)).
+        c2 = np.zeros_like(lin) if conj is None else conj
+        return np.block(
+            [
+                [lin.real + c2.real, -lin.imag + c2.imag],
+                [lin.imag + c2.imag, lin.real - c2.real],
+            ]
+        )
+
+    op = np.block([[real(a1, a2), real(a3)], [real(b1), real(b2)]])
+    rhs = np.zeros((2 * (n + d), 2 * (n + d)))
+    rhs[: 2 * n, : 2 * n] = -np.eye(2 * n)
+    rhs[2 * n :, 2 * n :] = np.eye(2 * d)
+    sol_cols = np.linalg.solve(op, rhs)
+    dv = sol_cols[:n] + 1j * sol_cols[n : 2 * n]
+    m_wye, m_delta = dv[:, : 2 * n], dv[:, 2 * n :]
+    x_hat = stack_injections(inj)
+    m_full = np.hstack([m_wye, m_delta])
+    k_full = np.real(np.conj(v_hat)[:, None] * m_full) / np.abs(v_hat)[:, None]
+    return {
+        "m_wye": m_wye,
+        "m_delta": m_delta,
+        "a": v_hat - m_full @ x_hat,
+        "k_wye": k_full[:, : 2 * n],
+        "k_delta": k_full[:, 2 * n :],
+        "b": np.abs(v_hat) - k_full @ x_hat,
+    }
+
+
+def bundled_case(name, injections="injections"):
+    model = mplf.network_from_file(bundled_path(f"{name}_network.json"))
+    inj = mplf.injections_from_file(bundled_path(f"{name}_{injections}.json"), model)
+    return model, mplf.zero_load_voltage(model), inj
+
+
+class TestReducedOperator:
+    """The reduced 2n operator gives the tangent model of the stacked one."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            lambda: bundled_case("ieee37", "injections_mixed"),
+            lambda: bundled_case("ieee123", "injections_mixed"),
+            lambda: bundled_case("three_bus"),
+            lambda: bundled_case("single_phase"),
+            *[lambda k=k: certified_instance(np.random.default_rng(77 + k)) for k in range(5)],
+        ],
+        ids=["ieee37", "ieee123", "three_bus", "single_phase"]
+        + [f"certified{k}" for k in range(5)],
+    )
+    def test_matches_stacked_operator(self, case):
+        model, profile, inj = case()
+        sol = mplf.solve_fixed_point(model, profile, inj, tol_step=1e-12)
+        lin = mplf.fot_linearize(model, sol, inj)
+        ref = stacked_reference(model, sol, inj)
+        for name, expected in ref.items():
+            got = getattr(lin, name)
+            assert got.shape == expected.shape, name
+            if expected.size:
+                scale = np.abs(expected).max()
+                assert np.abs(got - expected).max() <= 1e-10 * scale, name
+        assert lin.m_delta.shape == (model.n_phases, 2 * model.n_delta)
+
+    def test_degenerate_pair_voltage_rejected(self):
+        # A zero-injection ab pair whose phases carry the same voltage: the
+        # pair rows no longer determine the pair current, and the stacked
+        # operator has a zero row.
+        buses = [mplf.BusSpec("s", "ab"), mplf.BusSpec("b", "ab", ("ab",))]
+        y = np.array([[3.0 - 9.0j, -0.5 + 1.0j], [-0.5 + 1.0j, 3.0 - 9.0j]])
+        lines = [mplf.LineSpec("s", "b", "ab", y)]
+        model = mplf.assemble_network(buses, lines, mplf.SlackSpec("s", BALANCED_V0[:2]))
+        v = np.array([0.9 - 0.2j, 0.9 - 0.2j])
+        i = model.yl0 @ model.v0 + model.yll @ v
+        inj = mplf.InjectionSet(v * np.conj(i), np.zeros(1, complex))
+        base = mplf.SolveResult(
+            v=v,
+            i_delta=np.zeros(1, complex),
+            i=i,
+            iterations=0,
+            residual_inf=0.0,
+            converged=True,
+            contraction_estimate=0.0,
+        )
+        with pytest.raises(mplf.SingularSensitivityError, match="phase-pair voltage"):
+            mplf.fot_linearize(model, base, inj)
 
 
 def _resolve(model, profile, x, v_start):

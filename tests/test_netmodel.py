@@ -6,11 +6,13 @@ import re
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse
 
 import mplf
 from mplf import cli
 from mplf.analysis import interval_summary
 from mplf.datafiles import bundled_path
+from mplf.netmodel import RCOND_FLOOR, LUFactor
 from conftest import (
     BALANCED_V0,
     random_injections,
@@ -109,6 +111,48 @@ class TestAssembly:
             model, _ = random_network(rng)
             full = np.block([[model.y00, model.y0l], [model.yl0, model.yll]])
             npt.assert_allclose(full, full.T, rtol=0, atol=1e-12 * np.abs(full).max())
+
+
+def banded(n, dtype, seed=5):
+    """A sparse, diagonally dominant (well-conditioned) banded matrix."""
+    rng = np.random.default_rng(seed)
+    diags = [rng.standard_normal(n - abs(k)) for k in (-2, -1, 0, 1, 2)]
+    if dtype is complex:
+        diags = [x + 1j * rng.standard_normal(x.size) for x in diags]
+    diags[2] = diags[2] + 6.0
+    return scipy.sparse.diags(diags, [-2, -1, 0, 1, 2], format="csc")
+
+
+class TestLUFactor:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_sparse_and_dense_paths_agree(self, dtype):
+        matrix = banded(40, dtype)
+        rhs = np.random.default_rng(6).standard_normal((40, 3))
+        sparse = LUFactor(matrix, mplf.SingularModelError, "test matrix")
+        dense = LUFactor(matrix.toarray(), mplf.SingularModelError, "test matrix")
+        x_sparse, x_dense = sparse.solve(rhs), dense.solve(rhs)
+        assert np.abs(x_sparse - x_dense).max() <= 1e-12 * np.abs(x_dense).max()
+        npt.assert_allclose(matrix @ x_sparse, rhs, atol=1e-12)
+        assert dense.rcond / 10 <= sparse.rcond <= dense.rcond * 10
+
+    def test_exactly_singular_sparse_matrix_rejected(self):
+        matrix = banded(10, float).tolil()
+        matrix[:, 4] = 0.0
+        with pytest.raises(
+            mplf.SingularModelError,
+            match=r"test matrix is singular or near-singular \(rcond=0\.000e\+00\)",
+        ):
+            LUFactor(matrix.tocsc(), mplf.SingularModelError, "test matrix")
+
+    def test_near_singular_sparse_matrix_rejected(self):
+        # Not exactly singular, so SuperLU factors it; the estimate catches it.
+        matrix = banded(10, float) @ scipy.sparse.diags([1.0] * 9 + [1e-17])
+        with pytest.raises(
+            mplf.SingularModelError, match=r"singular or near-singular \(rcond=\d\.\d{3}e-\d+\)"
+        ) as info:
+            LUFactor(matrix.tocsc(), mplf.SingularModelError, "test matrix")
+        rcond = float(re.search(r"rcond=([^)]+)", str(info.value)).group(1))
+        assert 0.0 < rcond < RCOND_FLOOR
 
 
 class TestZeroLoad:

@@ -217,6 +217,40 @@ class TestNewtonOracle:
             mplf.newton_oracle(model, inj, v_init=[0.5])
 
 
+def ieee37_mixed():
+    model = mplf.network_from_file(bundled_path("ieee37_network.json"))
+    inj = mplf.injections_from_file(bundled_path("ieee37_injections_mixed.json"), model)
+    return model, mplf.zero_load_voltage(model), inj
+
+
+class TestIterationBudget:
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_fixed_point_rejects_empty_budget(self, max_iter):
+        # Used to escape as an IndexError from the empty step-norm list.
+        model, profile, inj = ieee37_mixed()
+        with pytest.raises(ValueError, match=f"max_iter must be >= 1, got {max_iter}"):
+            mplf.solve_fixed_point(model, profile, inj, max_iter=max_iter)
+
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_newton_rejects_empty_budget(self, max_iter):
+        # Used to report non-convergence from a start that already met the
+        # tolerance.
+        model, _, _ = ieee37_mixed()
+        with pytest.raises(ValueError, match=f"max_iter must be >= 1, got {max_iter}"):
+            mplf.newton_oracle(model, mplf.InjectionSet.zeros(model), max_iter=max_iter)
+
+    def test_newton_checks_the_last_step(self, golden):
+        # The golden case needs four steps; a budget of four must accept
+        # them, three must not.
+        model, _, inj = golden
+        full = mplf.newton_oracle(model, inj)
+        sol = mplf.newton_oracle(model, inj, max_iter=4)
+        assert sol.iterations == full.iterations
+        npt.assert_allclose(sol.v, [GOLDEN_V], atol=1e-10)
+        with pytest.raises(mplf.NonConvergenceError, match="in 3 iterations"):
+            mplf.newton_oracle(model, inj, max_iter=3)
+
+
 class TestInjectionJson:
     def test_parse_wye_and_delta(self):
         model = mplf.network_from_file(bundled_path("three_bus_network.json"))
