@@ -85,6 +85,33 @@ def gamma_quantities(w_profile: ZeroLoadProfile, v) -> GammaQuantities:
     return GammaQuantities(alpha=alpha, beta=beta)
 
 
+def theorem1_scan(
+    gam: GammaQuantities,
+    scan_points: int,
+    xi_change: XiQuantities,
+    xi_base: XiQuantities,
+    xi_target: XiQuantities,
+):
+    """The radii Theorem 1 scans, a uniform grid over the open interval
+    ``(0, gamma)``, and the left sides of its self-mapping and contraction
+    conditions there, for the norms of the injection change, the base
+    loading and the target loading.
+
+    Both left sides are linear in the xi arguments, so along an injection
+    ray they split into per-unit-``kappa`` terms (see
+    ``analysis.feasible_interval``).
+    """
+    if scan_points < 1:
+        raise ValueError("scan_points must be positive")
+    rho = gam.gamma * np.arange(1, scan_points + 1) / (scan_points + 1)
+    lhs1 = (xi_change.xi_wye + xi_base.xi_wye * rho / gam.alpha) / (gam.alpha - rho)
+    lhs2 = xi_target.xi_wye / (gam.alpha - rho) ** 2
+    if gam.beta < math.inf:  # the model has phase-pair connections
+        lhs1 = lhs1 + (xi_change.xi_delta + xi_base.xi_delta * rho / gam.beta) / (gam.beta - rho)
+        lhs2 = lhs2 + xi_target.xi_delta / (gam.beta - rho) ** 2
+    return rho, lhs1, lhs2
+
+
 @dataclass
 class Certificate:
     """Outcome of a solvability certificate around a base pair.
@@ -206,15 +233,7 @@ def check_theorem1(
     xi_diff = xi_norms(model, w_profile, target - s_hat)
     xi_target = xi_norms(model, w_profile, target)
 
-    if scan_points < 1:
-        raise ValueError("scan_points must be positive")
-    rho = gam.gamma * np.arange(1, scan_points + 1) / (scan_points + 1)
-
-    lhs1 = (xi_diff.xi_wye + xi_hat.xi_wye * rho / gam.alpha) / (gam.alpha - rho)
-    lhs2 = xi_target.xi_wye / (gam.alpha - rho) ** 2
-    if model.n_delta:
-        lhs1 = lhs1 + (xi_diff.xi_delta + xi_hat.xi_delta * rho / gam.beta) / (gam.beta - rho)
-        lhs2 = lhs2 + xi_target.xi_delta / (gam.beta - rho) ** 2
+    rho, lhs1, lhs2 = theorem1_scan(gam, scan_points, xi_diff, xi_hat, xi_target)
     ok = (lhs1 <= rho) & (lhs2 < 1.0)
 
     satisfied = bool(ok.any())

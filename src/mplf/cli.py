@@ -42,7 +42,6 @@ class RunConfig:
     base_injections_path: str | None = None
     tol_step: float = 1e-10
     tol_residual: float = BASE_RESIDUAL_TOL
-    tol_kappa: float = 1e-3
     max_iter: int = 1000
     theorem: int = 2
     kappa_range: tuple = (-1.5, 1.5)
@@ -62,14 +61,13 @@ class RunConfig:
         for name, value in (
             ("tol_step", self.tol_step),
             ("tol_residual", self.tol_residual),
-            ("tol_kappa", self.tol_kappa),
             ("kappa_range[0]", self.kappa_range[0]),
             ("kappa_range[1]", self.kappa_range[1]),
             ("base_kappa", self.base_kappa),
         ):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        for name in ("tol_step", "tol_residual", "tol_kappa"):
+        for name in ("tol_step", "tol_residual"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be strictly positive")
         if self.max_iter < 1 or self.points < 1 or self.scan_points < 1:
@@ -163,15 +161,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
         kappas,
         base_kappa=cfg.base_kappa,
         kappa_bounds=cfg.kappa_range,
-        tol_kappa=cfg.tol_kappa,
         scan_points=cfg.scan_points,
         **cfg.solver_options,
     )
     analysis.write_continuation_csv(_dest(cfg.output_path), result)
     if cfg.interval_output_path is not None:
-        summary = analysis.interval_summary(
-            result, cfg.kappa_range, zero_base=(cfg.base_kappa == 0.0)
-        )
+        summary = analysis.interval_summary(result, cfg.kappa_range)
         write_json(summary, _dest(cfg.interval_output_path))
     return EXIT_OK
 
@@ -216,7 +211,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sweep, kappa=True)
     p_sweep.add_argument("--points", type=int, default=RunConfig.points)
     p_sweep.add_argument("--base-kappa", type=float, default=RunConfig.base_kappa)
-    p_sweep.add_argument("--tol-kappa", type=float, default=RunConfig.tol_kappa)
+    p_sweep.add_argument(
+        "--tol-kappa",
+        type=float,
+        help="ignored: intervals are exact (kept for old command lines)",
+    )
     p_sweep.add_argument("--scan-points", type=int, default=RunConfig.scan_points)
     p_sweep.add_argument(
         "--jobs", type=int, help="ignored: the sweep runs serially (kept for old command lines)"

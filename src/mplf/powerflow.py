@@ -248,7 +248,9 @@ def newton_oracle(
 
     Test-only cross-validation path: same equations, an unrelated algorithm.
     The step is damped by halving whenever the residual norm would increase.
-    A Jacobian with ``rcond < RCOND_FLOOR`` raises :class:`SingularJacobianError`;
+    ``iterations`` is the number of Newton steps taken (zero from a start
+    that already meets ``tol_residual``).  A Jacobian with
+    ``rcond < RCOND_FLOOR`` raises :class:`SingularJacobianError`;
     ``max_iter`` below one raises ``ValueError``.
     """
     _check_max_iter(max_iter)
@@ -262,10 +264,10 @@ def newton_oracle(
     f, ic_delta, i = power_flow_mismatch(model, v, inj)
     fnorm = _inf_norm(f)
     # The pass after the last step only checks the residual.
-    for iteration in range(1, max_iter + 2):
+    for steps in range(max_iter + 1):
         if fnorm <= tol_residual:
             break
-        if iteration > max_iter:
+        if steps == max_iter:
             raise NonConvergenceError(
                 f"Newton did not converge in {max_iter} iterations (residual {fnorm:.3e})",
                 last_v=v,
@@ -311,7 +313,7 @@ def newton_oracle(
         v=v,
         i_delta=np.conj(ic_delta),
         i=i,
-        iterations=iteration,
+        iterations=steps,
         residual_inf=float(fnorm),
         converged=True,
         contraction_estimate=float("nan"),

@@ -157,6 +157,19 @@ class TestSweep:
             assert out.returncode == 0, out.stderr
             assert out.stdout == serial.stdout
 
+    def test_tol_kappa_flag_is_ignored(self, tmp_path):
+        # Intervals are exact now; old command lines with --tol-kappa still
+        # run and write the same interval summary.
+        args = ["sweep", *IEEE123, "--points", "3"]
+        outputs = []
+        for extra in ([], ["--tol-kappa", "0.5"], ["--tol-kappa", "nan"]):
+            dest = tmp_path / f"intervals{len(outputs)}.json"
+            assert run(args + extra + ["--output", str(tmp_path / "sweep.csv"),
+                                       "--interval-output", str(dest)]) == 0
+            outputs.append(dest.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert b'"exact"' in outputs[0]
+
 
 @pytest.mark.parametrize(
     "args",
@@ -201,7 +214,7 @@ class TestConfigValidation:
             (["sweep", "--kappa-min", "nan"], "kappa_range[0]"),
             (["sweep", "--kappa-max", "nan"], "kappa_range[1]"),
             (["sweep", "--kappa-min=-inf"], "kappa_range[0]"),
-            (["sweep", "--tol-kappa", "nan"], "tol_kappa"),
+            (["sweep", "--base-kappa", "nan"], "base_kappa"),
             (["sweep", "--base-kappa", "inf"], "base_kappa"),
             (["solve", "--tol-step", "nan"], "tol_step"),
             (["certify", "--tol-residual", "inf"], "tol_residual"),
@@ -209,8 +222,8 @@ class TestConfigValidation:
     )
     def test_non_finite_value_rejected(self, argv, field, capsys):
         # Each used to run: nan kappa bounds escaped as a KeyError, a nan
-        # tol_kappa or tol_step gave wrong results, inf tol_residual
-        # accepted any base pair.
+        # tol_step gave wrong results, inf tol_residual accepted any base
+        # pair.
         assert run([argv[0], NET1, INJ1, *argv[1:]]) == 1
         err = capsys.readouterr().err
         assert err.startswith("mplf: error: ") and f"{field} must be finite" in err

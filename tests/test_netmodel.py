@@ -326,7 +326,7 @@ def artifact_documents(feeder, injections):
         "theorem2": mplf.check_theorem2(model, profile, zero, inj).to_dict(),
         "fot": mplf.fot_linearize(model, sol, inj).to_dict(),
         "fpl": mplf.fpl_linearize(model, profile, sol, inj).to_dict(),
-        "intervals": interval_summary(sweep, (-1.5, 1.5), zero_base=False),
+        "intervals": interval_summary(sweep, (-1.5, 1.5)),
     }
 
 

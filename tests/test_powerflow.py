@@ -250,6 +250,14 @@ class TestIterationBudget:
         with pytest.raises(mplf.NonConvergenceError, match="in 3 iterations"):
             mplf.newton_oracle(model, inj, max_iter=3)
 
+    def test_newton_counts_steps_taken(self, golden):
+        # The residual check after the last step used to count as one more
+        # iteration: 5 for the golden case, 1 from a converged start.
+        model, _, inj = golden
+        sol = mplf.newton_oracle(model, inj)
+        assert sol.iterations == 4
+        assert mplf.newton_oracle(model, inj, v_init=sol.v).iterations == 0
+
 
 class TestInjectionJson:
     def test_parse_wye_and_delta(self):
