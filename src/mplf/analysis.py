@@ -223,9 +223,13 @@ def recentered_interval(
 
 
 def _solve_exact(model, w_profile, target, v_start, tol_step, tol_residual, max_iter):
-    """Fixed point first, Newton fallback, both warm-started."""
+    """Fixed point first, Newton fallback, both warm-started.
+
+    Newton also takes over, from the fixed point's last iterate, when the
+    step tolerance was met but ``tol_residual`` was not.
+    """
     try:
-        return solve_fixed_point(
+        sol = solve_fixed_point(
             model,
             w_profile,
             target,
@@ -236,6 +240,11 @@ def _solve_exact(model, w_profile, target, v_start, tol_step, tol_residual, max_
         )
     except (NonConvergenceError, DegenerateVoltageError) as exc:
         log.debug("fixed point failed (%s); trying Newton", exc)
+    else:
+        if sol.converged:
+            return sol
+        log.debug("fixed point missed the residual tolerance; Newton continues from it")
+        v_start = sol.v
     try:
         return newton_oracle(model, target, v_init=v_start, tol_residual=tol_residual)
     except MplfError as exc:

@@ -139,8 +139,7 @@ def fot_linearize(
             f"phase-pair voltage |Hv| = {np.abs(hv).min():.3e} at the base is not above "
             f"{EPS_DELTA:.0e}; the pair currents have no unique sensitivity"
         )
-    # Each pair row of H is +1 at phase p and -1 at phase q.
-    p, q = np.argmax(H, axis=1), np.argmin(H, axis=1)
+    p, q = model.connection.first, model.connection.second
 
     # F = conj(diag(f_diag) - H^T diag(f_pair) H), assembled bus-local in COO form.
     f_diag = (H.T @ ic_delta - np.conj(i_hat)) / v_hat
@@ -149,7 +148,7 @@ def fot_linearize(
     cols = np.concatenate([np.arange(n), p, q, q, p])
     vals = np.conj(np.concatenate([f_diag, -f_pair, -f_pair, f_pair, f_pair]))
     f = scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(n, n))
-    y = scipy.sparse.csc_matrix(model.yll)
+    y = model.yll_sparse
     op = scipy.sparse.bmat(
         [[y.real - f.real, -y.imag - f.imag], [y.imag - f.imag, y.real + f.real]], format="csc"
     )
@@ -199,21 +198,25 @@ def fpl_linearize(
 ) -> LinearModel:
     """Explicit model from one voltage-update step frozen at the base.
 
-    The coefficient blocks are closed-form; the offset is always the
-    zero-load voltage, so the model interpolates both the zero-load pair and
-    the base pair.
+    The coefficient blocks are closed-form column scalings of the cached
+    ``Z = yll^-1``: ``Z diag(1/conj(v̂))`` for wye injections and
+    ``Z Hᵀ diag(1/(H conj(v̂)))`` for delta injections, with ``Z Hᵀ`` taken
+    as column differences, so no linear system is solved.  The offset is
+    always the zero-load voltage, so the model interpolates both the
+    zero-load pair and the base pair.
     """
     v_hat = checked_base(model, base_solution.v, base_inj, tol_residual)[0]
-    H = model.connection.H
+    conn = model.connection
     if np.abs(v_hat).min() <= EPS_V:
         raise DegenerateVoltageError("degenerate phase voltage at the base point")
-    p = model.factor.solve(np.diag(1.0 / np.conj(v_hat)))
+    z = model.yll_inverse
+    p = z * (1.0 / np.conj(v_hat))[None, :]
     m_wye = np.hstack([p, -1j * p])
     if model.n_delta:
-        hv_conj = H @ np.conj(v_hat)
+        hv_conj = conn.H @ np.conj(v_hat)
         if np.abs(hv_conj).min() <= EPS_DELTA:
             raise DegenerateVoltageError("degenerate phase-pair voltage at the base point")
-        q = model.factor.solve(H.T @ np.diag(1.0 / hv_conj))
+        q = (z[:, conn.first] - z[:, conn.second]) * (1.0 / hv_conj)[None, :]
         m_delta = np.hstack([q, -1j * q])
     else:
         m_delta = np.zeros((model.n_phases, 0), dtype=complex)

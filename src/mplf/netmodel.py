@@ -114,11 +114,20 @@ class ConnectionMatrix:
 
     Each row holds +1 at the first phase of the pair and -1 at the second;
     a fully connected three-phase bus owns the block
-    ``[[1,-1,0],[0,1,-1],[-1,0,1]]``.
+    ``[[1,-1,0],[0,1,-1],[-1,0,1]]``.  ``first`` and ``second`` are those
+    two phase columns per row, so ``X @ H.T`` is ``X[:, first] - X[:, second]``.
     """
 
     H: np.ndarray
     L: np.ndarray
+
+    @property
+    def first(self) -> np.ndarray:
+        return np.argmax(self.H, axis=1)
+
+    @property
+    def second(self) -> np.ndarray:
+        return np.argmin(self.H, axis=1)
 
 
 def build_connection_matrix(index: PhaseIndexMap) -> ConnectionMatrix:
@@ -148,7 +157,9 @@ class LUFactor:
     Either way, ``error`` is raised when the factorization fails or when the
     1-norm reciprocal condition estimate ``rcond`` is non-finite or below
     ``RCOND_FLOOR`` (an exactly singular sparse matrix reports
-    ``rcond=0``); ``what`` names the matrix in the message.
+    ``rcond=0``); ``what`` names the matrix in the message.  ``yll`` (see
+    ``NetworkModel``) and the reduced FOT operator take the sparse path;
+    only the Newton Jacobian, which is dense, takes the dense one.
     """
 
     def __init__(self, matrix, error, what):
@@ -231,12 +242,15 @@ class NetworkModel:
     ----------
     y00, y0l, yl0, yll : ndarray
         Blocks of the full admittance matrix, slack phases first.
+    yll_sparse : scipy.sparse.csc_matrix
+        ``yll`` in compressed sparse column form, built once.
     v0 : ndarray
         Slack voltage phasors (one per slack phase, p.u.).
     index : PhaseIndexMap
     connection : ConnectionMatrix
     factor : LUFactor
-        LU factors of ``yll``; every solve with ``yll`` goes through it.
+        Sparse (SuperLU) factors of ``yll_sparse``; every solve with ``yll``
+        goes through it, and so does the cached ``yll_inverse``.
     rcond : float
         Reciprocal condition estimate of ``yll`` from its LU factors.
     """
@@ -254,12 +268,17 @@ class NetworkModel:
         for arr in (self.y00, self.y0l, self.yl0, self.yll, self.v0):
             arr.setflags(write=False)
 
-        full = np.block([[self.y00, self.y0l], [self.yl0, self.yll]])
-        scale = max(1.0, np.abs(full).max())
-        if np.abs(full - full.T).max() > SYMMETRY_RTOL * scale:
+        # Symmetry of the full matrix [[y00, y0l], [yl0, yll]], checked block by block.
+        scale = max(1.0, *(np.abs(b).max() for b in (self.y00, self.y0l, self.yl0, self.yll)))
+        asymmetry = max(
+            np.abs(a - b.T).max()
+            for a, b in ((self.y00, self.y00), (self.y0l, self.yl0), (self.yll, self.yll))
+        )
+        if asymmetry > SYMMETRY_RTOL * scale:
             raise ModelError("admittance matrix is not symmetric (non-reciprocal network)")
 
-        self.factor = LUFactor(self.yll, SingularModelError, "load-bus admittance block")
+        self.yll_sparse = scipy.sparse.csc_matrix(self.yll)
+        self.factor = LUFactor(self.yll_sparse, SingularModelError, "load-bus admittance block")
         self.rcond = self.factor.rcond
 
     @property
@@ -272,6 +291,7 @@ class NetworkModel:
 
     @cached_property
     def yll_inverse(self) -> np.ndarray:
+        """Dense ``yll^-1`` from the sparse factors, computed on first use."""
         inv = self.factor.solve(np.eye(self.n_phases, dtype=complex))
         inv.setflags(write=False)
         return inv
@@ -438,10 +458,12 @@ class ZeroLoadProfile:
     def xi_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Weights of the injection norms, built from ``yll^-1`` on first use:
         ``|diag(w)^-1 yll^-1 diag(w)^-1|`` for wye injections and
-        ``|diag(w)^-1 yll^-1 H^T diag(L|w|)^-1|`` for delta injections."""
-        w, yinv = self.w, self.model.yll_inverse
+        ``|diag(w)^-1 yll^-1 H^T diag(L|w|)^-1|`` for delta injections, with
+        ``yll^-1 H^T`` taken as column differences of ``yll^-1``."""
+        w, yinv, conn = self.w, self.model.yll_inverse, self.model.connection
         weights_w = np.abs(yinv / w[:, None] / w[None, :])
-        weights_d = np.abs((yinv @ self.model.connection.H.T) / w[:, None] / self.Lw[None, :])
+        yinv_ht = yinv[:, conn.first] - yinv[:, conn.second]
+        weights_d = np.abs(yinv_ht / w[:, None] / self.Lw[None, :])
         for arr in (weights_w, weights_d):
             arr.setflags(write=False)
         return weights_w, weights_d

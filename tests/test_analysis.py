@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import mplf
+from mplf import analysis
 from mplf.analysis import _theorem1_ray, interval_summary, write_continuation_csv
 from mplf.certify import GammaQuantities, XiQuantities, theorem1_scan
 from conftest import certified_instance, single_phase_model, wye_injection
@@ -263,6 +264,35 @@ class TestLinearErrorSweep:
         assert result.fot_errors[-1] is None
         assert result.solutions[-1] is None
         assert result.fot_errors[0] == pytest.approx(0.0, abs=1e-9)
+
+    def test_residual_miss_falls_back_to_newton(self, single_phase_case, monkeypatch):
+        # A loose step tolerance stops the fixed point short of tol_residual
+        # (converged=False); Newton takes over from its last iterate, and the
+        # row reports Newton's step count instead of being left unsolved.
+        model, profile, s_ref = single_phase_case
+        newton_runs = []
+
+        def newton(*args, **kwargs):
+            newton_runs.append(mplf.newton_oracle(*args, **kwargs))
+            return newton_runs[-1]
+
+        monkeypatch.setattr(analysis, "newton_oracle", newton)
+        kappas = np.linspace(-1.5, 1.5, 7)
+        base_sol = mplf.solve_fixed_point(model, profile, s_ref, tol_step=1e-12)
+        result = mplf.linear_error_sweep(
+            model, profile, base_sol, s_ref, s_ref, kappas, base_kappa=1.0, tol_step=1e-3
+        )
+        assert all(sol is not None and sol.converged for sol in result.solutions)
+        assert all(err is not None for err in result.fot_errors + result.fpl_errors)
+        from_newton = [
+            (row, sol)
+            for row, sol in zip(result.rows(), result.solutions)
+            if any(sol is run for run in newton_runs)
+        ]
+        assert from_newton
+        for row, sol in from_newton:
+            assert row["solver_iters"] == sol.iterations
+            assert sol.residual_inf <= 1e-8
 
     @pytest.mark.parametrize(
         "kappas, base_kappa, message",

@@ -85,6 +85,18 @@ class TestXiWeights:
         xi_norms(model, mplf.zero_load_voltage(model), inj)
         assert built == [model, model]
 
+    def test_delta_weights_equal_matrix_product_bitwise(self, rng):
+        # yll^-1 H^T is taken as column differences; each product entry has
+        # two nonzero terms, so the two forms round alike.
+        models = [mplf.network_from_file(bundled_path(f"{name}_network.json"))
+                  for name in ("ieee37", "ieee123")]
+        models += [random_network(rng)[0] for _ in range(10)]
+        for model in models:
+            profile = mplf.zero_load_voltage(model)
+            product = model.yll_inverse @ model.connection.H.T
+            expected = np.abs(product / profile.w[:, None] / profile.Lw[None, :])
+            assert np.array_equal(profile.xi_weights[1], expected)
+
 
 class TestGammaQuantities:
     def test_at_zero_load_profile(self, rng):

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -156,6 +157,18 @@ class TestSweep:
             out = subprocess.run(cmd + ["--jobs", "2"], capture_output=True)
             assert out.returncode == 0, out.stderr
             assert out.stdout == serial.stdout
+
+    def test_every_row_solved_at_loose_step_tolerance(self, tmp_path):
+        # At --tol-step 1e-7 the fixed point meets its step tolerance but
+        # misses the residual tolerance on some rows; Newton finishes those,
+        # where they used to be left blank.
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", *IEEE123, "--tol-step", "1e-7", "--output", str(out)]) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 61
+        for row in rows:
+            assert row["solver_iters"] and row["fot_err"] and row["fpl_err"], row
 
     def test_tol_kappa_flag_is_ignored(self, tmp_path):
         # Intervals are exact now; old command lines with --tol-kappa still

@@ -321,6 +321,51 @@ class TestFpl:
         npt.assert_allclose(vabs, lin.b, atol=1e-15)
 
 
+def fpl_reference(model, v_hat):
+    """The FPL coefficient blocks from dense solves with ``yll``."""
+    p = np.linalg.solve(model.yll, np.diag(1.0 / np.conj(v_hat)))
+    H = model.connection.H
+    q = np.linalg.solve(model.yll, H.T @ np.diag(1.0 / (H @ np.conj(v_hat))))
+    return np.hstack([p, -1j * p]), np.hstack([q, -1j * q])
+
+
+class TestFplCoefficients:
+    """FPL's blocks are column scalings of the cached ``yll^-1``."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            lambda: bundled_case("ieee37"),
+            lambda: bundled_case("ieee37", "injections_mixed"),
+            lambda: bundled_case("ieee123"),
+            lambda: bundled_case("ieee123", "injections_mixed"),
+            *[lambda k=k: certified_instance(np.random.default_rng(91 + k)) for k in range(3)],
+        ],
+        ids=["ieee37", "ieee37-mixed", "ieee123", "ieee123-mixed"]
+        + [f"certified{k}" for k in range(3)],
+    )
+    def test_matches_dense_solves(self, case):
+        model, profile, inj = case()
+        sol = mplf.solve_fixed_point(model, profile, inj)
+        lin = mplf.fpl_linearize(model, profile, sol, inj)
+        for got, expected in zip((lin.m_wye, lin.m_delta), fpl_reference(model, sol.v)):
+            assert got.shape == expected.shape
+            if expected.size:
+                assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_solves_nothing_once_inverse_is_cached(self, rng, monkeypatch):
+        model, profile, inj = certified_instance(rng)
+        sol = mplf.solve_fixed_point(model, profile, inj)
+        model.yll_inverse
+
+        def no_solve(rhs):
+            raise AssertionError("fpl_linearize solved with yll")
+
+        monkeypatch.setattr(model.factor, "solve", no_solve)
+        lin = mplf.fpl_linearize(model, profile, sol, inj)
+        assert lin.m_wye.shape == (model.n_phases, 2 * model.n_phases)
+
+
 class TestErrorBound:
     def test_golden_bound_dominates_observed_error(self, golden):
         model, profile, inj = golden

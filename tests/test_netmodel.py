@@ -155,6 +155,27 @@ class TestLUFactor:
         assert 0.0 < rcond < RCOND_FLOOR
 
 
+class TestYllFactor:
+    """``yll`` is factored on the sparse path of ``LUFactor``."""
+
+    def models(self, rng):
+        feeders = [mplf.network_from_file(bundled_path(f"{name}_network.json"))
+                   for name in ("ieee37", "ieee123", "three_bus", "single_phase")]
+        return feeders + [random_network(rng)[0] for _ in range(20)]
+
+    def test_sparse_copy_is_exact(self, rng):
+        for model in self.models(rng):
+            assert model.yll_sparse.format == "csc"
+            assert np.array_equal(model.yll_sparse.toarray(), model.yll)
+
+    def test_condition_estimate_matches_dense(self, rng):
+        for model in self.models(rng):
+            sparse = LUFactor(model.yll_sparse, mplf.SingularModelError, "yll")
+            dense = LUFactor(model.yll, mplf.SingularModelError, "yll")
+            assert model.rcond == sparse.rcond
+            assert abs(model.rcond - dense.rcond) <= 1e-12 * dense.rcond
+
+
 class TestZeroLoad:
     def test_single_phase_unity(self):
         model, profile = single_phase_model(y=1.0, v0=1.0)
