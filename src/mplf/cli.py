@@ -120,7 +120,14 @@ def cmd_solve(cfg: RunConfig) -> int:
     model, w_profile, inj = _load(cfg)
     sol = solve_fixed_point(model, w_profile, inj, **cfg.solver_options)
     write_json(solve_document(model, sol), _dest(cfg.output_path))
-    return EXIT_OK if sol.converged else EXIT_ERROR
+    if sol.converged:
+        return EXIT_OK
+    print(
+        f"mplf: warning: step converged but residual {sol.residual_inf:.3e} "
+        f"exceeds {cfg.tol_residual:.1e}",
+        file=sys.stderr,
+    )
+    return EXIT_ERROR
 
 
 def cmd_certify(cfg: RunConfig) -> int:

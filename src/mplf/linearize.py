@@ -148,7 +148,7 @@ def fot_linearize(
     cols = np.concatenate([np.arange(n), p, q, q, p])
     vals = np.conj(np.concatenate([f_diag, -f_pair, -f_pair, f_pair, f_pair]))
     f = scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(n, n))
-    y = model.yll_sparse
+    y = model.yll
     op = scipy.sparse.bmat(
         [[y.real - f.real, -y.imag - f.imag], [y.imag - f.imag, y.real + f.real]], format="csc"
     )

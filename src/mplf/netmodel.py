@@ -13,12 +13,10 @@ from __future__ import annotations
 import json
 import math
 import os
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -120,81 +118,62 @@ class ConnectionMatrix:
 
     H: np.ndarray
     L: np.ndarray
-
-    @property
-    def first(self) -> np.ndarray:
-        return np.argmax(self.H, axis=1)
-
-    @property
-    def second(self) -> np.ndarray:
-        return np.argmin(self.H, axis=1)
+    first: np.ndarray
+    second: np.ndarray
 
 
 def build_connection_matrix(index: PhaseIndexMap) -> ConnectionMatrix:
     """Build the incidence of existing phase-pair connections onto phases."""
-    H = np.zeros((index.n_delta, index.n_phases), dtype=int)
+    first = np.empty(index.n_delta, dtype=np.intp)
+    second = np.empty(index.n_delta, dtype=np.intp)
     for (bus, pair), row in index.delta_index.items():
         try:
-            H[row, index.phase_index[(bus, pair[0])]] = 1
-            H[row, index.phase_index[(bus, pair[1])]] = -1
+            first[row] = index.phase_index[(bus, pair[0])]
+            second[row] = index.phase_index[(bus, pair[1])]
         except KeyError:
             raise ModelError(
                 f"bus {bus!r}: delta connection {pair!r} references a missing phase"
             ) from None
-    H.setflags(write=False)
+    rows = np.arange(index.n_delta)
+    H = np.zeros((index.n_delta, index.n_phases), dtype=int)
+    H[rows, first] = 1
+    H[rows, second] = -1
     L = np.abs(H)
-    L.setflags(write=False)
-    return ConnectionMatrix(H=H, L=L)
+    for arr in (H, L, first, second):
+        arr.setflags(write=False)
+    return ConnectionMatrix(H=H, L=L, first=first, second=second)
 
 
 class LUFactor:
-    """LU factors of a square matrix under one singularity rule.
+    """Sparse LU factors of a square matrix under one singularity rule.
 
-    The matrix type picks the factorization: a dense array goes to LAPACK
-    (``lu_factor``, with ``gecon`` for the condition estimate), a
-    ``scipy.sparse`` matrix to SuperLU (``splu``, with ``‖A‖₁`` times a
-    ``onenormest`` estimate of ``‖A⁻¹‖₁`` from solves with the factors).
-    Either way, ``error`` is raised when the factorization fails or when the
-    1-norm reciprocal condition estimate ``rcond`` is non-finite or below
-    ``RCOND_FLOOR`` (an exactly singular sparse matrix reports
-    ``rcond=0``); ``what`` names the matrix in the message.  ``yll`` (see
-    ``NetworkModel``) and the reduced FOT operator take the sparse path;
-    only the Newton Jacobian, which is dense, takes the dense one.
+    The matrix is factored by SuperLU (``splu``) in CSC form, and ``rcond``
+    is the 1-norm reciprocal condition estimate ``1 / (‖A‖₁ ‖A⁻¹‖₁)``,
+    with ``‖A⁻¹‖₁`` estimated by ``onenormest`` from solves with the
+    factors.  ``error`` is raised when the factorization fails or when
+    ``rcond`` is non-finite or below ``RCOND_FLOOR`` (an exactly singular
+    matrix reports ``rcond=0``); ``what`` names the matrix in the message.
+    ``solve(rhs)`` solves ``matrix @ x = rhs``.  ``yll`` (see
+    ``NetworkModel``), the reduced FOT operator and the Newton Jacobian are
+    all factored here.
     """
 
     def __init__(self, matrix, error, what):
+        matrix = scipy.sparse.csc_matrix(matrix)
         try:
-            with warnings.catch_warnings():
-                # Exact singularity is detected below via the condition estimate.
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                if scipy.sparse.issparse(matrix):
-                    self._solve, self.rcond = _sparse_lu(matrix)
-                else:
-                    self._solve, self.rcond = _dense_lu(matrix)
-        except (ValueError, scipy.linalg.LinAlgError) as exc:
+            lu = scipy.sparse.linalg.splu(matrix)
+        except RuntimeError:  # SuperLU: "Factor is exactly singular"
+            self.rcond = 0.0
+        except ValueError as exc:
             raise error(f"cannot factorize {what}: {exc}") from exc
+        else:
+            self.solve = lu.solve
+            self.rcond = _rcond(matrix, lu)
         if not np.isfinite(self.rcond) or self.rcond < RCOND_FLOOR:
             raise error(f"{what} is singular or near-singular (rcond={self.rcond:.3e})")
 
-    def solve(self, rhs):
-        """Solve ``matrix @ x = rhs``."""
-        return self._solve(rhs)
 
-
-def _dense_lu(matrix):
-    lu = scipy.linalg.lu_factor(matrix)
-    (gecon,) = scipy.linalg.get_lapack_funcs(("gecon",), (matrix,))
-    anorm = np.linalg.norm(matrix, 1) if matrix.size else 0.0
-    rcond, info = gecon(lu[0], anorm, norm="1")
-    return partial(scipy.linalg.lu_solve, lu), float(rcond) if info == 0 else math.nan
-
-
-def _sparse_lu(matrix):
-    matrix = scipy.sparse.csc_matrix(matrix)
-    try:
-        lu = scipy.sparse.linalg.splu(matrix)
-    except RuntimeError:  # SuperLU: "Factor is exactly singular"
-        return None, 0.0
+def _rcond(matrix, lu):
     adjoint = partial(lu.solve, trans="H")
     inverse = scipy.sparse.linalg.LinearOperator(
         matrix.shape,
@@ -205,11 +184,11 @@ def _sparse_lu(matrix):
         dtype=matrix.dtype,
     )
     anorm = float(abs(matrix).sum(axis=0).max())
-    # One probe column (t=1) is the Hager-Higham estimator that gecon also
-    # uses; more columns would draw from numpy's global random state.
+    # One probe column (t=1) is the Hager-Higham estimator of LAPACK's
+    # condition estimates; more columns would draw from numpy's global
+    # random state.
     with np.errstate(divide="ignore"):
-        rcond = 1.0 / (anorm * scipy.sparse.linalg.onenormest(inverse, t=1))
-    return lu.solve, float(rcond)
+        return float(1.0 / (anorm * scipy.sparse.linalg.onenormest(inverse, t=1)))
 
 
 @dataclass
@@ -240,17 +219,19 @@ class NetworkModel:
 
     Attributes
     ----------
-    y00, y0l, yl0, yll : ndarray
-        Blocks of the full admittance matrix, slack phases first.
-    yll_sparse : scipy.sparse.csc_matrix
-        ``yll`` in compressed sparse column form, built once.
+    y00, y0l, yl0 : ndarray
+        The dense slack blocks of the full admittance matrix, slack phases
+        first; each has at most three rows or columns.
+    yll : scipy.sparse.csc_matrix
+        The load-bus block, the only representation of it: it follows the
+        feeder's tree, so it is kept sparse and never formed densely.
     v0 : ndarray
         Slack voltage phasors (one per slack phase, p.u.).
     index : PhaseIndexMap
     connection : ConnectionMatrix
     factor : LUFactor
-        Sparse (SuperLU) factors of ``yll_sparse``; every solve with ``yll``
-        goes through it, and so does the cached ``yll_inverse``.
+        SuperLU factors of ``yll``; every solve with ``yll`` goes through
+        it, and so does the cached ``yll_inverse``.
     rcond : float
         Reciprocal condition estimate of ``yll`` from its LU factors.
     """
@@ -259,26 +240,29 @@ class NetworkModel:
         self.y00 = np.asarray(y00, dtype=complex)
         self.y0l = np.asarray(y0l, dtype=complex)
         self.yl0 = np.asarray(yl0, dtype=complex)
-        self.yll = np.asarray(yll, dtype=complex)
+        self.yll = scipy.sparse.csc_matrix(yll, dtype=complex)
         self.v0 = np.asarray(v0, dtype=complex)
         self.index = index
         self.connection = connection
         self.slack_id = slack_id
         self.slack_phases = slack_phases
-        for arr in (self.y00, self.y0l, self.yl0, self.yll, self.v0):
+        for arr in (self.y00, self.y0l, self.yl0, self.v0):
+            arr.setflags(write=False)
+        for arr in (self.yll.data, self.yll.indices, self.yll.indptr):
             arr.setflags(write=False)
 
         # Symmetry of the full matrix [[y00, y0l], [yl0, yll]], checked block by block.
-        scale = max(1.0, *(np.abs(b).max() for b in (self.y00, self.y0l, self.yl0, self.yll)))
+        dense = (self.y00, self.y0l, self.yl0)
+        scale = max(1.0, *(np.abs(b).max() for b in dense), abs(self.yll).max())
         asymmetry = max(
-            np.abs(a - b.T).max()
-            for a, b in ((self.y00, self.y00), (self.y0l, self.yl0), (self.yll, self.yll))
+            np.abs(self.y00 - self.y00.T).max(),
+            np.abs(self.y0l - self.yl0.T).max(),
+            abs(self.yll - self.yll.T).max(),
         )
         if asymmetry > SYMMETRY_RTOL * scale:
             raise ModelError("admittance matrix is not symmetric (non-reciprocal network)")
 
-        self.yll_sparse = scipy.sparse.csc_matrix(self.yll)
-        self.factor = LUFactor(self.yll_sparse, SingularModelError, "load-bus admittance block")
+        self.factor = LUFactor(self.yll, SingularModelError, "load-bus admittance block")
         self.rcond = self.factor.rcond
 
     @property
@@ -308,6 +292,9 @@ def _line_block(blk, k, where):
 
 def assemble_network(buses, lines, slack) -> NetworkModel:
     """Assemble the partitioned admittance model by standard nodal assembly.
+
+    The line blocks are summed as COO triplets, so ``yll`` is built in CSC
+    form without ever forming the dense matrix.
 
     Parameters
     ----------
@@ -366,10 +353,14 @@ def assemble_network(buses, lines, slack) -> NetworkModel:
 
     m = len(slack_phases)
     n = index.n_phases
+    size = m + n
     gidx = {(slack.id, p): i for i, p in enumerate(slack_phases)}
     gidx.update({key: m + col for key, col in index.phase_index.items()})
 
-    full = np.zeros((m + n, m + n), dtype=complex)
+    # Each line's blocks as COO triplets keyed by ``col * size + row``, in
+    # the order nodal assembly adds them.
+    keys = [np.zeros(0, dtype=np.intp)]
+    vals = [np.zeros(0, dtype=complex)]
     adjacency = {b: set() for b in order}
     for li, line in enumerate(lines):
         for end in (line.from_bus, line.to_bus):
@@ -385,24 +376,33 @@ def assemble_network(buses, lines, slack) -> NetworkModel:
                 )
         k = len(phases)
         ys = _line_block(line.y_series, k, f"line {li}: series block")
-        fi = [gidx[(line.from_bus, p)] for p in phases]
-        ti = [gidx[(line.to_bus, p)] for p in phases]
-        full[np.ix_(fi, fi)] += ys
-        full[np.ix_(ti, ti)] += ys
-        full[np.ix_(fi, ti)] -= ys
-        full[np.ix_(ti, fi)] -= ys
+        fi = np.array([gidx[(line.from_bus, p)] for p in phases])
+        ti = np.array([gidx[(line.to_bus, p)] for p in phases])
+        blocks = [(fi, fi, ys), (ti, ti, ys), (fi, ti, -ys), (ti, fi, -ys)]
         for attr, idx in (("y_shunt_from", fi), ("y_shunt_to", ti)):
             blk = getattr(line, attr)
             if blk is not None:
-                full[np.ix_(idx, idx)] += _line_block(blk, k, f"line {li}: {attr} block")
+                blocks.append((idx, idx, _line_block(blk, k, f"line {li}: {attr} block")))
+        for rows, cols, blk in blocks:
+            keys.append((cols[None, :] * size + rows[:, None]).ravel())
+            vals.append(blk.ravel())
         if np.abs(ys).max() > 0.0:
             adjacency[line.from_bus].add(line.to_bus)
             adjacency[line.to_bus].add(line.from_bus)
 
+    # np.add.at sums each entry's terms one after another in that order, so
+    # every entry is the same float sum as dense ``+=`` assembly gives (a
+    # COO-to-CSC conversion would reorder the additions); np.unique sorts
+    # the keys into CSC order.
+    keys, where = np.unique(np.concatenate(keys), return_inverse=True)
+    entries = np.zeros(keys.size, dtype=complex)
+    rows, cols = keys % size, keys // size
+
     # Finite entries can still sum past the float range; the 1-norm of the
     # condition estimate and the symmetry check would then see inf and NaN.
-    with np.errstate(over="ignore"):
-        bad = np.flatnonzero(~np.isfinite(np.abs(full).sum(axis=0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(entries, where, np.concatenate(vals))
+        bad = np.flatnonzero(~np.isfinite(np.bincount(cols, np.abs(entries), size)))
     if bad.size:
         bus, phase = next(key for key, col in gidx.items() if col == bad[0])
         at = ", ".join(str(li) for li, ln in enumerate(lines) if bus in (ln.from_bus, ln.to_bus))
@@ -425,15 +425,25 @@ def assemble_network(buses, lines, slack) -> NetworkModel:
     if unreached:
         raise ModelError(f"bus(es) not connected to the slack: {unreached}")
 
-    connection = build_connection_matrix(index)
+    # The slack rows and columns are dense; yll keeps its nonzero entries.
+    top = np.zeros((m, size), dtype=complex)
+    left = np.zeros((size, m), dtype=complex)
+    on = rows < m
+    top[rows[on], cols[on]] = entries[on]
+    on = cols < m
+    left[rows[on], cols[on]] = entries[on]
+    on = (rows >= m) & (cols >= m) & (entries != 0)
+    indptr = np.searchsorted(cols[on], np.arange(m, size + 1))
+    yll = scipy.sparse.csc_matrix((entries[on], rows[on] - m, indptr), shape=(n, n))
+
     return NetworkModel(
-        y00=full[:m, :m],
-        y0l=full[:m, m:],
-        yl0=full[m:, :m],
-        yll=full[m:, m:],
+        y00=top[:, :m],
+        y0l=top[:, m:],
+        yl0=left[m:],
+        yll=yll,
         v0=v0,
         index=index,
-        connection=connection,
+        connection=build_connection_matrix(index),
         slack_id=slack.id,
         slack_phases=slack_phases,
     )

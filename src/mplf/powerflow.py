@@ -1,4 +1,4 @@
-"""Power-flow evaluation, the fixed-point solver, and a Newton test oracle.
+"""Power-flow evaluation, the fixed-point solver, and its Newton fallback.
 
 Sign convention: injections are generation-positive, so loads carry negative
 real parts.  All quantities are per unit.
@@ -7,10 +7,10 @@ real parts.  All quantities are per unit.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .errors import (
     DegenerateVoltageError,
@@ -27,8 +27,6 @@ from .netmodel import (
     list_from_doc,
     zero_load_voltage,
 )
-
-log = logging.getLogger(__name__)
 
 # Guards for the diagonal inversions in the fixed-point map; voltages this
 # small with a nonzero injection mean the map is no longer well defined.
@@ -183,7 +181,9 @@ def solve_fixed_point(
 
     The stopping rule is the step norm (what the contraction theory bounds);
     the returned result is then validated against ``tol_residual`` and
-    flagged accordingly.
+    flagged in ``converged``.  A miss is not logged here: the caller knows
+    whether this is its final answer (the sweep hands such a point to
+    Newton).
 
     Raises
     ------
@@ -216,8 +216,6 @@ def solve_fixed_point(
     mismatch, ic_delta, i = power_flow_mismatch(model, v, inj)
     residual_inf = _inf_norm(mismatch)
     converged = residual_inf <= tol_residual
-    if not converged:
-        log.warning("step converged but residual %.3e exceeds %.1e", residual_inf, tol_residual)
 
     # Ratios of steps at the rounding floor are measurement noise, not
     # contraction information; skip them.
@@ -237,6 +235,36 @@ def solve_fixed_point(
     )
 
 
+def _newton_jacobian(model: NetworkModel, v, inj: InjectionSet, ic_delta, i):
+    """Real form, on ``(Re dv, Im dv)``, of the mismatch's derivative at ``v``.
+
+    ``ic_delta`` and ``i`` are the mismatch terms at ``v``.  Of the
+    Wirtinger blocks, d/dv is a diagonal plus the bus-local pair term and
+    d/dconj(v) is ``-diag(v) conj(yll)``.
+    """
+    n = model.n_phases
+    H = model.connection.H
+    p, q = model.connection.first, model.connection.second
+    hv = H @ v
+    live = inj.s_delta != 0
+    dc = np.zeros_like(hv)
+    dc[live] = inj.s_delta[live] / hv[live] ** 2
+    rows = np.concatenate([np.arange(n), p, q, p, q])
+    cols = np.concatenate([np.arange(n), p, q, q, p])
+    vals = np.concatenate(
+        [H.T @ ic_delta - np.conj(i), -v[p] * dc, -v[q] * dc, v[p] * dc, v[q] * dc]
+    )
+    j_v = scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(n, n))
+    j_vbar = scipy.sparse.diags(-v, format="csc") @ model.yll.conj()
+    return scipy.sparse.bmat(
+        [
+            [j_v.real + j_vbar.real, -j_v.imag + j_vbar.imag],
+            [j_v.imag + j_vbar.imag, j_v.real - j_vbar.real],
+        ],
+        format="csc",
+    )
+
+
 def newton_oracle(
     model: NetworkModel,
     inj: InjectionSet,
@@ -246,16 +274,19 @@ def newton_oracle(
 ) -> SolveResult:
     """Damped Newton on the real/imaginary stacked balance equations.
 
-    Test-only cross-validation path: same equations, an unrelated algorithm.
-    The step is damped by halving whenever the residual norm would increase.
-    ``iterations`` is the number of Newton steps taken (zero from a start
-    that already meets ``tol_residual``).  A Jacobian with
-    ``rcond < RCOND_FLOOR`` raises :class:`SingularJacobianError`;
-    ``max_iter`` below one raises ``ValueError``.
+    The same equations as the fixed point, solved by an unrelated
+    algorithm: the sweep's fallback where the fixed point fails or misses
+    ``tol_residual``, and the tests' cross-check of the fixed point.  The
+    Jacobian is sparse (the pattern of ``yll`` plus bus-local pair entries)
+    and is factored through ``LUFactor``.  The step is damped by halving
+    whenever the residual norm would increase.  ``iterations`` is the
+    number of Newton steps taken (zero from a start that already meets
+    ``tol_residual``).  A Jacobian with ``rcond < RCOND_FLOOR`` raises
+    :class:`SingularJacobianError`; ``max_iter`` below one raises
+    ``ValueError``.
     """
     _check_max_iter(max_iter)
     n = model.n_phases
-    H = model.connection.H
     if v_init is None:
         v = np.array(zero_load_voltage(model).w, dtype=complex)
     else:
@@ -272,21 +303,7 @@ def newton_oracle(
                 f"Newton did not converge in {max_iter} iterations (residual {fnorm:.3e})",
                 last_v=v,
             )
-        hv = H @ v if model.n_delta else np.zeros(0, dtype=complex)
-        # Wirtinger blocks of the mismatch: d/dv and d/dconj(v).
-        j_v = np.diag(H.T @ ic_delta) - np.diag(np.conj(i))
-        if model.n_delta:
-            dc = np.zeros_like(hv)
-            live = inj.s_delta != 0
-            dc[live] = inj.s_delta[live] / hv[live] ** 2
-            j_v -= (v[:, None] * H.T) @ (dc[:, None] * H)
-        j_vbar = -v[:, None] * np.conj(model.yll)
-        A = np.block(
-            [
-                [j_v.real + j_vbar.real, -j_v.imag + j_vbar.imag],
-                [j_v.imag + j_vbar.imag, j_v.real - j_vbar.real],
-            ]
-        )
+        A = _newton_jacobian(model, v, inj, ic_delta, i)
         rhs = -np.concatenate([f.real, f.imag])
         delta = LUFactor(A, SingularJacobianError, "Newton Jacobian").solve(rhs)
         dv = delta[:n] + 1j * delta[n:]

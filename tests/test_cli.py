@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import subprocess
 import sys
 
@@ -169,6 +170,29 @@ class TestSweep:
         assert len(rows) == 61
         for row in rows:
             assert row["solver_iters"] and row["fot_err"] and row["fpl_err"], row
+
+    def test_residual_miss_reported_only_where_final(self, tmp_path):
+        # The sweep's fixed point misses the residual tolerance on some rows
+        # at --tol-step 1e-7, and Newton finishes them: nothing to report.
+        # A solve at --tol-step 1e-6 returns such a miss as its answer.
+        cmd = [sys.executable, "-m", "mplf.cli"]
+        sweep = subprocess.run(
+            cmd + ["sweep", *IEEE123, "--tol-step", "1e-7", "--output", str(tmp_path / "s.csv")],
+            capture_output=True,
+            text=True,
+        )
+        assert sweep.returncode == 0 and sweep.stderr == ""
+        out = tmp_path / "solve.json"
+        solve = subprocess.run(
+            cmd + ["solve", *IEEE123, "--tol-step", "1e-6", "--output", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert solve.returncode == 1
+        assert re.fullmatch(
+            r"mplf: warning: step converged but residual \S+ exceeds 1\.0e-08\n", solve.stderr
+        ), solve.stderr
+        assert json.loads(out.read_text())["converged"] is False
 
     def test_tol_kappa_flag_is_ignored(self, tmp_path):
         # Intervals are exact now; old command lines with --tol-kappa still

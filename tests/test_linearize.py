@@ -39,11 +39,11 @@ class TestFotAtZeroLoad:
             model, profile = random_network(rng)
             base = zero_base_solution(model, profile)
             lin = mplf.fot_linearize(model, base, mplf.InjectionSet.zeros(model))
-            p = np.linalg.solve(model.yll, np.diag(1.0 / np.conj(profile.w)))
+            p = np.linalg.solve(model.yll.toarray(), np.diag(1.0 / np.conj(profile.w)))
             npt.assert_allclose(lin.m_wye, np.hstack([p, -1j * p]), atol=1e-9)
             if model.n_delta:
                 H = model.connection.H
-                q = np.linalg.solve(model.yll, H.T @ np.diag(1.0 / (H @ np.conj(profile.w))))
+                q = np.linalg.solve(model.yll.toarray(), H.T @ np.diag(1.0 / (H @ np.conj(profile.w))))
                 npt.assert_allclose(lin.m_delta, np.hstack([q, -1j * q]), atol=1e-9)
 
     def test_coincides_with_fpl_at_zero_load(self, rng):
@@ -175,7 +175,7 @@ def stacked_reference(model, sol, inj):
     ic_delta = inj.s_delta / hv
     i_hat = model.yl0 @ model.v0 + model.yll @ v_hat
     a1 = np.diag(H.T @ ic_delta) - np.diag(np.conj(i_hat))
-    a2 = -v_hat[:, None] * np.conj(model.yll)
+    a2 = -v_hat[:, None] * np.conj(model.yll.toarray())
     a3 = v_hat[:, None] * H.T
     b1 = ic_delta[:, None] * H
     b2 = np.diag(hv)
@@ -323,9 +323,9 @@ class TestFpl:
 
 def fpl_reference(model, v_hat):
     """The FPL coefficient blocks from dense solves with ``yll``."""
-    p = np.linalg.solve(model.yll, np.diag(1.0 / np.conj(v_hat)))
+    p = np.linalg.solve(model.yll.toarray(), np.diag(1.0 / np.conj(v_hat)))
     H = model.connection.H
-    q = np.linalg.solve(model.yll, H.T @ np.diag(1.0 / (H @ np.conj(v_hat))))
+    q = np.linalg.solve(model.yll.toarray(), H.T @ np.diag(1.0 / (H @ np.conj(v_hat))))
     return np.hstack([p, -1j * p]), np.hstack([q, -1j * q])
 
 

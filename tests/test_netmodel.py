@@ -2,14 +2,16 @@ import io
 import json
 import math
 import re
+from functools import partial
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 import mplf
-from mplf import cli
+from mplf import cli, netmodel
 from mplf.analysis import interval_summary
 from mplf.datafiles import bundled_path
 from mplf.netmodel import RCOND_FLOOR, LUFactor
@@ -26,6 +28,68 @@ GAMMA_BLOCK = np.array([[1, -1, 0], [0, 1, -1], [-1, 0, 1]])
 
 def three_phase_line(y=5.0 - 15.0j):
     return np.diag([y, y, y]).astype(complex)
+
+
+BUNDLED = ("ieee37", "ieee123", "three_bus", "single_phase")
+
+
+def assert_same_csc(a, b):
+    """Two CSC matrices hold the same arrays, bit for bit."""
+    assert a.shape == b.shape
+    for name in ("data", "indices", "indptr"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def bundled_specs(name, monkeypatch):
+    """The bus, line and slack specs that a bundled network document parses to."""
+    specs = []
+    assemble = netmodel.assemble_network
+
+    def capture(buses, lines, slack):
+        specs.extend((buses, lines, slack))
+        return assemble(buses, lines, slack)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(netmodel, "assemble_network", capture)
+        mplf.network_from_file(bundled_path(f"{name}_network.json"))
+    return tuple(specs)
+
+
+def parallel_lines(rng, lines):
+    """Extra lines beside some of ``lines``, some reversed, with their own shunts."""
+    extra = []
+    for line in lines:
+        if rng.random() < 0.5:
+            ends = (line.from_bus, line.to_bus)[:: 1 if rng.random() < 0.5 else -1]
+            k = len(line.phases)
+            extra.append(mplf.LineSpec(
+                *ends, line.phases, line.y_series * rng.uniform(0.5, 2.0),
+                y_shunt_to=1j * np.diag(0.001 * rng.random(k)),
+            ))
+    return extra
+
+
+def dense_assembly(model, lines):
+    """The full admittance matrix by dense ``np.ix_`` nodal assembly,
+    slack phases first, in the model's phase order."""
+    m, n = len(model.slack_phases), model.n_phases
+    gidx = {(model.slack_id, p): i for i, p in enumerate(model.slack_phases)}
+    gidx.update({key: m + col for key, col in model.index.phase_index.items()})
+    full = np.zeros((m + n, m + n), dtype=complex)
+    for line in lines:
+        phases = netmodel.canonical_phases(line.phases)
+        ys = np.asarray(line.y_series, dtype=complex)
+        fi = [gidx[(line.from_bus, p)] for p in phases]
+        ti = [gidx[(line.to_bus, p)] for p in phases]
+        full[np.ix_(fi, fi)] += ys
+        full[np.ix_(ti, ti)] += ys
+        full[np.ix_(fi, ti)] -= ys
+        full[np.ix_(ti, fi)] -= ys
+        for blk, idx in ((line.y_shunt_from, fi), (line.y_shunt_to, ti)):
+            if blk is not None:
+                full[np.ix_(idx, idx)] += blk
+    return full
 
 
 class TestConnectionMatrix:
@@ -62,11 +126,23 @@ class TestConnectionMatrix:
             if model.n_delta:
                 npt.assert_array_equal(model.connection.H.sum(axis=1), 0)
 
+    def test_pair_columns_match_incidence(self, rng):
+        models = [mplf.network_from_file(bundled_path(f"{name}_network.json"))
+                  for name in BUNDLED]
+        models += [random_network(rng, max_buses=8)[0] for _ in range(20)]
+        for model in models:
+            conn = model.connection
+            npt.assert_array_equal(conn.first, np.argmax(conn.H, axis=1))
+            npt.assert_array_equal(conn.second, np.argmin(conn.H, axis=1))
+            rows = np.arange(model.n_delta)
+            assert (conn.H[rows, conn.first] == 1).all() and (conn.H[rows, conn.second] == -1).all()
+            assert not (conn.first.flags.writeable or conn.second.flags.writeable)
+
 
 class TestAssembly:
     def test_single_branch_blocks(self):
         model, _ = single_phase_model(y=1.0)
-        npt.assert_allclose(model.yll, [[1.0]])
+        npt.assert_allclose(model.yll.toarray(), [[1.0]])
         npt.assert_allclose(model.yl0, [[-1.0]])
         npt.assert_allclose(model.y00, [[1.0]])
 
@@ -75,7 +151,7 @@ class TestAssembly:
         line = mplf.LineSpec("s", "b", "a", np.array([[2.0 - 4.0j]]))
         one = mplf.assemble_network(buses, [line], mplf.SlackSpec("s", np.array([1.0 + 0j])))
         two = mplf.assemble_network(buses, [line, line], mplf.SlackSpec("s", np.array([1.0 + 0j])))
-        npt.assert_allclose(two.yll, 2 * one.yll)
+        npt.assert_allclose(two.yll.toarray(), 2 * one.yll.toarray())
 
     def test_zero_admittance_line_isolates_bus(self):
         buses = [mplf.BusSpec("s", "a"), mplf.BusSpec("b", "a")]
@@ -109,8 +185,22 @@ class TestAssembly:
     def test_full_matrix_symmetric_on_random_networks(self, rng):
         for _ in range(10):
             model, _ = random_network(rng)
-            full = np.block([[model.y00, model.y0l], [model.yl0, model.yll]])
+            full = np.block([[model.y00, model.y0l], [model.yl0, model.yll.toarray()]])
             npt.assert_allclose(full, full.T, rtol=0, atol=1e-12 * np.abs(full).max())
+
+    def test_matches_dense_assembly_bitwise(self, rng, monkeypatch):
+        cases = [bundled_specs(name, monkeypatch) for name in BUNDLED]
+        for _ in range(20):
+            buses, lines, slack = random_network_specs(rng, max_buses=8, shunt_prob=0.5)
+            cases.append((buses, lines + parallel_lines(rng, lines), slack))
+        for buses, lines, slack in cases:
+            model = mplf.assemble_network(buses, lines, slack)
+            full = dense_assembly(model, lines)
+            m = len(model.slack_phases)
+            for block, ref in ((model.y00, full[:m, :m]), (model.y0l, full[:m, m:]),
+                               (model.yl0, full[m:, :m])):
+                assert np.array_equal(block, ref)
+            assert_same_csc(model.yll, scipy.sparse.csc_matrix(full[m:, m:]))
 
 
 def banded(n, dtype, seed=5):
@@ -123,17 +213,26 @@ def banded(n, dtype, seed=5):
     return scipy.sparse.diags(diags, [-2, -1, 0, 1, 2], format="csc")
 
 
+def dense_lu_reference(matrix):
+    """LAPACK LU solves and gecon's 1-norm reciprocal condition estimate."""
+    lu = scipy.linalg.lu_factor(matrix)
+    (gecon,) = scipy.linalg.get_lapack_funcs(("gecon",), (matrix,))
+    rcond, info = gecon(lu[0], np.linalg.norm(matrix, 1), norm="1")
+    assert info == 0
+    return partial(scipy.linalg.lu_solve, lu), rcond
+
+
 class TestLUFactor:
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_sparse_and_dense_paths_agree(self, dtype):
         matrix = banded(40, dtype)
         rhs = np.random.default_rng(6).standard_normal((40, 3))
         sparse = LUFactor(matrix, mplf.SingularModelError, "test matrix")
-        dense = LUFactor(matrix.toarray(), mplf.SingularModelError, "test matrix")
-        x_sparse, x_dense = sparse.solve(rhs), dense.solve(rhs)
+        dense_solve, dense_rcond = dense_lu_reference(matrix.toarray())
+        x_sparse, x_dense = sparse.solve(rhs), dense_solve(rhs)
         assert np.abs(x_sparse - x_dense).max() <= 1e-12 * np.abs(x_dense).max()
         npt.assert_allclose(matrix @ x_sparse, rhs, atol=1e-12)
-        assert dense.rcond / 10 <= sparse.rcond <= dense.rcond * 10
+        assert dense_rcond / 10 <= sparse.rcond <= dense_rcond * 10
 
     def test_exactly_singular_sparse_matrix_rejected(self):
         matrix = banded(10, float).tolil()
@@ -156,24 +255,26 @@ class TestLUFactor:
 
 
 class TestYllFactor:
-    """``yll`` is factored on the sparse path of ``LUFactor``."""
+    """``yll`` is assembled sparse and factored by ``LUFactor``."""
 
     def models(self, rng):
         feeders = [mplf.network_from_file(bundled_path(f"{name}_network.json"))
-                   for name in ("ieee37", "ieee123", "three_bus", "single_phase")]
+                   for name in BUNDLED]
         return feeders + [random_network(rng)[0] for _ in range(20)]
 
     def test_sparse_copy_is_exact(self, rng):
+        # The only copy of yll is the canonical CSC form of its dense values.
         for model in self.models(rng):
-            assert model.yll_sparse.format == "csc"
-            assert np.array_equal(model.yll_sparse.toarray(), model.yll)
+            y = model.yll
+            assert y.format == "csc" and y.has_canonical_format
+            assert y.nnz == np.count_nonzero(y.toarray())
+            assert_same_csc(y, scipy.sparse.csc_matrix(y.toarray()))
 
     def test_condition_estimate_matches_dense(self, rng):
         for model in self.models(rng):
-            sparse = LUFactor(model.yll_sparse, mplf.SingularModelError, "yll")
-            dense = LUFactor(model.yll, mplf.SingularModelError, "yll")
-            assert model.rcond == sparse.rcond
-            assert abs(model.rcond - dense.rcond) <= 1e-12 * dense.rcond
+            _, dense_rcond = dense_lu_reference(model.yll.toarray())
+            assert model.rcond == LUFactor(model.yll, mplf.SingularModelError, "yll").rcond
+            assert abs(model.rcond - dense_rcond) <= 1e-12 * dense_rcond
 
 
 class TestZeroLoad:
@@ -234,7 +335,7 @@ class TestPermutationEquivariance:
                 model.index.delta_index[key]
                 for key in sorted(permuted.index.delta_index, key=permuted.index.delta_index.get)
             ]
-            npt.assert_allclose(permuted.yll, model.yll[np.ix_(perm, perm)])
+            npt.assert_allclose(permuted.yll.toarray(), model.yll.toarray()[np.ix_(perm, perm)])
             npt.assert_array_equal(permuted.connection.H, model.connection.H[np.ix_(dperm, perm)])
 
             prof_p = mplf.zero_load_voltage(permuted)
@@ -276,7 +377,7 @@ class TestJson:
         model = mplf.network_from_json(self.doc())
         assert model.n_phases == 2
         assert model.n_delta == 1
-        npt.assert_allclose(model.yll, np.diag([1 - 2j, 1 - 2j]))
+        npt.assert_allclose(model.yll.toarray(), np.diag([1 - 2j, 1 - 2j]))
 
     def test_missing_key_rejected(self):
         doc = self.doc()
@@ -468,3 +569,13 @@ def test_assemble_rejects_nonfinite_specs(bad):
     shunt = mplf.LineSpec("s", "b", "a", line.y_series, y_shunt_to=np.array([[1j * bad]]))
     with pytest.raises(mplf.InputFormatError, match="line 0: y_shunt_to block"):
         mplf.assemble_network(buses, [shunt], slack)
+
+
+def test_parallel_lines_summing_past_float_range_located():
+    buses = [mplf.BusSpec("s", "a"), mplf.BusSpec("b", "a")]
+    line = mplf.LineSpec("s", "b", "a", np.array([[1e308 - 1e308j]]))
+    with pytest.raises(
+        mplf.InputFormatError,
+        match=re.escape("bus 's' phase 'a': admittance entries of line(s) 0, 1 sum past"),
+    ):
+        mplf.assemble_network(buses, [line, line], mplf.SlackSpec("s", np.array([1.0 + 0j])))

@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 import mplf
+from mplf import powerflow
 from mplf.certify import check_theorem2, gamma_quantities, xi_norms
 from mplf.datafiles import bundled_path
 from conftest import (
@@ -72,7 +73,7 @@ class TestFixedPointMap:
         model, profile, inj = two_phase_delta_case()
         v = 0.95 * profile.w + np.array([0.01 - 0.02j, -0.015 + 0.005j])
 
-        yll_inv = np.linalg.inv(model.yll)
+        yll_inv = np.linalg.inv(model.yll.toarray())
         H = np.array([[1.0, -1.0]])
         s_delta = inj.s_delta
         expected = profile.w + yll_inv @ (
@@ -140,7 +141,7 @@ class TestSolveFixedPoint:
             sol = mplf.solve_fixed_point(model, profile, inj, tol_residual=1e-9)
             s_slack = model.v0 * np.conj(model.y00 @ model.v0 + model.y0l @ sol.v)
             v_full = np.concatenate([model.v0, sol.v])
-            y_full = np.block([[model.y00, model.y0l], [model.yl0, model.yll]])
+            y_full = np.block([[model.y00, model.y0l], [model.yl0, model.yll.toarray()]])
             absorbed = v_full @ np.conj(y_full @ v_full)
             total_injected = inj.s_wye.sum() + inj.s_delta.sum() + s_slack.sum()
             assert abs(total_injected - absorbed) <= model.n_phases * 1e-8
@@ -215,6 +216,48 @@ class TestNewtonOracle:
         inj = wye_injection(model, "load", "a", -0.3)
         with pytest.raises(mplf.SingularJacobianError, match="Newton Jacobian"):
             mplf.newton_oracle(model, inj, v_init=[0.5])
+
+
+def dense_jacobian(model, v, inj, ic_delta, i):
+    """The real stacked Newton Jacobian from dense Wirtinger blocks."""
+    H = model.connection.H
+    j_v = np.diag(H.T @ ic_delta) - np.diag(np.conj(i))
+    if model.n_delta:
+        hv = H @ v
+        dc = np.zeros_like(hv)
+        live = inj.s_delta != 0
+        dc[live] = inj.s_delta[live] / hv[live] ** 2
+        j_v -= (v[:, None] * H.T) @ (dc[:, None] * H)
+    j_vbar = -v[:, None] * np.conj(model.yll.toarray())
+    return np.block(
+        [
+            [j_v.real + j_vbar.real, -j_v.imag + j_vbar.imag],
+            [j_v.imag + j_vbar.imag, j_v.real - j_vbar.real],
+        ]
+    )
+
+
+class TestNewtonJacobian:
+    def cases(self, rng):
+        for feeder in ("ieee37", "ieee123"):
+            model = mplf.network_from_file(bundled_path(f"{feeder}_network.json"))
+            inj = mplf.injections_from_file(
+                bundled_path(f"{feeder}_injections_mixed.json"), model
+            )
+            yield model, mplf.zero_load_voltage(model), inj
+        for _ in range(10):
+            yield certified_instance(rng)
+
+    def test_matches_dense_block_construction(self, rng):
+        for model, profile, inj in self.cases(rng):
+            v = mplf.solve_fixed_point(model, profile, inj).v
+            # Off the solution, so that every term of the Jacobian is live.
+            v = v * (1.0 + 0.01 * rng.standard_normal(v.size))
+            _, ic_delta, i = powerflow.power_flow_mismatch(model, v, inj)
+            sparse = powerflow._newton_jacobian(model, v, inj, ic_delta, i)
+            dense = dense_jacobian(model, v, inj, ic_delta, i)
+            assert sparse.format == "csc"
+            assert np.abs(sparse.toarray() - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 def ieee37_mixed():
