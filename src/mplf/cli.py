@@ -218,15 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sweep, kappa=True)
     p_sweep.add_argument("--points", type=int, default=RunConfig.points)
     p_sweep.add_argument("--base-kappa", type=float, default=RunConfig.base_kappa)
-    p_sweep.add_argument(
-        "--tol-kappa",
-        type=float,
-        help="ignored: intervals are exact (kept for old command lines)",
-    )
     p_sweep.add_argument("--scan-points", type=int, default=RunConfig.scan_points)
-    p_sweep.add_argument(
-        "--jobs", type=int, help="ignored: the sweep runs serially (kept for old command lines)"
-    )
     p_sweep.add_argument(
         "--interval-output",
         dest="interval_output_path",

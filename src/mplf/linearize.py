@@ -1,15 +1,16 @@
 """Linear surrogate models of the load-flow solution.
 
-Two constructions share one model container: the tangent model obtained by
+Two constructions share one model interface: the tangent model obtained by
 differentiating the balance equations at a solved base point (FOT), and the
 explicit model given by a single voltage-update step frozen at the base
 (FPL).  Both predict complex voltages and, through a separate affine map,
-voltage magnitudes.
+voltage magnitudes.  Both are kept as operators: an evaluation is one
+sparse solve, and the dense coefficient maps are built only when read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -38,47 +39,81 @@ def stack_injections(inj: InjectionSet) -> np.ndarray:
     )
 
 
-@dataclass
 class LinearModel:
     """Affine voltage and magnitude predictors around a base operating point.
 
-    ``m_wye``/``m_delta`` map stacked real injections to complex voltages
-    with offset ``a``; ``k_wye``/``k_delta`` with offset ``b`` give the
-    magnitude predictor (an affine map of its own, not the magnitude of the
-    complex prediction).  Evaluating at the base injections reproduces the
-    base voltages.
+    A model is held as an operator, not as matrices.  A stacked real
+    injection vector ``x`` (see ``stack_injections``) enters through the
+    right-hand side ``r(s) = conj(s_Y / v̂) + Hᵀ conj(s_δ / Hv̂)`` of one
+    sparse solve:
+
+    * FOT (``kind == "fot"``): ``v = v̂ + dV``, with ``dV`` from the reduced
+      real ``2n`` operator applied to ``r(x − base_x)``;
+    * FPL (``kind == "fpl"``): ``v = w + yll⁻¹ r(x)``, one application of
+      the voltage-update map frozen at ``v̂``.
+
+    The magnitude predictor is an affine map of its own, not the magnitude
+    of the complex prediction: ``|v̂| + Re(conj(v̂)·dv)/|v̂|``, with ``dv``
+    the change of the complex prediction from its value at ``base_x``.
+    Evaluating at the base injections reproduces the base voltages.
+
+    The dense coefficients, ``m_wye``/``m_delta`` with offset ``a`` for the
+    voltages and ``k_wye``/``k_delta`` with offset ``b`` for the
+    magnitudes, are built on first access, for ``to_dict()``; evaluation
+    never reads them.
     """
 
     kind: str
-    m_wye: np.ndarray = field(repr=False)
-    m_delta: np.ndarray = field(repr=False)
-    a: np.ndarray = field(repr=False)
-    k_wye: np.ndarray = field(repr=False)
-    k_delta: np.ndarray = field(repr=False)
-    b: np.ndarray = field(repr=False)
-    base_v: np.ndarray = field(repr=False)
-    base_x: np.ndarray = field(repr=False)
+
+    def __init__(self, base_v, base_x, connection, hv):
+        self.base_v = base_v
+        self.base_x = base_x
+        self._connection = connection
+        self._hv = hv
 
     @property
     def n_phases(self) -> int:
-        return self.a.size
+        return self.base_v.size
 
     @property
     def n_delta(self) -> int:
-        return self.m_delta.shape[1] // 2
+        return self.base_x.size // 2 - self.n_phases
+
+    def _rhs(self, x):
+        """``r(s)`` for the injections ``s`` stacked in ``x``."""
+        n, d = self.n_phases, self.n_delta
+        r = np.conj((x[:n] + 1j * x[n : 2 * n]) / self.base_v)
+        if d:
+            pair = np.conj((x[2 * n : 2 * n + d] + 1j * x[2 * n + d :]) / self._hv)
+            r = r + self._connection.scatter(pair, n)
+        return r
+
+    def _predict(self, x):
+        """The complex prediction at ``x`` and its change from the one at ``base_x``."""
+        raise NotImplementedError
+
+    def _coefficients(self):
+        """The dense ``(m_wye, m_delta, a)``."""
+        raise NotImplementedError
+
+    @cached_property
+    def _maps(self):
+        m_wye, m_delta, a = self._coefficients()
+        n2 = 2 * self.n_phases
+        k_wye, k_delta, b = _magnitude_maps(
+            self.base_v, m_wye, m_delta, self.base_x[:n2], self.base_x[n2:]
+        )
+        return dict(m_wye=m_wye, m_delta=m_delta, a=a, k_wye=k_wye, k_delta=k_delta, b=b)
+
+    m_wye = property(lambda self: self._maps["m_wye"])
+    m_delta = property(lambda self: self._maps["m_delta"])
+    a = property(lambda self: self._maps["a"])
+    k_wye = property(lambda self: self._maps["k_wye"])
+    k_delta = property(lambda self: self._maps["k_delta"])
+    b = property(lambda self: self._maps["b"])
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "m_wye": self.m_wye,
-            "m_delta": self.m_delta,
-            "a": self.a,
-            "k_wye": self.k_wye,
-            "k_delta": self.k_delta,
-            "b": self.b,
-            "base_v": self.base_v,
-            "base_x": self.base_x,
-        }
+        return {"kind": self.kind, **self._maps, "base_v": self.base_v, "base_x": self.base_x}
 
 
 def _magnitude_maps(v_hat, m_wye, m_delta, x_wye_hat, x_delta_hat):
@@ -89,6 +124,75 @@ def _magnitude_maps(v_hat, m_wye, m_delta, x_wye_hat, x_delta_hat):
     k_delta = np.real(scale * m_delta) / vabs[:, None]
     b = vabs - k_wye @ x_wye_hat - k_delta @ x_delta_hat
     return k_wye, k_delta, b
+
+
+class _TangentModel(LinearModel):
+    kind = "fot"
+
+    def __init__(self, base_v, base_x, connection, hv, factor):
+        super().__init__(base_v, base_x, connection, hv)
+        self._factor = factor
+
+    def _predict(self, x):
+        n = self.n_phases
+        r = self._rhs(x - self.base_x)
+        z = self._factor.solve(np.concatenate([r.real, r.imag]))
+        dv = z[:n] + 1j * z[n:]
+        return self.base_v + dv, dv
+
+    def _coefficients(self):
+        n = self.n_phases
+        p, q = self._connection.first, self._connection.second
+        z = self._factor.inverse()
+        # Complex dV responses to a real (re_unit) and an imaginary (im_unit)
+        # unit right-hand side on each phase.
+        re_unit = z[:n, :n] + 1j * z[n:, :n]
+        im_unit = z[:n, n:] + 1j * z[n:, n:]
+        del z  # the unit responses are freed before the magnitude maps are built
+
+        def response(c, re_cols, im_cols):
+            # dV for the injections (Re x, Im x) whose right-hand sides are (c, -i c).
+            return np.hstack(
+                [re_cols * c.real + im_cols * c.imag, re_cols * c.imag - im_cols * c.real]
+            )
+
+        m_wye = response(1.0 / np.conj(self.base_v), re_unit, im_unit)
+        m_delta = response(
+            1.0 / np.conj(self._hv), re_unit[:, p] - re_unit[:, q], im_unit[:, p] - im_unit[:, q]
+        )
+        del re_unit, im_unit
+        n2 = 2 * n
+        a = self.base_v - m_wye @ self.base_x[:n2] - m_delta @ self.base_x[n2:]
+        return m_wye, m_delta, a
+
+
+class _FixedPointModel(LinearModel):
+    kind = "fpl"
+
+    def __init__(self, base_v, base_x, connection, hv, model, w):
+        super().__init__(base_v, base_x, connection, hv)
+        self._model = model
+        self._w = w
+
+    @cached_property
+    def _v_at_base(self):
+        return self._w + self._model.factor.solve(self._rhs(self.base_x))
+
+    def _predict(self, x):
+        v = self._w + self._model.factor.solve(self._rhs(x))
+        return v, v - self._v_at_base
+
+    def _coefficients(self):
+        z = self._model.yll_inverse
+        conn = self._connection
+        p = z * (1.0 / np.conj(self.base_v))[None, :]
+        m_wye = np.hstack([p, -1j * p])
+        if self.n_delta:
+            q = (z[:, conn.first] - z[:, conn.second]) * (1.0 / np.conj(self._hv))[None, :]
+            m_delta = np.hstack([q, -1j * q])
+        else:
+            m_delta = np.zeros((self.n_phases, 0), dtype=complex)
+        return m_wye, m_delta, self._w.copy()
 
 
 def fot_linearize(
@@ -110,12 +214,13 @@ def fot_linearize(
 
     with ``F`` bus-local.  The equations are real-linear but not
     complex-linear, so they are solved as one real ``2n`` operator on
-    ``(Re dV, Im dV)`` with the sparsity of ``yll``, factored once through
-    the sparse path of ``LUFactor``.  Only the ``2n`` unit columns are
-    solved for: the response to ``c·e_k`` is
-    ``Re(c)·(response to e_k) + Im(c)·(response to i·e_k)``, and every
-    injection coordinate enters the right-hand side as such a ``c`` on one
-    phase (wye) or on the two phases of its pair (delta).
+    ``(Re dV, Im dV)`` with the sparsity of ``yll``.  The operator is
+    factored here, once, and the model keeps the factors: each evaluation
+    is one solve with them.  The dense coefficients (for ``to_dict()``)
+    are the responses to the ``2n`` unit right-hand sides: the response to
+    ``c·e_k`` is ``Re(c)·(response to e_k) + Im(c)·(response to i·e_k)``,
+    and every injection coordinate enters the right-hand side as such a
+    ``c`` on one phase (wye) or on the two phases of its pair (delta).
 
     Raises
     ------
@@ -129,20 +234,20 @@ def fot_linearize(
         uniquely defined at this base (neither hypothesis holds).
     """
     v_hat, ic_delta, i_hat = checked_base(model, base_solution.v, base_inj, tol_residual)
-    H = model.connection.H
+    conn = model.connection
     n, d = model.n_phases, model.n_delta
     if np.abs(v_hat).min() <= EPS_V:
         raise DegenerateVoltageError("degenerate phase voltage at the base point")
-    hv = H @ v_hat
+    p, q = conn.first, conn.second
+    hv = v_hat[p] - v_hat[q]
     if d and np.abs(hv).min() <= EPS_DELTA:
         raise SingularSensitivityError(
             f"phase-pair voltage |Hv| = {np.abs(hv).min():.3e} at the base is not above "
             f"{EPS_DELTA:.0e}; the pair currents have no unique sensitivity"
         )
-    p, q = model.connection.first, model.connection.second
 
     # F = conj(diag(f_diag) - H^T diag(f_pair) H), assembled bus-local in COO form.
-    f_diag = (H.T @ ic_delta - np.conj(i_hat)) / v_hat
+    f_diag = (conn.scatter(ic_delta, n) - np.conj(i_hat)) / v_hat
     f_pair = ic_delta / hv
     rows = np.concatenate([np.arange(n), p, q, p, q])
     cols = np.concatenate([np.arange(n), p, q, q, p])
@@ -153,40 +258,7 @@ def fot_linearize(
         [[y.real - f.real, -y.imag - f.imag], [y.imag - f.imag, y.real + f.real]], format="csc"
     )
     factor = LUFactor(op, SingularSensitivityError, "reduced sensitivity operator")
-    z = factor.solve(np.eye(2 * n))
-    # Complex dV responses to a real (re_unit) and an imaginary (im_unit)
-    # unit right-hand side on each phase.
-    re_unit = z[:n, :n] + 1j * z[n:, :n]
-    im_unit = z[:n, n:] + 1j * z[n:, n:]
-    del z  # the unit responses are freed before the magnitude maps are built
-
-    def response(c, re_cols, im_cols):
-        # dV for the injections (Re x, Im x) whose right-hand sides are (c, -i c).
-        return np.hstack(
-            [re_cols * c.real + im_cols * c.imag, re_cols * c.imag - im_cols * c.real]
-        )
-
-    m_wye = response(1.0 / np.conj(v_hat), re_unit, im_unit)
-    m_delta = response(
-        1.0 / np.conj(hv), re_unit[:, p] - re_unit[:, q], im_unit[:, p] - im_unit[:, q]
-    )
-    del re_unit, im_unit
-
-    x_wye_hat = np.concatenate([base_inj.s_wye.real, base_inj.s_wye.imag])
-    x_delta_hat = np.concatenate([base_inj.s_delta.real, base_inj.s_delta.imag])
-    a = v_hat - m_wye @ x_wye_hat - m_delta @ x_delta_hat
-    k_wye, k_delta, b = _magnitude_maps(v_hat, m_wye, m_delta, x_wye_hat, x_delta_hat)
-    return LinearModel(
-        kind="fot",
-        m_wye=m_wye,
-        m_delta=m_delta,
-        a=a,
-        k_wye=k_wye,
-        k_delta=k_delta,
-        b=b,
-        base_v=v_hat,
-        base_x=np.concatenate([x_wye_hat, x_delta_hat]),
-    )
+    return _TangentModel(v_hat, stack_injections(base_inj), conn, hv, factor)
 
 
 def fpl_linearize(
@@ -198,59 +270,44 @@ def fpl_linearize(
 ) -> LinearModel:
     """Explicit model from one voltage-update step frozen at the base.
 
-    The coefficient blocks are closed-form column scalings of the cached
+    The model keeps ``model``, the zero-load voltage ``w`` and ``v̂``; each
+    evaluation is one solve with ``yll``'s factors, so no inverse is formed.
+    The offset is always the zero-load voltage, so the model interpolates
+    both the zero-load pair and the base pair.  The dense coefficients (for
+    ``to_dict()``) are closed-form column scalings of the cached
     ``Z = yll^-1``: ``Z diag(1/conj(v̂))`` for wye injections and
     ``Z Hᵀ diag(1/(H conj(v̂)))`` for delta injections, with ``Z Hᵀ`` taken
-    as column differences, so no linear system is solved.  The offset is
-    always the zero-load voltage, so the model interpolates both the
-    zero-load pair and the base pair.
+    as column differences.
+
+    Raises
+    ------
+    DegenerateVoltageError
+        A base phase voltage, or a base phase-pair voltage, is not above
+        ``EPS_V`` or ``EPS_DELTA``.
     """
     v_hat = checked_base(model, base_solution.v, base_inj, tol_residual)[0]
     conn = model.connection
     if np.abs(v_hat).min() <= EPS_V:
         raise DegenerateVoltageError("degenerate phase voltage at the base point")
-    z = model.yll_inverse
-    p = z * (1.0 / np.conj(v_hat))[None, :]
-    m_wye = np.hstack([p, -1j * p])
-    if model.n_delta:
-        hv_conj = conn.H @ np.conj(v_hat)
-        if np.abs(hv_conj).min() <= EPS_DELTA:
-            raise DegenerateVoltageError("degenerate phase-pair voltage at the base point")
-        q = (z[:, conn.first] - z[:, conn.second]) * (1.0 / hv_conj)[None, :]
-        m_delta = np.hstack([q, -1j * q])
-    else:
-        m_delta = np.zeros((model.n_phases, 0), dtype=complex)
-
-    x_wye_hat = np.concatenate([base_inj.s_wye.real, base_inj.s_wye.imag])
-    x_delta_hat = np.concatenate([base_inj.s_delta.real, base_inj.s_delta.imag])
-    k_wye, k_delta, b = _magnitude_maps(v_hat, m_wye, m_delta, x_wye_hat, x_delta_hat)
-    return LinearModel(
-        kind="fpl",
-        m_wye=m_wye,
-        m_delta=m_delta,
-        a=w_profile.w.copy(),
-        k_wye=k_wye,
-        k_delta=k_delta,
-        b=b,
-        base_v=v_hat,
-        base_x=np.concatenate([x_wye_hat, x_delta_hat]),
-    )
+    hv = v_hat[conn.first] - v_hat[conn.second]
+    if model.n_delta and np.abs(hv).min() <= EPS_DELTA:
+        raise DegenerateVoltageError("degenerate phase-pair voltage at the base point")
+    return _FixedPointModel(v_hat, stack_injections(base_inj), conn, hv, model, w_profile.w)
 
 
 def evaluate_linear(linmodel: LinearModel, x) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate both affine maps at a stacked real injection vector.
+    """Evaluate both predictors at a stacked real injection vector.
 
-    Returns the complex voltage prediction and the magnitude prediction;
-    the latter is its own affine map, not the magnitude of the former.
+    One sparse solve gives the complex voltage prediction; the magnitude
+    prediction is its own affine map around the base,
+    ``|v̂| + Re(conj(v̂)·dv)/|v̂|``, not the magnitude of the former.
     """
     x = np.asarray(x, dtype=float)
-    n2 = linmodel.m_wye.shape[1]
-    d2 = linmodel.m_delta.shape[1]
-    if x.shape != (n2 + d2,):
-        raise ValueError(f"expected stacked injection vector of length {n2 + d2}")
-    x_wye, x_delta = x[:n2], x[n2:]
-    v = linmodel.m_wye @ x_wye + linmodel.m_delta @ x_delta + linmodel.a
-    vabs = linmodel.k_wye @ x_wye + linmodel.k_delta @ x_delta + linmodel.b
+    if x.shape != linmodel.base_x.shape:
+        raise ValueError(f"expected stacked injection vector of length {linmodel.base_x.size}")
+    v, dv = linmodel._predict(x)
+    v_hat = linmodel.base_v
+    vabs = np.abs(v_hat) + np.real(np.conj(v_hat) * dv) / np.abs(v_hat)
     return v, vabs
 
 

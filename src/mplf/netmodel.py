@@ -36,6 +36,9 @@ RCOND_FLOOR = 1e-14
 ZERO_LOAD_RESIDUAL_TOL = 1e-10
 PROFILE_FLOOR = 1e-12
 
+# Identity columns per solve in ``LUFactor.inverse``.
+INVERSE_BLOCK = 32
+
 
 def canonical_phases(phases) -> str:
     """Normalize a phase set (string or iterable) to canonical 'abc' order."""
@@ -113,13 +116,22 @@ class ConnectionMatrix:
     Each row holds +1 at the first phase of the pair and -1 at the second;
     a fully connected three-phase bus owns the block
     ``[[1,-1,0],[0,1,-1],[-1,0,1]]``.  ``first`` and ``second`` are those
-    two phase columns per row, so ``X @ H.T`` is ``X[:, first] - X[:, second]``.
+    two phase columns per row, so ``H @ v`` is ``v[first] - v[second]`` and
+    ``X @ H.T`` is ``X[:, first] - X[:, second]``.
     """
 
     H: np.ndarray
     L: np.ndarray
     first: np.ndarray
     second: np.ndarray
+
+    def scatter(self, y, n):
+        """``H.T @ y`` over ``n`` phases: ``+y`` at each pair's first phase and
+        ``-y`` at its second."""
+        out = np.zeros(n, dtype=np.result_type(y, float))
+        np.add.at(out, self.first, y)
+        np.subtract.at(out, self.second, y)
+        return out
 
 
 def build_connection_matrix(index: PhaseIndexMap) -> ConnectionMatrix:
@@ -153,13 +165,14 @@ class LUFactor:
     factors.  ``error`` is raised when the factorization fails or when
     ``rcond`` is non-finite or below ``RCOND_FLOOR`` (an exactly singular
     matrix reports ``rcond=0``); ``what`` names the matrix in the message.
-    ``solve(rhs)`` solves ``matrix @ x = rhs``.  ``yll`` (see
-    ``NetworkModel``), the reduced FOT operator and the Newton Jacobian are
-    all factored here.
+    ``solve(rhs)`` solves ``matrix @ x = rhs``, and ``inverse()`` forms the
+    dense inverse.  ``yll`` (see ``NetworkModel``), the reduced FOT operator
+    and the Newton Jacobian are all factored here.
     """
 
     def __init__(self, matrix, error, what):
         matrix = scipy.sparse.csc_matrix(matrix)
+        self.shape, self.dtype = matrix.shape, matrix.dtype
         try:
             lu = scipy.sparse.linalg.splu(matrix)
         except RuntimeError:  # SuperLU: "Factor is exactly singular"
@@ -171,6 +184,22 @@ class LUFactor:
             self.rcond = _rcond(matrix, lu)
         if not np.isfinite(self.rcond) or self.rcond < RCOND_FLOOR:
             raise error(f"{what} is singular or near-singular (rcond={self.rcond:.3e})")
+
+    def inverse(self) -> np.ndarray:
+        """Dense inverse, from the identity solved ``INVERSE_BLOCK`` columns at a time.
+
+        The result equals ``solve(eye(n))`` bit for bit and is Fortran-ordered
+        like it, but neither the ``n x n`` identity nor a full-width solve
+        workspace is formed.
+        """
+        n = self.shape[0]
+        inv = np.empty((n, n), dtype=self.dtype, order="F")
+        for start in range(0, n, INVERSE_BLOCK):
+            stop = min(start + INVERSE_BLOCK, n)
+            unit = np.zeros((n, stop - start), dtype=self.dtype)
+            unit[start:stop] = np.eye(stop - start)
+            inv[:, start:stop] = self.solve(unit)
+        return inv
 
 
 def _rcond(matrix, lu):
@@ -276,7 +305,7 @@ class NetworkModel:
     @cached_property
     def yll_inverse(self) -> np.ndarray:
         """Dense ``yll^-1`` from the sparse factors, computed on first use."""
-        inv = self.factor.solve(np.eye(self.n_phases, dtype=complex))
+        inv = self.factor.inverse()
         inv.setflags(write=False)
         return inv
 

@@ -148,17 +148,6 @@ class TestSweep:
         run(args + ["--output", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_jobs_flag_is_ignored(self):
-        # Two sweep threads sharing one LU factorization used to corrupt the
-        # heap on this feeder; --jobs is now accepted and ignored.
-        cmd = [sys.executable, "-m", "mplf.cli", "sweep", *IEEE123]
-        serial = subprocess.run(cmd, capture_output=True)
-        assert serial.returncode == 0, serial.stderr
-        for _ in range(3):
-            out = subprocess.run(cmd + ["--jobs", "2"], capture_output=True)
-            assert out.returncode == 0, out.stderr
-            assert out.stdout == serial.stdout
-
     def test_every_row_solved_at_loose_step_tolerance(self, tmp_path):
         # At --tol-step 1e-7 the fixed point meets its step tolerance but
         # misses the residual tolerance on some rows; Newton finishes those,
@@ -194,18 +183,19 @@ class TestSweep:
         ), solve.stderr
         assert json.loads(out.read_text())["converged"] is False
 
-    def test_tol_kappa_flag_is_ignored(self, tmp_path):
-        # Intervals are exact now; old command lines with --tol-kappa still
-        # run and write the same interval summary.
-        args = ["sweep", *IEEE123, "--points", "3"]
-        outputs = []
-        for extra in ([], ["--tol-kappa", "0.5"], ["--tol-kappa", "nan"]):
-            dest = tmp_path / f"intervals{len(outputs)}.json"
-            assert run(args + extra + ["--output", str(tmp_path / "sweep.csv"),
-                                       "--interval-output", str(dest)]) == 0
-            outputs.append(dest.read_bytes())
-        assert outputs[0] == outputs[1] == outputs[2]
-        assert b'"exact"' in outputs[0]
+    @pytest.mark.parametrize(
+        "flag", [["--jobs", "2"], ["--tol-kappa", "0.5"]], ids=["jobs", "tol-kappa"]
+    )
+    def test_removed_flag_is_a_usage_error(self, flag):
+        # The sweep runs serially and its intervals are exact, so these
+        # flags are gone; argparse rejects them before anything runs.
+        cmd = [sys.executable, "-m", "mplf.cli", "sweep", *IEEE123, "--points", "3", *flag]
+        out = subprocess.run(cmd, capture_output=True, text=True)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr.startswith("usage: mplf ")
+        assert out.stderr.endswith(f"mplf: error: unrecognized arguments: {' '.join(flag)}\n")
+        assert "Traceback" not in out.stderr
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 
@@ -8,6 +9,7 @@ import pytest
 import mplf
 from mplf import linearize
 from mplf.linearize import stack_injections
+from mplf.netmodel import LUFactor
 from mplf.datafiles import bundled_path
 from conftest import (
     BALANCED_V0,
@@ -75,13 +77,16 @@ class TestFotGeneral:
             converged=True,
             contraction_estimate=0.0,
         )
-        with pytest.raises(mplf.SingularSensitivityError):
+        with pytest.raises(
+            mplf.SingularSensitivityError,
+            match=r"^reduced sensitivity operator is singular or near-singular \(rcond=",
+        ):
             mplf.fot_linearize(model, base, inj)
 
     def test_zero_base_voltage_rejected(self):
         # v = 0 with no load balances exactly, but the balance rows cannot
         # be divided by it (and |v| = 0 leaves the magnitude map undefined).
-        model, _ = single_phase_model()
+        model, profile = single_phase_model()
         base = mplf.SolveResult(
             v=np.zeros(1, complex),
             i_delta=np.zeros(0, complex),
@@ -91,8 +96,12 @@ class TestFotGeneral:
             converged=True,
             contraction_estimate=0.0,
         )
-        with pytest.raises(mplf.DegenerateVoltageError, match="phase voltage"):
-            mplf.fot_linearize(model, base, mplf.InjectionSet.zeros(model))
+        zero = mplf.InjectionSet.zeros(model)
+        message = "^degenerate phase voltage at the base point$"
+        with pytest.raises(mplf.DegenerateVoltageError, match=message):
+            mplf.fot_linearize(model, base, zero)
+        with pytest.raises(mplf.DegenerateVoltageError, match=message):
+            mplf.fpl_linearize(model, profile, base, zero)
 
     def test_invalid_base_rejected(self, golden):
         model, profile, inj = golden
@@ -264,8 +273,16 @@ class TestReducedOperator:
             converged=True,
             contraction_estimate=0.0,
         )
-        with pytest.raises(mplf.SingularSensitivityError, match="phase-pair voltage"):
+        with pytest.raises(
+            mplf.SingularSensitivityError,
+            match=r"^phase-pair voltage \|Hv\| = 0\.000e\+00 at the base is not above 1e-09; "
+            "the pair currents have no unique sensitivity$",
+        ):
             mplf.fot_linearize(model, base, inj)
+        with pytest.raises(
+            mplf.DegenerateVoltageError, match="^degenerate phase-pair voltage at the base point$"
+        ):
+            mplf.fpl_linearize(model, mplf.zero_load_voltage(model), base, inj)
 
 
 def _resolve(model, profile, x, v_start):
@@ -364,6 +381,80 @@ class TestFplCoefficients:
         monkeypatch.setattr(model.factor, "solve", no_solve)
         lin = mplf.fpl_linearize(model, profile, sol, inj)
         assert lin.m_wye.shape == (model.n_phases, 2 * model.n_phases)
+
+
+def dense_evaluate(lin, x):
+    """Both predictors from the dense coefficient maps."""
+    n2 = 2 * lin.n_phases
+    v = lin.m_wye @ x[:n2] + lin.m_delta @ x[n2:] + lin.a
+    vabs = lin.k_wye @ x[:n2] + lin.k_delta @ x[n2:] + lin.b
+    return v, vabs
+
+
+OPERATOR_CASES = [
+    lambda: bundled_case("ieee37"),
+    lambda: bundled_case("ieee37", "injections_mixed"),
+    lambda: bundled_case("ieee123"),
+    lambda: bundled_case("ieee123", "injections_mixed"),
+    lambda: bundled_case("three_bus"),
+    lambda: bundled_case("single_phase"),
+    lambda: certified_instance(np.random.default_rng(5), max_buses=60),
+    *[lambda k=k: certified_instance(np.random.default_rng(131 + k)) for k in range(4)],
+]
+OPERATOR_IDS = [
+    "ieee37", "ieee37-mixed", "ieee123", "ieee123-mixed", "three_bus", "single_phase", "tree60",
+] + [f"certified{k}" for k in range(4)]
+
+
+class TestOperatorForm:
+    """Evaluation solves with the model's factors; the dense maps are the artifact."""
+
+    @pytest.mark.parametrize("case", OPERATOR_CASES, ids=OPERATOR_IDS)
+    def test_matches_dense_maps(self, case):
+        model, profile, inj = case()
+        sol = mplf.solve_fixed_point(model, profile, inj, tol_step=1e-12)
+        zero = mplf.InjectionSet.zeros(model)
+        # One update step from w is off the solution, so the FPL prediction
+        # at its base injections is not its base voltage.
+        rough = dataclasses.replace(sol, v=mplf.fixed_point_map(model, profile, inj, profile.w))
+        models = [
+            mplf.fot_linearize(model, sol, inj),
+            mplf.fpl_linearize(model, profile, sol, inj),
+            mplf.fpl_linearize(model, profile, zero_base_solution(model, profile), zero),
+            mplf.fpl_linearize(model, profile, rough, inj, tol_residual=np.inf),
+        ]
+        x_ref = stack_injections(inj)
+        wobble = np.random.default_rng(3).standard_normal(x_ref.size) * np.abs(x_ref).max()
+        points = [kappa * x_ref for kappa in (-1.5, 0.0, 0.5, 1.0, 1.3)] + [x_ref + 0.1 * wobble]
+        for lin in models:
+            for x in points:
+                for got, expected in zip(mplf.evaluate_linear(lin, x), dense_evaluate(lin, x)):
+                    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max(), lin.kind
+
+    def test_evaluation_builds_no_dense_map(self, monkeypatch):
+        model, profile, inj = bundled_case("ieee123", "injections_mixed")
+        sol = mplf.solve_fixed_point(model, profile, inj)
+
+        def no_inverse(self):
+            raise AssertionError("a dense inverse was formed")
+
+        monkeypatch.setattr(LUFactor, "inverse", no_inverse)
+        fot = mplf.fot_linearize(model, sol, inj)
+        fpl = mplf.fpl_linearize(model, profile, sol, inj)
+        for lin in (fot, fpl):
+            mplf.evaluate_linear(lin, 0.7 * stack_injections(inj))
+            assert "_maps" not in vars(lin)
+        assert "yll_inverse" not in vars(model)
+        monkeypatch.undo()
+        assert fot.m_wye.shape == (model.n_phases, 2 * model.n_phases)
+        assert "_maps" in vars(fot)
+
+    def test_wrong_length_rejected(self, golden):
+        model, profile, inj = golden
+        sol = mplf.solve_fixed_point(model, profile, inj)
+        lin = mplf.fot_linearize(model, sol, inj)
+        with pytest.raises(ValueError, match="length 2"):
+            mplf.evaluate_linear(lin, np.zeros(3))
 
 
 class TestErrorBound:

@@ -234,6 +234,15 @@ class TestLUFactor:
         npt.assert_allclose(matrix @ x_sparse, rhs, atol=1e-12)
         assert dense_rcond / 10 <= sparse.rcond <= dense_rcond * 10
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n", [3, 32, 77])
+    def test_blocked_inverse_equals_identity_solve(self, dtype, n):
+        factor = LUFactor(banded(n, dtype), mplf.SingularModelError, "test matrix")
+        inv = factor.inverse()
+        full = factor.solve(np.eye(n, dtype=dtype))
+        assert inv.dtype == full.dtype and inv.flags.f_contiguous
+        assert np.array_equal(inv, full)
+
     def test_exactly_singular_sparse_matrix_rejected(self):
         matrix = banded(10, float).tolil()
         matrix[:, 4] = 0.0
