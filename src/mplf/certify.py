@@ -75,11 +75,10 @@ def gamma_quantities(w_profile: ZeroLoadProfile, v) -> GammaQuantities:
     """Minimum phase and phase-pair voltage margins of ``v``."""
     v = np.asarray(v, dtype=complex)
     alpha = float((np.abs(v) / w_profile.w_abs).min())
-    H = w_profile.model.connection.H
-    if H.shape[0]:
+    if w_profile.Lw.size:
         if w_profile.Lw.min() <= 0.0:
             raise DegenerateProfileError("zero phase-pair entry in the zero-load profile")
-        beta = float((np.abs(H @ v) / w_profile.Lw).min())
+        beta = float((np.abs(w_profile.model.connection.gather(v)) / w_profile.Lw).min())
     else:
         beta = math.inf
     return GammaQuantities(alpha=alpha, beta=beta)

@@ -142,7 +142,6 @@ class _TangentModel(LinearModel):
 
     def _coefficients(self):
         n = self.n_phases
-        p, q = self._connection.first, self._connection.second
         z = self._factor.inverse()
         # Complex dV responses to a real (re_unit) and an imaginary (im_unit)
         # unit right-hand side on each phase.
@@ -157,9 +156,8 @@ class _TangentModel(LinearModel):
             )
 
         m_wye = response(1.0 / np.conj(self.base_v), re_unit, im_unit)
-        m_delta = response(
-            1.0 / np.conj(self._hv), re_unit[:, p] - re_unit[:, q], im_unit[:, p] - im_unit[:, q]
-        )
+        gather = self._connection.gather
+        m_delta = response(1.0 / np.conj(self._hv), gather(re_unit), gather(im_unit))
         del re_unit, im_unit
         n2 = 2 * n
         a = self.base_v - m_wye @ self.base_x[:n2] - m_delta @ self.base_x[n2:]
@@ -184,11 +182,10 @@ class _FixedPointModel(LinearModel):
 
     def _coefficients(self):
         z = self._model.yll_inverse
-        conn = self._connection
         p = z * (1.0 / np.conj(self.base_v))[None, :]
         m_wye = np.hstack([p, -1j * p])
         if self.n_delta:
-            q = (z[:, conn.first] - z[:, conn.second]) * (1.0 / np.conj(self._hv))[None, :]
+            q = self._connection.gather(z) * (1.0 / np.conj(self._hv))[None, :]
             m_delta = np.hstack([q, -1j * q])
         else:
             m_delta = np.zeros((self.n_phases, 0), dtype=complex)
@@ -238,21 +235,16 @@ def fot_linearize(
     n, d = model.n_phases, model.n_delta
     if np.abs(v_hat).min() <= EPS_V:
         raise DegenerateVoltageError("degenerate phase voltage at the base point")
-    p, q = conn.first, conn.second
-    hv = v_hat[p] - v_hat[q]
+    hv = conn.gather(v_hat)
     if d and np.abs(hv).min() <= EPS_DELTA:
         raise SingularSensitivityError(
             f"phase-pair voltage |Hv| = {np.abs(hv).min():.3e} at the base is not above "
             f"{EPS_DELTA:.0e}; the pair currents have no unique sensitivity"
         )
 
-    # F = conj(diag(f_diag) - H^T diag(f_pair) H), assembled bus-local in COO form.
+    # F = conj(diag(f_diag) - H^T diag(f_pair) H), assembled bus-local.
     f_diag = (conn.scatter(ic_delta, n) - np.conj(i_hat)) / v_hat
-    f_pair = ic_delta / hv
-    rows = np.concatenate([np.arange(n), p, q, p, q])
-    cols = np.concatenate([np.arange(n), p, q, q, p])
-    vals = np.conj(np.concatenate([f_diag, -f_pair, -f_pair, f_pair, f_pair]))
-    f = scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(n, n))
+    f = conn.bus_block(np.conj(f_diag), np.conj(ic_delta / hv))
     y = model.yll
     op = scipy.sparse.bmat(
         [[y.real - f.real, -y.imag - f.imag], [y.imag - f.imag, y.real + f.real]], format="csc"
@@ -289,7 +281,7 @@ def fpl_linearize(
     conn = model.connection
     if np.abs(v_hat).min() <= EPS_V:
         raise DegenerateVoltageError("degenerate phase voltage at the base point")
-    hv = v_hat[conn.first] - v_hat[conn.second]
+    hv = conn.gather(v_hat)
     if model.n_delta and np.abs(hv).min() <= EPS_DELTA:
         raise DegenerateVoltageError("degenerate phase-pair voltage at the base point")
     return _FixedPointModel(v_hat, stack_injections(base_inj), conn, hv, model, w_profile.w)

@@ -111,19 +111,27 @@ def build_phase_index(bus_ids, phases_per_bus, delta_per_bus) -> PhaseIndexMap:
 
 @dataclass(frozen=True)
 class ConnectionMatrix:
-    """Signed phase-to-pair incidence ``H`` and its absolute value ``L``.
+    """Phase-pair incidence, held as two phase columns per pair.
 
-    Each row holds +1 at the first phase of the pair and -1 at the second;
-    a fully connected three-phase bus owns the block
-    ``[[1,-1,0],[0,1,-1],[-1,0,1]]``.  ``first`` and ``second`` are those
-    two phase columns per row, so ``H @ v`` is ``v[first] - v[second]`` and
-    ``X @ H.T`` is ``X[:, first] - X[:, second]``.
+    Row ``k`` of the signed incidence ``H`` has +1 at phase ``first[k]`` and
+    -1 at phase ``second[k]`` (a fully connected three-phase bus owns the
+    block ``[[1,-1,0],[0,1,-1],[-1,0,1]]``), and ``L = |H|``.  Every product
+    with them is a gather or a scatter over these two index arrays, and
+    equals the dense product bit for bit: each row of ``H`` has two nonzeros
+    and each column at most two, so no sum is reordered.
     """
 
-    H: np.ndarray
-    L: np.ndarray
     first: np.ndarray
     second: np.ndarray
+
+    def gather(self, x):
+        """``H x`` along the last axis: ``H @ v`` for a vector, ``X @ H.T`` for
+        the rows of a matrix."""
+        return x[..., self.first] - x[..., self.second]
+
+    def pair_sum(self, x):
+        """``L x`` along the last axis."""
+        return x[..., self.first] + x[..., self.second]
 
     def scatter(self, y, n):
         """``H.T @ y`` over ``n`` phases: ``+y`` at each pair's first phase and
@@ -132,6 +140,21 @@ class ConnectionMatrix:
         np.add.at(out, self.first, y)
         np.subtract.at(out, self.second, y)
         return out
+
+    def bus_block(self, diag, pair, scale=None):
+        """The bus-local ``diag(diag) - diag(scale) H.T diag(pair) H`` as a CSC
+        matrix, from COO triplets: the diagonal, then ``(first, first)``,
+        ``(second, second)``, ``(first, second)`` and ``(second, first)``.
+        No ``scale`` means the identity."""
+        n, p, q = diag.size, self.first, self.second
+        if scale is None:
+            terms = [-pair, -pair, pair, pair]
+        else:
+            terms = [-scale[p] * pair, -scale[q] * pair, scale[p] * pair, scale[q] * pair]
+        rows = np.concatenate([np.arange(n), p, q, p, q])
+        cols = np.concatenate([np.arange(n), p, q, q, p])
+        vals = np.concatenate([diag, *terms])
+        return scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 def build_connection_matrix(index: PhaseIndexMap) -> ConnectionMatrix:
@@ -146,14 +169,9 @@ def build_connection_matrix(index: PhaseIndexMap) -> ConnectionMatrix:
             raise ModelError(
                 f"bus {bus!r}: delta connection {pair!r} references a missing phase"
             ) from None
-    rows = np.arange(index.n_delta)
-    H = np.zeros((index.n_delta, index.n_phases), dtype=int)
-    H[rows, first] = 1
-    H[rows, second] = -1
-    L = np.abs(H)
-    for arr in (H, L, first, second):
+    for arr in (first, second):
         arr.setflags(write=False)
-    return ConnectionMatrix(H=H, L=L, first=first, second=second)
+    return ConnectionMatrix(first=first, second=second)
 
 
 class LUFactor:
@@ -499,9 +517,9 @@ class ZeroLoadProfile:
         ``|diag(w)^-1 yll^-1 diag(w)^-1|`` for wye injections and
         ``|diag(w)^-1 yll^-1 H^T diag(L|w|)^-1|`` for delta injections, with
         ``yll^-1 H^T`` taken as column differences of ``yll^-1``."""
-        w, yinv, conn = self.w, self.model.yll_inverse, self.model.connection
+        w, yinv = self.w, self.model.yll_inverse
         weights_w = np.abs(yinv / w[:, None] / w[None, :])
-        yinv_ht = yinv[:, conn.first] - yinv[:, conn.second]
+        yinv_ht = self.model.connection.gather(yinv)
         weights_d = np.abs(yinv_ht / w[:, None] / self.Lw[None, :])
         for arr in (weights_w, weights_d):
             arr.setflags(write=False)
@@ -520,7 +538,7 @@ def zero_load_voltage(model: NetworkModel) -> ZeroLoadProfile:
     w_abs = np.abs(w)
     if w_abs.size and w_abs.min() <= PROFILE_FLOOR:
         raise DegenerateProfileError("zero-load voltage has a (near-)zero phase entry")
-    Lw = model.connection.L @ w_abs
+    Lw = model.connection.pair_sum(w_abs)
     if Lw.size and Lw.min() <= PROFILE_FLOOR:
         raise DegenerateProfileError("zero-load voltage has a (near-)zero phase-pair entry")
     for arr in (w, w_abs, Lw):

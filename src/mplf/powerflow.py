@@ -90,11 +90,11 @@ class SolveResult:
     step_norms: tuple = ()
 
 
-def _conj_delta_currents(H, v, s_delta):
+def _conj_delta_currents(model: NetworkModel, v, s_delta):
     """conj(i_delta) = s_delta / (H v), zero where the injection is zero."""
     if s_delta.size == 0:
         return np.zeros(0, dtype=complex)
-    hv = H @ v
+    hv = model.connection.gather(v)
     live = s_delta != 0
     if np.any(live & (np.abs(hv) <= EPS_DELTA)):
         raise DegenerateVoltageError(
@@ -113,10 +113,10 @@ def power_flow_mismatch(model: NetworkModel, v, inj: InjectionSet):
     balance can be violated.  Returns the mismatch, ``conj(i_delta)`` and
     ``i = yl0 @ v0 + yll @ v``.
     """
-    H = model.connection.H
-    ic_delta = _conj_delta_currents(H, v, inj.s_delta)
+    ic_delta = _conj_delta_currents(model, v, inj.s_delta)
     i = model.yl0 @ model.v0 + model.yll @ v
-    return (H.T @ ic_delta) * v + inj.s_wye - v * np.conj(i), ic_delta, i
+    pair_current = model.connection.scatter(ic_delta, model.n_phases)
+    return pair_current * v + inj.s_wye - v * np.conj(i), ic_delta, i
 
 
 def power_flow_residual(model: NetworkModel, v, inj: InjectionSet):
@@ -163,8 +163,8 @@ def fixed_point_map(model: NetworkModel, w_profile: ZeroLoadProfile, inj: Inject
     term = np.zeros_like(v)
     term[live] = np.conj(inj.s_wye[live] / v[live])
     if model.n_delta:
-        H = model.connection.H
-        term = term + H.T @ np.conj(_conj_delta_currents(H, v, inj.s_delta))
+        i_delta = np.conj(_conj_delta_currents(model, v, inj.s_delta))
+        term = term + model.connection.scatter(i_delta, model.n_phases)
     return w_profile.w + model.factor.solve(term)
 
 
@@ -242,19 +242,12 @@ def _newton_jacobian(model: NetworkModel, v, inj: InjectionSet, ic_delta, i):
     Wirtinger blocks, d/dv is a diagonal plus the bus-local pair term and
     d/dconj(v) is ``-diag(v) conj(yll)``.
     """
-    n = model.n_phases
-    H = model.connection.H
-    p, q = model.connection.first, model.connection.second
-    hv = H @ v
+    conn = model.connection
+    hv = conn.gather(v)
     live = inj.s_delta != 0
     dc = np.zeros_like(hv)
     dc[live] = inj.s_delta[live] / hv[live] ** 2
-    rows = np.concatenate([np.arange(n), p, q, p, q])
-    cols = np.concatenate([np.arange(n), p, q, q, p])
-    vals = np.concatenate(
-        [H.T @ ic_delta - np.conj(i), -v[p] * dc, -v[q] * dc, v[p] * dc, v[q] * dc]
-    )
-    j_v = scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(n, n))
+    j_v = conn.bus_block(conn.scatter(ic_delta, model.n_phases) - np.conj(i), dc, scale=v)
     j_vbar = scipy.sparse.diags(-v, format="csc") @ model.yll.conj()
     return scipy.sparse.bmat(
         [

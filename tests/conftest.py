@@ -24,6 +24,16 @@ def single_phase_model(y=1.0, v0=1.0):
     return model, mplf.zero_load_voltage(model)
 
 
+def dense_incidence(conn, n):
+    """The dense signed incidence ``H`` (pairs by ``n`` phases), built from the
+    connection's pair index arrays as the reference for its methods."""
+    H = np.zeros((conn.first.size, n), dtype=int)
+    rows = np.arange(conn.first.size)
+    H[rows, conn.first] = 1
+    H[rows, conn.second] = -1
+    return H
+
+
 def wye_injection(model, bus, phase, value):
     inj = mplf.InjectionSet.zeros(model)
     inj.s_wye[model.index.phase_index[(bus, phase)]] = value

@@ -10,6 +10,7 @@ from mplf.certify import check_theorem2, gamma_quantities, xi_norms
 from mplf.datafiles import bundled_path
 from conftest import (
     certified_instance,
+    dense_incidence,
     random_injections,
     random_network,
     single_phase_model,
@@ -93,7 +94,7 @@ class TestXiWeights:
         models += [random_network(rng)[0] for _ in range(10)]
         for model in models:
             profile = mplf.zero_load_voltage(model)
-            product = model.yll_inverse @ model.connection.H.T
+            product = model.yll_inverse @ dense_incidence(model.connection, model.n_phases).T
             expected = np.abs(product / profile.w[:, None] / profile.Lw[None, :])
             assert np.array_equal(profile.xi_weights[1], expected)
 

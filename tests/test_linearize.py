@@ -14,6 +14,7 @@ from mplf.datafiles import bundled_path
 from conftest import (
     BALANCED_V0,
     certified_instance,
+    dense_incidence,
     random_network,
     single_phase_model,
     wye_injection,
@@ -44,7 +45,7 @@ class TestFotAtZeroLoad:
             p = np.linalg.solve(model.yll.toarray(), np.diag(1.0 / np.conj(profile.w)))
             npt.assert_allclose(lin.m_wye, np.hstack([p, -1j * p]), atol=1e-9)
             if model.n_delta:
-                H = model.connection.H
+                H = dense_incidence(model.connection, model.n_phases)
                 q = np.linalg.solve(model.yll.toarray(), H.T @ np.diag(1.0 / (H @ np.conj(profile.w))))
                 npt.assert_allclose(lin.m_delta, np.hstack([q, -1j * q]), atol=1e-9)
 
@@ -178,7 +179,7 @@ def stacked_reference(model, sol, inj):
     one dense real 2(n+d) system, solved against every injection column.
     """
     v_hat = sol.v
-    H = model.connection.H
+    H = dense_incidence(model.connection, model.n_phases)
     n, d = model.n_phases, model.n_delta
     hv = H @ v_hat
     ic_delta = inj.s_delta / hv
@@ -341,7 +342,7 @@ class TestFpl:
 def fpl_reference(model, v_hat):
     """The FPL coefficient blocks from dense solves with ``yll``."""
     p = np.linalg.solve(model.yll.toarray(), np.diag(1.0 / np.conj(v_hat)))
-    H = model.connection.H
+    H = dense_incidence(model.connection, model.n_phases)
     q = np.linalg.solve(model.yll.toarray(), H.T @ np.diag(1.0 / (H @ np.conj(v_hat))))
     return np.hstack([p, -1j * p]), np.hstack([q, -1j * q])
 

@@ -17,6 +17,7 @@ from mplf.datafiles import bundled_path
 from mplf.netmodel import RCOND_FLOOR, LUFactor
 from conftest import (
     BALANCED_V0,
+    dense_incidence,
     random_injections,
     random_network,
     random_network_specs,
@@ -31,6 +32,13 @@ def three_phase_line(y=5.0 - 15.0j):
 
 
 BUNDLED = ("ieee37", "ieee123", "three_bus", "single_phase")
+
+
+def assert_bitwise(actual, expected):
+    """Equal values, and equal signs on every zero."""
+    assert np.array_equal(actual, expected)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(actual)), np.signbit(part(expected)))
 
 
 def assert_same_csc(a, b):
@@ -100,19 +108,21 @@ class TestConnectionMatrix:
         ]
         lines = [mplf.LineSpec("s", "b", "abc", three_phase_line())]
         model = mplf.assemble_network(buses, lines, mplf.SlackSpec("s", BALANCED_V0))
-        npt.assert_array_equal(model.connection.H, GAMMA_BLOCK)
-        npt.assert_array_equal(model.connection.L, np.abs(GAMMA_BLOCK))
+        H = dense_incidence(model.connection, model.n_phases)
+        npt.assert_array_equal(H, GAMMA_BLOCK)
+        npt.assert_array_equal(np.abs(H), np.abs(GAMMA_BLOCK))
 
     def test_two_phase_bus_single_pair(self):
         buses = [mplf.BusSpec("s", "ab"), mplf.BusSpec("b", "ab", ("ab",))]
         lines = [mplf.LineSpec("s", "b", "ab", np.eye(2, dtype=complex))]
         model = mplf.assemble_network(buses, lines, mplf.SlackSpec("s", BALANCED_V0[:2]))
-        npt.assert_array_equal(model.connection.H, [[1, -1]])
+        npt.assert_array_equal(dense_incidence(model.connection, model.n_phases), [[1, -1]])
 
     def test_no_delta_connections_empty_rows(self):
         model, _ = single_phase_model()
-        assert model.connection.H.shape == (0, 1)
-        assert model.connection.L.shape == (0, 1)
+        H = dense_incidence(model.connection, model.n_phases)
+        assert H.shape == (0, 1)
+        assert np.abs(H).shape == (0, 1)
 
     def test_missing_phase_rejected(self):
         buses = [mplf.BusSpec("s", "abc"), mplf.BusSpec("b", "ab", ("bc",))]
@@ -124,7 +134,8 @@ class TestConnectionMatrix:
         for _ in range(10):
             model, _ = random_network(rng)
             if model.n_delta:
-                npt.assert_array_equal(model.connection.H.sum(axis=1), 0)
+                H = dense_incidence(model.connection, model.n_phases)
+                npt.assert_array_equal(H.sum(axis=1), 0)
 
     def test_pair_columns_match_incidence(self, rng):
         models = [mplf.network_from_file(bundled_path(f"{name}_network.json"))
@@ -132,11 +143,46 @@ class TestConnectionMatrix:
         models += [random_network(rng, max_buses=8)[0] for _ in range(20)]
         for model in models:
             conn = model.connection
-            npt.assert_array_equal(conn.first, np.argmax(conn.H, axis=1))
-            npt.assert_array_equal(conn.second, np.argmin(conn.H, axis=1))
+            H = dense_incidence(conn, model.n_phases)
+            npt.assert_array_equal(conn.first, np.argmax(H, axis=1))
+            npt.assert_array_equal(conn.second, np.argmin(H, axis=1))
             rows = np.arange(model.n_delta)
-            assert (conn.H[rows, conn.first] == 1).all() and (conn.H[rows, conn.second] == -1).all()
+            assert (H[rows, conn.first] == 1).all() and (H[rows, conn.second] == -1).all()
             assert not (conn.first.flags.writeable or conn.second.flags.writeable)
+
+    @pytest.mark.parametrize("padded", [False, True], ids=["random", "zero-padded"])
+    def test_methods_equal_dense_products_bitwise(self, rng, padded):
+        # Each row of H has two nonzeros and each column at most two, so no
+        # sum is reordered: even the signs of zeros agree.  The block's data
+        # are Gaussian integers, on which every sum is exact in any order.
+        models = [mplf.network_from_file(bundled_path(f"{name}_network.json"))
+                  for name in BUNDLED]
+        models.append(random_network(rng, max_buses=8)[0])
+
+        def draw(k, integer=False):
+            if integer:
+                x = rng.integers(-3, 4, k) + 1j * rng.integers(-3, 4, k)
+            else:
+                x = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+            if padded:
+                x[rng.random(k) < 0.5] = 0.0
+            return x + 0.0
+
+        for model in models:
+            conn, n, d = model.connection, model.n_phases, model.n_delta
+            H = dense_incidence(conn, n)
+            for _ in range(10):
+                v, y, r = draw(n), draw(d), np.abs(draw(n))
+                rows = np.stack([draw(n) for _ in range(3)])
+                assert_bitwise(conn.gather(v), H @ v)
+                assert_bitwise(conn.gather(rows), np.stack([H @ row for row in rows]))
+                assert_bitwise(conn.pair_sum(r), np.abs(H) @ r)
+                assert_bitwise(conn.scatter(y, n), H.T @ y)
+                diag, pair, scale = draw(n, True), draw(d, True), draw(n, True)
+                dense = np.diag(diag) - (scale[:, None] * H.T) @ (pair[:, None] * H)
+                assert_bitwise(conn.bus_block(diag, pair, scale).toarray(), dense)
+                dense = np.diag(diag) - H.T @ (pair[:, None] * H)
+                assert_bitwise(conn.bus_block(diag, pair).toarray(), dense)
 
 
 class TestAssembly:
@@ -345,7 +391,10 @@ class TestPermutationEquivariance:
                 for key in sorted(permuted.index.delta_index, key=permuted.index.delta_index.get)
             ]
             npt.assert_allclose(permuted.yll.toarray(), model.yll.toarray()[np.ix_(perm, perm)])
-            npt.assert_array_equal(permuted.connection.H, model.connection.H[np.ix_(dperm, perm)])
+            npt.assert_array_equal(
+                dense_incidence(permuted.connection, permuted.n_phases),
+                dense_incidence(model.connection, model.n_phases)[np.ix_(dperm, perm)],
+            )
 
             prof_p = mplf.zero_load_voltage(permuted)
             npt.assert_allclose(prof_p.w, profile.w[perm])

@@ -9,6 +9,7 @@ from mplf.datafiles import bundled_path
 from conftest import (
     BALANCED_V0,
     certified_instance,
+    dense_incidence,
     random_network,
     single_phase_model,
     wye_injection,
@@ -121,7 +122,7 @@ class TestSolveFixedPoint:
                 sol.i, model.yl0 @ model.v0 + model.yll @ sol.v, atol=1e-12
             )
             if model.n_delta:
-                hv = model.connection.H @ sol.v
+                hv = dense_incidence(model.connection, model.n_phases) @ sol.v
                 live = inj.s_delta != 0
                 npt.assert_allclose(
                     (hv * np.conj(sol.i_delta))[live], inj.s_delta[live], atol=1e-8
@@ -220,7 +221,7 @@ class TestNewtonOracle:
 
 def dense_jacobian(model, v, inj, ic_delta, i):
     """The real stacked Newton Jacobian from dense Wirtinger blocks."""
-    H = model.connection.H
+    H = dense_incidence(model.connection, model.n_phases)
     j_v = np.diag(H.T @ ic_delta) - np.diag(np.conj(i))
     if model.n_delta:
         hv = H @ v
