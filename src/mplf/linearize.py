@@ -99,10 +99,12 @@ class LinearModel:
     @cached_property
     def _maps(self):
         m_wye, m_delta, a = self._coefficients()
-        n2 = 2 * self.n_phases
-        k_wye, k_delta, b = _magnitude_maps(
-            self.base_v, m_wye, m_delta, self.base_x[:n2], self.base_x[n2:]
-        )
+        # d|v|/dx = Re(conj(v) dv/dx) / |v|, applied column-wise to both maps.
+        scale = np.conj(self.base_v)[:, None]
+        vabs = np.abs(self.base_v)
+        k_wye = np.real(scale * m_wye) / vabs[:, None]
+        k_delta = np.real(scale * m_delta) / vabs[:, None]
+        b = _offset(vabs, k_wye, k_delta, self.base_x)
         return dict(m_wye=m_wye, m_delta=m_delta, a=a, k_wye=k_wye, k_delta=k_delta, b=b)
 
     m_wye = property(lambda self: self._maps["m_wye"])
@@ -116,14 +118,15 @@ class LinearModel:
         return {"kind": self.kind, **self._maps, "base_v": self.base_v, "base_x": self.base_x}
 
 
-def _magnitude_maps(v_hat, m_wye, m_delta, x_wye_hat, x_delta_hat):
-    # d|v|/dx = Re(conj(v) dv/dx) / |v|, applied column-wise to both maps.
-    scale = np.conj(v_hat)[:, None]
-    vabs = np.abs(v_hat)
-    k_wye = np.real(scale * m_wye) / vabs[:, None]
-    k_delta = np.real(scale * m_delta) / vabs[:, None]
-    b = vabs - k_wye @ x_wye_hat - k_delta @ x_delta_hat
-    return k_wye, k_delta, b
+def _offset(value, m_wye, m_delta, x):
+    """``value - m_wye @ x_wye - m_delta @ x_delta`` for the stacked ``x``.
+
+    The products go through ``np.einsum``'s own loops, not BLAS ``gemv``,
+    whose summation order (and so the last bits) depends on its thread
+    count.
+    """
+    n2 = m_wye.shape[1]
+    return value - np.einsum("ij,j", m_wye, x[:n2]) - np.einsum("ij,j", m_delta, x[n2:])
 
 
 class _TangentModel(LinearModel):
@@ -159,9 +162,7 @@ class _TangentModel(LinearModel):
         gather = self._connection.gather
         m_delta = response(1.0 / np.conj(self._hv), gather(re_unit), gather(im_unit))
         del re_unit, im_unit
-        n2 = 2 * n
-        a = self.base_v - m_wye @ self.base_x[:n2] - m_delta @ self.base_x[n2:]
-        return m_wye, m_delta, a
+        return m_wye, m_delta, _offset(self.base_v, m_wye, m_delta, self.base_x)
 
 
 class _FixedPointModel(LinearModel):
@@ -183,13 +184,8 @@ class _FixedPointModel(LinearModel):
     def _coefficients(self):
         z = self._model.yll_inverse
         p = z * (1.0 / np.conj(self.base_v))[None, :]
-        m_wye = np.hstack([p, -1j * p])
-        if self.n_delta:
-            q = self._connection.gather(z) * (1.0 / np.conj(self._hv))[None, :]
-            m_delta = np.hstack([q, -1j * q])
-        else:
-            m_delta = np.zeros((self.n_phases, 0), dtype=complex)
-        return m_wye, m_delta, self._w.copy()
+        q = self._connection.gather(z) * (1.0 / np.conj(self._hv))[None, :]
+        return np.hstack([p, -1j * p]), np.hstack([q, -1j * q]), self._w.copy()
 
 
 def fot_linearize(

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import re
 import subprocess
 import sys
@@ -272,6 +273,25 @@ def test_huge_count_is_an_error_not_a_traceback(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("mplf: error: ") and "allocate" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["linearize", "--kind", "fot"], ["linearize", "--kind", "fpl"], ["sweep"]],
+    ids=["fot", "fpl", "sweep"],
+)
+def test_artifacts_do_not_depend_on_blas_threads(tmp_path, args):
+    # A threaded BLAS mat-vec sums in an order set by its thread count; the
+    # artifacts must come out the same with one thread or two.
+    produced = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        out, summary = tmp_path / f"{threads}.out", tmp_path / f"{threads}.json"
+        extra = ["--interval-output", str(summary)] if args[0] == "sweep" else []
+        cmd = [sys.executable, "-m", "mplf.cli", args[0], *IEEE123, *args[1:], *extra]
+        assert subprocess.run([*cmd, "--output", str(out)], env=env).returncode == 0
+        produced.append([path.read_bytes() for path in (out, summary) if path.exists()])
+    assert produced[0] == produced[1]
 
 
 def test_console_entry_point(tmp_path):
