@@ -238,7 +238,7 @@ def fot_linearize(
             f"{EPS_DELTA:.0e}; the pair currents have no unique sensitivity"
         )
 
-    # F = conj(diag(f_diag) - H^T diag(f_pair) H), assembled bus-local.
+    # F = conj(diag(f_diag) - H^T diag(ic_delta / hv) H), assembled bus-local.
     f_diag = (conn.scatter(ic_delta, n) - np.conj(i_hat)) / v_hat
     f = conn.bus_block(np.conj(f_diag), np.conj(ic_delta / hv))
     y = model.yll

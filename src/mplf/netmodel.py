@@ -116,9 +116,9 @@ class ConnectionMatrix:
     Row ``k`` of the signed incidence ``H`` has +1 at phase ``first[k]`` and
     -1 at phase ``second[k]`` (a fully connected three-phase bus owns the
     block ``[[1,-1,0],[0,1,-1],[-1,0,1]]``), and ``L = |H|``.  Every product
-    with them is a gather or a scatter over these two index arrays, and
-    equals the dense product bit for bit: each row of ``H`` has two nonzeros
-    and each column at most two, so no sum is reordered.
+    with them is a gather or a scatter over these two index arrays; each row
+    of ``H`` has two nonzeros and each column at most two, so these take the
+    same sums as the dense products, in the same order.
     """
 
     first: np.ndarray

@@ -166,7 +166,7 @@ class TestConnectionMatrix:
                 x = rng.standard_normal(k) + 1j * rng.standard_normal(k)
             if padded:
                 x[rng.random(k) < 0.5] = 0.0
-            return x + 0.0
+            return x
 
         for model in models:
             conn, n, d = model.connection, model.n_phases, model.n_delta
