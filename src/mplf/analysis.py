@@ -1,5 +1,5 @@
 """Continuation studies along an injection ray ``s = kappa * s_ref``:
-certified intervals in closed form from two certificate calls, recentered
+certified intervals in closed form from one certificate call, recentered
 intervals, and error sweeps for the two linear models.
 """
 
@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certify import (
-    GammaQuantities,
     XiQuantities,
     check_theorem1,
     check_theorem2,
     theorem1_scan,
+    theorem2_closed_form,
 )
 from .errors import DegenerateVoltageError, MplfError, NonConvergenceError
 from .linearize import evaluate_linear, fot_linearize, fpl_linearize, stack_injections
@@ -39,9 +39,9 @@ ENDPOINT_MARGIN = 1e-10
 
 @dataclass
 class ContinuationResult:
-    """Per-kappa record of a sweep: certificates, exact solutions where a
-    solver converged, and relative prediction errors of both linear models
-    (``None`` where no exact solution is available)."""
+    """Per-kappa record of a sweep: Theorem-2 certificates, exact solutions
+    where a solver converged, relative errors of both linear models (``None``
+    without an exact solution), and both theorems' intervals by theorem."""
 
     kappas: np.ndarray
     certificates: list = field(repr=False)
@@ -70,16 +70,6 @@ class ContinuationResult:
         return out
 
 
-def _certificate(model, w_profile, base, target, theorem, scan_points, tol_residual):
-    if theorem == 1:
-        return check_theorem1(
-            model, w_profile, base, target, scan_points=scan_points, tol_residual=tol_residual
-        )
-    if theorem == 2:
-        return check_theorem2(model, w_profile, base, target, tol_residual=tol_residual)
-    raise ValueError(f"theorem must be 1 or 2, got {theorem!r}")
-
-
 def _require_finite(name, values):
     values = np.asarray(values, dtype=float)
     bad = values[~np.isfinite(values)]
@@ -87,18 +77,23 @@ def _require_finite(name, values):
         raise ValueError(f"{name} must be finite, got {bad[0]}")
 
 
-def _theorem1_ray(at_center: dict, xi_ref: XiQuantities, center_kappa: float):
-    """Theorem 1's certified ``kappa`` set along the ray, from the center
-    certificate's diagnostics and ``xi(s_ref)``.
+def _require_center(name, center, kappa_bounds):
+    _require_finite("kappa_bounds", kappa_bounds)
+    _require_finite(name, center)
+    lo, hi = kappa_bounds
+    if not lo <= center <= hi:
+        raise ValueError(f"{name} = {center} lies outside the kappa bounds [{lo}, {hi}]")
+
+
+def _theorem1_ray(gam, xi_hat, xi_ref, points: int, center_kappa: float):
+    """Theorem 1's certified ``kappa`` set along the ray, from the margins of
+    the base voltage, ``xi(s_hat)``, ``xi(s_ref)`` and the scan grid size.
 
     On each grid radius, condition 1 reads ``|kappa - center| A + C <= rho``
     and condition 2 ``|kappa| B < 1``: one interval of ``kappa``.  Returns
-    the connected component of their union that holds the center.
+    the connected component of their union that holds the center, or ``None``.
     """
-    gam = GammaQuantities(at_center["alpha"], at_center["beta"])
-    points = at_center["scan_points"]
     zero = XiQuantities(0.0, 0.0)
-    xi_hat = XiQuantities(at_center["xi_base"]["wye"], at_center["xi_base"]["delta"])
     rho, per_change, per_target = theorem1_scan(gam, points, xi_ref, zero, xi_ref)
     base_term = theorem1_scan(gam, points, zero, xi_hat, zero)[1]
     reach = np.full_like(rho, np.inf)
@@ -112,7 +107,7 @@ def _theorem1_ray(at_center: dict, xi_ref: XiQuantities, center_kappa: float):
     lo, hi = lo[keep][order], np.maximum.accumulate(hi[keep][order])
     holds = (lo <= center_kappa) & (center_kappa <= hi)
     if not holds.any():
-        return center_kappa, center_kappa
+        return None
     # A component starts wherever an interval begins past all before it.
     component = np.cumsum(np.r_[True, lo[1:] > hi[:-1]])
     members = np.flatnonzero(component == component[np.argmax(holds)])
@@ -146,45 +141,42 @@ def feasible_interval(
 
     Every xi norm is absolutely homogeneous, so along the ray
     ``xi(s - s_hat) = |kappa - center_kappa| xi(s_ref)`` and
-    ``xi(s) = |kappa| xi(s_ref)``: two certificate calls decide every
-    ``kappa``, one at the center (which must pass) and one a unit step along
-    the ray (its injection change has the norms ``xi(s_ref)``).  Theorem 2
-    then reads ``|kappa - center_kappa| xi(s_ref) < rhs`` of its condition
-    2.  For Theorem 1, each radius of the scan grid certifies one interval
-    of ``kappa``; the result is the connected component of their union that
+    ``xi(s) = |kappa| xi(s_ref)``: one certificate call, a unit step along
+    the ray (its injection change has the norms ``xi(s_ref)``), decides
+    every ``kappa``, and the center must pass.  Theorem 2 reads
+    ``|kappa - center_kappa| xi(s_ref) < rhs`` of its condition 2.  For
+    Theorem 1, each radius of the scan grid certifies one interval of
+    ``kappa``; the result is the connected component of their union that
     holds the center, so it agrees with the certificate at every ``kappa``.
     Edges move inward by ``ENDPOINT_MARGIN * max(1, |edge|)`` so that the
     certificate passes there; an edge at or past a bound is the bound.
     Negative ``kappa`` (reverse flow) is allowed.  ``tol_residual`` is the
     tolerance of the base-pair check.
     """
-    _require_finite("kappa_bounds", kappa_bounds)
-    _require_finite("center_kappa", center_kappa)
-    lo_bound, hi_bound = kappa_bounds
-    if not lo_bound <= center_kappa <= hi_bound:
-        raise ValueError("center_kappa must lie within kappa_bounds")
+    _require_center("center_kappa", center_kappa, kappa_bounds)
     s_hat = base[1]
     on_ray = s_ref.scaled(center_kappa)
     if not (
         np.array_equal(s_hat.s_wye, on_ray.s_wye) and np.array_equal(s_hat.s_delta, on_ray.s_delta)
     ):
         raise ValueError("base injections must equal s_ref scaled by center_kappa")
-
-    def probe(target):
-        return _certificate(model, w_profile, base, target, theorem, scan_points, tol_residual)
-
-    at_center = probe(on_ray)
-    if not at_center.satisfied:
-        raise ValueError("certificate does not pass at the interval center")
-    step = probe(s_hat + s_ref).diagnostics["xi_change"]
-    xi_ref = XiQuantities(step["wye"], step["delta"])
-    if theorem == 2:
-        rhs = at_center.diagnostics["condition2"]["rhs"]
-        half = rhs / xi_ref.xi_total if xi_ref.xi_total else math.inf
-        lo, hi = center_kappa - half, center_kappa + half
+    target = s_hat + s_ref  # a unit step along the ray: xi(target - s_hat) = xi(s_ref)
+    if theorem == 1:
+        ray = check_theorem1(
+            model, w_profile, base, target, scan_points=scan_points, tol_residual=tol_residual
+        )
+        edges = _theorem1_ray(ray.margins, ray.xi_base, ray.xi_change, scan_points, center_kappa)
+    elif theorem == 2:
+        ray = check_theorem2(model, w_profile, base, target, tol_residual=tol_residual)
+        rhs = ray.diagnostics["condition2"]["rhs"]
+        half = rhs / ray.xi_change.xi_total if ray.xi_change.xi_total else math.inf
+        passes = ray.diagnostics["condition1"]["satisfied"] and rhs > 0
+        edges = (center_kappa - half, center_kappa + half) if passes else None
     else:
-        lo, hi = _theorem1_ray(at_center.diagnostics, xi_ref, center_kappa)
-    return _inward(lo, lo_bound, center_kappa), _inward(hi, hi_bound, center_kappa)
+        raise ValueError(f"theorem must be 1 or 2, got {theorem!r}")
+    if edges is None:
+        raise ValueError("certificate does not pass at the interval center")
+    return tuple(_inward(edge, bound, center_kappa) for edge, bound in zip(edges, kappa_bounds))
 
 
 def recentered_interval(
@@ -204,7 +196,7 @@ def recentered_interval(
     Solves at ``base_kappa * s_ref`` (solver failures propagate), then runs
     :func:`feasible_interval` around the new base.
     """
-    _require_finite("base_kappa", base_kappa)
+    _require_center("base_kappa", base_kappa, kappa_bounds)
     s_base = s_ref.scaled(base_kappa)
     sol = solve_fixed_point(
         model, w_profile, s_base, tol_step=tol_step, tol_residual=tol_residual, max_iter=max_iter
@@ -260,7 +252,6 @@ def linear_error_sweep(
     s_ref: InjectionSet,
     kappa_grid,
     base_kappa: float = 0.0,
-    theorem_endpoints=(1, 2),
     kappa_bounds=None,
     scan_points: int = 10000,
     tol_step: float = 1e-10,
@@ -272,20 +263,20 @@ def linear_error_sweep(
     Models are built once at the supplied base.  Exact solutions prefer the
     fixed-point solver and fall back to Newton, warm-started from the
     neighboring kappa (two chains walking outward from ``base_kappa``).
-    Certificates on each row are the explicit (closed-form) kind around the
-    same base.
+    Both theorems' intervals are recorded.  Each row's Theorem 2 around the
+    base is the closed form at ``xi(s - s_hat) = |kappa - base_kappa| xi(s_ref)``.
     """
     kappas = np.sort(np.asarray(kappa_grid, dtype=float))
     if not kappas.size:
         raise ValueError("kappa_grid must not be empty")
     _require_finite("kappa_grid", kappas)
-    _require_finite("base_kappa", base_kappa)
     if kappa_bounds is None:
         kappa_bounds = (float(kappas.min()), float(kappas.max()))
+    _require_center("base_kappa", base_kappa, kappa_bounds)
     base = (base_solution.v, base_inj)
     # First, so that an off-ray base or a failing center stops the sweep early.
     endpoints = {}
-    for theorem in theorem_endpoints:
+    for theorem in (1, 2):
         endpoints[theorem] = feasible_interval(
             model,
             w_profile,
@@ -297,43 +288,33 @@ def linear_error_sweep(
             center_kappa=base_kappa,
             tol_residual=tol_residual,
         )
+    ray = check_theorem2(model, w_profile, base, base_inj + s_ref, tol_residual=tol_residual)
+    ref = ray.xi_change  # xi(s_ref): the norms of a unit step along the ray
+    certificates = [
+        theorem2_closed_form(ray.base_v, ray.base_s, ray.margins, ray.xi_base, ref.scaled(span))
+        for span in np.abs(kappas - base_kappa).tolist()
+    ]
 
     fot = fot_linearize(model, base_solution, base_inj, tol_residual=tol_residual)
     fpl = fpl_linearize(model, w_profile, base_solution, base_inj, tol_residual=tol_residual)
+    solutions, fot_errors, fpl_errors = ([None] * len(kappas) for _ in range(3))
 
     def run_chain(indices):
-        rows = {}
         v_start = base_solution.v
         for idx in indices:
             target = s_ref.scaled(kappas[idx])
-            cert = check_theorem2(model, w_profile, base, target, tol_residual=tol_residual)
             sol = _solve_exact(
                 model, w_profile, target, v_start, tol_step, tol_residual, max_iter
             )
-            fot_err = fpl_err = None
             if sol is not None and sol.converged:
-                v_start = sol.v
+                v_start, solutions[idx] = sol.v, sol
                 x = stack_injections(target)
                 scale = float(np.abs(sol.v).max())
-                fot_err = float(np.abs(evaluate_linear(fot, x)[0] - sol.v).max()) / scale
-                fpl_err = float(np.abs(evaluate_linear(fpl, x)[0] - sol.v).max()) / scale
-            else:
-                sol = None
-            rows[idx] = (cert, sol, fot_err, fpl_err)
-        return rows
+                fot_errors[idx] = float(np.abs(evaluate_linear(fot, x)[0] - sol.v).max()) / scale
+                fpl_errors[idx] = float(np.abs(evaluate_linear(fpl, x)[0] - sol.v).max()) / scale
 
-    upper = [i for i, k in enumerate(kappas) if k >= base_kappa]
-    lower = [i for i, k in enumerate(kappas) if k < base_kappa][::-1]
-    results = run_chain(upper)
-    results.update(run_chain(lower))
-
-    certificates, solutions, fot_errors, fpl_errors = [], [], [], []
-    for idx in range(len(kappas)):
-        cert, sol, fe, pe = results[idx]
-        certificates.append(cert)
-        solutions.append(sol)
-        fot_errors.append(fe)
-        fpl_errors.append(pe)
+    run_chain([i for i, k in enumerate(kappas) if k >= base_kappa])
+    run_chain([i for i, k in enumerate(kappas) if k < base_kappa][::-1])
 
     return ContinuationResult(
         kappas=kappas,

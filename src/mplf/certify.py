@@ -35,6 +35,10 @@ class XiQuantities:
     def xi_total(self) -> float:
         return self.xi_wye + self.xi_delta
 
+    def scaled(self, factor: float) -> XiQuantities:
+        """The norms of the injections scaled by ``factor >= 0``."""
+        return XiQuantities(factor * self.xi_wye, factor * self.xi_delta)
+
 
 @dataclass(frozen=True)
 class GammaQuantities:
@@ -98,7 +102,7 @@ def theorem1_scan(
 
     Both left sides are linear in the xi arguments, so along an injection
     ray they split into per-unit-``kappa`` terms (see
-    ``analysis.feasible_interval``).
+    ``analysis._theorem1_ray``).
     """
     if scan_points < 1:
         raise ValueError("scan_points must be positive")
@@ -118,8 +122,8 @@ class Certificate:
     ``rho_used`` is the self-mapping radius (for the explicit certificate,
     the larger root; for the scanned one, the smallest passing grid point)
     and ``rho_dagger`` the tight containment radius, populated only when the
-    explicit certificate is satisfied.  ``diagnostics`` records left/right
-    values of every condition for audit.
+    explicit certificate is satisfied.  ``margins`` and the ``xi_*`` norms
+    are its inputs; ``diagnostics`` records both sides of every condition.
     """
 
     kind: str
@@ -128,6 +132,9 @@ class Certificate:
     rho_dagger: float | None
     base_v: np.ndarray = field(repr=False)
     base_s: InjectionSet = field(repr=False)
+    margins: GammaQuantities = field(repr=False)
+    xi_base: XiQuantities = field(repr=False)
+    xi_change: XiQuantities = field(repr=False)
     diagnostics: dict = field(default_factory=dict)
 
     def ball_radii(self, w_profile: ZeroLoadProfile, rho: float | None = None) -> np.ndarray:
@@ -160,7 +167,18 @@ def check_theorem2(
     target: InjectionSet,
     tol_residual: float = BASE_RESIDUAL_TOL,
 ) -> Certificate:
-    """Evaluate the explicit (closed-form) certificate.
+    """Evaluate the explicit certificate around a checked base pair."""
+    s_hat = base[1]
+    v_hat = checked_base(model, base[0], s_hat, tol_residual)[0]
+    gam = gamma_quantities(w_profile, v_hat)
+    xi_hat = xi_norms(model, w_profile, s_hat)
+    xi_diff = xi_norms(model, w_profile, target - s_hat)
+    return theorem2_closed_form(v_hat, s_hat, gam, xi_hat, xi_diff)
+
+
+def theorem2_closed_form(v_hat, s_hat, gam, xi_hat, xi_diff) -> Certificate:
+    """Theorem 2 around the base pair ``(v_hat, s_hat)`` from the margins
+    ``gam`` of ``v_hat`` and the norms of ``s_hat`` and of the change.
 
     Conditions: the base loading must satisfy ``xi(s_hat) < gamma^2`` and the
     injection change ``xi(s - s_hat) < ((gamma^2 - xi(s_hat)) / (2 gamma))^2``
@@ -169,16 +187,11 @@ def check_theorem2(
         rho_used   = (gamma^2 - xi(s_hat)) / (2 gamma)
         rho_dagger = rho_used - sqrt(rho_used^2 - xi(s - s_hat))
 
-    and the solution for ``target`` is unique in the ``rho_used`` ball,
+    and the solution for the target is unique in the ``rho_used`` ball,
     reachable by the fixed-point iteration from anywhere in it, and contained
-    in the tighter ``rho_dagger`` ball.
+    in the tighter ``rho_dagger`` ball.  Only ``xi_diff`` depends on the
+    target, so one base evaluation serves a whole injection ray.
     """
-    s_hat = base[1]
-    v_hat = checked_base(model, base[0], s_hat, tol_residual)[0]
-    gam = gamma_quantities(w_profile, v_hat)
-    xi_hat = xi_norms(model, w_profile, s_hat)
-    xi_diff = xi_norms(model, w_profile, target - s_hat)
-
     cond1_rhs = gam.gamma**2
     cond1_ok = xi_hat.xi_total < cond1_rhs
     cond2_rhs = 0.25 * ((cond1_rhs - xi_hat.xi_total) / gam.gamma) ** 2
@@ -197,6 +210,9 @@ def check_theorem2(
         rho_dagger=rho_dagger,
         base_v=v_hat,
         base_s=s_hat,
+        margins=gam,
+        xi_base=xi_hat,
+        xi_change=xi_diff,
         diagnostics={
             "condition1": {"lhs": xi_hat.xi_total, "rhs": cond1_rhs, "satisfied": cond1_ok},
             "condition2": {"lhs": xi_diff.xi_total, "rhs": cond2_rhs, "satisfied": cond2_ok},
@@ -251,6 +267,9 @@ def check_theorem1(
         rho_dagger=None,
         base_v=v_hat,
         base_s=s_hat,
+        margins=gam,
+        xi_base=xi_hat,
+        xi_change=xi_diff,
         diagnostics={
             "condition1": {
                 "lhs": float(lhs1[at]),

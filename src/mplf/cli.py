@@ -74,6 +74,7 @@ class RunConfig:
             raise ValueError("max_iter, points and scan_points must be >= 1")
         if self.kappa_range[0] > self.kappa_range[1]:
             raise ValueError("kappa range must be well ordered (min <= max)")
+        analysis._require_center("base_kappa", self.base_kappa, self.kappa_range)
         if self.theorem not in (1, 2):
             raise ValueError("theorem must be 1 or 2")
         return self

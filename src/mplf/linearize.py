@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse
 
-from .certify import check_theorem2, gamma_quantities, xi_norms
+from .certify import check_theorem2, xi_norms
 from .errors import (
     CertificateRequiredError,
     DegenerateVoltageError,
@@ -323,8 +323,7 @@ def fpl_error_bound(
         raise CertificateRequiredError(
             "explicit certificate fails for the target injections; no bound available"
         )
-    rho_d = cert.rho_dagger
-    gam = gamma_quantities(w_profile, base[0])
+    rho_d, gam = cert.rho_dagger, cert.margins
     xi_t = xi_norms(model, w_profile, target)
     q = xi_t.xi_wye / (gam.alpha - rho_d) ** 2
     if model.n_delta:

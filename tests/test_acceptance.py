@@ -259,7 +259,7 @@ class TestCriterion8PaperScale:
         kappas = np.linspace(-1.5, 1.5, 61)
         result = mplf.linear_error_sweep(
             model, profile, base_sol, base_inj, mixed, kappas,
-            base_kappa=1.0, theorem_endpoints=(),
+            base_kappa=1.0,
         )
         fot = np.array([e if e is not None else np.nan for e in result.fot_errors])
         fpl = np.array([e if e is not None else np.nan for e in result.fpl_errors])

@@ -8,6 +8,7 @@ import mplf
 from mplf import analysis
 from mplf.analysis import _theorem1_ray, interval_summary, write_continuation_csv
 from mplf.certify import GammaQuantities, XiQuantities, theorem1_scan
+from mplf.datafiles import bundled_path
 from conftest import certified_instance, single_phase_model, wye_injection
 
 
@@ -83,20 +84,18 @@ class TestFeasibleInterval:
                 )
 
     @pytest.mark.parametrize("theorem", [1, 2])
-    def test_two_certificate_calls(self, single_phase_case, monkeypatch, theorem):
+    def test_one_certificate_call(self, single_phase_case, monkeypatch, theorem):
+        # The only call is a unit step along the ray from the base, s_hat + s_ref.
         model, profile, s_ref = single_phase_case
-        name = f"check_theorem{theorem}"
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args[3])
-            return getattr(mplf.certify, name)(*args, **kwargs)
-
-        monkeypatch.setattr(mplf.analysis, name, counted)
-        mplf.feasible_interval(
-            model, profile, zero_base(model, profile), s_ref, theorem=theorem
-        )
-        assert len(calls) == 2
+        calls = count_certificate_calls(monkeypatch)
+        base_inj = s_ref.scaled(0.5)
+        base = (mplf.solve_fixed_point(model, profile, base_inj, tol_step=1e-12).v, base_inj)
+        mplf.feasible_interval(model, profile, base, s_ref, theorem=theorem, center_kappa=0.5)
+        assert [name for name, _ in calls] == [f"check_theorem{theorem}"]
+        target = calls[0][1]
+        step = base_inj + s_ref
+        assert np.array_equal(target.s_wye, step.s_wye)
+        assert np.array_equal(target.s_delta, step.s_delta)
 
     @pytest.mark.parametrize(
         "kwargs, name",
@@ -113,6 +112,19 @@ class TestFeasibleInterval:
         model, profile, s_ref = single_phase_case
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             mplf.feasible_interval(model, profile, zero_base(model, profile), s_ref, **kwargs)
+
+
+def count_certificate_calls(monkeypatch):
+    """Record ``(name, target)`` of every certificate call ``analysis`` makes."""
+    calls = []
+    for name in ("check_theorem1", "check_theorem2"):
+
+        def counted(*args, _name=name, **kwargs):
+            calls.append((_name, args[3]))
+            return getattr(mplf.certify, _name)(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, name, counted)
+    return calls
 
 
 def ray_case(rng, base_kappa):
@@ -187,11 +199,8 @@ def test_theorem1_union_reaches_past_intervals_holding_the_base():
     gam = GammaQuantities(0.6823482162879797, math.inf)
     ref = XiQuantities(0.17976654130160832, 0.0)
     kappa_b, points = -2.5157266417175954, 2000
-    diagnostics = dict(
-        alpha=gam.alpha, beta=gam.beta, scan_points=points,
-        xi_base=dict(wye=abs(kappa_b) * ref.xi_wye, delta=0.0),
-    )
-    lo, hi = _theorem1_ray(diagnostics, ref, kappa_b)
+    xi_base = XiQuantities(abs(kappa_b) * ref.xi_wye, 0.0)
+    lo, hi = _theorem1_ray(gam, xi_base, ref, points, kappa_b)
 
     def certified(kappa):
         rho, lhs1, lhs2 = theorem1_scan(
@@ -229,6 +238,12 @@ class TestRecenteredInterval:
         model, profile, s_ref = single_phase_case
         with pytest.raises(mplf.NonConvergenceError):
             mplf.recentered_interval(model, profile, 3.0, s_ref)
+
+    def test_base_outside_bounds_rejected_before_solving(self, single_phase_case):
+        # Used to solve first: the solve at 3.0 fails to converge.
+        model, profile, s_ref = single_phase_case
+        with pytest.raises(ValueError, match=r"base_kappa = 3.0 lies outside .* \[-2, 2\]"):
+            mplf.recentered_interval(model, profile, 3.0, s_ref, kappa_bounds=(-2, 2))
 
     @pytest.mark.parametrize("base_kappa", [np.nan, np.inf])
     def test_non_finite_base_kappa_rejected(self, single_phase_case, base_kappa):
@@ -301,12 +316,14 @@ class TestLinearErrorSweep:
             ([0.0, np.nan], 0.0, "kappa_grid must be finite, got nan"),
             ([0.0, np.inf], 0.0, "kappa_grid must be finite, got inf"),
             ([0.0, 0.5], np.nan, "base_kappa must be finite"),
+            ([0.0, 0.5], 1.0, r"base_kappa = 1.0 lies outside the kappa bounds \[0.0, 0.5\]"),
         ],
     )
     def test_bad_kappa_inputs_rejected(self, single_phase_case, kappas, base_kappa, message):
         # An empty grid used to escape as numpy's "zero-size array" error, a
         # nan entry as KeyError: 1, an inf entry as "injections must be
-        # finite".
+        # finite", a base outside the grid as "center_kappa must lie within
+        # kappa_bounds", which names no argument of the sweep.
         model, profile, s_ref = single_phase_case
         base_sol = mplf.solve_fixed_point(model, profile, s_ref.scaled(0.0))
         with pytest.raises(ValueError, match=message):
@@ -320,6 +337,40 @@ class TestLinearErrorSweep:
         assert set(result.interval_endpoints) == {1, 2}
         lo2, hi2 = result.interval_endpoints[2]
         assert (lo2, hi2) == (-1.0, 1.0)  # whole grid certifies
+
+    def test_three_certificate_calls(self, single_phase_case, monkeypatch):
+        # Two interval calls and one Theorem-2 call for the rows; a call per
+        # row made 65 on this grid.
+        model, profile, s_ref = single_phase_case
+        calls = count_certificate_calls(monkeypatch)
+        result = self.run_sweep(model, profile, s_ref, 1.0, np.linspace(-1.5, 1.5, 61))
+        assert len(result.certificates) == 61
+        assert len(calls) <= 3
+
+    @pytest.mark.parametrize("base_kappa", [0.0, 1.0])
+    @pytest.mark.parametrize("case", ["ieee37", "ieee123", 0, 4, 5, 11])
+    def test_rows_match_direct_certificates(self, case, base_kappa):
+        if isinstance(case, str):
+            model = mplf.network_from_file(bundled_path(f"{case}_network.json"))
+            profile = mplf.zero_load_voltage(model)
+            path = bundled_path(f"{case}_injections_mixed.json")
+            s_ref = mplf.injections_from_file(path, model)
+        else:
+            model, profile, s_ref = certified_instance(np.random.default_rng(case))
+        kappas = np.linspace(-1.5, 1.5, 61)
+        base_inj = s_ref.scaled(base_kappa)
+        base_sol = mplf.solve_fixed_point(model, profile, base_inj, tol_step=1e-12)
+        result = mplf.linear_error_sweep(
+            model, profile, base_sol, base_inj, s_ref, kappas, base_kappa=base_kappa
+        )
+        assert any(cert.satisfied for cert in result.certificates)
+        base = (base_sol.v, base_inj)
+        for kappa, row in zip(kappas, result.certificates):
+            direct = mplf.check_theorem2(model, profile, base, s_ref.scaled(kappa))
+            assert row.satisfied == direct.satisfied
+            assert row.rho_used == direct.rho_used
+            if direct.satisfied:
+                assert row.rho_dagger == pytest.approx(direct.rho_dagger, rel=1e-13, abs=0)
 
 
 class TestOutputs:

@@ -237,6 +237,23 @@ class TestConfigValidation:
         assert "ordered" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--base-kappa", "5"], "base_kappa = 5.0 lies outside the kappa bounds [-1.5, 1.5]"),
+            (
+                ["--base-kappa", "0", "--kappa-min", "0.5"],
+                "base_kappa = 0.0 lies outside the kappa bounds [0.5, 1.5]",
+            ),
+        ],
+    )
+    def test_base_kappa_outside_range_rejected(self, argv, message, capsys):
+        # Both used to report "center_kappa must lie within kappa_bounds",
+        # which names neither an option nor the value.
+        assert run(["sweep", NET1, INJ1, *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mplf: error: ") and message in err
+
+    @pytest.mark.parametrize(
         "argv, field",
         [
             (["sweep", "--kappa-min", "nan"], "kappa_range[0]"),
