@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certify import (
+    SCAN_POINTS,
     XiQuantities,
-    check_theorem1,
     check_theorem2,
     theorem1_scan,
     theorem2_closed_form,
@@ -25,6 +25,8 @@ from .linearize import evaluate_linear, fot_linearize, fpl_linearize, stack_inje
 from .netmodel import NetworkModel, ZeroLoadProfile
 from .powerflow import (
     BASE_RESIDUAL_TOL,
+    MAX_ITER,
+    TOL_STEP,
     InjectionSet,
     SolveResult,
     newton_oracle,
@@ -35,6 +37,8 @@ log = logging.getLogger(__name__)
 
 # Relative step that moves a computed interval edge inside the certified set.
 ENDPOINT_MARGIN = 1e-10
+# Default scan bounds of a certified interval.
+KAPPA_BOUNDS = (-10.0, 10.0)
 
 
 @dataclass
@@ -124,14 +128,36 @@ def _inward(edge: float, bound: float, center: float) -> float:
     return float(min(max(edge, min(bound, center)), max(bound, center)))
 
 
+def _require_on_ray(s_hat: InjectionSet, s_ref: InjectionSet, center_kappa: float):
+    on_ray = s_ref.scaled(center_kappa)
+    if not (
+        np.array_equal(s_hat.s_wye, on_ray.s_wye) and np.array_equal(s_hat.s_delta, on_ray.s_delta)
+    ):
+        raise ValueError("base injections must equal s_ref scaled by center_kappa")
+
+
+def _ray_interval(ray, theorem: int, kappa_bounds, scan_points: int, center_kappa: float):
+    """A theorem's interval around ``center_kappa`` from the unit-step ``ray``."""
+    if theorem == 1:
+        edges = _theorem1_ray(ray.margins, ray.xi_base, ray.xi_change, scan_points, center_kappa)
+    else:
+        rhs = ray.diagnostics["condition2"]["rhs"]
+        half = rhs / ray.xi_change.xi_total if ray.xi_change.xi_total else math.inf
+        passes = ray.diagnostics["condition1"]["satisfied"] and rhs > 0
+        edges = (center_kappa - half, center_kappa + half) if passes else None
+    if edges is None:
+        raise ValueError("certificate does not pass at the interval center")
+    return tuple(_inward(edge, bound, center_kappa) for edge, bound in zip(edges, kappa_bounds))
+
+
 def feasible_interval(
     model: NetworkModel,
     w_profile: ZeroLoadProfile,
     base,
     s_ref: InjectionSet,
     theorem: int = 2,
-    kappa_bounds=(-10.0, 10.0),
-    scan_points: int = 10000,
+    kappa_bounds=KAPPA_BOUNDS,
+    scan_points: int = SCAN_POINTS,
     center_kappa: float = 0.0,
     tol_residual: float = BASE_RESIDUAL_TOL,
 ) -> tuple[float, float]:
@@ -141,9 +167,9 @@ def feasible_interval(
 
     Every xi norm is absolutely homogeneous, so along the ray
     ``xi(s - s_hat) = |kappa - center_kappa| xi(s_ref)`` and
-    ``xi(s) = |kappa| xi(s_ref)``: one certificate call, a unit step along
-    the ray (its injection change has the norms ``xi(s_ref)``), decides
-    every ``kappa``, and the center must pass.  Theorem 2 reads
+    ``xi(s) = |kappa| xi(s_ref)``: one Theorem-2 call for a unit step along
+    the ray, the target ``s_hat + s_ref``, decides either theorem at every
+    ``kappa``, and the center must pass.  Theorem 2 reads
     ``|kappa - center_kappa| xi(s_ref) < rhs`` of its condition 2.  For
     Theorem 1, each radius of the scan grid certifies one interval of
     ``kappa``; the result is the connected component of their union that
@@ -154,29 +180,11 @@ def feasible_interval(
     tolerance of the base-pair check.
     """
     _require_center("center_kappa", center_kappa, kappa_bounds)
-    s_hat = base[1]
-    on_ray = s_ref.scaled(center_kappa)
-    if not (
-        np.array_equal(s_hat.s_wye, on_ray.s_wye) and np.array_equal(s_hat.s_delta, on_ray.s_delta)
-    ):
-        raise ValueError("base injections must equal s_ref scaled by center_kappa")
-    target = s_hat + s_ref  # a unit step along the ray: xi(target - s_hat) = xi(s_ref)
-    if theorem == 1:
-        ray = check_theorem1(
-            model, w_profile, base, target, scan_points=scan_points, tol_residual=tol_residual
-        )
-        edges = _theorem1_ray(ray.margins, ray.xi_base, ray.xi_change, scan_points, center_kappa)
-    elif theorem == 2:
-        ray = check_theorem2(model, w_profile, base, target, tol_residual=tol_residual)
-        rhs = ray.diagnostics["condition2"]["rhs"]
-        half = rhs / ray.xi_change.xi_total if ray.xi_change.xi_total else math.inf
-        passes = ray.diagnostics["condition1"]["satisfied"] and rhs > 0
-        edges = (center_kappa - half, center_kappa + half) if passes else None
-    else:
+    _require_on_ray(base[1], s_ref, center_kappa)
+    if theorem not in (1, 2):
         raise ValueError(f"theorem must be 1 or 2, got {theorem!r}")
-    if edges is None:
-        raise ValueError("certificate does not pass at the interval center")
-    return tuple(_inward(edge, bound, center_kappa) for edge, bound in zip(edges, kappa_bounds))
+    ray = check_theorem2(model, w_profile, base, base[1] + s_ref, tol_residual=tol_residual)
+    return _ray_interval(ray, theorem, kappa_bounds, scan_points, center_kappa)
 
 
 def recentered_interval(
@@ -185,11 +193,11 @@ def recentered_interval(
     base_kappa: float,
     s_ref: InjectionSet,
     theorem: int = 2,
-    kappa_bounds=(-10.0, 10.0),
-    scan_points: int = 10000,
-    tol_step: float = 1e-10,
+    kappa_bounds=KAPPA_BOUNDS,
+    scan_points: int = SCAN_POINTS,
+    tol_step: float = TOL_STEP,
     tol_residual: float = BASE_RESIDUAL_TOL,
-    max_iter: int = 1000,
+    max_iter: int = MAX_ITER,
 ) -> tuple[float, float]:
     """Certified interval after re-basing at the solution for ``base_kappa``.
 
@@ -197,6 +205,8 @@ def recentered_interval(
     :func:`feasible_interval` around the new base.
     """
     _require_center("base_kappa", base_kappa, kappa_bounds)
+    if theorem not in (1, 2):
+        raise ValueError(f"theorem must be 1 or 2, got {theorem!r}")
     s_base = s_ref.scaled(base_kappa)
     sol = solve_fixed_point(
         model, w_profile, s_base, tol_step=tol_step, tol_residual=tol_residual, max_iter=max_iter
@@ -253,18 +263,18 @@ def linear_error_sweep(
     kappa_grid,
     base_kappa: float = 0.0,
     kappa_bounds=None,
-    scan_points: int = 10000,
-    tol_step: float = 1e-10,
+    scan_points: int = SCAN_POINTS,
+    tol_step: float = TOL_STEP,
     tol_residual: float = BASE_RESIDUAL_TOL,
-    max_iter: int = 1000,
+    max_iter: int = MAX_ITER,
 ) -> ContinuationResult:
     """Solve along the ray and record relative errors of both linear models.
 
     Models are built once at the supplied base.  Exact solutions prefer the
     fixed-point solver and fall back to Newton, warm-started from the
     neighboring kappa (two chains walking outward from ``base_kappa``).
-    Both theorems' intervals are recorded.  Each row's Theorem 2 around the
-    base is the closed form at ``xi(s - s_hat) = |kappa - base_kappa| xi(s_ref)``.
+    One Theorem-2 call at ``s_hat + s_ref`` gives both theorems' intervals
+    and each row's Theorem 2, the closed form at ``|kappa - base_kappa| xi(s_ref)``.
     """
     kappas = np.sort(np.asarray(kappa_grid, dtype=float))
     if not kappas.size:
@@ -275,20 +285,9 @@ def linear_error_sweep(
     _require_center("base_kappa", base_kappa, kappa_bounds)
     base = (base_solution.v, base_inj)
     # First, so that an off-ray base or a failing center stops the sweep early.
-    endpoints = {}
-    for theorem in (1, 2):
-        endpoints[theorem] = feasible_interval(
-            model,
-            w_profile,
-            base,
-            s_ref,
-            theorem=theorem,
-            kappa_bounds=kappa_bounds,
-            scan_points=scan_points,
-            center_kappa=base_kappa,
-            tol_residual=tol_residual,
-        )
+    _require_on_ray(base_inj, s_ref, base_kappa)
     ray = check_theorem2(model, w_profile, base, base_inj + s_ref, tol_residual=tol_residual)
+    endpoints = {t: _ray_interval(ray, t, kappa_bounds, scan_points, base_kappa) for t in (1, 2)}
     ref = ray.xi_change  # xi(s_ref): the norms of a unit step along the ray
     certificates = [
         theorem2_closed_form(ray.base_v, ray.base_s, ray.margins, ray.xi_base, ref.scaled(span))

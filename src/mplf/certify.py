@@ -19,6 +19,9 @@ from .errors import DegenerateProfileError
 from .netmodel import NetworkModel, ZeroLoadProfile
 from .powerflow import BASE_RESIDUAL_TOL, InjectionSet, checked_base
 
+# Default number of radii in Theorem 1's scan grid.
+SCAN_POINTS = 10000
+
 
 @dataclass(frozen=True)
 class XiQuantities:
@@ -120,10 +123,12 @@ class Certificate:
     """Outcome of a solvability certificate around a base pair.
 
     ``rho_used`` is the self-mapping radius (for the explicit certificate,
-    the larger root; for the scanned one, the smallest passing grid point)
-    and ``rho_dagger`` the tight containment radius, populated only when the
-    explicit certificate is satisfied.  ``margins`` and the ``xi_*`` norms
-    are its inputs; ``diagnostics`` records both sides of every condition.
+    ``(gamma^2 - xi(s_hat)) / (2 gamma)``, the midpoint of the two roots of
+    its self-mapping quadratic; for the scanned one, the smallest passing
+    grid point) and ``rho_dagger`` the tight containment radius, the smaller
+    root, populated only when the explicit certificate is satisfied.
+    ``margins`` and the ``xi_*`` norms are its inputs; ``diagnostics``
+    records both sides of every condition.
     """
 
     kind: str
@@ -194,7 +199,8 @@ def theorem2_closed_form(v_hat, s_hat, gam, xi_hat, xi_diff) -> Certificate:
     """
     cond1_rhs = gam.gamma**2
     cond1_ok = xi_hat.xi_total < cond1_rhs
-    cond2_rhs = 0.25 * ((cond1_rhs - xi_hat.xi_total) / gam.gamma) ** 2
+    # A zero margin leaves no ball: condition 1 fails, and so does 2.
+    cond2_rhs = 0.25 * ((cond1_rhs - xi_hat.xi_total) / gam.gamma) ** 2 if gam.gamma else 0.0
     cond2_ok = xi_diff.xi_total < cond2_rhs
     satisfied = cond1_ok and cond2_ok
 
@@ -230,7 +236,7 @@ def check_theorem1(
     w_profile: ZeroLoadProfile,
     base,
     target: InjectionSet,
-    scan_points: int = 10000,
+    scan_points: int = SCAN_POINTS,
     tol_residual: float = BASE_RESIDUAL_TOL,
 ) -> Certificate:
     """Evaluate the general (scanned) certificate.

@@ -20,7 +20,14 @@ import numpy as np
 from . import analysis, certify, linearize
 from .errors import MplfError
 from .netmodel import network_from_file, write_json, zero_load_voltage
-from .powerflow import BASE_RESIDUAL_TOL, InjectionSet, injections_from_file, solve_fixed_point
+from .powerflow import (
+    BASE_RESIDUAL_TOL,
+    MAX_ITER,
+    TOL_STEP,
+    InjectionSet,
+    injections_from_file,
+    solve_fixed_point,
+)
 
 log = logging.getLogger(__name__)
 
@@ -40,14 +47,14 @@ class RunConfig:
     network_path: str
     injections_path: str
     base_injections_path: str | None = None
-    tol_step: float = 1e-10
+    tol_step: float = TOL_STEP
     tol_residual: float = BASE_RESIDUAL_TOL
-    max_iter: int = 1000
+    max_iter: int = MAX_ITER
     theorem: int = 2
     kappa_range: tuple = (-1.5, 1.5)
     points: int = 61
     base_kappa: float = 1.0
-    scan_points: int = 10000
+    scan_points: int = certify.SCAN_POINTS
     kind: str = "fot"
     output_path: str | None = None
     interval_output_path: str | None = None

@@ -37,6 +37,10 @@ EPS_DELTA = 1e-9
 # answer, or the base pair of a certificate or a linear model.
 BASE_RESIDUAL_TOL = 1e-8
 
+# Default step tolerance and iteration cap of the fixed-point solve.
+TOL_STEP = 1e-10
+MAX_ITER = 1000
+
 
 @dataclass
 class InjectionSet:
@@ -173,9 +177,9 @@ def solve_fixed_point(
     w_profile: ZeroLoadProfile,
     inj: InjectionSet,
     v_init=None,
-    tol_step: float = 1e-10,
+    tol_step: float = TOL_STEP,
     tol_residual: float = BASE_RESIDUAL_TOL,
-    max_iter: int = 1000,
+    max_iter: int = MAX_ITER,
 ) -> SolveResult:
     """Iterate ``v <- G(v)`` until the update norm drops below ``tol_step``.
 

@@ -69,6 +69,13 @@ class TestFeasibleInterval:
                     kappa_bounds=(-5, 5), center_kappa=2.0,
                 )
 
+    def test_zero_voltage_base_does_not_pass(self, single_phase_case):
+        # Used to escape as ZeroDivisionError from the certificate call.
+        model, profile, s_ref = single_phase_case
+        base = (np.zeros(model.n_phases, dtype=complex), mplf.InjectionSet.zeros(model))
+        with pytest.raises(ValueError, match="does not pass at the interval center"):
+            mplf.feasible_interval(model, profile, base, s_ref, theorem=2)
+
     def test_off_ray_base_rejected(self, single_phase_case):
         model, profile, s_ref = single_phase_case
         base_inj = s_ref.scaled(1.0)
@@ -85,13 +92,14 @@ class TestFeasibleInterval:
 
     @pytest.mark.parametrize("theorem", [1, 2])
     def test_one_certificate_call(self, single_phase_case, monkeypatch, theorem):
-        # The only call is a unit step along the ray from the base, s_hat + s_ref.
+        # For either theorem, the only call is Theorem 2 for a unit step
+        # along the ray from the base, s_hat + s_ref.
         model, profile, s_ref = single_phase_case
         calls = count_certificate_calls(monkeypatch)
         base_inj = s_ref.scaled(0.5)
         base = (mplf.solve_fixed_point(model, profile, base_inj, tol_step=1e-12).v, base_inj)
         mplf.feasible_interval(model, profile, base, s_ref, theorem=theorem, center_kappa=0.5)
-        assert [name for name, _ in calls] == [f"check_theorem{theorem}"]
+        assert [name for name, _ in calls] == ["check_theorem2"]
         target = calls[0][1]
         step = base_inj + s_ref
         assert np.array_equal(target.s_wye, step.s_wye)
@@ -123,8 +131,18 @@ def count_certificate_calls(monkeypatch):
             calls.append((_name, args[3]))
             return getattr(mplf.certify, _name)(*args, **kwargs)
 
-        monkeypatch.setattr(analysis, name, counted)
+        monkeypatch.setattr(analysis, name, counted, raising=False)
     return calls
+
+
+def mixed_case(case):
+    """A bundled feeder with its mixed injections, or a seeded certified
+    random instance."""
+    if isinstance(case, str):
+        model = mplf.network_from_file(bundled_path(f"{case}_network.json"))
+        path = bundled_path(f"{case}_injections_mixed.json")
+        return model, mplf.zero_load_voltage(model), mplf.injections_from_file(path, model)
+    return certified_instance(np.random.default_rng(case))
 
 
 def ray_case(rng, base_kappa):
@@ -234,6 +252,17 @@ class TestRecenteredInterval:
         assert hi >= 1.5
         assert lo <= 1.5
 
+    def test_bad_theorem_rejected_before_solving(self, single_phase_case, monkeypatch):
+        # Used to run the fixed-point solve first.
+        model, profile, s_ref = single_phase_case
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_fixed_point called")
+
+        monkeypatch.setattr(analysis, "solve_fixed_point", no_solve)
+        with pytest.raises(ValueError, match="theorem must be 1 or 2, got 3"):
+            mplf.recentered_interval(model, profile, 0.5, s_ref, theorem=3)
+
     def test_nonconvergence_propagates(self, single_phase_case):
         model, profile, s_ref = single_phase_case
         with pytest.raises(mplf.NonConvergenceError):
@@ -338,25 +367,42 @@ class TestLinearErrorSweep:
         lo2, hi2 = result.interval_endpoints[2]
         assert (lo2, hi2) == (-1.0, 1.0)  # whole grid certifies
 
-    def test_three_certificate_calls(self, single_phase_case, monkeypatch):
-        # Two interval calls and one Theorem-2 call for the rows; a call per
-        # row made 65 on this grid.
+    def test_one_certificate_call(self, single_phase_case, monkeypatch):
+        # One Theorem-2 call for a unit step along the ray serves both
+        # intervals and every row; a call per row made 65 on this grid, and
+        # separate interval calls made 3.
         model, profile, s_ref = single_phase_case
         calls = count_certificate_calls(monkeypatch)
         result = self.run_sweep(model, profile, s_ref, 1.0, np.linspace(-1.5, 1.5, 61))
         assert len(result.certificates) == 61
-        assert len(calls) <= 3
+        assert [name for name, _ in calls] == ["check_theorem2"]
+        step = s_ref.scaled(1.0) + s_ref
+        assert np.array_equal(calls[0][1].s_wye, step.s_wye)
+        assert np.array_equal(calls[0][1].s_delta, step.s_delta)
+
+    @pytest.mark.parametrize(
+        "case, base_kappa",
+        [("ieee37", 0.0), ("ieee37", 1.0), ("ieee123", 0.0), ("ieee123", 1.0), (5, 0.6)],
+    )
+    def test_intervals_match_feasible_interval(self, case, base_kappa):
+        model, profile, s_ref = mixed_case(case)
+        kappas = np.linspace(-1.5, 1.5, 61)
+        base_inj = s_ref.scaled(base_kappa)
+        base_sol = mplf.solve_fixed_point(model, profile, base_inj, tol_step=1e-12)
+        result = mplf.linear_error_sweep(
+            model, profile, base_sol, base_inj, s_ref, kappas, base_kappa=base_kappa
+        )
+        for theorem in (1, 2):
+            direct = mplf.feasible_interval(
+                model, profile, (base_sol.v, base_inj), s_ref, theorem=theorem,
+                kappa_bounds=(-1.5, 1.5), center_kappa=base_kappa,
+            )
+            assert result.interval_endpoints[theorem] == direct
 
     @pytest.mark.parametrize("base_kappa", [0.0, 1.0])
     @pytest.mark.parametrize("case", ["ieee37", "ieee123", 0, 4, 5, 11])
     def test_rows_match_direct_certificates(self, case, base_kappa):
-        if isinstance(case, str):
-            model = mplf.network_from_file(bundled_path(f"{case}_network.json"))
-            profile = mplf.zero_load_voltage(model)
-            path = bundled_path(f"{case}_injections_mixed.json")
-            s_ref = mplf.injections_from_file(path, model)
-        else:
-            model, profile, s_ref = certified_instance(np.random.default_rng(case))
+        model, profile, s_ref = mixed_case(case)
         kappas = np.linspace(-1.5, 1.5, 61)
         base_inj = s_ref.scaled(base_kappa)
         base_sol = mplf.solve_fixed_point(model, profile, base_inj, tol_step=1e-12)

@@ -153,6 +153,17 @@ class TestTheorem2:
         assert cert.satisfied
         assert cert.rho_dagger == pytest.approx(0.0, abs=1e-15)
 
+    def test_zero_voltage_base_certifies_nothing(self):
+        # A zero voltage meets the zero-load power balance, so it passes the
+        # base check; its margin gamma is 0, which used to escape as
+        # ZeroDivisionError.
+        model, profile = single_phase_model()
+        base = (np.zeros(model.n_phases, dtype=complex), mplf.InjectionSet.zeros(model))
+        cert = mplf.check_theorem2(model, profile, base, wye_injection(model, "load", "a", -0.1))
+        assert cert.margins.gamma == 0.0
+        assert not cert.satisfied and cert.rho_used is None
+        assert cert.diagnostics["condition2"]["rhs"] == 0.0
+
     def test_invalid_base_rejected(self, golden):
         model, profile, inj = golden
         with pytest.raises(mplf.InvalidBaseError):
