@@ -100,8 +100,9 @@ def _theorem1_ray(gam, xi_hat, xi_ref, points: int, center_kappa: float):
     zero = XiQuantities(0.0, 0.0)
     rho, per_change, per_target = theorem1_scan(gam, points, xi_ref, zero, xi_ref)
     base_term = theorem1_scan(gam, points, zero, xi_hat, zero)[1]
+    # Only radii with room for the base loading count (``keep`` below).
     reach = np.full_like(rho, np.inf)
-    np.divide(rho - base_term, per_change, out=reach, where=per_change > 0)
+    np.divide(rho - base_term, per_change, out=reach, where=(per_change > 0) & (base_term <= rho))
     cap = np.full_like(rho, np.inf)
     np.divide(1.0, per_target, out=cap, where=per_target > 0)
     lo = np.maximum(center_kappa - reach, -cap)

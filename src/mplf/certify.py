@@ -105,11 +105,14 @@ def theorem1_scan(
 
     Both left sides are linear in the xi arguments, so along an injection
     ray they split into per-unit-``kappa`` terms (see
-    ``analysis._theorem1_ray``).
+    ``analysis._theorem1_ray``).  A zero ``gamma`` leaves no radius, and
+    both left sides are infinite.
     """
     if scan_points < 1:
         raise ValueError("scan_points must be positive")
     rho = gam.gamma * np.arange(1, scan_points + 1) / (scan_points + 1)
+    if not gam.gamma:
+        return rho, np.full_like(rho, np.inf), np.full_like(rho, np.inf)
     lhs1 = (xi_change.xi_wye + xi_base.xi_wye * rho / gam.alpha) / (gam.alpha - rho)
     lhs2 = xi_target.xi_wye / (gam.alpha - rho) ** 2
     if gam.beta < math.inf:  # the model has phase-pair connections

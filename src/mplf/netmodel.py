@@ -18,6 +18,7 @@ from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 from .errors import (
@@ -36,7 +37,8 @@ RCOND_FLOOR = 1e-14
 ZERO_LOAD_RESIDUAL_TOL = 1e-10
 PROFILE_FLOOR = 1e-12
 
-# Identity columns per solve in ``LUFactor.inverse``.
+# Identity columns per solve in ``LUFactor.inverse``, and buses per step of
+# the tree walk in ``_tree_inverse``.
 INVERSE_BLOCK = 32
 
 
@@ -278,7 +280,8 @@ class NetworkModel:
     connection : ConnectionMatrix
     factor : LUFactor
         SuperLU factors of ``yll``; every solve with ``yll`` goes through
-        it, and so does the cached ``yll_inverse``.
+        it, and so does the cached ``yll_inverse`` of a meshed feeder.  On
+        a radial feeder ``yll_inverse`` comes from a walk over the bus tree.
     rcond : float
         Reciprocal condition estimate of ``yll`` from its LU factors.
     """
@@ -322,10 +325,163 @@ class NetworkModel:
 
     @cached_property
     def yll_inverse(self) -> np.ndarray:
-        """Dense ``yll^-1`` from the sparse factors, computed on first use."""
-        inv = self.factor.inverse()
+        """Dense, Fortran-ordered ``yll^-1``, computed on first use.
+
+        When ``yll``'s bus-level graph is a forest (a radial feeder), the
+        inverse comes from a walk over the tree (``_tree_inverse``), with
+        no solves.  On a meshed feeder, or when a Schur block of the walk is
+        a worse pivot than ``yll`` itself, it comes from the sparse factors
+        (``factor.inverse()``).
+        """
+        sizes = np.array([len(phases) for phases in self.index.phases_per_bus])
+        inv = _tree_inverse(self.yll, sizes, self.rcond)
+        if inv is None:
+            inv = self.factor.inverse()
         inv.setflags(write=False)
         return inv
+
+
+def _tree_inverse(yll, sizes, rcond):
+    """Dense inverse of ``yll`` by a walk over its bus tree, or ``None``.
+
+    Bus ``b`` owns the ``sizes[b]`` consecutive phases after those of buses
+    ``0..b-1``.  ``None`` means that the bus-level graph of ``yll``'s
+    pattern has a cycle, or that a Schur block ``S_b`` below is a worse
+    pivot than ``yll`` itself.  The walk pivots on these blocks without a
+    choice, so each must have ``1 / (max(‖S_b‖₁, ‖yll‖₁) ‖S_b^-1‖₁)`` of at
+    least half of ``rcond``, ``yll``'s reciprocal condition estimate (it is
+    ``rcond`` itself on a one-bus feeder, where ``S_b`` is ``yll``; the half
+    allows for the estimate).  This fails for a block that is nearly
+    singular, and for one that cancels to a small fraction of ``yll``'s
+    scale, where the walk would lose digits that the sparse LU keeps.
+
+    Each tree of the forest is rooted at its first bus.  The upward pass,
+    leaves first, forms the Schur complements
+    ``S_b = Y_bb - sum_c Y_bc S_c^-1 Y_cb`` over the children ``c`` and the
+    transfers ``T_b = -S_b^-1 Y_bp`` and ``U_b = -Y_pb S_b^-1`` to the
+    parent ``p``.  The downward pass, parents first, forms the columns
+
+        Z[:, b] = Z[:, p] U_b + K_b S_b^-1
+
+    of ``Z = yll^-1``, where ``K_b`` stacks, over the phases of ``b``'s
+    subtree, the identity on ``b`` and ``K_c T_c`` for each child ``c``; a
+    root has no ``Z[:, p]`` term.  For a symmetric ``yll``, ``U_b = T_b^T``;
+    the walk keeps both, so that a matrix symmetric only to rounding is
+    inverted as it is.
+
+    Both passes take one depth of the tree at a time, with every block
+    padded to 3x3: a missing phase has a unit diagonal in ``S_b`` and zeros
+    elsewhere, and its slot reads a zero row.  A virtual bus ``nb`` is the
+    parent of the roots.
+    """
+    nb, n = sizes.size, yll.shape[0]
+    start = np.concatenate([[0], np.cumsum(sizes)])
+    bus = np.repeat(np.arange(nb), sizes)
+    coo = yll.tocoo()
+    row_bus, col_bus = bus[coo.row], bus[coo.col]
+    off = row_bus != col_bus
+
+    # Forest test: the bus graph is a forest iff edges = buses - components.
+    lo, hi = np.divmod(
+        np.unique(np.minimum(row_bus, col_bus)[off] * nb + np.maximum(row_bus, col_bus)[off]), nb
+    )
+    graph = scipy.sparse.csr_matrix(
+        (np.ones(lo.size), hi, np.searchsorted(lo, np.arange(nb + 1))), shape=(nb, nb)
+    )
+    n_trees, tree = scipy.sparse.csgraph.connected_components(graph, directed=False)
+    if lo.size != nb - n_trees:
+        return None
+    roots = np.unique(tree, return_index=True)[1]
+    indptr = np.append(graph.indptr, graph.nnz + n_trees)
+    linked = scipy.sparse.csr_matrix(
+        (np.ones(lo.size + n_trees), np.append(hi, roots), indptr), shape=(nb + 1, nb + 1)
+    )
+    order, parent = scipy.sparse.csgraph.breadth_first_order(
+        linked, nb, directed=False, return_predecessors=True
+    )
+    order = order[1:]
+    depth = np.zeros(nb + 1, dtype=np.intp)
+    depth[nb] = -1
+    for b in order.tolist():
+        depth[b] = depth[parent[b]] + 1
+    level_start = np.searchsorted(depth[order], np.arange(depth.max() + 2))
+
+    # Per-bus arrays in breadth-first order, so each depth is a slice; the
+    # virtual bus is last.  A missing phase's slot reads the zero row n of
+    # the work matrix and writes its spare row n + 1.
+    where = np.empty(nb + 1, dtype=np.intp)
+    where[order] = np.arange(nb)
+    where[nb] = nb
+    up_at = where[parent[order]]
+    depth = depth[order]
+    present = np.zeros((nb + 1, 3), dtype=bool)
+    present[:nb] = np.arange(3) < sizes[order, None]
+    read = np.full((nb + 1, 3), n)
+    read[present] = (start[order, None] + np.arange(3))[present[:nb]]
+    write = np.where(present, read, n + 1)
+
+    # Y_bb (as the start of S_b), Y_bp (up) and Y_pb (down) for each bus b.
+    local_row, local_col = coo.row - start[row_bus], coo.col - start[col_bus]
+    schur = np.zeros((nb + 1, 3, 3), dtype=complex)
+    up, down = np.zeros_like(schur), np.zeros_like(schur)
+    pad_bus, pad_slot = np.nonzero(~present[:nb])
+    schur[pad_bus, pad_slot, pad_slot] = 1.0
+    diag = ~off
+    schur[where[row_bus[diag]], local_row[diag], local_col[diag]] = coo.data[diag]
+    is_up = off & (parent[row_bus] == col_bus)
+    is_down = off & ~is_up
+    up[where[row_bus[is_up]], local_row[is_up], local_col[is_up]] = coo.data[is_up]
+    down[where[col_bus[is_down]], local_row[is_down], local_col[is_down]] = coo.data[is_down]
+
+    # The rows of K_b are blocks K_ib, one for each bus i of b's subtree.
+    # Bus i keeps its blocks for the ancestors at depths depth[i], ..., 0
+    # from ``first[i]`` on, so K_ib sits one place after K_ic.
+    first = np.cumsum(depth + 1) - (depth + 1)
+    ancestor = np.empty(first[-1] + depth[-1] + 1, dtype=np.intp)
+    ancestor[first] = np.arange(nb)
+    chain = np.zeros((ancestor.size, 3, 3), dtype=complex)
+    chain[first] = np.eye(3)
+
+    s_inv, t = np.empty_like(schur), np.empty_like(schur)
+    with np.errstate(all="ignore"):  # a failed block is caught below
+        for d in range(len(level_start) - 2, -1, -1):
+            level = slice(level_start[d], level_start[d + 1])
+            try:
+                s_inv[level] = np.linalg.inv(schur[level])
+            except np.linalg.LinAlgError:
+                return None
+            t[level] = -s_inv[level] @ up[level]
+            # Siblings are adjacent in breadth-first order.
+            parents, children = np.unique(up_at[level], return_index=True)
+            schur[parents] += np.add.reduceat(down[level] @ t[level], children)
+            below = first[level.stop :] + depth[level.stop :] - d
+            ancestor[below] = up_at[ancestor[below - 1]]
+            chain[below] = chain[below - 1] @ t[ancestor[below - 1]]
+        both = present[:nb, :, None] & present[:nb, None, :]
+        norms = [
+            np.where(both, np.abs(x[:nb]), 0.0).sum(axis=1).max(axis=1) for x in (schur, s_inv)
+        ]
+        scale = np.maximum(norms[0], np.bincount(coo.col, np.abs(coo.data), n).max())
+        pivot_rcond = 1.0 / (scale * norms[1])
+    if not np.all(pivot_rcond >= 0.5 * rcond):
+        return None
+    u_t = -(down @ s_inv).transpose(0, 2, 1)  # U_b^T
+
+    # Row j of ``zt`` is column j of Z.  A depth is taken INVERSE_BLOCK
+    # buses at a time, which bounds the work arrays.
+    zt = np.zeros((n + 2, n), dtype=complex)
+    for d in range(len(level_start) - 1):
+        for part_start in range(level_start[d], level_start[d + 1], INVERSE_BLOCK):
+            part = slice(part_start, min(part_start + INVERSE_BLOCK, level_start[d + 1]))
+            zt[write[part]] = np.matmul(u_t[part], zt[read[up_at[part]]])
+        # K_ib S_b^-1 into rows i of the columns of each bus b at depth d.
+        rows = slice(level_start[d], nb)
+        at = first[rows] + depth[rows] - d
+        cols = ancestor[at]
+        keep = present[rows, :, None] & present[cols][:, None, :]
+        flat = read[cols][:, None, :] * n + read[rows, :, None]
+        zt.reshape(-1)[flat[keep]] += (chain[at] @ s_inv[cols])[keep]
+    return zt[:n].T
 
 
 def _line_block(blk, k, where):
@@ -516,11 +672,13 @@ class ZeroLoadProfile:
         """Weights of the injection norms, built from ``yll^-1`` on first use:
         ``|diag(w)^-1 yll^-1 diag(w)^-1|`` for wye injections and
         ``|diag(w)^-1 yll^-1 H^T diag(L|w|)^-1|`` for delta injections, with
-        ``yll^-1 H^T`` taken as column differences of ``yll^-1``."""
-        w, yinv = self.w, self.model.yll_inverse
-        weights_w = np.abs(yinv / w[:, None] / w[None, :])
-        yinv_ht = self.model.connection.gather(yinv)
-        weights_d = np.abs(yinv_ht / w[:, None] / self.Lw[None, :])
+        ``yll^-1 H^T`` taken as column differences of ``yll^-1``.  Both are
+        formed in real arithmetic: the magnitudes of ``yll^-1`` and of its
+        column differences, scaled by ``1/|w|`` on the rows and by ``1/|w|``
+        or ``1/L|w|`` on the columns."""
+        yinv, w_scale, lw_scale = self.model.yll_inverse, 1.0 / self.w_abs, 1.0 / self.Lw
+        weights_w = np.abs(yinv) * w_scale[:, None] * w_scale[None, :]
+        weights_d = np.abs(self.model.connection.gather(yinv)) * w_scale[:, None] * lw_scale[None, :]
         for arr in (weights_w, weights_d):
             arr.setflags(write=False)
         return weights_w, weights_d

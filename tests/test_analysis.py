@@ -76,6 +76,13 @@ class TestFeasibleInterval:
         with pytest.raises(ValueError, match="does not pass at the interval center"):
             mplf.feasible_interval(model, profile, base, s_ref, theorem=2)
 
+    def test_zero_voltage_base_does_not_pass_theorem1(self, single_phase_case):
+        # gamma is 0 at a zero voltage; Theorem 1's scan used to divide 0 by 0.
+        model, profile, s_ref = single_phase_case
+        base = (np.zeros(model.n_phases, dtype=complex), mplf.InjectionSet.zeros(model))
+        with pytest.raises(ValueError, match="does not pass at the interval center"):
+            mplf.feasible_interval(model, profile, base, s_ref, theorem=1)
+
     def test_off_ray_base_rejected(self, single_phase_case):
         model, profile, s_ref = single_phase_case
         base_inj = s_ref.scaled(1.0)

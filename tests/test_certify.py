@@ -88,14 +88,16 @@ class TestXiWeights:
 
     def test_delta_weights_equal_matrix_product_bitwise(self, rng):
         # yll^-1 H^T is taken as column differences; each product entry has
-        # two nonzero terms, so the two forms round alike.
+        # two nonzero terms, so the two forms round alike.  The weights are
+        # the magnitudes scaled by the real 1/|w| and 1/L|w|.
         models = [mplf.network_from_file(bundled_path(f"{name}_network.json"))
                   for name in ("ieee37", "ieee123")]
         models += [random_network(rng)[0] for _ in range(10)]
         for model in models:
             profile = mplf.zero_load_voltage(model)
             product = model.yll_inverse @ dense_incidence(model.connection, model.n_phases).T
-            expected = np.abs(product / profile.w[:, None] / profile.Lw[None, :])
+            row_scale, col_scale = 1.0 / profile.w_abs, 1.0 / profile.Lw
+            expected = np.abs(product) * row_scale[:, None] * col_scale[None, :]
             assert np.array_equal(profile.xi_weights[1], expected)
 
 
@@ -211,6 +213,18 @@ class TestTheorem1:
         cert = mplf.check_theorem1(model, profile, (profile.w, mplf.InjectionSet.zeros(model)), inj)
         assert not cert.satisfied
         assert cert.rho_used is None
+
+    def test_zero_voltage_base_certifies_nothing(self):
+        # gamma is 0 at a zero voltage, so the scan grid holds no radius; the
+        # scan used to divide 0 by 0, which the warning filters turn into an
+        # error.
+        model, profile = single_phase_model()
+        base = (np.zeros(model.n_phases, dtype=complex), mplf.InjectionSet.zeros(model))
+        cert = mplf.check_theorem1(model, profile, base, wye_injection(model, "load", "a", -0.1))
+        assert cert.margins.gamma == 0.0
+        assert not cert.satisfied and cert.rho_used is None
+        assert not cert.diagnostics["condition1"]["satisfied"]
+        assert not cert.diagnostics["condition2"]["satisfied"]
 
     def test_theorem2_implies_theorem1(self, rng):
         for _ in range(20):

@@ -294,12 +294,21 @@ def test_huge_count_is_an_error_not_a_traceback(argv, capsys):
 
 @pytest.mark.parametrize(
     "args",
-    [["linearize", "--kind", "fot"], ["linearize", "--kind", "fpl"], ["sweep"]],
-    ids=["fot", "fpl", "sweep"],
+    [
+        ["linearize", "--kind", "fot"],
+        ["linearize", "--kind", "fpl"],
+        ["sweep"],
+        ["certify", "--theorem", "1"],
+        # From (w, 0) Theorem 2 fails on this loading; the base at the
+        # target passes, with a nonzero xi of the base injections.
+        ["certify", "--theorem", "2", "--base-injections", IEEE123[1]],
+    ],
+    ids=["fot", "fpl", "sweep", "certify1", "certify2"],
 )
 def test_artifacts_do_not_depend_on_blas_threads(tmp_path, args):
     # A threaded BLAS mat-vec sums in an order set by its thread count; the
-    # artifacts must come out the same with one thread or two.
+    # artifacts must come out the same with one thread or two.  The
+    # certificates carry xi values, read from the tree walk's yll^-1.
     produced = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -9,12 +10,13 @@ import numpy.testing as npt
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.csgraph
 
 import mplf
 from mplf import cli, netmodel
 from mplf.analysis import interval_summary
 from mplf.datafiles import bundled_path
-from mplf.netmodel import RCOND_FLOOR, LUFactor
+from mplf.netmodel import RCOND_FLOOR, LUFactor, _tree_inverse
 from conftest import (
     BALANCED_V0,
     dense_incidence,
@@ -330,6 +332,99 @@ class TestYllFactor:
             _, dense_rcond = dense_lu_reference(model.yll.toarray())
             assert model.rcond == LUFactor(model.yll, mplf.SingularModelError, "yll").rcond
             assert abs(model.rcond - dense_rcond) <= 1e-12 * dense_rcond
+
+
+def forest_specs(rng, trees):
+    """Specs of ``trees`` random trees that each hang off the slack by one
+    line, so that ``yll``'s bus graph is a forest of that many trees."""
+    buses, lines = [mplf.BusSpec("slack", "abc")], []
+    for k in range(trees):
+        tree_buses, tree_lines, slack = random_network_specs(rng, max_buses=8)
+
+        def name(bus, k=k):
+            return bus if bus == "slack" else f"t{k}.{bus}"
+
+        buses += [dataclasses.replace(b, id=name(b.id)) for b in tree_buses[1:]]
+        lines += [dataclasses.replace(ln, from_bus=name(ln.from_bus), to_bus=name(ln.to_bus))
+                  for ln in tree_lines]
+    return buses, lines, slack
+
+
+def tree_models(case, rng, monkeypatch):
+    """The models of one ``TestTreeInverse`` case."""
+    if case in BUNDLED:
+        return [mplf.network_from_file(bundled_path(f"{case}_network.json"))]
+    if case == "random-trees":
+        return [random_network(rng)[0] for _ in range(50)]
+    if case == "large-tree":
+        return [mplf.assemble_network(*random_network_specs(np.random.default_rng(0), 1500))]
+    if case == "forest":
+        return [mplf.assemble_network(*forest_specs(rng, trees)) for trees in (2, 3, 6)]
+    if case == "loop":
+        # One more line, between buses of ieee37 that the feeder does not
+        # join, closes a loop.
+        buses, lines, slack = bundled_specs("ieee37", monkeypatch)
+        loop = mplf.LineSpec(lines[0].to_bus, lines[-1].to_bus, "abc", three_phase_line())
+        return [mplf.assemble_network(buses, [*lines, loop], slack)]
+    # A one-phase leaf whose shunt cancels its line: its Schur block is 0
+    # while yll is nonsingular.  Then the same leaf cancelled to 1e-12.
+    y = 2.0 - 6.0j
+    buses = [mplf.BusSpec(bus, "a") for bus in ("src", "mid", "leaf")]
+    slack = mplf.SlackSpec("src", np.array([1.0 + 0j]))
+    models = []
+    for cancel in (1.0, 1.0 - 1e-12):
+        lines = [
+            mplf.LineSpec("src", "mid", "a", np.array([[1.0 - 3.0j]])),
+            mplf.LineSpec("mid", "leaf", "a", np.array([[y]]), y_shunt_to=np.array([[-cancel * y]])),
+        ]
+        models.append(mplf.assemble_network(buses, lines, slack))
+    return models
+
+
+def walked_inverse(model, monkeypatch):
+    """``model.yll_inverse`` and what the tree walk returned while making it."""
+    walked = []
+    monkeypatch.setattr(
+        netmodel, "_tree_inverse", lambda *args: walked.append(_tree_inverse(*args)) or walked[-1]
+    )
+    return model.yll_inverse, walked
+
+
+class TestTreeInverse:
+    """On a radial feeder the dense ``yll^-1`` comes from a walk over the
+    bus tree; elsewhere it comes from the LU factors, bit for bit."""
+
+    @pytest.mark.parametrize("case", [*BUNDLED, "random-trees", "large-tree", "forest"])
+    def test_walk_matches_lu_inverse(self, case, rng, monkeypatch):
+        models = tree_models(case, rng, monkeypatch)
+        if case == "large-tree":
+            assert models[0].n_phases >= 1000
+        if case == "forest":
+            # yll has one bus-graph component per slack-adjacent subtree.
+            for model, trees in zip(models, (2, 3, 6)):
+                sizes = [len(p) for p in model.index.phases_per_bus]
+                bus = np.repeat(np.arange(len(sizes)), sizes)
+                coo = model.yll.tocoo()
+                graph = scipy.sparse.coo_matrix(
+                    (np.ones(coo.nnz), (bus[coo.row], bus[coo.col])), shape=(len(sizes),) * 2
+                )
+                assert scipy.sparse.csgraph.connected_components(graph)[0] == trees
+        for model in models:
+            inverse, walked = walked_inverse(model, monkeypatch)
+            assert len(walked) == 1 and walked[0] is inverse
+            assert inverse.flags.f_contiguous and not inverse.flags.writeable
+            reference = model.factor.inverse()
+            gap = np.linalg.norm(inverse - reference, np.inf) / np.linalg.norm(reference, np.inf)
+            assert gap <= 1e-12
+
+    @pytest.mark.parametrize("case", ["loop", "cancelled-leaf"])
+    def test_lu_inverse_where_the_walk_does_not_hold(self, case, rng, monkeypatch):
+        for model in tree_models(case, rng, monkeypatch):
+            if case == "cancelled-leaf":
+                assert model.rcond > 0.1  # yll itself is well conditioned
+            inverse, walked = walked_inverse(model, monkeypatch)
+            assert walked == [None]
+            assert_bitwise(inverse, model.factor.inverse())
 
 
 class TestZeroLoad:
