@@ -400,20 +400,20 @@ def _tree_inverse(yll, sizes, rcond):
         linked, nb, directed=False, return_predecessors=True
     )
     order = order[1:]
-    depth = np.zeros(nb + 1, dtype=np.intp)
-    depth[nb] = -1
+    bus_depth = np.zeros(nb + 1, dtype=np.intp)
+    bus_depth[nb] = -1
     for b in order.tolist():
-        depth[b] = depth[parent[b]] + 1
-    level_start = np.searchsorted(depth[order], np.arange(depth.max() + 2))
+        bus_depth[b] = bus_depth[parent[b]] + 1
 
     # Per-bus arrays in breadth-first order, so each depth is a slice; the
     # virtual bus is last.  A missing phase's slot reads the zero row n of
     # the work matrix and writes its spare row n + 1.
-    where = np.empty(nb + 1, dtype=np.intp)
-    where[order] = np.arange(nb)
-    where[nb] = nb
-    up_at = where[parent[order]]
-    depth = depth[order]
+    position = np.empty(nb + 1, dtype=np.intp)
+    position[order] = np.arange(nb)
+    position[nb] = nb
+    up_at = position[parent[order]]
+    depth = bus_depth[order]
+    level_start = np.searchsorted(depth, np.arange(depth.max() + 2))
     present = np.zeros((nb + 1, 3), dtype=bool)
     present[:nb] = np.arange(3) < sizes[order, None]
     read = np.full((nb + 1, 3), n)
@@ -427,11 +427,11 @@ def _tree_inverse(yll, sizes, rcond):
     pad_bus, pad_slot = np.nonzero(~present[:nb])
     schur[pad_bus, pad_slot, pad_slot] = 1.0
     diag = ~off
-    schur[where[row_bus[diag]], local_row[diag], local_col[diag]] = coo.data[diag]
+    schur[position[row_bus[diag]], local_row[diag], local_col[diag]] = coo.data[diag]
     is_up = off & (parent[row_bus] == col_bus)
     is_down = off & ~is_up
-    up[where[row_bus[is_up]], local_row[is_up], local_col[is_up]] = coo.data[is_up]
-    down[where[col_bus[is_down]], local_row[is_down], local_col[is_down]] = coo.data[is_down]
+    up[position[row_bus[is_up]], local_row[is_up], local_col[is_up]] = coo.data[is_up]
+    down[position[col_bus[is_down]], local_row[is_down], local_col[is_down]] = coo.data[is_down]
 
     # The rows of K_b are blocks K_ib, one for each bus i of b's subtree.
     # Bus i keeps its blocks for the ancestors at depths depth[i], ..., 0
@@ -465,7 +465,7 @@ def _tree_inverse(yll, sizes, rcond):
         pivot_rcond = 1.0 / (scale * norms[1])
     if not np.all(pivot_rcond >= 0.5 * rcond):
         return None
-    u_t = -(down @ s_inv).transpose(0, 2, 1)  # U_b^T
+    u_t = -(down[:nb] @ s_inv[:nb]).transpose(0, 2, 1)  # U_b^T
 
     # Row j of ``zt`` is column j of Z.  A depth is taken INVERSE_BLOCK
     # buses at a time, which bounds the work arrays.

@@ -384,9 +384,12 @@ def tree_models(case, rng, monkeypatch):
 def walked_inverse(model, monkeypatch):
     """``model.yll_inverse`` and what the tree walk returned while making it."""
     walked = []
-    monkeypatch.setattr(
-        netmodel, "_tree_inverse", lambda *args: walked.append(_tree_inverse(*args)) or walked[-1]
-    )
+
+    def walk(*args):
+        walked.append(_tree_inverse(*args))
+        return walked[-1]
+
+    monkeypatch.setattr(netmodel, "_tree_inverse", walk)
     return model.yll_inverse, walked
 
 
