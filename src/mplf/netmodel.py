@@ -284,6 +284,11 @@ class NetworkModel:
         a radial feeder ``yll_inverse`` comes from a walk over the bus tree.
     rcond : float
         Reciprocal condition estimate of ``yll`` from its LU factors.
+
+    Before ``yll`` is factored, the bus graph of the full matrix, the slack
+    included, is walked breadth-first from the slack.  A PQ bus that the
+    walk does not reach is a ``ModelError``; when the graph is a tree, the
+    walk is the tree that ``yll_inverse`` walks.
     """
 
     def __init__(self, y00, y0l, yl0, yll, v0, index, connection, slack_id, slack_phases):
@@ -300,6 +305,27 @@ class NetworkModel:
             arr.setflags(write=False)
         for arr in (self.yll.data, self.yll.indices, self.yll.indptr):
             arr.setflags(write=False)
+
+        # The bus graph of the full matrix, with the slack as bus nb: one edge
+        # for each pair of buses that shares a nonzero entry, stored once as
+        # (lower, higher).  The walk then visits a bus's higher neighbours
+        # before its lower ones, each in bus order; the order of siblings is
+        # the order of the walk's sums.
+        nb = index.bus_count
+        bus = np.repeat(np.arange(nb), [len(p) for p in index.phases_per_bus])
+        coo = self.yll.tocoo()
+        ends = np.sort([bus[coo.row], bus[coo.col]], axis=0)
+        fed = bus[self.yl0.any(axis=1)]
+        lo, hi = np.hstack([ends[:, ends[0] != ends[1]], [fed, np.full(fed.size, nb)]])
+        graph = scipy.sparse.csr_matrix((np.ones(lo.size), (lo, hi)), shape=(nb + 1, nb + 1))
+        order, parent = scipy.sparse.csgraph.breadth_first_order(
+            graph, nb, directed=False, return_predecessors=True
+        )
+        unreached = [index.bus_ids[b] for b in np.flatnonzero(parent[:nb] < 0)]
+        if unreached:
+            raise ModelError(f"bus(es) not connected to the slack: {unreached}")
+        # Duplicate edges are summed into one, so a tree has one per PQ bus.
+        self._tree = (bus, order[1:], parent) if graph.nnz == nb else None
 
         # Symmetry of the full matrix [[y00, y0l], [yl0, yll]], checked block by block.
         dense = (self.y00, self.y0l, self.yl0)
@@ -327,36 +353,36 @@ class NetworkModel:
     def yll_inverse(self) -> np.ndarray:
         """Dense, Fortran-ordered ``yll^-1``, computed on first use.
 
-        When ``yll``'s bus-level graph is a forest (a radial feeder), the
-        inverse comes from a walk over the tree (``_tree_inverse``), with
-        no solves.  On a meshed feeder, or when a Schur block of the walk is
-        a worse pivot than ``yll`` itself, it comes from the sparse factors
-        (``factor.inverse()``).
+        When the bus graph with the slack is a tree (a radial feeder), the
+        inverse comes from a walk over that tree (``_tree_inverse``), with
+        no solves.  When the graph has a loop, through the slack or not, or
+        when a Schur block of the walk is a worse pivot than ``yll`` itself,
+        it comes from the sparse factors (``factor.inverse()``).
         """
-        sizes = np.array([len(phases) for phases in self.index.phases_per_bus])
-        inv = _tree_inverse(self.yll, sizes, self.rcond)
+        inv = None if self._tree is None else _tree_inverse(self.yll, *self._tree, self.rcond)
         if inv is None:
             inv = self.factor.inverse()
         inv.setflags(write=False)
         return inv
 
 
-def _tree_inverse(yll, sizes, rcond):
+def _tree_inverse(yll, bus, order, parent, rcond):
     """Dense inverse of ``yll`` by a walk over its bus tree, or ``None``.
 
-    Bus ``b`` owns the ``sizes[b]`` consecutive phases after those of buses
-    ``0..b-1``.  ``None`` means that the bus-level graph of ``yll``'s
-    pattern has a cycle, or that a Schur block ``S_b`` below is a worse
-    pivot than ``yll`` itself.  The walk pivots on these blocks without a
-    choice, so each must have ``1 / (max(‖S_b‖₁, ‖yll‖₁) ‖S_b^-1‖₁)`` of at
-    least half of ``rcond``, ``yll``'s reciprocal condition estimate (it is
-    ``rcond`` itself on a one-bus feeder, where ``S_b`` is ``yll``; the half
-    allows for the estimate).  This fails for a block that is nearly
-    singular, and for one that cancels to a small fraction of ``yll``'s
-    scale, where the walk would lose digits that the sparse LU keeps.
+    ``bus`` maps each phase to its bus; bus ``b`` owns consecutive phases.
+    ``order`` lists the buses breadth-first from the slack, which is bus
+    ``nb``, and ``parent`` is each bus's parent in that walk.  ``None``
+    means that a Schur block ``S_b`` below is a worse pivot than ``yll``
+    itself.  The walk pivots on these blocks without a choice, so each
+    must have ``1 / (max(‖S_b‖₁, ‖yll‖₁) ‖S_b^-1‖₁)`` of at least half of
+    ``rcond``, ``yll``'s reciprocal condition estimate (it is ``rcond``
+    itself on a one-bus feeder, where ``S_b`` is ``yll``; the half allows
+    for the estimate).  This fails for a block that is nearly singular, and
+    for one that cancels to a small fraction of ``yll``'s scale, where the
+    walk would lose digits that the sparse LU keeps.
 
-    Each tree of the forest is rooted at its first bus.  The upward pass,
-    leaves first, forms the Schur complements
+    The buses that the slack feeds are the roots.  The upward pass, leaves
+    first, forms the Schur complements
     ``S_b = Y_bb - sum_c Y_bc S_c^-1 Y_cb`` over the children ``c`` and the
     transfers ``T_b = -S_b^-1 Y_bp`` and ``U_b = -Y_pb S_b^-1`` to the
     parent ``p``.  The downward pass, parents first, forms the columns
@@ -371,42 +397,22 @@ def _tree_inverse(yll, sizes, rcond):
 
     Both passes take one depth of the tree at a time, with every block
     padded to 3x3: a missing phase has a unit diagonal in ``S_b`` and zeros
-    elsewhere, and its slot reads a zero row.  A virtual bus ``nb`` is the
-    parent of the roots.
+    elsewhere, and its slot reads a zero row.  The slack's slot reads
+    zero blocks, as ``yll`` holds none of its entries.
     """
-    nb, n = sizes.size, yll.shape[0]
-    start = np.concatenate([[0], np.cumsum(sizes)])
-    bus = np.repeat(np.arange(nb), sizes)
+    nb, n = order.size, yll.shape[0]
+    start = np.searchsorted(bus, np.arange(nb + 1))
+    sizes = np.diff(start)
     coo = yll.tocoo()
     row_bus, col_bus = bus[coo.row], bus[coo.col]
     off = row_bus != col_bus
-
-    # Forest test: the bus graph is a forest iff edges = buses - components.
-    lo, hi = np.divmod(
-        np.unique(np.minimum(row_bus, col_bus)[off] * nb + np.maximum(row_bus, col_bus)[off]), nb
-    )
-    graph = scipy.sparse.csr_matrix(
-        (np.ones(lo.size), hi, np.searchsorted(lo, np.arange(nb + 1))), shape=(nb, nb)
-    )
-    n_trees, tree = scipy.sparse.csgraph.connected_components(graph, directed=False)
-    if lo.size != nb - n_trees:
-        return None
-    roots = np.unique(tree, return_index=True)[1]
-    indptr = np.append(graph.indptr, graph.nnz + n_trees)
-    linked = scipy.sparse.csr_matrix(
-        (np.ones(lo.size + n_trees), np.append(hi, roots), indptr), shape=(nb + 1, nb + 1)
-    )
-    order, parent = scipy.sparse.csgraph.breadth_first_order(
-        linked, nb, directed=False, return_predecessors=True
-    )
-    order = order[1:]
     bus_depth = np.zeros(nb + 1, dtype=np.intp)
     bus_depth[nb] = -1
     for b in order.tolist():
         bus_depth[b] = bus_depth[parent[b]] + 1
 
     # Per-bus arrays in breadth-first order, so each depth is a slice; the
-    # virtual bus is last.  A missing phase's slot reads the zero row n of
+    # slack is last.  A missing phase's slot reads the zero row n of
     # the work matrix and writes its spare row n + 1.
     position = np.empty(nb + 1, dtype=np.intp)
     position[order] = np.arange(nb)
@@ -564,7 +570,6 @@ def assemble_network(buses, lines, slack) -> NetworkModel:
     # the order nodal assembly adds them.
     keys = [np.zeros(0, dtype=np.intp)]
     vals = [np.zeros(0, dtype=complex)]
-    adjacency = {b: set() for b in order}
     for li, line in enumerate(lines):
         for end in (line.from_bus, line.to_bus):
             if end not in bus_phases:
@@ -589,9 +594,6 @@ def assemble_network(buses, lines, slack) -> NetworkModel:
         for rows, cols, blk in blocks:
             keys.append((cols[None, :] * size + rows[:, None]).ravel())
             vals.append(blk.ravel())
-        if np.abs(ys).max() > 0.0:
-            adjacency[line.from_bus].add(line.to_bus)
-            adjacency[line.to_bus].add(line.from_bus)
 
     # np.add.at sums each entry's terms one after another in that order, so
     # every entry is the same float sum as dense ``+=`` assembly gives (a
@@ -613,20 +615,6 @@ def assemble_network(buses, lines, slack) -> NetworkModel:
             f"bus {bus!r} phase {phase!r}: admittance entries of line(s) {at} "
             "sum past the float range"
         )
-
-    reached = {slack.id}
-    frontier = [slack.id]
-    while frontier:
-        nxt = []
-        for b in frontier:
-            for other in adjacency[b]:
-                if other not in reached:
-                    reached.add(other)
-                    nxt.append(other)
-        frontier = nxt
-    unreached = [b for b in pq_ids if b not in reached]
-    if unreached:
-        raise ModelError(f"bus(es) not connected to the slack: {unreached}")
 
     # The slack rows and columns are dense; yll keeps its nonzero entries.
     top = np.zeros((m, size), dtype=complex)
@@ -676,12 +664,13 @@ class ZeroLoadProfile:
         formed in real arithmetic: the magnitudes of ``yll^-1`` and of its
         column differences, scaled by ``1/|w|`` on the rows and by ``1/|w|``
         or ``1/L|w|`` on the columns."""
-        yinv, w_scale, lw_scale = self.model.yll_inverse, 1.0 / self.w_abs, 1.0 / self.Lw
-        weights_w = np.abs(yinv) * w_scale[:, None] * w_scale[None, :]
-        weights_d = np.abs(self.model.connection.gather(yinv)) * w_scale[:, None] * lw_scale[None, :]
-        for arr in (weights_w, weights_d):
+        yinv, w_scale = self.model.yll_inverse, 1.0 / self.w_abs
+        weights = np.abs(yinv), np.abs(self.model.connection.gather(yinv))
+        for arr, col_scale in zip(weights, (w_scale, 1.0 / self.Lw)):
+            arr *= w_scale[:, None]
+            arr *= col_scale[None, :]
             arr.setflags(write=False)
-        return weights_w, weights_d
+        return weights
 
 
 def zero_load_voltage(model: NetworkModel) -> ZeroLoadProfile:

@@ -207,6 +207,17 @@ class TestAssembly:
         with pytest.raises(mplf.ModelError, match="not connected"):
             mplf.assemble_network(buses, lines, mplf.SlackSpec("s", np.array([1.0 + 0j])))
 
+    def test_cancelling_parallel_lines_isolate_bus(self):
+        buses = [mplf.BusSpec("s", "a"), mplf.BusSpec("b", "a"), mplf.BusSpec("c", "a")]
+        y = np.array([[1.0 - 3.0j]])
+        lines = [
+            mplf.LineSpec("s", "b", "a", y),
+            mplf.LineSpec("b", "c", "a", y),
+            mplf.LineSpec("c", "b", "a", -y),
+        ]
+        with pytest.raises(mplf.ModelError, match=r"not connected to the slack: \['c'\]"):
+            mplf.assemble_network(buses, lines, mplf.SlackSpec("s", np.array([1.0 + 0j])))
+
     def test_asymmetric_block_rejected(self):
         buses = [mplf.BusSpec("s", "ab"), mplf.BusSpec("b", "ab")]
         lines = [mplf.LineSpec("s", "b", "ab", np.array([[1.0, 0.5], [0.1, 1.0]], complex))]
@@ -360,11 +371,12 @@ def tree_models(case, rng, monkeypatch):
         return [mplf.assemble_network(*random_network_specs(np.random.default_rng(0), 1500))]
     if case == "forest":
         return [mplf.assemble_network(*forest_specs(rng, trees)) for trees in (2, 3, 6)]
-    if case == "loop":
+    if case in ("loop", "slack-loop"):
         # One more line, between buses of ieee37 that the feeder does not
-        # join, closes a loop.
+        # join, closes a loop: among the PQ buses, or through the slack.
         buses, lines, slack = bundled_specs("ieee37", monkeypatch)
-        loop = mplf.LineSpec(lines[0].to_bus, lines[-1].to_bus, "abc", three_phase_line())
+        ends = (lines[0].to_bus, lines[-1].to_bus) if case == "loop" else (slack.id, "702")
+        loop = mplf.LineSpec(*ends, "abc", three_phase_line())
         return [mplf.assemble_network(buses, [*lines, loop], slack)]
     # A one-phase leaf whose shunt cancels its line: its Schur block is 0
     # while yll is nonsingular.  Then the same leaf cancelled to 1e-12.
@@ -420,13 +432,15 @@ class TestTreeInverse:
             gap = np.linalg.norm(inverse - reference, np.inf) / np.linalg.norm(reference, np.inf)
             assert gap <= 1e-12
 
-    @pytest.mark.parametrize("case", ["loop", "cancelled-leaf"])
+    @pytest.mark.parametrize("case", ["loop", "slack-loop", "cancelled-leaf"])
     def test_lu_inverse_where_the_walk_does_not_hold(self, case, rng, monkeypatch):
         for model in tree_models(case, rng, monkeypatch):
+            inverse, walked = walked_inverse(model, monkeypatch)
             if case == "cancelled-leaf":
                 assert model.rcond > 0.1  # yll itself is well conditioned
-            inverse, walked = walked_inverse(model, monkeypatch)
-            assert walked == [None]
+                assert walked == [None]
+            else:
+                assert walked == []  # a loop is never walked
             assert_bitwise(inverse, model.factor.inverse())
 
 
@@ -492,6 +506,10 @@ class TestPermutationEquivariance:
             npt.assert_array_equal(
                 dense_incidence(permuted.connection, permuted.n_phases),
                 dense_incidence(model.connection, model.n_phases)[np.ix_(dperm, perm)],
+            )
+
+            npt.assert_allclose(
+                permuted.yll_inverse, model.yll_inverse[np.ix_(perm, perm)], rtol=1e-12, atol=0
             )
 
             prof_p = mplf.zero_load_voltage(permuted)
