@@ -13,7 +13,6 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,66 +24,41 @@ from .powerflow import (
     MAX_ITER,
     TOL_STEP,
     InjectionSet,
+    check_tolerance,
     injections_from_file,
     solve_fixed_point,
 )
-
-log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_CERTIFIED = 2
 
 
-@dataclass
-class RunConfig:
-    """Validated run parameters shared by the subcommands.
-
-    The field defaults are the command-line defaults as well.
-    """
-
-    subcommand: str
-    network_path: str
-    injections_path: str
-    base_injections_path: str | None = None
-    tol_step: float = TOL_STEP
-    tol_residual: float = BASE_RESIDUAL_TOL
-    max_iter: int = MAX_ITER
-    theorem: int = 2
-    kappa_range: tuple = (-1.5, 1.5)
-    points: int = 61
-    base_kappa: float = 1.0
-    scan_points: int = certify.SCAN_POINTS
-    kind: str = "fot"
-    output_path: str | None = None
-    interval_output_path: str | None = None
-
-    @property
-    def solver_options(self) -> dict:
-        """Keyword arguments of the load-flow solves."""
-        return dict(tol_step=self.tol_step, tol_residual=self.tol_residual, max_iter=self.max_iter)
-
-    def validate(self):
-        for name, value in (
-            ("tol_step", self.tol_step),
-            ("tol_residual", self.tol_residual),
-            ("kappa_range[0]", self.kappa_range[0]),
-            ("kappa_range[1]", self.kappa_range[1]),
-            ("base_kappa", self.base_kappa),
-        ):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        for name in ("tol_step", "tol_residual"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
-        if self.max_iter < 1 or self.points < 1 or self.scan_points < 1:
-            raise ValueError("max_iter, points and scan_points must be >= 1")
-        if self.kappa_range[0] > self.kappa_range[1]:
+def _validate(args):
+    """Check the options this subcommand has, before any file is read."""
+    opts = vars(args)
+    for name, key in (
+        ("tol_step", "tol_step"),
+        ("tol_residual", "tol_residual"),
+        ("kappa_range[0]", "kappa_min"),
+        ("kappa_range[1]", "kappa_max"),
+        ("base_kappa", "base_kappa"),
+    ):
+        if key in opts and not math.isfinite(opts[key]):
+            raise ValueError(f"{name} must be finite, got {opts[key]}")
+    check_tolerance("tol_step", args.tol_step)
+    check_tolerance("tol_residual", args.tol_residual)
+    if any(opts.get(key, 1) < 1 for key in ("max_iter", "points", "scan_points")):
+        raise ValueError("max_iter, points and scan_points must be >= 1")
+    if "kappa_min" in opts:
+        if args.kappa_min > args.kappa_max:
             raise ValueError("kappa range must be well ordered (min <= max)")
-        analysis._require_center("base_kappa", self.base_kappa, self.kappa_range)
-        if self.theorem not in (1, 2):
-            raise ValueError("theorem must be 1 or 2")
-        return self
+        analysis._require_center("base_kappa", args.base_kappa, (args.kappa_min, args.kappa_max))
+
+
+def _solver_options(args) -> dict:
+    """Keyword arguments of the load-flow solves."""
+    return dict(tol_step=args.tol_step, tol_residual=args.tol_residual, max_iter=args.max_iter)
 
 
 def _dest(path):
@@ -92,19 +66,19 @@ def _dest(path):
     return sys.stdout if path is None or path == "-" else path
 
 
-def _load(cfg: RunConfig):
-    model = network_from_file(cfg.network_path)
+def _load(args):
+    model = network_from_file(args.network)
     w_profile = zero_load_voltage(model)
-    inj = injections_from_file(cfg.injections_path, model)
+    inj = injections_from_file(args.injections, model)
     return model, w_profile, inj
 
 
-def _solve_base(cfg, model, w_profile):
+def _solve_base(args, model, w_profile):
     """Base pair for certificates: (w, 0) unless base injections are given."""
-    if cfg.base_injections_path is None:
+    if args.base_injections_path is None:
         return w_profile.w, InjectionSet.zeros(model)
-    base_inj = injections_from_file(cfg.base_injections_path, model)
-    sol = solve_fixed_point(model, w_profile, base_inj, **cfg.solver_options)
+    base_inj = injections_from_file(args.base_injections_path, model)
+    sol = solve_fixed_point(model, w_profile, base_inj, **_solver_options(args))
     return sol.v, base_inj
 
 
@@ -124,49 +98,50 @@ def solve_document(model, sol) -> dict:
     }
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    model, w_profile, inj = _load(cfg)
-    sol = solve_fixed_point(model, w_profile, inj, **cfg.solver_options)
-    write_json(solve_document(model, sol), _dest(cfg.output_path))
+def cmd_solve(args) -> int:
+    model, w_profile, inj = _load(args)
+    sol = solve_fixed_point(model, w_profile, inj, **_solver_options(args))
+    write_json(solve_document(model, sol), _dest(args.output_path))
     if sol.converged:
         return EXIT_OK
     print(
         f"mplf: warning: step converged but residual {sol.residual_inf:.3e} "
-        f"exceeds {cfg.tol_residual:.1e}",
+        f"exceeds {args.tol_residual:.1e}",
         file=sys.stderr,
     )
     return EXIT_ERROR
 
 
-def cmd_certify(cfg: RunConfig) -> int:
-    model, w_profile, inj = _load(cfg)
-    base = _solve_base(cfg, model, w_profile)
-    if cfg.theorem == 1:
+def cmd_certify(args) -> int:
+    model, w_profile, inj = _load(args)
+    base = _solve_base(args, model, w_profile)
+    if args.theorem == 1:
         cert = certify.check_theorem1(
-            model, w_profile, base, inj, scan_points=cfg.scan_points, tol_residual=cfg.tol_residual
+            model, w_profile, base, inj, scan_points=args.scan_points, tol_residual=args.tol_residual
         )
     else:
-        cert = certify.check_theorem2(model, w_profile, base, inj, tol_residual=cfg.tol_residual)
-    write_json(cert.to_dict(), _dest(cfg.output_path))
+        cert = certify.check_theorem2(model, w_profile, base, inj, tol_residual=args.tol_residual)
+    write_json(cert.to_dict(), _dest(args.output_path))
     return EXIT_OK if cert.satisfied else EXIT_NOT_CERTIFIED
 
 
-def cmd_linearize(cfg: RunConfig) -> int:
-    model, w_profile, inj = _load(cfg)
-    sol = solve_fixed_point(model, w_profile, inj, **cfg.solver_options)
-    if cfg.kind == "fot":
-        lin = linearize.fot_linearize(model, sol, inj, tol_residual=cfg.tol_residual)
+def cmd_linearize(args) -> int:
+    model, w_profile, inj = _load(args)
+    sol = solve_fixed_point(model, w_profile, inj, **_solver_options(args))
+    if args.kind == "fot":
+        lin = linearize.fot_linearize(model, sol, inj, tol_residual=args.tol_residual)
     else:
-        lin = linearize.fpl_linearize(model, w_profile, sol, inj, tol_residual=cfg.tol_residual)
-    write_json(lin.to_dict(), _dest(cfg.output_path))
+        lin = linearize.fpl_linearize(model, w_profile, sol, inj, tol_residual=args.tol_residual)
+    write_json(lin.to_dict(), _dest(args.output_path))
     return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    model, w_profile, s_ref = _load(cfg)
-    base_inj = s_ref.scaled(cfg.base_kappa)
-    base_sol = solve_fixed_point(model, w_profile, base_inj, **cfg.solver_options)
-    kappas = np.linspace(cfg.kappa_range[0], cfg.kappa_range[1], cfg.points)
+def cmd_sweep(args) -> int:
+    model, w_profile, s_ref = _load(args)
+    kappa_range = (args.kappa_min, args.kappa_max)
+    base_inj = s_ref.scaled(args.base_kappa)
+    base_sol = solve_fixed_point(model, w_profile, base_inj, **_solver_options(args))
+    kappas = np.linspace(args.kappa_min, args.kappa_max, args.points)
     result = analysis.linear_error_sweep(
         model,
         w_profile,
@@ -174,15 +149,15 @@ def cmd_sweep(cfg: RunConfig) -> int:
         base_inj,
         s_ref,
         kappas,
-        base_kappa=cfg.base_kappa,
-        kappa_bounds=cfg.kappa_range,
-        scan_points=cfg.scan_points,
-        **cfg.solver_options,
+        base_kappa=args.base_kappa,
+        kappa_bounds=kappa_range,
+        scan_points=args.scan_points,
+        **_solver_options(args),
     )
-    analysis.write_continuation_csv(_dest(cfg.output_path), result)
-    if cfg.interval_output_path is not None:
-        summary = analysis.interval_summary(result, cfg.kappa_range)
-        write_json(summary, _dest(cfg.interval_output_path))
+    analysis.write_continuation_csv(_dest(args.output_path), result)
+    if args.interval_output_path is not None:
+        summary = analysis.interval_summary(result, kappa_range)
+        write_json(summary, _dest(args.interval_output_path))
     return EXIT_OK
 
 
@@ -192,26 +167,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multiphase distribution load flow: solve, certify, linearize, sweep.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    # Options are stored under RunConfig's field names and take its defaults.
 
-    def common(p, kappa=False):
+    def common(p, run):
+        p.set_defaults(run=run)
         p.add_argument("network", help="network JSON document")
         p.add_argument("injections", help="injection JSON document")
-        p.add_argument("--tol-step", type=float, default=RunConfig.tol_step)
-        p.add_argument("--tol-residual", type=float, default=RunConfig.tol_residual)
-        p.add_argument("--max-iter", type=int, default=RunConfig.max_iter)
+        p.add_argument("--tol-step", type=float, default=TOL_STEP)
+        p.add_argument("--tol-residual", type=float, default=BASE_RESIDUAL_TOL)
+        p.add_argument("--max-iter", type=int, default=MAX_ITER)
         p.add_argument("--output", dest="output_path", help="output path (default: stdout)")
-        if kappa:
-            p.add_argument("--kappa-min", type=float, default=RunConfig.kappa_range[0])
-            p.add_argument("--kappa-max", type=float, default=RunConfig.kappa_range[1])
 
     p_solve = sub.add_parser("solve", help="run the fixed-point load-flow solver")
-    common(p_solve)
+    common(p_solve, cmd_solve)
 
     p_cert = sub.add_parser("certify", help="evaluate a solvability certificate")
-    common(p_cert)
-    p_cert.add_argument("--theorem", type=int, choices=(1, 2), default=RunConfig.theorem)
-    p_cert.add_argument("--scan-points", type=int, default=RunConfig.scan_points)
+    common(p_cert, cmd_certify)
+    p_cert.add_argument("--theorem", type=int, choices=(1, 2), default=2)
+    p_cert.add_argument("--scan-points", type=int, default=certify.SCAN_POINTS)
     p_cert.add_argument(
         "--base-injections",
         dest="base_injections_path",
@@ -219,14 +191,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_lin = sub.add_parser("linearize", help="build a linear surrogate model")
-    common(p_lin)
+    common(p_lin, cmd_linearize)
     p_lin.add_argument("--kind", choices=("fot", "fpl"), required=True)
 
     p_sweep = sub.add_parser("sweep", help="continuation sweep along kappa * injections")
-    common(p_sweep, kappa=True)
-    p_sweep.add_argument("--points", type=int, default=RunConfig.points)
-    p_sweep.add_argument("--base-kappa", type=float, default=RunConfig.base_kappa)
-    p_sweep.add_argument("--scan-points", type=int, default=RunConfig.scan_points)
+    common(p_sweep, cmd_sweep)
+    p_sweep.add_argument("--kappa-min", type=float, default=-1.5)
+    p_sweep.add_argument("--kappa-max", type=float, default=1.5)
+    p_sweep.add_argument("--points", type=int, default=61)
+    p_sweep.add_argument("--base-kappa", type=float, default=1.0)
+    p_sweep.add_argument("--scan-points", type=int, default=certify.SCAN_POINTS)
     p_sweep.add_argument(
         "--interval-output",
         dest="interval_output_path",
@@ -235,34 +209,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    opts = vars(args)
-    cfg = RunConfig(
-        network_path=args.network,
-        injections_path=args.injections,
-        **{f.name: opts[f.name] for f in fields(RunConfig) if f.name in opts},
-    )
-    if "kappa_min" in opts:
-        cfg.kappa_range = (args.kappa_min, args.kappa_max)
-    return cfg.validate()
-
-
-COMMANDS = {
-    "solve": cmd_solve,
-    "certify": cmd_certify,
-    "linearize": cmd_linearize,
-    "sweep": cmd_sweep,
-}
-
-
 def main(argv=None) -> int:
     level = os.environ.get("MPLF_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        return COMMANDS[cfg.subcommand](cfg)
+        _validate(args)
+        return args.run(args)
     except (MplfError, ValueError, OSError, MemoryError) as exc:
         print(f"mplf: error: {exc}", file=sys.stderr)
         return EXIT_ERROR

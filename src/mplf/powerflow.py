@@ -142,7 +142,10 @@ def checked_base(model: NetworkModel, base_v, base_inj: InjectionSet, tol_residu
     ------
     InvalidBaseError
         The pair misses the power-flow equations by more than ``tol_residual``.
+    ValueError
+        If ``tol_residual`` is NaN or not positive.
     """
+    check_tolerance("tol_residual", tol_residual)
     v = np.asarray(base_v, dtype=complex)
     mismatch, ic_delta, i = power_flow_mismatch(model, v, base_inj)
     res_inf = _inf_norm(mismatch)
@@ -151,6 +154,14 @@ def checked_base(model: NetworkModel, base_v, base_inj: InjectionSet, tol_residu
             f"base pair residual {res_inf:.3e} exceeds tolerance {tol_residual:.1e}"
         )
     return v, ic_delta, i
+
+
+def check_tolerance(name, value):
+    """Reject a tolerance that is NaN or not positive.  ``inf`` passes: as
+    ``tol_residual`` it accepts any base pair, which builds a linear model
+    away from a solution."""
+    if not value > 0:
+        raise ValueError(f"{name} must be strictly positive")
 
 
 def _check_max_iter(max_iter):
@@ -192,7 +203,7 @@ def solve_fixed_point(
     Raises
     ------
     ValueError
-        If ``max_iter`` is below one.
+        If ``max_iter`` is below one or a tolerance is NaN or not positive.
     NonConvergenceError
         If ``max_iter`` updates do not bring the step below ``tol_step``.
         The exception carries the last iterate and all step norms.
@@ -200,6 +211,8 @@ def solve_fixed_point(
         If an iterate degenerates under a nonzero injection.
     """
     _check_max_iter(max_iter)
+    check_tolerance("tol_step", tol_step)
+    check_tolerance("tol_residual", tol_residual)
     v = np.array(w_profile.w if v_init is None else v_init, dtype=complex)
     step_norms = []
     for iteration in range(1, max_iter + 1):
@@ -279,10 +292,11 @@ def newton_oracle(
     whenever the residual norm would increase.  ``iterations`` is the
     number of Newton steps taken (zero from a start that already meets
     ``tol_residual``).  A Jacobian with ``rcond < RCOND_FLOOR`` raises
-    :class:`SingularJacobianError`; ``max_iter`` below one raises
-    ``ValueError``.
+    :class:`SingularJacobianError`; ``max_iter`` below one or a NaN or
+    non-positive ``tol_residual`` raises ``ValueError``.
     """
     _check_max_iter(max_iter)
+    check_tolerance("tol_residual", tol_residual)
     n = model.n_phases
     if v_init is None:
         v = np.array(zero_load_voltage(model).w, dtype=complex)

@@ -7,8 +7,9 @@ import sys
 
 import pytest
 
-from mplf import cli
+from mplf import certify, cli
 from mplf.datafiles import bundled_path
+from mplf.powerflow import BASE_RESIDUAL_TOL, MAX_ITER, TOL_STEP
 
 NET1 = str(bundled_path("single_phase_network.json"))
 INJ1 = str(bundled_path("single_phase_injections.json"))
@@ -222,6 +223,31 @@ def test_tol_residual_reaches_base_checks(tmp_path, args):
     loose = ["--tol-step", "1e-4", "--tol-residual", "1e-3"]
     out = tmp_path / "out"
     assert run([args[0], *IEEE123, *args[1:], *loose, "--output", str(out)]) == 0
+
+
+class TestDefaults:
+    @pytest.mark.parametrize(
+        "argv", [["solve"], ["certify"], ["linearize", "--kind", "fot"], ["sweep"]]
+    )
+    def test_library_defaults(self, argv):
+        args = cli.build_parser().parse_args([argv[0], NET1, INJ1, *argv[1:]])
+        assert args.tol_step == TOL_STEP
+        assert args.tol_residual == BASE_RESIDUAL_TOL
+        assert args.max_iter == MAX_ITER
+        if argv[0] in ("certify", "sweep"):
+            assert args.scan_points == certify.SCAN_POINTS
+
+    def test_certify_defaults(self):
+        args = cli.build_parser().parse_args(["certify", NET1, INJ1])
+        assert args.theorem == 2
+
+    def test_sweep_defaults(self):
+        # bench/workloads.py runs its sweeps with these bounds, points and
+        # base kappa as well.
+        args = cli.build_parser().parse_args(["sweep", NET1, INJ1])
+        assert (args.kappa_min, args.kappa_max) == (-1.5, 1.5)
+        assert args.points == 61
+        assert args.base_kappa == 1.0
 
 
 class TestConfigValidation:

@@ -482,6 +482,24 @@ class TestZeroLoad:
         res = np.abs(model.yll @ profile.w + model.yl0 @ model.v0)
         assert res.max() <= 1e-10
 
+    def test_short_line_builds_and_certifies(self):
+        # A 701-702 line a thousandth as long (about one foot): rcond is
+        # 1.2e-6, and the zero-load residual of 1.1e-10 is 1.4e-16 relative
+        # to |yll|_1 |w|_inf.  An absolute 1e-10 bound on that residual
+        # used to reject the feeder as ill-conditioned.
+        doc = json.loads(bundled_path("ieee37_network.json").read_text())
+        for entry in doc["lines"][0]["series_admittance"]:
+            entry["re"], entry["im"] = 1e3 * entry["re"], 1e3 * entry["im"]
+        model = mplf.network_from_json(doc)
+        assert RCOND_FLOOR < model.factor.rcond < 1e-5
+        profile = mplf.zero_load_voltage(model)
+        inj = mplf.injections_from_file(bundled_path("ieee37_injections_mixed.json"), model)
+        assert mplf.solve_fixed_point(model, profile, inj).converged
+        base = (profile.w, mplf.InjectionSet.zeros(model))
+        assert mplf.check_theorem2(model, profile, base, inj).satisfied
+        lo, hi = mplf.feasible_interval(model, profile, base, inj, theorem=1)
+        assert hi == pytest.approx(-lo) and hi == pytest.approx(3.73, abs=0.01)
+
 
 class TestPermutationEquivariance:
     def test_relabeling_permutes_everything(self, rng):

@@ -303,6 +303,44 @@ class TestIterationBudget:
         assert mplf.newton_oracle(model, inj, v_init=sol.v).iterations == 0
 
 
+BAD_TOLERANCES = [float("nan"), 0.0, -1e-8]
+
+
+class TestToleranceRule:
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
+    @pytest.mark.parametrize("name", ["tol_step", "tol_residual"])
+    def test_fixed_point_rejects_bad_tolerance(self, golden, name, tol):
+        # A NaN or non-positive tol_step used to run all max_iter steps and
+        # then report "did not converge (last step 0.000e+00)".
+        model, profile, inj = golden
+        with pytest.raises(ValueError, match=f"{name} must be strictly positive"):
+            mplf.solve_fixed_point(model, profile, inj, **{name: tol})
+
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
+    def test_newton_rejects_bad_tolerance(self, golden, tol):
+        model, _, inj = golden
+        with pytest.raises(ValueError, match="tol_residual must be strictly positive"):
+            mplf.newton_oracle(model, inj, tol_residual=tol)
+
+    def test_nan_tolerance_does_not_certify_a_non_solution(self):
+        # (1.05 w, 0) misses the balance by 11.5.  A NaN tolerance used to
+        # switch the base check off: Theorem 2 passed with rho 0.0348 and
+        # the interval came out as (-3.398, 3.398).
+        model, profile, inj = ieee37_mixed()
+        base = (1.05 * profile.w, mplf.InjectionSet.zeros(model))
+        nan = float("nan")
+        calls = [
+            lambda: check_theorem2(model, profile, base, inj.scaled(0.5), tol_residual=nan),
+            lambda: mplf.feasible_interval(model, profile, base, inj, tol_residual=nan),
+            lambda: mplf.fpl_error_bound(model, profile, base, inj.scaled(0.5), tol_residual=nan),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="tol_residual must be strictly positive"):
+                call()
+        with pytest.raises(mplf.InvalidBaseError, match="residual 1.146e[+]01"):
+            check_theorem2(model, profile, base, inj.scaled(0.5))
+
+
 class TestInjectionJson:
     def test_parse_wye_and_delta(self):
         model = mplf.network_from_file(bundled_path("three_bus_network.json"))
