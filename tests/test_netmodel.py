@@ -771,3 +771,193 @@ def test_parallel_lines_summing_past_float_range_located():
         match=re.escape("bus 's' phase 'a': admittance entries of line(s) 0, 1 sum past"),
     ):
         mplf.assemble_network(buses, [line, line], mplf.SlackSpec("s", np.array([1.0 + 0j])))
+
+
+def network_document(buses, lines, slack):
+    """The network document of bus, line and slack specs."""
+
+    def block(blk):
+        if blk is None:
+            return None
+        return [{"re": z.real, "im": z.imag} for z in np.asarray(blk, dtype=complex).ravel().tolist()]
+
+    doc_lines = []
+    for line in lines:
+        entry = {"from": line.from_bus, "to": line.to_bus, "phases": line.phases,
+                 "series_admittance": block(line.y_series)}
+        for key, blk in (("shunt_from", line.y_shunt_from), ("shunt_to", line.y_shunt_to)):
+            if blk is not None:
+                entry[key] = block(blk)
+        doc_lines.append(entry)
+    return {
+        "buses": [{"id": b.id, "phases": b.phases, "delta_connections": list(b.delta_connections)}
+                  for b in buses],
+        "lines": doc_lines,
+        "slack": {"id": slack.id, "voltages": block(slack.voltages)},
+    }
+
+
+def assert_same_model(a, b):
+    """Two models with the same blocks, bit for bit, and the same index maps."""
+    for name in ("y00", "y0l", "yl0", "v0"):
+        assert_bitwise(getattr(a, name), getattr(b, name))
+    assert_same_csc(a.yll, b.yll)
+    assert a.index == b.index
+    assert a.index.phase_index == b.index.phase_index
+    assert a.index.delta_index == b.index.delta_index
+    for name in ("first", "second"):
+        assert np.array_equal(getattr(a.connection, name), getattr(b.connection, name))
+    assert (a.slack_id, a.slack_phases) == (b.slack_id, b.slack_phases)
+
+
+def test_document_path_equals_spec_path_bitwise(rng):
+    # Random trees with one-, two- and three-phase lines, shunts and parallel
+    # lines; the specs also go in with list-valued blocks.
+    phase_counts = set()
+    for _ in range(25):
+        buses, lines, slack = random_network_specs(rng, max_buses=12, shunt_prob=0.5)
+        lines = lines + parallel_lines(rng, lines)
+        phase_counts.update(len(line.phases) for line in lines)
+        model = mplf.assemble_network(buses, lines, slack)
+        assert_same_model(mplf.network_from_json(network_document(buses, lines, slack)), model)
+        listed = [
+            dataclasses.replace(
+                line, **{name: None if blk is None else np.asarray(blk).tolist()
+                         for name, blk in (("y_series", line.y_series),
+                                           ("y_shunt_from", line.y_shunt_from),
+                                           ("y_shunt_to", line.y_shunt_to))}
+            )
+            for line in lines
+        ]
+        assert_same_model(mplf.assemble_network(buses, listed, slack), model)
+    assert phase_counts == {1, 2, 3}
+
+
+def bundled_document(name):
+    return json.loads(bundled_path(f"{name}_network.json").read_text())
+
+
+def nan_entry(line, key="series_admittance", at=0):
+    line[key] = [dict(e) for e in line[key]]
+    line[key][at] = {"re": np.nan, "im": 0.0}
+
+
+@pytest.mark.parametrize(
+    "mutate, error, message",
+    [
+        (
+            lambda doc: (nan_entry(doc["lines"][1]), doc["lines"][2].update(to="nowhere")),
+            mplf.InputFormatError,
+            "lines[1].series_admittance[0]: value must be finite",
+        ),
+        (
+            # The whole document is read before the model is assembled.
+            lambda doc: (doc["lines"][2].update(to="nowhere"), nan_entry(doc["lines"][3])),
+            mplf.InputFormatError,
+            "lines[3].series_admittance[0]: value must be finite",
+        ),
+        (
+            lambda doc: (doc["buses"][2].pop("phases"), nan_entry(doc["lines"][0])),
+            mplf.InputFormatError,
+            "buses[2]: expected id and phases",
+        ),
+        (
+            lambda doc: (doc["buses"].append(dict(doc["buses"][1])),
+                         doc["lines"][0].update(to="nowhere")),
+            mplf.ModelError,
+            "duplicate bus id '702'",
+        ),
+        (
+            lambda doc: (doc["lines"][0]["series_admittance"].pop(),
+                         doc["lines"][0].update(shunt_from=[{"re": 0.0, "im": np.inf}] * 9)),
+            mplf.InputFormatError,
+            "lines[0].series_admittance: expected 9 complex entries for 3 phases",
+        ),
+        (
+            lambda doc: (doc["lines"][0]["series_admittance"].pop(),
+                         doc["lines"][1].update(shunt_from=[{"re": 0.0, "im": np.inf}] * 9)),
+            mplf.InputFormatError,
+            "lines[0].series_admittance: expected 9 complex entries for 3 phases",
+        ),
+        (
+            lambda doc: (doc["lines"][1].update(shunt_to=[{"re": np.nan, "im": 0.0}] * 9),
+                         doc["lines"][2]["series_admittance"].pop()),
+            mplf.InputFormatError,
+            "lines[1].shunt_to[0]: value must be finite",
+        ),
+    ],
+    ids=["nonfinite-then-unknown-bus", "unknown-bus-then-nonfinite", "bad-bus-then-bad-line",
+         "duplicate-bus-then-unknown-bus", "block-size-then-shunt", "block-size-then-later-shunt",
+         "shunt-then-later-block-size"],
+)
+def test_document_reports_first_fault(mutate, error, message):
+    doc = bundled_document("ieee37")
+    assert doc["buses"][1]["id"] == "702" and doc["lines"][0]["phases"] == "abc"
+    mutate(doc)
+    with pytest.raises(error) as info:
+        mplf.network_from_json(doc)
+    assert str(info.value) == message
+
+
+def two_line_specs():
+    buses = [mplf.BusSpec("s", "ab"), mplf.BusSpec("b", "ab"), mplf.BusSpec("c", "ab")]
+    lines = [mplf.LineSpec("s", "b", "ab", np.eye(2, dtype=complex)),
+             mplf.LineSpec("b", "c", "ab", np.eye(2, dtype=complex))]
+    return buses, lines, mplf.SlackSpec("s", BALANCED_V0[:2])
+
+
+@pytest.mark.parametrize(
+    "changes, error, message",
+    [
+        (
+            [{"y_series": np.array([[1.0, np.nan], [np.nan, 1.0]])}, {"to_bus": "nowhere"}],
+            mplf.InputFormatError,
+            "line 0: series block must be finite",
+        ),
+        (
+            [{"to_bus": "nowhere"}, {"y_series": np.full((2, 2), np.inf)}],
+            mplf.ModelError,
+            "line 0: unknown bus 'nowhere'",
+        ),
+        (
+            [{"y_series": np.eye(3), "y_shunt_from": np.full((2, 2), np.nan)}, {}],
+            mplf.ModelError,
+            "line 0: series block must be 2x2, got (3, 3)",
+        ),
+        (
+            [{"y_series": np.full((2, 2), np.nan), "y_shunt_from": np.eye(3)}, {}],
+            mplf.InputFormatError,
+            "line 0: series block must be finite",
+        ),
+        (
+            [{"y_shunt_to": np.full((2, 2), np.nan)}, {"y_series": np.eye(3)}],
+            mplf.InputFormatError,
+            "line 0: y_shunt_to block must be finite",
+        ),
+        (
+            [{"y_shunt_to": np.full((2, 2), np.nan)}, {"phases": "abc"}],
+            mplf.InputFormatError,
+            "line 0: y_shunt_to block must be finite",
+        ),
+        (
+            [{"y_shunt_from": np.full((2, 2), np.inf), "y_shunt_to": np.full((2, 2), np.nan)},
+             {"y_series": np.full((2, 2), np.nan)}],
+            mplf.InputFormatError,
+            "line 0: y_shunt_from block must be finite",
+        ),
+        (
+            [{}, {"y_series": np.full((2, 2), np.nan), "y_shunt_from": np.full((2, 2), np.nan)}],
+            mplf.InputFormatError,
+            "line 1: series block must be finite",
+        ),
+    ],
+    ids=["nonfinite-then-unknown-bus", "unknown-bus-then-nonfinite", "block-size-then-shunt",
+         "series-then-shunt-size", "shunt-then-later-block-size", "shunt-then-missing-phase",
+         "shunt-from-then-shunt-to", "series-then-shunt-same-line"],
+)
+def test_assembly_reports_first_fault(changes, error, message):
+    buses, lines, slack = two_line_specs()
+    lines = [dataclasses.replace(line, **change) for line, change in zip(lines, changes)]
+    with pytest.raises(error) as info:
+        mplf.assemble_network(buses, lines, slack)
+    assert str(info.value) == message
