@@ -37,19 +37,16 @@ EXIT_NOT_CERTIFIED = 2
 def _validate(args):
     """Check the options this subcommand has, before any file is read."""
     opts = vars(args)
-    for name, key in (
-        ("tol_step", "tol_step"),
-        ("tol_residual", "tol_residual"),
-        ("kappa_range[0]", "kappa_min"),
-        ("kappa_range[1]", "kappa_max"),
-        ("base_kappa", "base_kappa"),
-    ):
+    for key in ("tol_step", "tol_residual", "kappa_min", "kappa_max", "base_kappa"):
         if key in opts and not math.isfinite(opts[key]):
-            raise ValueError(f"{name} must be finite, got {opts[key]}")
+            raise ValueError(f"{key} must be finite, got {opts[key]}")
     check_tolerance("tol_step", args.tol_step)
     check_tolerance("tol_residual", args.tol_residual)
-    if any(opts.get(key, 1) < 1 for key in ("max_iter", "points", "scan_points")):
-        raise ValueError("max_iter, points and scan_points must be >= 1")
+    counts = [key for key in ("max_iter", "points", "scan_points") if key in opts]
+    if any(opts[key] < 1 for key in counts):
+        *rest, last = counts
+        names = f"{', '.join(rest)} and {last}" if rest else last
+        raise ValueError(f"{names} must be >= 1")
     if "kappa_min" in opts:
         if args.kappa_min > args.kappa_max:
             raise ValueError("kappa range must be well ordered (min <= max)")

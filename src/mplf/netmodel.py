@@ -10,6 +10,7 @@ impedance-to-admittance conversion from feeder data sheets lives in the
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import os
@@ -41,8 +42,14 @@ PROFILE_FLOOR = 1e-12
 INVERSE_BLOCK = 32
 
 
+# Phase strings already in canonical order, which ``canonical_phases`` returns as they are.
+_CANONICAL_PHASES = frozenset({"a", "b", "c", "ab", "ac", "bc", "abc"})
+
+
 def canonical_phases(phases) -> str:
     """Normalize a phase set (string or iterable) to canonical 'abc' order."""
+    if isinstance(phases, str) and phases in _CANONICAL_PHASES:
+        return phases
     seen = set(phases)
     bad = seen - set(PHASES)
     if bad or not seen:
@@ -489,20 +496,21 @@ def _tree_inverse(yll, bus, order, parent, rcond):
     return zt[:n].T
 
 
-def _line_block(blk, k, where):
-    blk = np.asarray(blk, dtype=complex)
-    if blk.shape != (k, k):
-        raise ModelError(f"{where} must be {k}x{k}, got {blk.shape}")
-    if not np.all(np.isfinite(blk)):
-        raise InputFormatError(f"{where} must be finite")
-    return blk
+# The blocks of a line, in the order nodal assembly adds them, as named in messages.
+_BLOCK_NAMES = ("series", "y_shunt_from", "y_shunt_to")
 
 
 def assemble_network(buses, lines, slack) -> NetworkModel:
     """Assemble the partitioned admittance model by standard nodal assembly.
 
     The line blocks are summed as COO triplets, so ``yll`` is built in CSC
-    form without ever forming the dense matrix.
+    form without ever forming the dense matrix.  The triplets sit in the
+    order that per-line nodal assembly adds them: line after line, the
+    series block at (from, from) and (to, to), its negation at (from, to)
+    and (to, from), then the shunt blocks at (from, from) and (to, to).
+    The blocks are stacked by phase count and kind and scattered into
+    those positions, so every entry is the same sum of the same terms in
+    the same order as line-by-line ``+=`` assembly gives, bit for bit.
 
     Parameters
     ----------
@@ -565,47 +573,67 @@ def assemble_network(buses, lines, slack) -> NetworkModel:
     gidx = {(slack.id, p): i for i, p in enumerate(slack_phases)}
     gidx.update({key: m + col for key, col in index.phase_index.items()})
 
-    # Each line's blocks as COO triplets keyed by ``col * size + row``, in
-    # the order nodal assembly adds them.
-    keys = [np.zeros(0, dtype=np.intp)]
-    vals = [np.zeros(0, dtype=complex)]
-    for li, line in enumerate(lines):
-        for end in (line.from_bus, line.to_bus):
-            if end not in bus_phases:
-                raise ModelError(f"line {li}: unknown bus {end!r}")
-        phases = canonical_phases(line.phases)
-        for end in (line.from_bus, line.to_bus):
-            missing = set(phases) - set(bus_phases[end])
-            if missing:
-                raise ModelError(
-                    f"line {li} ({line.from_bus!r}-{line.to_bus!r}): phase(s) "
-                    f"{''.join(sorted(missing))!r} absent at bus {end!r}"
-                )
-        k = len(phases)
-        ys = _line_block(line.y_series, k, f"line {li}: series block")
-        fi = np.array([gidx[(line.from_bus, p)] for p in phases])
-        ti = np.array([gidx[(line.to_bus, p)] for p in phases])
-        blocks = [(fi, fi, ys), (ti, ti, ys), (fi, ti, -ys), (ti, fi, -ys)]
-        for attr, idx in (("y_shunt_from", fi), ("y_shunt_to", ti)):
-            blk = getattr(line, attr)
-            if blk is not None:
-                blocks.append((idx, idx, _line_block(blk, k, f"line {li}: {attr} block")))
-        for rows, cols, blk in blocks:
-            keys.append((cols[None, :] * size + rows[:, None]).ravel())
-            vals.append(blk.ravel())
+    # The per-line loop checks what Python must: the buses, the phases and
+    # the block shapes.  It groups the blocks by (phase count, kind) as
+    # (line, position of the first triplet, (from, to) phase columns, block).
+    stacks = {}
+    count = 0
+    try:
+        for li, line in enumerate(lines):
+            for end in (line.from_bus, line.to_bus):
+                if end not in bus_phases:
+                    raise ModelError(f"line {li}: unknown bus {end!r}")
+            phases = canonical_phases(line.phases)
+            for end in (line.from_bus, line.to_bus):
+                missing = set(phases) - set(bus_phases[end])
+                if missing:
+                    raise ModelError(
+                        f"line {li} ({line.from_bus!r}-{line.to_bus!r}): phase(s) "
+                        f"{''.join(sorted(missing))!r} absent at bus {end!r}"
+                    )
+            k = len(phases)
+            ends = [[gidx[(end, p)] for p in phases] for end in (line.from_bus, line.to_bus)]
+            for kind, blk in enumerate((line.y_series, line.y_shunt_from, line.y_shunt_to)):
+                if kind and blk is None:
+                    continue
+                blk = np.asarray(blk, dtype=complex)
+                if blk.shape != (k, k):
+                    raise ModelError(
+                        f"line {li}: {_BLOCK_NAMES[kind]} block must be {k}x{k}, got {blk.shape}"
+                    )
+                stacks.setdefault((k, kind), []).append((li, count, ends, blk))
+                count += (1 if kind else 4) * k * k
+    finally:
+        # Also when a line fails: a non-finite block of an earlier line is
+        # reported first, as when each line was checked in turn.
+        stacked = _stacked_blocks(stacks)
+
+    keys = np.empty(count, dtype=np.intp)
+    vals = np.empty(count, dtype=complex)
+    for (k, kind), (at, ends, y) in stacked.items():
+        if kind:
+            e = ends[:, kind - 1]
+            terms = [(e, e, y)]
+        else:
+            f, t = ends[:, 0], ends[:, 1]
+            terms = [(f, f, y), (t, t, y), (f, t, -y), (t, f, -y)]
+        at = at[:, None] + np.arange(len(terms) * k * k)
+        keys[at] = np.hstack([(c[:, None, :] * size + r[:, :, None]).reshape(-1, k * k)
+                              for r, c, _ in terms])
+        vals[at] = np.hstack([v.reshape(-1, k * k) for *_, v in terms])
 
     # np.add.at sums each entry's terms one after another in that order, so
     # every entry is the same float sum as dense ``+=`` assembly gives (a
     # COO-to-CSC conversion would reorder the additions); np.unique sorts
     # the keys into CSC order.
-    keys, where = np.unique(np.concatenate(keys), return_inverse=True)
+    keys, where = np.unique(keys, return_inverse=True)
     entries = np.zeros(keys.size, dtype=complex)
     rows, cols = keys % size, keys // size
 
     # Finite entries can still sum past the float range; the 1-norm of the
     # condition estimate and the symmetry check would then see inf and NaN.
     with np.errstate(over="ignore", invalid="ignore"):
-        np.add.at(entries, where, np.concatenate(vals))
+        np.add.at(entries, where, vals)
         bad = np.flatnonzero(~np.isfinite(np.bincount(cols, np.abs(entries), size)))
     if bad.size:
         bus, phase = next(key for key, col in gidx.items() if col == bad[0])
@@ -637,6 +665,24 @@ def assemble_network(buses, lines, slack) -> NetworkModel:
         slack_id=slack.id,
         slack_phases=slack_phases,
     )
+
+
+def _stacked_blocks(stacks):
+    """Each group of ``assemble_network``'s line blocks as arrays:
+    ``{(k, kind): (first triplet, (from, to) columns, blocks)}``.  Raises
+    ``InputFormatError`` for the first non-finite block in line order."""
+    stacked, faults = {}, []
+    for key, items in stacks.items():
+        line_no, at, ends, blocks = zip(*items)
+        y = np.array(blocks)
+        bad = np.flatnonzero(~np.isfinite(y).all(axis=(1, 2)))
+        if bad.size:
+            faults.append((line_no[bad[0]], key[1]))
+        stacked[key] = (np.array(at), np.array(ends), y)
+    if faults:
+        li, kind = min(faults)
+        raise InputFormatError(f"line {li}: {_BLOCK_NAMES[kind]} block must be finite")
+    return stacked
 
 
 @dataclass(frozen=True)
@@ -697,12 +743,16 @@ def zero_load_voltage(model: NetworkModel) -> ZeroLoadProfile:
 # form of the document, with every non-finite float written as ``null``.
 
 
+# What reading a {"re", "im"} object can raise.
+_ENTRY_ERRORS = (TypeError, KeyError, ValueError, OverflowError)
+
+
 def complex_from_doc(obj, where="value") -> complex:
     try:
         z = complex(float(obj["re"]), float(obj["im"]))
-    except (TypeError, KeyError, ValueError, OverflowError):
+    except _ENTRY_ERRORS:
         raise InputFormatError(f"{where}: expected a {{'re': ..., 'im': ...}} object") from None
-    if not np.isfinite(z):
+    if not cmath.isfinite(z):
         raise InputFormatError(f"{where}: value must be finite")
     return z
 
@@ -787,7 +837,15 @@ def _block_from_doc(entries, k, where):
         return None
     if len(list_from_doc(entries, where)) != k * k:
         raise InputFormatError(f"{where}: expected {k * k} complex entries for {k} phases")
-    vals = [complex_from_doc(e, f"{where}[{i}]") for i, e in enumerate(entries)]
+    try:
+        vals = [complex(float(e["re"]), float(e["im"])) for e in entries]
+        valid = all(map(cmath.isfinite, vals))
+    except _ENTRY_ERRORS:
+        valid = False
+    if not valid:
+        # Entry by entry, so that the message names the first bad one.
+        for i, e in enumerate(entries):
+            complex_from_doc(e, f"{where}[{i}]")
     return np.array(vals, dtype=complex).reshape(k, k)
 
 

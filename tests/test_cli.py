@@ -282,9 +282,9 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "argv, field",
         [
-            (["sweep", "--kappa-min", "nan"], "kappa_range[0]"),
-            (["sweep", "--kappa-max", "nan"], "kappa_range[1]"),
-            (["sweep", "--kappa-min=-inf"], "kappa_range[0]"),
+            (["sweep", "--kappa-min", "nan"], "kappa_min"),
+            (["sweep", "--kappa-max", "nan"], "kappa_max"),
+            (["sweep", "--kappa-min=-inf"], "kappa_min"),
             (["sweep", "--base-kappa", "nan"], "base_kappa"),
             (["sweep", "--base-kappa", "inf"], "base_kappa"),
             (["solve", "--tol-step", "nan"], "tol_step"),
@@ -298,6 +298,20 @@ class TestConfigValidation:
         assert run([argv[0], NET1, INJ1, *argv[1:]]) == 1
         err = capsys.readouterr().err
         assert err.startswith("mplf: error: ") and f"{field} must be finite" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "--max-iter", "0"], "max_iter must be >= 1"),
+            (["linearize", "--kind", "fpl", "--max-iter", "-1"], "max_iter must be >= 1"),
+            (["certify", "--scan-points", "0"], "max_iter and scan_points must be >= 1"),
+            (["sweep", "--points", "0"], "max_iter, points and scan_points must be >= 1"),
+        ],
+    )
+    def test_count_below_one_names_the_subcommand_options(self, argv, message, capsys):
+        # solve used to name --points and --scan-points too, which it lacks.
+        assert run([argv[0], NET1, INJ1, *argv[1:]]) == 1
+        assert capsys.readouterr().err == f"mplf: error: {message}\n"
 
 
 @pytest.mark.parametrize(

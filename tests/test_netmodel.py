@@ -779,7 +779,8 @@ def network_document(buses, lines, slack):
     def block(blk):
         if blk is None:
             return None
-        return [{"re": z.real, "im": z.imag} for z in np.asarray(blk, dtype=complex).ravel().tolist()]
+        entries = np.asarray(blk, dtype=complex).ravel().tolist()
+        return [{"re": z.real, "im": z.imag} for z in entries]
 
     doc_lines = []
     for line in lines:
