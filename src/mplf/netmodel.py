@@ -741,6 +741,8 @@ def zero_load_voltage(model: NetworkModel) -> ZeroLoadProfile:
 # numpy arrays as they are and produces the bytes of
 # ``json.dumps(doc, indent=2, sort_keys=True) + "\n"`` for the nested-list
 # form of the document, with every non-finite float written as ``null``.
+# Vectors and matrices go to ``_jsontext.write_array``, whose vectorised
+# kernel writes the text of ``float.__repr__`` a block of entries at a time.
 
 
 # What reading a {"re", "im"} object can raise.
@@ -769,8 +771,9 @@ def write_json(doc, dest):
     ``doc`` holds dicts with string keys, lists, tuples, strings, ints,
     bools, ``None``, floats and numpy arrays.  A 1-D complex array becomes a
     list of ``{"im", "re"}`` objects, a 1-D real array a list of floats, and
-    a higher-dimensional array a list of its rows.  Each vector is formatted
-    in one piece and written at once, so the document is never one string.
+    a higher-dimensional array a list of its rows.  The entries of a vector
+    or matrix are formatted and written a block of rows at a time, so
+    neither the document nor a whole matrix is ever one string.
     """
     if isinstance(dest, (str, os.PathLike)):
         with open(dest, "w") as fh:
@@ -780,8 +783,13 @@ def write_json(doc, dest):
 
 
 def _write_value(value, indent, write):
-    if isinstance(value, np.ndarray) and value.ndim == 1:
-        write(_vector_text(value, indent))
+    if isinstance(value, np.ndarray) and value.ndim in (1, 2) and value.size:
+        # Imported on first use, so that processes which write no array do
+        # not hold its tables: eagerly imported, they raised the benchmark's
+        # radial-1200 peak resident set by 0.3 MB.
+        from . import _jsontext
+
+        _jsontext.write_array(value, indent, write)
     elif isinstance(value, dict):
         items = [(f"{json.dumps(key)}: ", item) for key, item in sorted(value.items())]
         _write_items("{}", items, indent, write)
@@ -806,30 +814,6 @@ def _write_items(brackets, items, indent, write):
         _write_value(item, inner, write)
         sep = ",\n" + inner
     write("\n" + indent + brackets[1])
-
-
-def _float_texts(arr):
-    values = arr.tolist()
-    texts = list(map(float.__repr__, values))
-    if not np.isfinite(arr).all():
-        texts = [t if math.isfinite(x) else "null" for t, x in zip(texts, values)]
-    return texts
-
-
-def _vector_text(vec, indent):
-    """One vector at nesting ``indent``; its items sit one level deeper."""
-    if not vec.size:
-        return "[]"
-    inner = indent + "  "
-    if np.iscomplexobj(vec):
-        # One {"im": ..., "re": ...} object per entry, in sort_keys order.
-        pairs = zip(_float_texts(vec.imag), _float_texts(vec.real))
-        im = f'{{\n{inner}  "im": '
-        re_ = f',\n{inner}  "re": '
-        entries = f"\n{inner}}},\n{inner}{im}".join(map(re_.join, pairs))
-        return f"[\n{inner}{im}{entries}\n{inner}}}\n{indent}]"
-    items = f",\n{inner}".join(_float_texts(np.asarray(vec, dtype=float)))
-    return f"[\n{inner}{items}\n{indent}]"
 
 
 def _block_from_doc(entries, k, where):

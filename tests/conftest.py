@@ -7,13 +7,20 @@ target loading norm, which is how the certified-instance suites are built.
 """
 
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 import mplf
 from mplf.certify import xi_norms
 from mplf.netmodel import DELTA_PAIRS
+
+# Hypothesis caches the constants it finds in local source under its home
+# directory while pytest collects; keep that cache out of the working tree.
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "mplf-hypothesis")
 
 
 def single_phase_model(y=1.0, v0=1.0):

@@ -8,12 +8,9 @@ the top-level checks and reach the assembly and index lookups.
 
 import copy
 import json
-import tempfile
-from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 import mplf
 from mplf.datafiles import bundled_path
@@ -21,10 +18,6 @@ from mplf.datafiles import bundled_path
 NETWORK = json.loads(bundled_path("three_bus_network.json").read_text())
 INJECTIONS = json.loads(bundled_path("three_bus_injections.json").read_text())
 MODEL = mplf.network_from_json(NETWORK)
-
-# Hypothesis caches the constants it finds in local source under its home
-# directory while pytest collects; keep that cache out of the working tree.
-set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "mplf-hypothesis")
 
 # Deterministic, bounded and without an example database on disk.
 FUZZ = settings(database=None, derandomize=True, deadline=None, max_examples=200)

@@ -11,9 +11,11 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.csgraph
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mplf
-from mplf import cli, netmodel
+from mplf import _jsontext, cli, netmodel
 from mplf.analysis import interval_summary
 from mplf.datafiles import bundled_path
 from mplf.netmodel import RCOND_FLOOR, LUFactor, _tree_inverse
@@ -644,11 +646,77 @@ def artifact_documents(feeder, injections):
     }
 
 
+def kernel_texts(x):
+    """The float kernel's text of each entry of ``x``, a block at a time."""
+    x = np.asarray(x, dtype=float)
+    texts = []
+    for start in range(0, x.size, _jsontext._BLOCK):
+        block = _jsontext._float_texts(x[start:start + _jsontext._BLOCK])
+        texts += block.view(f"S{_jsontext._WIDTH}").ravel().tolist()
+    return [text.decode() for text in texts]
+
+
+def repr_texts(x):
+    x = np.asarray(x, dtype=float)
+    texts = list(map(float.__repr__, x.tolist()))
+    for i in np.flatnonzero(~np.isfinite(x)):
+        texts[i] = "null"
+    return texts
+
+
+def assert_repr_texts(x):
+    got, expected = kernel_texts(x), repr_texts(x)
+    if got != expected:
+        bad = [(want, text) for text, want in zip(got, expected) if text != want]
+        pytest.fail(f"{len(bad)} of {len(got)} texts differ from float.__repr__, e.g. {bad[:5]}")
+
+
+def neighbours(x, k=8):
+    """The ``k`` doubles on each side of each of ``x``, and ``x``."""
+    bits = np.asarray(x, dtype=float).view(np.int64)
+    return (bits[:, None] + np.arange(-k, k + 1)).ravel().view(np.float64)
+
+
+class TestFloatKernel:
+    """The vectorised float text against ``float.__repr__``."""
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=300)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=64))
+    def test_hypothesis_floats(self, values):
+        assert_repr_texts(np.array(values))
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(19).integers(0, 2**64, size=10**6, dtype=np.uint64, endpoint=False)
+        assert_repr_texts(bits.view(np.float64))
+
+    def test_subnormals(self):
+        rng = np.random.default_rng(20)
+        mantissas = np.concatenate([np.arange(1, 2049), rng.integers(1, 2**52, size=20000)])
+        x = mantissas.astype(np.uint64).view(np.float64)
+        assert_repr_texts(np.concatenate([x, -x]))
+
+    def test_powers_of_two_and_ten(self):
+        assert_repr_texts(np.ldexp(1.0, np.arange(-1074, 1024)))
+        tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        assert_repr_texts(np.concatenate([tens, -tens]))
+
+    def test_notation_switches_and_integer_limit(self):
+        # repr switches between fixed and exponent notation at 1e16 and 1e-4.
+        assert_repr_texts(neighbours([1e16, 1e-4, 2.0**53, 1e15, 1e-5, 1.0]))
+
+    def test_extremes_and_integers(self):
+        finfo = np.finfo(float)
+        assert_repr_texts([5e-324, -5e-324, 2.2250738585072014e-308, finfo.max, -finfo.max, 0.0, -0.0])
+        assert_repr_texts(np.arange(-5000, 5000) * 997.0)
+        assert kernel_texts([0.0, -0.0, np.nan, np.inf, -np.inf]) == ["0.0", "-0.0", "null", "null", "null"]
+
+
 class TestWriteJson:
     @pytest.mark.parametrize(
         "feeder, injections",
         [
             ("ieee37", "injections_mixed"),
+            ("ieee123", "injections_mixed"),  # the 244x514 maps of cli-artifacts
             ("three_bus", "injections"),
             ("single_phase", "injections"),  # no delta pairs
         ],
@@ -661,6 +729,17 @@ class TestWriteJson:
         edge = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2e-308, 1e308, -1e308, 0.1])
         cedge = edge.astype(complex)
         cedge.imag = edge[::-1]
+        block = _jsontext._BLOCK
+        # NaN, -0.0 or a subnormal at the first and last entry of two blocks.
+        ramp = np.linspace(0.0, 1.0, 2 * block)
+        block_edges = {}
+        for name, special in (("nan", np.nan), ("negative_zero", -0.0), ("subnormal", -5e-324)):
+            vec = ramp.copy()
+            vec[[0, block - 1, block, 2 * block - 1]] = special
+            cvec = vec.astype(complex)
+            cvec.imag = vec[::-1]
+            block_edges[f"edges_{name}"] = vec
+            block_edges[f"cedges_{name}"] = cvec
         doc = {
             "iterations": 7,
             "satisfied": False,
@@ -677,6 +756,16 @@ class TestWriteJson:
             "no_rows": np.zeros((0, 4)),
             "matrix": edge[:8].reshape(2, 4),
             "cmatrix": cedge[:6].reshape(3, 2),
+            **block_edges,
+            "long_rows": np.arange(2 * (block + 3), dtype=float).reshape(2, block + 3) / 7,
+            "long_crows": np.tile(cedge, block)[: 2 * (block + 1)].reshape(2, block + 1),
+            "split_matrix": ramp[: 7 * (block // 7 + 5)].reshape(-1, 7),  # a block ends mid-matrix
+            "csplit_matrix": block_edges["cedges_nan"][: 7 * (block // 7 + 5)].reshape(-1, 7),
+            "fortran_matrix": np.asfortranarray(edge.reshape(2, 5)),
+            "cube": np.arange(24.0).reshape(2, 3, 4) / 3,
+            "ccube": cedge[:8].reshape(2, 2, 2),
+            "real_no_columns": np.zeros((2, 0)),
+            "cube_no_columns": np.zeros((2, 3, 0)),
             "diagnostics": {
                 "condition1": {"lhs": None, "rhs": np.inf, "satisfied": None},
                 "nested": [None, [], {}, (1, 2.5), [np.nan, {"z": None, "a": -np.inf}]],
