@@ -39,6 +39,12 @@ log = logging.getLogger(__name__)
 ENDPOINT_MARGIN = 1e-10
 # Default scan bounds of a certified interval.
 KAPPA_BOUNDS = (-10.0, 10.0)
+# Solved sweep rows per linear-model evaluation.  A block's temporaries
+# raise the peak resident set: after five feeder-study ops of the benchmark
+# (2-vCPU host) it read 74.3-74.8 MB with one row per evaluation, 74.5-74.7
+# MB with 8-row blocks and 74.8 MB with 16; in 4 s runs of the benchmark,
+# 32-row blocks and all 61 rows at once added about 1 and 2 MB.
+_EVALUATE_BLOCK = 8
 
 
 @dataclass
@@ -308,13 +314,18 @@ def linear_error_sweep(
             )
             if sol is not None and sol.converged:
                 v_start, solutions[idx] = sol.v, sol
-                x = stack_injections(target)
-                scale = float(np.abs(sol.v).max())
-                fot_errors[idx] = float(np.abs(evaluate_linear(fot, x)[0] - sol.v).max()) / scale
-                fpl_errors[idx] = float(np.abs(evaluate_linear(fpl, x)[0] - sol.v).max()) / scale
 
     run_chain([i for i, k in enumerate(kappas) if k >= base_kappa])
     run_chain([i for i, k in enumerate(kappas) if k < base_kappa][::-1])
+
+    solved = [idx for idx, sol in enumerate(solutions) if sol is not None]
+    for start in range(0, len(solved), _EVALUATE_BLOCK):
+        block = solved[start : start + _EVALUATE_BLOCK]
+        x = np.stack([stack_injections(s_ref.scaled(kappas[idx])) for idx in block])
+        for lin, errors in ((fot, fot_errors), (fpl, fpl_errors)):
+            for idx, v_lin in zip(block, evaluate_linear(lin, x)[0]):
+                v = solutions[idx].v
+                errors[idx] = float(np.abs(v_lin - v).max()) / float(np.abs(v).max())
 
     return ContinuationResult(
         kappas=kappas,

@@ -142,11 +142,13 @@ class ConnectionMatrix:
         return x[..., self.first] + x[..., self.second]
 
     def scatter(self, y, n):
-        """``H.T @ y`` over ``n`` phases: ``+y`` at each pair's first phase and
-        ``-y`` at its second."""
-        out = np.zeros(n, dtype=np.result_type(y, float))
-        np.add.at(out, self.first, y)
-        np.subtract.at(out, self.second, y)
+        """``H.T @ y`` over ``n`` phases along the last axis: ``+y`` at each
+        pair's first phase and ``-y`` at its second, so ``Y @ H`` for the
+        rows of a matrix."""
+        out = np.zeros(y.shape[:-1] + (n,), dtype=np.promote_types(y.dtype, float))
+        out_t, y_t = out.T, y.T
+        np.add.at(out_t, self.first, y_t)
+        np.subtract.at(out_t, self.second, y_t)
         return out
 
     def bus_block(self, diag, pair, scale=None):
@@ -771,7 +773,8 @@ def write_json(doc, dest):
     ``doc`` holds dicts with string keys, lists, tuples, strings, ints,
     bools, ``None``, floats and numpy arrays.  A 1-D complex array becomes a
     list of ``{"im", "re"}`` objects, a 1-D real array a list of floats, and
-    a higher-dimensional array a list of its rows.  The entries of a vector
+    a higher-dimensional array a list of its rows; a 0-d array is written as
+    its entry would be inside a vector.  The entries of a vector
     or matrix are formatted and written a block of rows at a time, so
     neither the document nor a whole matrix is ever one string.
     """
@@ -790,6 +793,15 @@ def _write_value(value, indent, write):
         from . import _jsontext
 
         _jsontext.write_array(value, indent, write)
+    elif isinstance(value, np.ndarray) and value.ndim == 0:
+        # As the single entry of a vector: a float, or a complex number's
+        # {"im", "re"} object.
+        if value.dtype.kind not in "biufc":
+            raise TypeError(f"cannot write a 0-d {value.dtype} array to a JSON artifact")
+        if value.dtype.kind == "c":
+            _write_value({"im": float(value.imag), "re": float(value.real)}, indent, write)
+        else:
+            _write_value(float(value), indent, write)
     elif isinstance(value, dict):
         items = [(f"{json.dumps(key)}: ", item) for key, item in sorted(value.items())]
         _write_items("{}", items, indent, write)

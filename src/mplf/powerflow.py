@@ -20,6 +20,7 @@ from .errors import (
     SingularJacobianError,
 )
 from .netmodel import (
+    ConnectionMatrix,
     LUFactor,
     NetworkModel,
     ZeroLoadProfile,
@@ -169,18 +170,79 @@ def _check_max_iter(max_iter):
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
 
+def _checked_voltage(model: NetworkModel, inj: InjectionSet, name: str, v):
+    """``v`` as a new complex array, once ``inj`` and ``v`` fit ``model``.
+
+    Raises ``ValueError`` naming the argument and both lengths when the
+    injections or ``v`` do not have one entry per phase (and per pair), or
+    when ``v`` is not finite.
+    """
+    for what, values, size in (
+        ("inj.s_wye", inj.s_wye, model.n_phases),
+        ("inj.s_delta", inj.s_delta, model.n_delta),
+    ):
+        if values.shape != (size,):
+            raise ValueError(f"{what} has shape {values.shape}; the model needs length {size}")
+    v = np.array(v, dtype=complex)
+    if v.shape != (model.n_phases,):
+        raise ValueError(f"{name} has shape {v.shape}; the model needs length {model.n_phases}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} must be finite")
+    return v
+
+
+class _UpdateKernel:
+    """The update map ``G`` for one ``(model, profile, injections)``.
+
+    What does not change during a solve is taken once: the phases with a
+    nonzero wye injection and their injections, the pairs with a nonzero
+    delta injection (as a ``ConnectionMatrix`` of their phase columns),
+    ``yll``'s solve and ``w``.  An application keeps both degeneracy checks
+    and forms the right-hand side as the wye term plus the pair scatter,
+    which ``scatter`` accumulates from a zero vector; scattering straight
+    into the wye term reorders the sums and moves the iterates in their
+    last bits.
+    """
+
+    def __init__(self, model: NetworkModel, w_profile: ZeroLoadProfile, inj: InjectionSet):
+        self._n = model.n_phases
+        self._wye = np.flatnonzero(inj.s_wye)
+        self._s_wye = inj.s_wye[self._wye]
+        self._has_pairs = model.n_delta > 0
+        live = np.flatnonzero(inj.s_delta)
+        conn = model.connection
+        self._pairs = ConnectionMatrix(first=conn.first[live], second=conn.second[live])
+        self._s_delta = inj.s_delta[live]
+        self._solve = model.factor.solve
+        self._w = w_profile.w
+
+    def __call__(self, v):
+        v_wye = v[self._wye]
+        if (np.abs(v_wye) <= EPS_V).any():
+            raise DegenerateVoltageError("near-zero phase voltage with nonzero wye injection")
+        rhs = np.zeros(self._n, dtype=complex)
+        rhs[self._wye] = np.conj(self._s_wye / v_wye)
+        # A model with pairs adds the scatter even when no pair is live, as
+        # the map always has: its zeros turn a -0.0 of the wye term to +0.0.
+        if self._has_pairs:
+            hv = self._pairs.gather(v)
+            if (np.abs(hv) <= EPS_DELTA).any():
+                raise DegenerateVoltageError(
+                    "near-zero phase-to-phase voltage with nonzero delta injection"
+                )
+            rhs = rhs + self._pairs.scatter(np.conj(self._s_delta / hv), self._n)
+        return self._w + self._solve(rhs)
+
+
 def fixed_point_map(model: NetworkModel, w_profile: ZeroLoadProfile, inj: InjectionSet, v):
-    """One application of the voltage-update operator G."""
-    v = np.asarray(v, dtype=complex)
-    live = inj.s_wye != 0
-    if np.any(live & (np.abs(v) <= EPS_V)):
-        raise DegenerateVoltageError("near-zero phase voltage with nonzero wye injection")
-    term = np.zeros_like(v)
-    term[live] = np.conj(inj.s_wye[live] / v[live])
-    if model.n_delta:
-        i_delta = np.conj(_conj_delta_currents(model, v, inj.s_delta))
-        term = term + model.connection.scatter(i_delta, model.n_phases)
-    return w_profile.w + model.factor.solve(term)
+    """One application of the voltage-update operator G.
+
+    Raises ``ValueError`` when ``v`` or ``inj`` does not fit ``model`` or
+    ``v`` is not finite, and ``DegenerateVoltageError`` when a voltage
+    under a nonzero injection is near zero.
+    """
+    v = _checked_voltage(model, inj, "v", v)
+    return _UpdateKernel(model, w_profile, inj)(v)
 
 
 def solve_fixed_point(
@@ -203,7 +265,9 @@ def solve_fixed_point(
     Raises
     ------
     ValueError
-        If ``max_iter`` is below one or a tolerance is NaN or not positive.
+        If ``max_iter`` is below one, a tolerance is NaN or not positive,
+        ``v_init`` or ``inj`` does not fit the model, or ``v_init`` is not
+        finite.
     NonConvergenceError
         If ``max_iter`` updates do not bring the step below ``tol_step``.
         The exception carries the last iterate and all step norms.
@@ -213,10 +277,11 @@ def solve_fixed_point(
     _check_max_iter(max_iter)
     check_tolerance("tol_step", tol_step)
     check_tolerance("tol_residual", tol_residual)
-    v = np.array(w_profile.w if v_init is None else v_init, dtype=complex)
+    v = _checked_voltage(model, inj, "v_init", w_profile.w if v_init is None else v_init)
+    update = _UpdateKernel(model, w_profile, inj)
     step_norms = []
     for iteration in range(1, max_iter + 1):
-        v_next = fixed_point_map(model, w_profile, inj, v)
+        v_next = update(v)
         step = float(np.abs(v_next - v).max()) if v.size else 0.0
         step_norms.append(step)
         v = v_next
@@ -292,16 +357,16 @@ def newton_oracle(
     whenever the residual norm would increase.  ``iterations`` is the
     number of Newton steps taken (zero from a start that already meets
     ``tol_residual``).  A Jacobian with ``rcond < RCOND_FLOOR`` raises
-    :class:`SingularJacobianError`; ``max_iter`` below one or a NaN or
-    non-positive ``tol_residual`` raises ``ValueError``.
+    :class:`SingularJacobianError`; ``max_iter`` below one, a NaN or
+    non-positive ``tol_residual``, a ``v_init`` or ``inj`` that does not fit
+    the model, or a non-finite ``v_init`` raises ``ValueError``.
     """
     _check_max_iter(max_iter)
     check_tolerance("tol_residual", tol_residual)
     n = model.n_phases
     if v_init is None:
-        v = np.array(zero_load_voltage(model).w, dtype=complex)
-    else:
-        v = np.array(v_init, dtype=complex)
+        v_init = zero_load_voltage(model).w
+    v = _checked_voltage(model, inj, "v_init", v_init)
 
     f, ic_delta, i = power_flow_mismatch(model, v, inj)
     fnorm = _inf_norm(f)

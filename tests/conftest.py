@@ -41,6 +41,14 @@ def dense_incidence(conn, n):
     return H
 
 
+def assert_bitwise(actual, expected):
+    """Equal shapes and values, and equal signs on every zero."""
+    assert np.shape(actual) == np.shape(expected)
+    assert np.array_equal(actual, expected)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(actual)), np.signbit(part(expected)))
+
+
 def wye_injection(model, bus, phase, value):
     inj = mplf.InjectionSet.zeros(model)
     inj.s_wye[model.index.phase_index[(bus, phase)]] = value

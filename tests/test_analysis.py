@@ -9,7 +9,8 @@ from mplf import analysis
 from mplf.analysis import _theorem1_ray, interval_summary, write_continuation_csv
 from mplf.certify import GammaQuantities, XiQuantities, theorem1_scan
 from mplf.datafiles import bundled_path
-from conftest import certified_instance, single_phase_model, wye_injection
+from mplf.linearize import stack_injections
+from conftest import assert_bitwise, certified_instance, single_phase_model, wye_injection
 
 
 @pytest.fixture
@@ -424,6 +425,38 @@ class TestLinearErrorSweep:
             assert row.rho_used == direct.rho_used
             if direct.satisfied:
                 assert row.rho_dagger == pytest.approx(direct.rho_dagger, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("case", ["ieee37", "ieee123"])
+    def test_errors_equal_one_row_evaluations(self, case, monkeypatch):
+        # The solved rows are evaluated in blocks, one call per model per
+        # block; each error is the one a one-row evaluation gives.
+        model, profile, s_ref = mixed_case(case)
+        kappas = np.linspace(-1.5, 1.5, 61)
+        base_sol = mplf.solve_fixed_point(model, profile, s_ref, tol_step=1e-12)
+        rows = []
+
+        def evaluate(lin, x):
+            rows.append((lin.kind, len(x)))
+            return mplf.evaluate_linear(lin, x)
+
+        monkeypatch.setattr(analysis, "evaluate_linear", evaluate)
+        result = mplf.linear_error_sweep(
+            model, profile, base_sol, s_ref, s_ref, kappas, base_kappa=1.0
+        )
+        block = analysis._EVALUATE_BLOCK
+        sizes = [min(block, 61 - start) for start in range(0, 61, block)]
+        assert len(sizes) > 1
+        assert rows == [(kind, size) for size in sizes for kind in ("fot", "fpl")]
+        models = {
+            "fot": mplf.fot_linearize(model, base_sol, s_ref),
+            "fpl": mplf.fpl_linearize(model, profile, base_sol, s_ref),
+        }
+        for kind, errors in (("fot", result.fot_errors), ("fpl", result.fpl_errors)):
+            expected = []
+            for kappa, sol in zip(kappas, result.solutions):
+                v_lin = mplf.evaluate_linear(models[kind], stack_injections(s_ref.scaled(kappa)))[0]
+                expected.append(float(np.abs(v_lin - sol.v).max()) / float(np.abs(sol.v).max()))
+            assert_bitwise(np.array(errors), np.array(expected))
 
 
 class TestOutputs:

@@ -19,6 +19,7 @@ IEEE123 = [
     str(bundled_path("ieee123_network.json")),
     str(bundled_path("ieee123_injections_mixed.json")),
 ]
+IEEE37 = [str(bundled_path(f"ieee37_{name}.json")) for name in ("network", "injections_mixed")]
 
 GOLDEN_V = 0.8872983346207417
 
@@ -325,8 +326,7 @@ class TestConfigValidation:
 def test_huge_count_is_an_error_not_a_traceback(argv, capsys):
     # numpy refuses the 800-petabyte grid before it allocates anything;
     # this used to end in a MemoryError traceback.
-    ieee37 = [str(bundled_path(f"ieee37_{name}.json")) for name in ("network", "injections_mixed")]
-    assert run([argv[0], *ieee37, *argv[1:]]) == 1
+    assert run([argv[0], *IEEE37, *argv[1:]]) == 1
     err = capsys.readouterr().err
     assert err.startswith("mplf: error: ") and "allocate" in err
     assert len(err.splitlines()) == 1
@@ -335,15 +335,17 @@ def test_huge_count_is_an_error_not_a_traceback(argv, capsys):
 @pytest.mark.parametrize(
     "args",
     [
-        ["linearize", "--kind", "fot"],
-        ["linearize", "--kind", "fpl"],
-        ["sweep"],
-        ["certify", "--theorem", "1"],
+        ["linearize", *IEEE123, "--kind", "fot"],
+        ["linearize", *IEEE123, "--kind", "fpl"],
+        ["sweep", *IEEE123],
+        # 32 delta pairs: the sweep's stacked evaluations scatter them all.
+        ["sweep", *IEEE37],
+        ["certify", *IEEE123, "--theorem", "1"],
         # From (w, 0) Theorem 2 fails on this loading; the base at the
         # target passes, with a nonzero xi of the base injections.
-        ["certify", "--theorem", "2", "--base-injections", IEEE123[1]],
+        ["certify", *IEEE123, "--theorem", "2", "--base-injections", IEEE123[1]],
     ],
-    ids=["fot", "fpl", "sweep", "certify1", "certify2"],
+    ids=["fot", "fpl", "sweep", "sweep-ieee37", "certify1", "certify2"],
 )
 def test_artifacts_do_not_depend_on_blas_threads(tmp_path, args):
     # A threaded BLAS mat-vec sums in an order set by its thread count; the
@@ -354,7 +356,7 @@ def test_artifacts_do_not_depend_on_blas_threads(tmp_path, args):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         out, summary = tmp_path / f"{threads}.out", tmp_path / f"{threads}.json"
         extra = ["--interval-output", str(summary)] if args[0] == "sweep" else []
-        cmd = [sys.executable, "-m", "mplf.cli", args[0], *IEEE123, *args[1:], *extra]
+        cmd = [sys.executable, "-m", "mplf.cli", *args, *extra]
         assert subprocess.run([*cmd, "--output", str(out)], env=env).returncode == 0
         produced.append([path.read_bytes() for path in (out, summary) if path.exists()])
     assert produced[0] == produced[1]

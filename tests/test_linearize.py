@@ -13,6 +13,7 @@ from mplf.netmodel import LUFactor
 from mplf.datafiles import bundled_path
 from conftest import (
     BALANCED_V0,
+    assert_bitwise,
     certified_instance,
     dense_incidence,
     random_network,
@@ -454,8 +455,58 @@ class TestOperatorForm:
         model, profile, inj = golden
         sol = mplf.solve_fixed_point(model, profile, inj)
         lin = mplf.fot_linearize(model, sol, inj)
-        with pytest.raises(ValueError, match="length 2"):
-            mplf.evaluate_linear(lin, np.zeros(3))
+        for x in (np.zeros(3), np.zeros((4, 3)), np.zeros((1, 1, 2)), np.float64(0.0)):
+            with pytest.raises(ValueError, match="length 2"):
+                mplf.evaluate_linear(lin, x)
+
+
+def linear_models(feeder):
+    model, profile, inj = bundled_case(feeder, "injections_mixed")
+    sol = mplf.solve_fixed_point(model, profile, inj)
+    fot = mplf.fot_linearize(model, sol, inj)
+    fpl = mplf.fpl_linearize(model, profile, sol, inj)
+    return model, inj, {"fot": (fot, fot._factor), "fpl": (fpl, model.factor)}
+
+
+class TestStackedEvaluation:
+    """A stack of injection rows is evaluated in one solve, each row bit for
+    bit as alone."""
+
+    @pytest.mark.parametrize("kind", ["fot", "fpl"])
+    @pytest.mark.parametrize("feeder", ["ieee37", "ieee123"])
+    def test_rows_equal_one_row_calls(self, feeder, kind):
+        _, inj, models = linear_models(feeder)
+        lin = models[kind][0]
+        x_ref = stack_injections(inj)
+        rng = np.random.default_rng(11)
+        x = rng.uniform(-1.5, 1.5, (17, 1)) * x_ref
+        x[5] += 0.1 * rng.standard_normal(x_ref.size) * np.abs(x_ref).max()
+        x[9] = 0.0
+        v, vabs = mplf.evaluate_linear(lin, x)
+        assert v.shape == vabs.shape == (17, lin.n_phases)
+        for row, v_row, vabs_row in zip(x, v, vabs):
+            v_one, vabs_one = mplf.evaluate_linear(lin, row)
+            assert_bitwise(v_row, v_one)
+            assert_bitwise(vabs_row, vabs_one)
+        one = mplf.evaluate_linear(lin, x[:1])
+        assert_bitwise(one[0], v[:1])
+        assert_bitwise(one[1], vabs[:1])
+
+    @pytest.mark.parametrize("kind", ["fot", "fpl"])
+    def test_one_solve_per_stack(self, kind, monkeypatch):
+        _, inj, models = linear_models("ieee37")
+        lin, factor = models[kind]
+        mplf.evaluate_linear(lin, stack_injections(inj))  # FPL caches its base prediction
+        widths = []
+        solve = factor.solve
+
+        def counted(rhs):
+            widths.append(rhs.shape)
+            return solve(rhs)
+
+        monkeypatch.setattr(factor, "solve", counted)
+        mplf.evaluate_linear(lin, np.outer(np.linspace(0, 1, 16), stack_injections(inj)))
+        assert widths == [(factor.shape[0], 16)]
 
 
 class TestErrorBound:

@@ -21,6 +21,7 @@ from mplf.datafiles import bundled_path
 from mplf.netmodel import RCOND_FLOOR, LUFactor, _tree_inverse
 from conftest import (
     BALANCED_V0,
+    assert_bitwise,
     dense_incidence,
     random_injections,
     random_network,
@@ -36,13 +37,6 @@ def three_phase_line(y=5.0 - 15.0j):
 
 
 BUNDLED = ("ieee37", "ieee123", "three_bus", "single_phase")
-
-
-def assert_bitwise(actual, expected):
-    """Equal values, and equal signs on every zero."""
-    assert np.array_equal(actual, expected)
-    for part in (np.real, np.imag):
-        assert np.array_equal(np.signbit(part(actual)), np.signbit(part(expected)))
 
 
 def assert_same_csc(a, b):
@@ -178,10 +172,12 @@ class TestConnectionMatrix:
             for _ in range(10):
                 v, y, r = draw(n), draw(d), np.abs(draw(n))
                 rows = np.stack([draw(n) for _ in range(3)])
+                pair_rows = np.stack([draw(d) for _ in range(3)])
                 assert_bitwise(conn.gather(v), H @ v)
                 assert_bitwise(conn.gather(rows), np.stack([H @ row for row in rows]))
                 assert_bitwise(conn.pair_sum(r), np.abs(H) @ r)
                 assert_bitwise(conn.scatter(y, n), H.T @ y)
+                assert_bitwise(conn.scatter(pair_rows, n), np.stack([H.T @ row for row in pair_rows]))
                 diag, pair, scale = draw(n, True), draw(d, True), draw(n, True)
                 dense = np.diag(diag) - (scale[:, None] * H.T) @ (pair[:, None] * H)
                 assert_bitwise(conn.bus_block(diag, pair, scale).toarray(), dense)
@@ -776,6 +772,16 @@ class TestWriteJson:
 
     def test_integer_arrays_are_written_as_floats(self):
         assert written(np.arange(2)) == "[\n  0.0,\n  1.0\n]\n"
+
+    @pytest.mark.parametrize("value", [1.5, -0.0, np.nan, 0.1 - 2.5j, complex(-0.0, np.inf)])
+    def test_zero_dimensional_arrays_are_written_as_vector_entries(self, value):
+        # A 0-d array used to raise numpy's "iteration over a 0-d array".
+        doc = {"x": np.array(value), "nested": [np.array(value)]}
+        assert written(doc) == reference_json({"x": value, "nested": [value]})
+
+    def test_zero_dimensional_non_number_rejected(self):
+        with pytest.raises(TypeError, match="cannot write a 0-d <U1 array"):
+            written({"x": np.array("s")})
 
     def test_path_destination(self, tmp_path):
         doc = {"v": np.array([1 + 2j])}

@@ -8,6 +8,7 @@ from mplf.certify import check_theorem2, gamma_quantities, xi_norms
 from mplf.datafiles import bundled_path
 from conftest import (
     BALANCED_V0,
+    assert_bitwise,
     certified_instance,
     dense_incidence,
     random_network,
@@ -261,10 +262,88 @@ class TestNewtonJacobian:
             assert np.abs(sparse.toarray() - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
-def ieee37_mixed():
-    model = mplf.network_from_file(bundled_path("ieee37_network.json"))
-    inj = mplf.injections_from_file(bundled_path("ieee37_injections_mixed.json"), model)
+def ieee37_mixed(feeder="ieee37"):
+    model = mplf.network_from_file(bundled_path(f"{feeder}_network.json"))
+    inj = mplf.injections_from_file(bundled_path(f"{feeder}_injections_mixed.json"), model)
     return model, mplf.zero_load_voltage(model), inj
+
+
+def reference_map(model, profile, inj, v):
+    """``G(v)`` as one expression over every phase and pair: the injections
+    divided where nonzero, the pair currents scattered over all pairs."""
+    conn = model.connection
+    term = np.zeros_like(v)
+    live = inj.s_wye != 0
+    term[live] = np.conj(inj.s_wye[live] / v[live])
+    if model.n_delta:
+        hv = conn.gather(v)
+        i_delta = np.zeros_like(hv)
+        pairs = inj.s_delta != 0
+        i_delta[pairs] = np.conj(inj.s_delta[pairs] / hv[pairs])
+        term = term + conn.scatter(i_delta, model.n_phases)
+    return profile.w + model.factor.solve(term)
+
+
+class TestUpdateKernel:
+    """A solve builds its update kernel once; its iterates are the public
+    map's, and the map is the one-expression ``G``, bit for bit."""
+
+    @pytest.mark.parametrize("padded", [False, True], ids=["mixed", "half-zero"])
+    @pytest.mark.parametrize("feeder", ["ieee37", "ieee123"])
+    def test_solve_iterates_equal_map_loop(self, feeder, padded):
+        model, profile, inj = ieee37_mixed(feeder)
+        if padded:
+            # Zero injections on some phases and pairs leave them out of the kernel.
+            inj.s_wye[::2] = 0
+            inj.s_delta[::2] = 0
+        sol = mplf.solve_fixed_point(model, profile, inj)
+        v, steps = profile.w.copy(), []
+        for _ in range(sol.iterations):
+            v_next = mplf.fixed_point_map(model, profile, inj, v)
+            assert_bitwise(v_next, reference_map(model, profile, inj, v))
+            steps.append(float(np.abs(v_next - v).max()))
+            v = v_next
+        assert_bitwise(sol.v, v)
+        assert sol.step_norms == tuple(steps)
+
+
+SOLVERS = {
+    "solve_fixed_point": ("v_init", lambda m, p, inj, v: mplf.solve_fixed_point(m, p, inj, v_init=v)),
+    "newton_oracle": ("v_init", lambda m, p, inj, v: mplf.newton_oracle(m, inj, v_init=v)),
+    "fixed_point_map": ("v", lambda m, p, inj, v: mplf.fixed_point_map(m, p, inj, v)),
+}
+
+
+@pytest.mark.parametrize("solver", list(SOLVERS))
+class TestSolverArguments:
+    """One check of the start voltage and the injections against the model."""
+
+    @pytest.mark.parametrize("size", [3, 109])
+    def test_wrong_length_start_rejected(self, solver, size):
+        # 3 entries used to escape as a numpy broadcast error or an
+        # IndexError; 109 made Newton report a near-zero pair voltage.
+        model, profile, inj = ieee37_mixed()
+        name, call = SOLVERS[solver]
+        with pytest.raises(ValueError, match=rf"^{name} has shape \({size},\); the model needs length 108$"):
+            call(model, profile, inj, np.ones(size, dtype=complex))
+
+    def test_non_finite_start_rejected(self, solver):
+        # A NaN start used to iterate 1000 times under RuntimeWarnings.
+        model, profile, inj = ieee37_mixed()
+        name, call = SOLVERS[solver]
+        v = profile.w.copy()
+        v[5] = np.nan
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            call(model, profile, inj, v)
+
+    def test_injections_of_another_model_rejected(self, solver):
+        model, profile, _ = ieee37_mixed()
+        other = ieee37_mixed("ieee123")[2]
+        with pytest.raises(ValueError, match=r"^inj.s_wye has shape \(244,\); the model needs length 108$"):
+            SOLVERS[solver][1](model, profile, other, profile.w)
+        short = mplf.InjectionSet(np.zeros(108, dtype=complex), np.zeros(13, dtype=complex))
+        with pytest.raises(ValueError, match=r"^inj.s_delta has shape \(13,\); the model needs length 32$"):
+            SOLVERS[solver][1](model, profile, short, profile.w)
 
 
 class TestIterationBudget:
