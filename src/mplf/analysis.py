@@ -20,8 +20,8 @@ from .certify import (
     theorem1_scan,
     theorem2_closed_form,
 )
-from .errors import DegenerateVoltageError, MplfError, NonConvergenceError
-from .linearize import evaluate_linear, fot_linearize, fpl_linearize, stack_injections
+from .errors import DegenerateVoltageError, MplfError
+from .linearize import fot_linearize, fpl_linearize, stack_injections
 from .netmodel import NetworkModel, ZeroLoadProfile
 from .powerflow import (
     BASE_RESIDUAL_TOL,
@@ -29,7 +29,14 @@ from .powerflow import (
     TOL_STEP,
     InjectionSet,
     SolveResult,
+    _check_solver_options,
+    _checked_voltage,
+    _not_converged,
+    _solve_result,
+    _step_norms,
+    _UpdateKernel,
     newton_oracle,
+    power_flow_mismatch,
     solve_fixed_point,
 )
 
@@ -39,19 +46,23 @@ log = logging.getLogger(__name__)
 ENDPOINT_MARGIN = 1e-10
 # Default scan bounds of a certified interval.
 KAPPA_BOUNDS = (-10.0, 10.0)
-# Solved sweep rows per linear-model evaluation.  A block's temporaries
-# raise the peak resident set: after five feeder-study ops of the benchmark
-# (2-vCPU host) it read 74.3-74.8 MB with one row per evaluation, 74.5-74.7
-# MB with 8-row blocks and 74.8 MB with 16; in 4 s runs of the benchmark,
-# 32-row blocks and all 61 rows at once added about 1 and 2 MB.
-_EVALUATE_BLOCK = 8
+# Sweep rows solved together.  Each step of a block is one SuperLU solve
+# with a right-hand side per active row, so wider blocks take fewer, wider
+# solves, but their temporaries raise the peak resident set.  Sweeps of 61
+# rows on ieee37 and ieee123 (one BLAS thread, 2-vCPU host) took 15.9 and
+# 25.3 ms with 4-row blocks, 11.7 and 20.1 ms with 8, 9.6 and 17.6 ms with
+# 16 and 7.8 and 14.9 ms with all 61; the ieee123 sweep's traced peak was
+# 0.86, 0.92, 1.19 and 2.13 MB, and 0.86 MB solving the rows one at a time.
+_ROW_BLOCK = 8
 
 
 @dataclass
 class ContinuationResult:
     """Per-kappa record of a sweep: Theorem-2 certificates, exact solutions
-    where a solver converged, relative errors of both linear models (``None``
-    without an exact solution), and both theorems' intervals by theorem."""
+    where a solver converged (each started from the row's FPL prediction,
+    so ``iterations`` counts the steps from there), relative errors of both
+    linear models (``None`` without an exact solution), and both theorems'
+    intervals by theorem."""
 
     kappas: np.ndarray
     certificates: list = field(repr=False)
@@ -231,29 +242,101 @@ def recentered_interval(
     )
 
 
-def _solve_exact(model, w_profile, target, v_start, tol_step, tol_residual, max_iter):
-    """Fixed point first, Newton fallback, both warm-started.
+def _solve_block(
+    model: NetworkModel,
+    w_profile: ZeroLoadProfile,
+    inj: InjectionSet,
+    v_init,
+    tol_step: float = TOL_STEP,
+    tol_residual: float = BASE_RESIDUAL_TOL,
+    max_iter: int = MAX_ITER,
+) -> list:
+    """``solve_fixed_point`` for each row of a stack, the rows iterated
+    together.
 
-    Newton also takes over, from the fixed point's last iterate, when the
-    step tolerance was met but ``tol_residual`` was not.
+    ``inj`` holds ``k`` rows of injections (``s_wye`` of shape ``(k, n)``,
+    ``s_delta`` of shape ``(k, d)``) and ``v_init`` one start per row,
+    shape ``(k, n)``.  Each step applies the update kernel to the rows
+    still active, one SuperLU solve with a right-hand side per row.  A row
+    leaves when its step drops below ``tol_step``, when it degenerates
+    (the others go on), or after ``max_iter`` steps.  The rows whose step
+    drops at one step have their residuals checked in one stacked
+    ``power_flow_mismatch``.
+
+    Returns, per row, the ``SolveResult`` of ``solve_fixed_point`` for that
+    row and its start, or the ``NonConvergenceError`` or
+    ``DegenerateVoltageError`` it raises: the update kernel, the mismatch
+    and ``_solve_result`` are the one-row solve's, and no operation mixes
+    rows, so each row equals that solve bit for bit.  Bad options raise as
+    there.
     """
-    try:
-        sol = solve_fixed_point(
-            model,
-            w_profile,
-            target,
-            v_init=v_start,
-            tol_step=tol_step,
-            tol_residual=tol_residual,
-            max_iter=max_iter,
-        )
-    except (NonConvergenceError, DegenerateVoltageError) as exc:
-        log.debug("fixed point failed (%s); trying Newton", exc)
-    else:
-        if sol.converged:
-            return sol
+    _check_solver_options(tol_step, tol_residual, max_iter)
+    v = _checked_voltage(model, inj, "v_init", v_init, rows=np.shape(v_init)[:1])
+    outcomes = [None] * len(v)
+    step_norms = [[] for _ in outcomes]
+    update = _UpdateKernel(model, w_profile, inj)
+    active = np.arange(len(v))
+    iteration = 0
+    while active.size:
+        try:
+            v_next = update(v)
+        except DegenerateVoltageError as exc:
+            stay = _leave_degenerate(outcomes, active, exc)
+            active, v, update = active[stay], v[stay], update.take(stay)
+            continue
+        iteration += 1
+        steps = _step_norms(v_next, v)
+        for row, step in zip(active.tolist(), steps.tolist()):
+            step_norms[row].append(step)
+        v, done = v_next, steps < tol_step
+        leave = done if iteration < max_iter else np.ones_like(done)
+        if leave.any():
+            _finish_rows(model, inj, active[done], v[done], step_norms, outcomes, tol_residual)
+            for row, last in zip(active[leave & ~done].tolist(), v[leave & ~done]):
+                outcomes[row] = _not_converged(last, step_norms[row], max_iter)
+            active, v, update = active[~leave], v[~leave], update.take(~leave)
+    return outcomes
+
+
+def _finish_rows(model, inj, rows, v, step_norms, outcomes, tol_residual):
+    """The ``SolveResult`` of each of ``rows``, whose step dropped below the
+    tolerance at ``v``, from one stacked residual check."""
+    while rows.size:
+        try:
+            terms = power_flow_mismatch(model, v, InjectionSet(inj.s_wye[rows], inj.s_delta[rows]))
+            break
+        except DegenerateVoltageError as exc:
+            stay = _leave_degenerate(outcomes, rows, exc)
+            rows, v = rows[stay], v[stay]
+    for j, row in enumerate(rows.tolist()):
+        outcomes[row] = _solve_result(v[j], step_norms[row], [t[j] for t in terms], tol_residual)
+
+
+def _leave_degenerate(outcomes, rows, exc):
+    """Give each row of ``rows`` that ``exc`` names the error its own solve
+    raises; returns the mask of the rows that stay."""
+    for row in rows[exc.rows].tolist():
+        outcomes[row] = DegenerateVoltageError(str(exc))
+    return ~exc.rows
+
+
+def _solve_exact(model, target, fixed_point, v_start, tol_residual):
+    """A sweep row's exact solution from its fixed-point outcome, with the
+    Newton fallback, or ``None``.
+
+    ``fixed_point`` is the row's ``SolveResult`` from ``v_start`` (its FPL
+    prediction) or the error its solve raised.  A converged result is the
+    answer.  Newton takes over from ``v_start`` when the fixed point
+    degenerated or ran out of iterations, and from the fixed point's last
+    iterate when the step tolerance was met but ``tol_residual`` was not.
+    """
+    if isinstance(fixed_point, SolveResult):
+        if fixed_point.converged:
+            return fixed_point
         log.debug("fixed point missed the residual tolerance; Newton continues from it")
-        v_start = sol.v
+        v_start = fixed_point.v
+    else:
+        log.debug("fixed point failed (%s); trying Newton", fixed_point)
     try:
         return newton_oracle(model, target, v_init=v_start, tol_residual=tol_residual)
     except MplfError as exc:
@@ -277,10 +360,14 @@ def linear_error_sweep(
 ) -> ContinuationResult:
     """Solve along the ray and record relative errors of both linear models.
 
-    Models are built once at the supplied base.  Exact solutions prefer the
-    fixed-point solver and fall back to Newton, warm-started from the
-    neighboring kappa (two chains walking outward from ``base_kappa``).
-    One Theorem-2 call at ``s_hat + s_ref`` gives both theorems' intervals
+    Models are built once at the supplied base.  The rows are solved in
+    blocks of ``_ROW_BLOCK``, in kappa order.  Both models are evaluated on
+    a block first, and each row's FPL prediction is its start: the fixed
+    point iterates the block's rows together (see ``_solve_block``), each
+    row as ``solve_fixed_point`` from that start would.  A row that
+    degenerates, does not converge or misses ``tol_residual`` falls back to
+    Newton (see ``_solve_exact``).  A row's FPL error is its start's
+    distance from its solution.  One Theorem-2 call at ``s_hat + s_ref`` gives both theorems' intervals
     and each row's Theorem 2, the closed form at ``|kappa - base_kappa| xi(s_ref)``.
     """
     kappas = np.sort(np.asarray(kappa_grid, dtype=float))
@@ -304,28 +391,25 @@ def linear_error_sweep(
     fot = fot_linearize(model, base_solution, base_inj, tol_residual=tol_residual)
     fpl = fpl_linearize(model, w_profile, base_solution, base_inj, tol_residual=tol_residual)
     solutions, fot_errors, fpl_errors = ([None] * len(kappas) for _ in range(3))
-
-    def run_chain(indices):
-        v_start = base_solution.v
-        for idx in indices:
-            target = s_ref.scaled(kappas[idx])
-            sol = _solve_exact(
-                model, w_profile, target, v_start, tol_step, tol_residual, max_iter
-            )
-            if sol is not None and sol.converged:
-                v_start, solutions[idx] = sol.v, sol
-
-    run_chain([i for i, k in enumerate(kappas) if k >= base_kappa])
-    run_chain([i for i, k in enumerate(kappas) if k < base_kappa][::-1])
-
-    solved = [idx for idx, sol in enumerate(solutions) if sol is not None]
-    for start in range(0, len(solved), _EVALUATE_BLOCK):
-        block = solved[start : start + _EVALUATE_BLOCK]
-        x = np.stack([stack_injections(s_ref.scaled(kappas[idx])) for idx in block])
-        for lin, errors in ((fot, fot_errors), (fpl, fpl_errors)):
-            for idx, v_lin in zip(block, evaluate_linear(lin, x)[0]):
-                v = solutions[idx].v
-                errors[idx] = float(np.abs(v_lin - v).max()) / float(np.abs(v).max())
+    for start in range(0, len(kappas), _ROW_BLOCK):
+        block = kappas[start : start + _ROW_BLOCK, None]
+        targets = InjectionSet(block * s_ref.s_wye, block * s_ref.s_delta)
+        x = stack_injections(targets)
+        v_fpl, v_fot = fpl._voltages(x), fot._voltages(x)
+        del x
+        outcomes = _solve_block(model, w_profile, targets, v_fpl, tol_step, tol_residual, max_iter)
+        for j, outcome in enumerate(outcomes):
+            target = InjectionSet(targets.s_wye[j], targets.s_delta[j])
+            solutions[start + j] = _solve_exact(model, target, outcome, v_fpl[j], tol_residual)
+        rows = [j for j in range(len(block)) if solutions[start + j] is not None]
+        if not rows:
+            continue
+        v = np.stack([solutions[start + j].v for j in rows])
+        scale = np.abs(v).max(axis=-1)
+        for errors, v_lin in ((fot_errors, v_fot), (fpl_errors, v_fpl)):
+            relative = np.abs(v_lin[rows] - v).max(axis=-1) / scale
+            for j, err in zip(rows, relative.tolist()):
+                errors[start + j] = err
 
     return ContinuationResult(
         kappas=kappas,

@@ -27,7 +27,18 @@ class DegenerateProfileError(ModelError):
 
 class DegenerateVoltageError(MplfError):
     """A voltage needed in a diagonal inversion is below the guard threshold
-    while the corresponding injection is nonzero."""
+    while the corresponding injection is nonzero.
+
+    Attributes
+    ----------
+    rows : ndarray of bool or None
+        For a stack of voltage rows, the rows that degenerate; a single
+        voltage vector gives a 0-d ``True``.
+    """
+
+    def __init__(self, message, rows=None):
+        super().__init__(message)
+        self.rows = rows
 
 
 class NonConvergenceError(MplfError):

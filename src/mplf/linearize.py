@@ -33,9 +33,10 @@ from .powerflow import (
 
 
 def stack_injections(inj: InjectionSet) -> np.ndarray:
-    """Stack an injection set as the real vector (Re wye, Im wye, Re delta, Im delta)."""
+    """Stack an injection set as the real vector (Re wye, Im wye, Re delta,
+    Im delta); a stack of injection rows gives a stack of such vectors."""
     return np.concatenate(
-        [inj.s_wye.real, inj.s_wye.imag, inj.s_delta.real, inj.s_delta.imag]
+        [inj.s_wye.real, inj.s_wye.imag, inj.s_delta.real, inj.s_delta.imag], axis=-1
     )
 
 
@@ -90,10 +91,14 @@ class LinearModel:
             r += self._connection.scatter(pair, n)
         return r
 
-    def _predict(self, x):
-        """The complex prediction at each row of ``x`` and its change from
-        the one at ``base_x``."""
+    def _voltages(self, x):
+        """The complex voltage prediction at ``x``, or at each row of a stack
+        of them: one sparse solve with a right-hand side per row."""
         raise NotImplementedError
+
+    @cached_property
+    def _v_at_base(self):
+        return self._voltages(self.base_x)
 
     def _coefficients(self):
         """The dense ``(m_wye, m_delta, a)``."""
@@ -160,14 +165,15 @@ class _TangentModel(LinearModel):
         super().__init__(base_v, base_x, connection, hv)
         self._factor = factor
 
-    def _predict(self, x):
+    def _voltages(self, x):
         n = self.n_phases
         r = self._rhs(x - self.base_x)
         z = _solve_rows(self._factor, np.concatenate([r.real, r.imag], axis=-1))
         del r
-        dv = _complex(z[..., :n], z[..., n:])
+        v = _complex(z[..., :n], z[..., n:])
         del z
-        return self.base_v + dv, dv
+        v += self.base_v
+        return v
 
     def _coefficients(self):
         n = self.n_phases
@@ -199,14 +205,10 @@ class _FixedPointModel(LinearModel):
         self._model = model
         self._w = w
 
-    @cached_property
-    def _v_at_base(self):
-        return self._w + self._model.factor.solve(self._rhs(self.base_x))
-
-    def _predict(self, x):
+    def _voltages(self, x):
         v = _solve_rows(self._model.factor, self._rhs(x))
         v += self._w
-        return v, v - self._v_at_base
+        return v
 
     def _coefficients(self):
         z = self._model.yll_inverse
@@ -319,7 +321,9 @@ def evaluate_linear(linmodel: LinearModel, x) -> tuple[np.ndarray, np.ndarray]:
     equals, bit for bit, the evaluation at that row alone.  One sparse solve
     with ``k`` right-hand sides gives the complex voltage predictions; the
     magnitude prediction is its own affine map around the base,
-    ``|v̂| + Re(conj(v̂)·dv)/|v̂|``, not the magnitude of the former.
+    ``|v̂| + Re(conj(v̂)·dv)/|v̂|``, not the magnitude of the former, with
+    ``dv`` the change of the voltage prediction from its value at the base
+    injections.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != linmodel.base_x.size:
@@ -327,9 +331,9 @@ def evaluate_linear(linmodel: LinearModel, x) -> tuple[np.ndarray, np.ndarray]:
             f"expected a stacked injection vector of length {linmodel.base_x.size}, "
             f"or a stack of them, got shape {x.shape}"
         )
-    v, dv = linmodel._predict(x)
+    v = linmodel._voltages(x)
     v_hat = linmodel.base_v
-    vabs = np.abs(v_hat) + np.real(np.conj(v_hat) * dv) / np.abs(v_hat)
+    vabs = np.abs(v_hat) + np.real(np.conj(v_hat) * (v - linmodel._v_at_base)) / np.abs(v_hat)
     return v, vabs
 
 

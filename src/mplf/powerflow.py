@@ -6,6 +6,7 @@ real parts.  All quantities are per unit.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass
 
@@ -95,16 +96,25 @@ class SolveResult:
     step_norms: tuple = ()
 
 
+def _check_degenerate(values, live, eps, message):
+    """Raise ``DegenerateVoltageError`` when an entry of ``values`` under a
+    ``live`` (nonzero) injection is not above ``eps``.  The check runs
+    along the last axis, so its ``rows`` name the degenerate rows of a
+    stack (a 0-d ``True`` for one vector)."""
+    rows = ((np.abs(values) <= eps) & live).any(axis=-1)
+    if rows.any():
+        raise DegenerateVoltageError(message, rows=rows)
+
+
+_DEGENERATE_WYE = "near-zero phase voltage with nonzero wye injection"
+_DEGENERATE_PAIR = "near-zero phase-to-phase voltage with nonzero delta injection"
+
+
 def _conj_delta_currents(model: NetworkModel, v, s_delta):
     """conj(i_delta) = s_delta / (H v), zero where the injection is zero."""
-    if s_delta.size == 0:
-        return np.zeros(0, dtype=complex)
     hv = model.connection.gather(v)
     live = s_delta != 0
-    if np.any(live & (np.abs(hv) <= EPS_DELTA)):
-        raise DegenerateVoltageError(
-            "near-zero phase-to-phase voltage with nonzero delta injection"
-        )
+    _check_degenerate(hv, live, EPS_DELTA, _DEGENERATE_PAIR)
     out = np.zeros_like(hv)
     out[live] = s_delta[live] / hv[live]
     return out
@@ -116,10 +126,12 @@ def power_flow_mismatch(model: NetworkModel, v, inj: InjectionSet):
     The phase-pair currents are substituted from their defining relation and
     the net currents from the admittance equation, so only the per-phase
     balance can be violated.  Returns the mismatch, ``conj(i_delta)`` and
-    ``i = yl0 @ v0 + yll @ v``.
+    ``i = yl0 @ v0 + yll @ v``.  A stack of voltage rows with a stack of
+    injection rows gives each row's terms, bit for bit as that row alone:
+    every product works along the last axis.
     """
     ic_delta = _conj_delta_currents(model, v, inj.s_delta)
-    i = model.yl0 @ model.v0 + model.yll @ v
+    i = model.yl0 @ model.v0 + (model.yll @ v.T).T
     pair_current = model.connection.scatter(ic_delta, model.n_phases)
     return pair_current * v + inj.s_wye - v * np.conj(i), ic_delta, i
 
@@ -170,68 +182,101 @@ def _check_max_iter(max_iter):
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
 
-def _checked_voltage(model: NetworkModel, inj: InjectionSet, name: str, v):
+def _check_solver_options(tol_step, tol_residual, max_iter):
+    _check_max_iter(max_iter)
+    check_tolerance("tol_step", tol_step)
+    check_tolerance("tol_residual", tol_residual)
+
+
+def _checked_voltage(model: NetworkModel, inj: InjectionSet, name: str, v, rows=()):
     """``v`` as a new complex array, once ``inj`` and ``v`` fit ``model``.
 
     Raises ``ValueError`` naming the argument and both lengths when the
     injections or ``v`` do not have one entry per phase (and per pair), or
-    when ``v`` is not finite.
+    when ``v`` is not finite.  ``rows`` is the leading shape of a stack of
+    rows, ``(k,)``; each array then holds ``k`` rows.
     """
+    v = np.array(v, dtype=complex)
     for what, values, size in (
         ("inj.s_wye", inj.s_wye, model.n_phases),
         ("inj.s_delta", inj.s_delta, model.n_delta),
+        (name, v, model.n_phases),
     ):
-        if values.shape != (size,):
-            raise ValueError(f"{what} has shape {values.shape}; the model needs length {size}")
-    v = np.array(v, dtype=complex)
-    if v.shape != (model.n_phases,):
-        raise ValueError(f"{name} has shape {v.shape}; the model needs length {model.n_phases}")
+        if values.shape != rows + (size,):
+            need = f"shape {rows + (size,)}" if rows else f"length {size}"
+            raise ValueError(f"{what} has shape {values.shape}; the model needs {need}")
     if not np.isfinite(v).all():
         raise ValueError(f"{name} must be finite")
     return v
 
 
-class _UpdateKernel:
-    """The update map ``G`` for one ``(model, profile, injections)``.
+def _conj_quotients(s, values, live):
+    """``conj(s / values)`` where ``live``, and ``+0`` elsewhere, as if the
+    entries that are not live had been left out."""
+    out = np.zeros(values.shape, dtype=complex)
+    np.divide(s, values, out=out, where=live)
+    return np.conjugate(out, out=out, where=live)
 
-    What does not change during a solve is taken once: the phases with a
-    nonzero wye injection and their injections, the pairs with a nonzero
-    delta injection (as a ``ConnectionMatrix`` of their phase columns),
-    ``yll``'s solve and ``w``.  An application keeps both degeneracy checks
-    and forms the right-hand side as the wye term plus the pair scatter,
-    which ``scatter`` accumulates from a zero vector; scattering straight
-    into the wye term reorders the sums and moves the iterates in their
-    last bits.
+
+def _loaded(s):
+    """The columns where some row of ``s`` is nonzero."""
+    return np.flatnonzero((s != 0).any(axis=tuple(range(s.ndim - 1))))
+
+
+class _UpdateKernel:
+    """The update map ``G`` for one ``(model, profile)`` and one row of
+    injections, or a stack of ``k`` rows (``s_wye`` of shape ``(k, n)``).
+
+    What does not change during a solve is taken once: the phases that
+    some row loads, their injections and where each row's is nonzero, the
+    same for the pairs (as a ``ConnectionMatrix`` of their phase columns),
+    ``yll``'s solve and ``w``.  An application works along the last axis,
+    so a vector is the one-row case, and every row of a stack comes out
+    bit for bit as that row alone: its quotients are taken where its own
+    injection is nonzero (``+0`` elsewhere, as for an entry no row loads),
+    both degeneracy checks look at its own nonzero injections, and its
+    right-hand side is one column of a single SuperLU solve.  The
+    right-hand side is the wye term plus the pair scatter, which
+    ``scatter`` accumulates from a zero vector; scattering straight into
+    the wye term reorders the sums and moves the iterates in their last
+    bits.
     """
 
     def __init__(self, model: NetworkModel, w_profile: ZeroLoadProfile, inj: InjectionSet):
         self._n = model.n_phases
-        self._wye = np.flatnonzero(inj.s_wye)
-        self._s_wye = inj.s_wye[self._wye]
+        self._wye = _loaded(inj.s_wye)
+        self._s_wye = inj.s_wye[..., self._wye]
+        self._live_wye = self._s_wye != 0
         self._has_pairs = model.n_delta > 0
-        live = np.flatnonzero(inj.s_delta)
+        pairs = _loaded(inj.s_delta)
         conn = model.connection
-        self._pairs = ConnectionMatrix(first=conn.first[live], second=conn.second[live])
-        self._s_delta = inj.s_delta[live]
+        self._pairs = ConnectionMatrix(first=conn.first[pairs], second=conn.second[pairs])
+        self._s_delta = inj.s_delta[..., pairs]
+        self._live_delta = self._s_delta != 0
         self._solve = model.factor.solve
         self._w = w_profile.w
 
+    def take(self, rows):
+        """The kernel of the injection rows that ``rows`` selects from a stack."""
+        out = copy.copy(self)
+        for name in ("_s_wye", "_live_wye", "_s_delta", "_live_delta"):
+            setattr(out, name, getattr(self, name)[rows])
+        return out
+
     def __call__(self, v):
-        v_wye = v[self._wye]
-        if (np.abs(v_wye) <= EPS_V).any():
-            raise DegenerateVoltageError("near-zero phase voltage with nonzero wye injection")
-        rhs = np.zeros(self._n, dtype=complex)
-        rhs[self._wye] = np.conj(self._s_wye / v_wye)
+        v_wye = v[..., self._wye]
+        _check_degenerate(v_wye, self._live_wye, EPS_V, _DEGENERATE_WYE)
+        rhs = np.zeros(v.shape, dtype=complex)
+        rhs[..., self._wye] = _conj_quotients(self._s_wye, v_wye, self._live_wye)
         # A model with pairs adds the scatter even when no pair is live, as
         # the map always has: its zeros turn a -0.0 of the wye term to +0.0.
         if self._has_pairs:
             hv = self._pairs.gather(v)
-            if (np.abs(hv) <= EPS_DELTA).any():
-                raise DegenerateVoltageError(
-                    "near-zero phase-to-phase voltage with nonzero delta injection"
-                )
-            rhs = rhs + self._pairs.scatter(np.conj(self._s_delta / hv), self._n)
-        return self._w + self._solve(rhs)
+            _check_degenerate(hv, self._live_delta, EPS_DELTA, _DEGENERATE_PAIR)
+            rhs += self._pairs.scatter(_conj_quotients(self._s_delta, hv, self._live_delta), self._n)
+        v_next = self._solve(rhs.T).T
+        v_next += self._w
+        return v_next
 
 
 def fixed_point_map(model: NetworkModel, w_profile: ZeroLoadProfile, inj: InjectionSet, v):
@@ -243,6 +288,45 @@ def fixed_point_map(model: NetworkModel, w_profile: ZeroLoadProfile, inj: Inject
     """
     v = _checked_voltage(model, inj, "v", v)
     return _UpdateKernel(model, w_profile, inj)(v)
+
+
+def _step_norms(v_next, v):
+    """The infinity norm of each row's update (zero on a model with no phases)."""
+    return np.abs(v_next - v).max(axis=-1, initial=0.0)
+
+
+def _not_converged(v, step_norms, max_iter):
+    return NonConvergenceError(
+        f"fixed-point iteration did not converge in {max_iter} iterations "
+        f"(last step {step_norms[-1]:.3e})",
+        last_v=v,
+        step_norms=step_norms,
+    )
+
+
+def _solve_result(v, step_norms, terms, tol_residual) -> SolveResult:
+    """The result of a fixed-point solve that stopped at ``v`` after the
+    updates of ``step_norms``; ``terms`` are the mismatch terms at ``v``.
+
+    ``converged`` is the residual check against ``tol_residual``, and
+    ``contraction_estimate`` the largest ratio of consecutive steps.
+    """
+    mismatch, ic_delta, i = terms
+    residual_inf = _inf_norm(mismatch)
+    # Ratios of steps at the rounding floor are measurement noise, not
+    # contraction information; skip them.
+    floor = 1e3 * np.finfo(float).eps * max(1.0, float(np.abs(v).max(initial=0.0)))
+    ratios = [b / a for a, b in zip(step_norms, step_norms[1:]) if a > floor]
+    return SolveResult(
+        v=v,
+        i_delta=np.conj(ic_delta),
+        i=i,
+        iterations=len(step_norms),
+        residual_inf=residual_inf,
+        converged=residual_inf <= tol_residual,
+        contraction_estimate=float(max(ratios)) if ratios else 0.0,
+        step_norms=tuple(step_norms),
+    )
 
 
 def solve_fixed_point(
@@ -274,47 +358,19 @@ def solve_fixed_point(
     DegenerateVoltageError
         If an iterate degenerates under a nonzero injection.
     """
-    _check_max_iter(max_iter)
-    check_tolerance("tol_step", tol_step)
-    check_tolerance("tol_residual", tol_residual)
+    _check_solver_options(tol_step, tol_residual, max_iter)
     v = _checked_voltage(model, inj, "v_init", w_profile.w if v_init is None else v_init)
     update = _UpdateKernel(model, w_profile, inj)
     step_norms = []
-    for iteration in range(1, max_iter + 1):
+    for _ in range(max_iter):
         v_next = update(v)
-        step = float(np.abs(v_next - v).max()) if v.size else 0.0
-        step_norms.append(step)
+        step_norms.append(float(_step_norms(v_next, v)))
         v = v_next
-        if step < tol_step:
+        if step_norms[-1] < tol_step:
             break
     else:
-        raise NonConvergenceError(
-            f"fixed-point iteration did not converge in {max_iter} iterations "
-            f"(last step {step_norms[-1]:.3e})",
-            last_v=v,
-            step_norms=step_norms,
-        )
-
-    mismatch, ic_delta, i = power_flow_mismatch(model, v, inj)
-    residual_inf = _inf_norm(mismatch)
-    converged = residual_inf <= tol_residual
-
-    # Ratios of steps at the rounding floor are measurement noise, not
-    # contraction information; skip them.
-    floor = 1e3 * np.finfo(float).eps * max(1.0, float(np.abs(v).max()))
-    ratios = [b / a for a, b in zip(step_norms, step_norms[1:]) if a > floor]
-    contraction = max(ratios) if ratios else 0.0
-
-    return SolveResult(
-        v=v,
-        i_delta=np.conj(ic_delta),
-        i=i,
-        iterations=iteration,
-        residual_inf=residual_inf,
-        converged=converged,
-        contraction_estimate=float(contraction),
-        step_norms=tuple(step_norms),
-    )
+        raise _not_converged(v, step_norms, max_iter)
+    return _solve_result(v, step_norms, power_flow_mismatch(model, v, inj), tol_residual)
 
 
 def _newton_jacobian(model: NetworkModel, v, inj: InjectionSet, ic_delta, i):

@@ -49,6 +49,16 @@ def assert_bitwise(actual, expected):
         assert np.array_equal(np.signbit(part(actual)), np.signbit(part(expected)))
 
 
+def scaled_rows(inj, kappas):
+    """The injections scaled by each kappa, as a stack of rows."""
+    kappas = np.asarray(kappas, dtype=float)[:, None]
+    return mplf.InjectionSet(kappas * inj.s_wye, kappas * inj.s_delta)
+
+
+def injection_row(stack, j):
+    return mplf.InjectionSet(stack.s_wye[j], stack.s_delta[j])
+
+
 def wye_injection(model, bus, phase, value):
     inj = mplf.InjectionSet.zeros(model)
     inj.s_wye[model.index.phase_index[(bus, phase)]] = value

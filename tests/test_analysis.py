@@ -1,16 +1,24 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import mplf
-from mplf import analysis
+from mplf import analysis, linearize
 from mplf.analysis import _theorem1_ray, interval_summary, write_continuation_csv
 from mplf.certify import GammaQuantities, XiQuantities, theorem1_scan
 from mplf.datafiles import bundled_path
 from mplf.linearize import stack_injections
-from conftest import assert_bitwise, certified_instance, single_phase_model, wye_injection
+from conftest import (
+    assert_bitwise,
+    certified_instance,
+    injection_row,
+    scaled_rows,
+    single_phase_model,
+    wye_injection,
+)
 
 
 @pytest.fixture
@@ -428,25 +436,28 @@ class TestLinearErrorSweep:
 
     @pytest.mark.parametrize("case", ["ieee37", "ieee123"])
     def test_errors_equal_one_row_evaluations(self, case, monkeypatch):
-        # The solved rows are evaluated in blocks, one call per model per
-        # block; each error is the one a one-row evaluation gives.
+        # Each error is the one a one-row evaluation gives.  Each model is
+        # evaluated once per block of rows: FPL gives the starts, and its
+        # error is measured from them.
         model, profile, s_ref = mixed_case(case)
         kappas = np.linspace(-1.5, 1.5, 61)
         base_sol = mplf.solve_fixed_point(model, profile, s_ref, tol_step=1e-12)
-        rows = []
+        calls = []
+        for cls in (linearize._TangentModel, linearize._FixedPointModel):
 
-        def evaluate(lin, x):
-            rows.append((lin.kind, len(x)))
-            return mplf.evaluate_linear(lin, x)
+            def voltages(lin, x, _voltages=cls._voltages):
+                calls.append((lin.kind, len(x)))
+                return _voltages(lin, x)
 
-        monkeypatch.setattr(analysis, "evaluate_linear", evaluate)
+            monkeypatch.setattr(cls, "_voltages", voltages)
         result = mplf.linear_error_sweep(
             model, profile, base_sol, s_ref, s_ref, kappas, base_kappa=1.0
         )
-        block = analysis._EVALUATE_BLOCK
+        monkeypatch.undo()
+        block = analysis._ROW_BLOCK
         sizes = [min(block, 61 - start) for start in range(0, 61, block)]
         assert len(sizes) > 1
-        assert rows == [(kind, size) for size in sizes for kind in ("fot", "fpl")]
+        assert sorted(calls) == sorted((kind, size) for size in sizes for kind in ("fot", "fpl"))
         models = {
             "fot": mplf.fot_linearize(model, base_sol, s_ref),
             "fpl": mplf.fpl_linearize(model, profile, base_sol, s_ref),
@@ -457,6 +468,188 @@ class TestLinearErrorSweep:
                 v_lin = mplf.evaluate_linear(models[kind], stack_injections(s_ref.scaled(kappa)))[0]
                 expected.append(float(np.abs(v_lin - sol.v).max()) / float(np.abs(sol.v).max()))
             assert_bitwise(np.array(errors), np.array(expected))
+
+
+def assert_same_solve(actual, expected):
+    """The same solver outcome: a ``SolveResult`` equal in every field, the
+    arrays bit for bit, or an error of the same type and message whose
+    ``last_v`` and ``step_norms`` are equal."""
+    assert type(actual) is type(expected)
+    if isinstance(expected, Exception):
+        assert str(actual) == str(expected)
+        names = ("last_v", "step_norms")
+    else:
+        names = [f.name for f in dataclasses.fields(expected)]
+    for name in names:
+        got, want = getattr(actual, name, None), getattr(expected, name, None)
+        if isinstance(want, np.ndarray):
+            assert_bitwise(got, want)
+        else:
+            assert got == want, name
+
+
+def solve_outcome(solve, *args, **kwargs):
+    """``solve(*args, **kwargs)``, or the solver error it raises."""
+    try:
+        return solve(*args, **kwargs)
+    except (mplf.NonConvergenceError, mplf.DegenerateVoltageError) as exc:
+        return exc
+
+
+def fpl_start(fpl, s_ref, kappa):
+    return mplf.evaluate_linear(fpl, stack_injections(s_ref.scaled(kappa)))[0]
+
+
+def chained_solutions(model, profile, base_v, s_ref, kappas, base_kappa):
+    """Solutions warm-started outward from the base, each from its neighbor."""
+    out = [None] * len(kappas)
+    up = [i for i, k in enumerate(kappas) if k >= base_kappa]
+    down = [i for i, k in enumerate(kappas) if k < base_kappa][::-1]
+    for chain in (up, down):
+        v = base_v
+        for i in chain:
+            out[i] = mplf.solve_fixed_point(model, profile, s_ref.scaled(kappas[i]), v_init=v)
+            v = out[i].v
+    return out
+
+
+class TestSweepRows:
+    """Each row is solved in a block of rows, from its FPL prediction."""
+
+    KAPPAS = np.linspace(-1.5, 1.5, 61)
+
+    @staticmethod
+    def sweep(case, base_kappa, kappas):
+        model, profile, s_ref = mixed_case(case) if isinstance(case, str) else case
+        base_inj = s_ref.scaled(base_kappa)
+        base_sol = mplf.solve_fixed_point(model, profile, base_inj, tol_step=1e-12)
+        result = mplf.linear_error_sweep(
+            model, profile, base_sol, base_inj, s_ref, kappas, base_kappa=base_kappa
+        )
+        fpl = mplf.fpl_linearize(model, profile, base_sol, base_inj)
+        return model, profile, s_ref, base_sol, fpl, result
+
+    @pytest.mark.parametrize("base_kappa", [0.0, 1.0])
+    @pytest.mark.parametrize("case", ["ieee37", "ieee123"])
+    def test_rows_equal_solves_from_fpl_starts(self, case, base_kappa):
+        model, profile, s_ref, _, fpl, result = self.sweep(case, base_kappa, self.KAPPAS)
+        assert all(sol is not None for sol in result.solutions)
+        for kappa, sol in zip(self.KAPPAS, result.solutions):
+            start = fpl_start(fpl, s_ref, kappa)
+            assert_same_solve(
+                sol, mplf.solve_fixed_point(model, profile, s_ref.scaled(kappa), v_init=start)
+            )
+
+    @pytest.mark.parametrize("base_kappa", [0.0, 1.0])
+    @pytest.mark.parametrize("case", ["ieee37", "ieee123"])
+    def test_rows_close_to_chained_solutions(self, case, base_kappa):
+        model, profile, s_ref, base_sol, _, result = self.sweep(case, base_kappa, self.KAPPAS)
+        chained = chained_solutions(model, profile, base_sol.v, s_ref, self.KAPPAS, base_kappa)
+        for sol, ref in zip(result.solutions, chained):
+            assert np.abs(sol.v - ref.v).max() <= 1e-9
+
+    def test_failing_row_leaves_its_block_unchanged(self, single_phase_case):
+        # kappa = 4 is past the nose of the single-phase curve (0.1 kappa
+        # <= 1/4): the fixed point and Newton both fail there.  The rows
+        # share one block, and the others are the solves from their starts.
+        kappas = np.array([-1.0, 0.0, 0.5, 1.0, 2.0, 4.0])
+        assert len(kappas) <= analysis._ROW_BLOCK
+        model, profile, s_ref, _, fpl, result = self.sweep(single_phase_case, 0.0, kappas)
+        assert result.solutions[-1] is None
+        assert result.fot_errors[-1] is None and result.fpl_errors[-1] is None
+        start = fpl_start(fpl, s_ref, 4.0)
+        failed = solve_outcome(mplf.solve_fixed_point, model, profile, s_ref.scaled(4.0), v_init=start)
+        assert isinstance(failed, (mplf.NonConvergenceError, mplf.DegenerateVoltageError))
+        for kappa, sol in zip(kappas[:-1], result.solutions):
+            start = fpl_start(fpl, s_ref, kappa)
+            assert_same_solve(
+                sol, mplf.solve_fixed_point(model, profile, s_ref.scaled(kappa), v_init=start)
+            )
+
+    def test_newton_takes_rows_the_fixed_point_cannot(self, monkeypatch):
+        # Rows whose fixed point degenerates go to Newton from their FPL
+        # start; the other rows of the block are unchanged.
+        model, profile = single_phase_model()
+        s_ref = wye_injection(model, "load", "a", -0.1)
+        kappas = np.array([0.0, 0.5, 1.0, 1.5])
+        base_sol = mplf.solve_fixed_point(model, profile, s_ref.scaled(0.0))
+        plain = mplf.linear_error_sweep(model, profile, base_sol, s_ref.scaled(0.0), s_ref, kappas)
+        solve_block = analysis._solve_block
+
+        def degenerate_at_half(model, profile, inj, v_init, *args):
+            outcomes = solve_block(model, profile, inj, v_init, *args)
+            outcomes[1] = mplf.DegenerateVoltageError("near-zero phase voltage")
+            return outcomes
+
+        newton_starts = []
+
+        def newton(model, inj, v_init, **kwargs):
+            newton_starts.append(v_init)
+            return mplf.newton_oracle(model, inj, v_init=v_init, **kwargs)
+
+        monkeypatch.setattr(analysis, "_solve_block", degenerate_at_half)
+        monkeypatch.setattr(analysis, "newton_oracle", newton)
+        result = mplf.linear_error_sweep(model, profile, base_sol, s_ref.scaled(0.0), s_ref, kappas)
+        fpl = mplf.fpl_linearize(model, profile, base_sol, s_ref.scaled(0.0))
+        assert len(newton_starts) == 1
+        assert_bitwise(newton_starts[0], fpl_start(fpl, s_ref, 0.5))
+        assert result.solutions[1].residual_inf <= 1e-8
+        assert np.isnan(result.solutions[1].contraction_estimate)  # Newton's
+        for j in (0, 2, 3):
+            assert_same_solve(result.solutions[j], plain.solutions[j])
+
+
+class TestSolveBlock:
+    """Rows iterated together come out as their own solves, bit for bit."""
+
+    @pytest.mark.parametrize("feeder", ["ieee37", "ieee123"])
+    def test_rows_equal_one_row_solves(self, feeder):
+        model, profile, inj = mixed_case(feeder)
+        stack = scaled_rows(inj, [0.4, 1.2, 0.0, -0.8, 1.0, 0.7])
+        # Zeros where the other rows load leave those entries out of the row.
+        stack.s_wye[5, ::2] = 0
+        stack.s_delta[5, ::2] = 0
+        rng = np.random.default_rng(3)
+        starts = profile.w * (1 + 0.02 * rng.standard_normal((6, model.n_phases)))
+        rows = analysis._solve_block(model, profile, stack, starts)
+        for j, got in enumerate(rows):
+            one = mplf.solve_fixed_point(model, profile, injection_row(stack, j), v_init=starts[j])
+            assert_same_solve(got, one)
+        assert len({sol.iterations for sol in rows}) > 1  # the rows left at different steps
+
+    def test_failing_rows_leave_the_others_unchanged(self):
+        model, profile, inj = mixed_case("ieee37")
+        stack = scaled_rows(inj, [1.0, 1.0, 1.0, 1.0, 0.0])
+        solved = mplf.solve_fixed_point(model, profile, injection_row(stack, 0))
+        starts = np.array([solved.v, profile.w, profile.w, profile.w, profile.w])
+        starts[2, np.flatnonzero(inj.s_wye)[0]] = 0  # a loaded phase at zero
+        pair = np.flatnonzero(inj.s_delta)[0]
+        conn = model.connection
+        starts[3, conn.second[pair]] = starts[3, conn.first[pair]]  # a loaded pair at zero
+        rows = analysis._solve_block(model, profile, stack, starts, max_iter=4)
+        assert [type(r).__name__ for r in rows] == [
+            "SolveResult", "NonConvergenceError", "DegenerateVoltageError",
+            "DegenerateVoltageError", "SolveResult",
+        ]
+        for j, got in enumerate(rows):
+            expected = solve_outcome(
+                mplf.solve_fixed_point, model, profile, injection_row(stack, j),
+                v_init=starts[j], max_iter=4,
+            )
+            assert_same_solve(got, expected)
+        assert "wye" in str(rows[2]) and "phase-to-phase" in str(rows[3])
+
+    def test_options_checked_as_in_one_row_solves(self):
+        model, profile, inj = mixed_case("ieee37")
+        stack = scaled_rows(inj, [1.0, 0.5])
+        starts = np.array([profile.w, profile.w])
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            analysis._solve_block(model, profile, stack, starts, max_iter=0)
+        with pytest.raises(ValueError, match="tol_step must be strictly positive"):
+            analysis._solve_block(model, profile, stack, starts, tol_step=np.nan)
+        message = r"^inj.s_wye has shape \(2, 108\); the model needs shape \(1, 108\)$"
+        with pytest.raises(ValueError, match=message):
+            analysis._solve_block(model, profile, stack, starts[:1])
 
 
 class TestOutputs:

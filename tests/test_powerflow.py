@@ -11,7 +11,9 @@ from conftest import (
     assert_bitwise,
     certified_instance,
     dense_incidence,
+    injection_row,
     random_network,
+    scaled_rows,
     single_phase_model,
     wye_injection,
 )
@@ -305,6 +307,32 @@ class TestUpdateKernel:
             v = v_next
         assert_bitwise(sol.v, v)
         assert sol.step_norms == tuple(steps)
+
+
+class TestStackedMismatch:
+    @pytest.mark.parametrize("feeder", ["ieee37", "ieee123"])
+    def test_rows_equal_one_row_mismatches(self, feeder):
+        model, profile, inj = ieee37_mixed(feeder)
+        stack = scaled_rows(inj, [0.5, 0.0, -1.0, 1.3])
+        v = profile.w * (1 + 0.01 * np.random.default_rng(4).standard_normal((4, model.n_phases)))
+        terms = powerflow.power_flow_mismatch(model, v, stack)
+        for j in range(4):
+            one = powerflow.power_flow_mismatch(model, v[j], injection_row(stack, j))
+            for got, want in zip(terms, one):
+                assert_bitwise(got[j], want)
+
+    def test_degenerate_rows_named(self):
+        model, profile, inj = ieee37_mixed()
+        stack = scaled_rows(inj, [1.0, 1.0, 0.0])
+        v = np.array([profile.w] * 3)
+        pair = np.flatnonzero(inj.s_delta)[0]
+        conn = model.connection
+        for j in (1, 2):
+            v[j, conn.second[pair]] = v[j, conn.first[pair]]
+        # Row 2 carries no injection, so its zero pair voltage is no fault.
+        with pytest.raises(mplf.DegenerateVoltageError, match="phase-to-phase") as info:
+            powerflow.power_flow_mismatch(model, v, stack)
+        assert info.value.rows.tolist() == [False, True, False]
 
 
 SOLVERS = {
