@@ -20,7 +20,7 @@ from .certify import (
     theorem1_scan,
     theorem2_closed_form,
 )
-from .errors import DegenerateVoltageError, MplfError
+from .errors import MplfError
 from .linearize import fot_linearize, fpl_linearize, stack_injections
 from .netmodel import NetworkModel, ZeroLoadProfile
 from .powerflow import (
@@ -29,14 +29,8 @@ from .powerflow import (
     TOL_STEP,
     InjectionSet,
     SolveResult,
-    _check_solver_options,
-    _checked_voltage,
-    _not_converged,
-    _solve_result,
-    _step_norms,
-    _UpdateKernel,
+    _solve_rows,
     newton_oracle,
-    power_flow_mismatch,
     solve_fixed_point,
 )
 
@@ -49,10 +43,10 @@ KAPPA_BOUNDS = (-10.0, 10.0)
 # Sweep rows solved together.  Each step of a block is one SuperLU solve
 # with a right-hand side per active row, so wider blocks take fewer, wider
 # solves, but their temporaries raise the peak resident set.  Sweeps of 61
-# rows on ieee37 and ieee123 (one BLAS thread, 2-vCPU host) took 15.9 and
-# 25.3 ms with 4-row blocks, 11.7 and 20.1 ms with 8, 9.6 and 17.6 ms with
-# 16 and 7.8 and 14.9 ms with all 61; the ieee123 sweep's traced peak was
-# 0.86, 0.92, 1.19 and 2.13 MB, and 0.86 MB solving the rows one at a time.
+# rows on ieee37 and ieee123 (one BLAS thread, 2-vCPU host) took 11.2 and
+# 18.5 ms with 4-row blocks, 8.5 and 15.0 ms with 8, 6.9 and 12.6 ms with
+# 16 and 5.4 and 10.4 ms with all 61; the ieee123 sweep's traced peak was
+# 0.86, 0.95, 1.24 and 2.39 MB, and 0.86 MB solving the rows one at a time.
 _ROW_BLOCK = 8
 
 
@@ -242,84 +236,6 @@ def recentered_interval(
     )
 
 
-def _solve_block(
-    model: NetworkModel,
-    w_profile: ZeroLoadProfile,
-    inj: InjectionSet,
-    v_init,
-    tol_step: float = TOL_STEP,
-    tol_residual: float = BASE_RESIDUAL_TOL,
-    max_iter: int = MAX_ITER,
-) -> list:
-    """``solve_fixed_point`` for each row of a stack, the rows iterated
-    together.
-
-    ``inj`` holds ``k`` rows of injections (``s_wye`` of shape ``(k, n)``,
-    ``s_delta`` of shape ``(k, d)``) and ``v_init`` one start per row,
-    shape ``(k, n)``.  Each step applies the update kernel to the rows
-    still active, one SuperLU solve with a right-hand side per row.  A row
-    leaves when its step drops below ``tol_step``, when it degenerates
-    (the others go on), or after ``max_iter`` steps.  The rows whose step
-    drops at one step have their residuals checked in one stacked
-    ``power_flow_mismatch``.
-
-    Returns, per row, the ``SolveResult`` of ``solve_fixed_point`` for that
-    row and its start, or the ``NonConvergenceError`` or
-    ``DegenerateVoltageError`` it raises: the update kernel, the mismatch
-    and ``_solve_result`` are the one-row solve's, and no operation mixes
-    rows, so each row equals that solve bit for bit.  Bad options raise as
-    there.
-    """
-    _check_solver_options(tol_step, tol_residual, max_iter)
-    v = _checked_voltage(model, inj, "v_init", v_init, rows=np.shape(v_init)[:1])
-    outcomes = [None] * len(v)
-    step_norms = [[] for _ in outcomes]
-    update = _UpdateKernel(model, w_profile, inj)
-    active = np.arange(len(v))
-    iteration = 0
-    while active.size:
-        try:
-            v_next = update(v)
-        except DegenerateVoltageError as exc:
-            stay = _leave_degenerate(outcomes, active, exc)
-            active, v, update = active[stay], v[stay], update.take(stay)
-            continue
-        iteration += 1
-        steps = _step_norms(v_next, v)
-        for row, step in zip(active.tolist(), steps.tolist()):
-            step_norms[row].append(step)
-        v, done = v_next, steps < tol_step
-        leave = done if iteration < max_iter else np.ones_like(done)
-        if leave.any():
-            _finish_rows(model, inj, active[done], v[done], step_norms, outcomes, tol_residual)
-            for row, last in zip(active[leave & ~done].tolist(), v[leave & ~done]):
-                outcomes[row] = _not_converged(last, step_norms[row], max_iter)
-            active, v, update = active[~leave], v[~leave], update.take(~leave)
-    return outcomes
-
-
-def _finish_rows(model, inj, rows, v, step_norms, outcomes, tol_residual):
-    """The ``SolveResult`` of each of ``rows``, whose step dropped below the
-    tolerance at ``v``, from one stacked residual check."""
-    while rows.size:
-        try:
-            terms = power_flow_mismatch(model, v, InjectionSet(inj.s_wye[rows], inj.s_delta[rows]))
-            break
-        except DegenerateVoltageError as exc:
-            stay = _leave_degenerate(outcomes, rows, exc)
-            rows, v = rows[stay], v[stay]
-    for j, row in enumerate(rows.tolist()):
-        outcomes[row] = _solve_result(v[j], step_norms[row], [t[j] for t in terms], tol_residual)
-
-
-def _leave_degenerate(outcomes, rows, exc):
-    """Give each row of ``rows`` that ``exc`` names the error its own solve
-    raises; returns the mask of the rows that stay."""
-    for row in rows[exc.rows].tolist():
-        outcomes[row] = DegenerateVoltageError(str(exc))
-    return ~exc.rows
-
-
 def _solve_exact(model, target, fixed_point, v_start, tol_residual):
     """A sweep row's exact solution from its fixed-point outcome, with the
     Newton fallback, or ``None``.
@@ -363,12 +279,14 @@ def linear_error_sweep(
     Models are built once at the supplied base.  The rows are solved in
     blocks of ``_ROW_BLOCK``, in kappa order.  Both models are evaluated on
     a block first, and each row's FPL prediction is its start: the fixed
-    point iterates the block's rows together (see ``_solve_block``), each
-    row as ``solve_fixed_point`` from that start would.  A row that
+    point iterates the block's rows together (``powerflow._solve_rows``,
+    the loop of ``solve_fixed_point``), each row as ``solve_fixed_point``
+    from that start would.  A row that
     degenerates, does not converge or misses ``tol_residual`` falls back to
     Newton (see ``_solve_exact``).  A row's FPL error is its start's
-    distance from its solution.  One Theorem-2 call at ``s_hat + s_ref`` gives both theorems' intervals
-    and each row's Theorem 2, the closed form at ``|kappa - base_kappa| xi(s_ref)``.
+    distance from its solution.  One Theorem-2 call at ``s_hat + s_ref``
+    gives both theorems' intervals and each row's Theorem 2, the closed
+    form at ``|kappa - base_kappa| xi(s_ref)``.
     """
     kappas = np.sort(np.asarray(kappa_grid, dtype=float))
     if not kappas.size:
@@ -397,7 +315,7 @@ def linear_error_sweep(
         x = stack_injections(targets)
         v_fpl, v_fot = fpl._voltages(x), fot._voltages(x)
         del x
-        outcomes = _solve_block(model, w_profile, targets, v_fpl, tol_step, tol_residual, max_iter)
+        outcomes = _solve_rows(model, w_profile, targets, v_fpl, tol_step, tol_residual, max_iter)
         for j, outcome in enumerate(outcomes):
             target = InjectionSet(targets.s_wye[j], targets.s_delta[j])
             solutions[start + j] = _solve_exact(model, target, outcome, v_fpl[j], tol_residual)

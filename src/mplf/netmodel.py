@@ -126,7 +126,9 @@ class ConnectionMatrix:
     block ``[[1,-1,0],[0,1,-1],[-1,0,1]]``), and ``L = |H|``.  Every product
     with them is a gather or a scatter over these two index arrays; each row
     of ``H`` has two nonzeros and each column at most two, so these take the
-    same sums as the dense products, in the same order.
+    same sums as the dense products, in the same order.  A bus has each of
+    its pairs once, so no phase repeats within ``first`` or within
+    ``second``.
     """
 
     first: np.ndarray
@@ -146,9 +148,11 @@ class ConnectionMatrix:
         pair's first phase and ``-y`` at its second, so ``Y @ H`` for the
         rows of a matrix."""
         out = np.zeros(y.shape[:-1] + (n,), dtype=np.promote_types(y.dtype, float))
-        out_t, y_t = out.T, y.T
-        np.add.at(out_t, self.first, y_t)
-        np.subtract.at(out_t, self.second, y_t)
+        # No index repeats within first or second, so each fancy-index
+        # update adds once per phase: the sums of np.add.at, which is
+        # slower on a stack of rows.
+        out[..., self.first] += y
+        out[..., self.second] -= y
         return out
 
     def bus_block(self, diag, pair, scale=None):

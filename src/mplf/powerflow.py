@@ -6,7 +6,6 @@ real parts.  All quantities are per unit.
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass
 
@@ -55,7 +54,7 @@ class InjectionSet:
     def __post_init__(self):
         self.s_wye = np.asarray(self.s_wye, dtype=complex)
         self.s_delta = np.asarray(self.s_delta, dtype=complex)
-        if not (np.all(np.isfinite(self.s_wye)) and np.all(np.isfinite(self.s_delta))):
+        if not (np.isfinite(self.s_wye).all() and np.isfinite(self.s_delta).all()):
             raise InputFormatError("injections must be finite")
 
     @classmethod
@@ -256,13 +255,6 @@ class _UpdateKernel:
         self._solve = model.factor.solve
         self._w = w_profile.w
 
-    def take(self, rows):
-        """The kernel of the injection rows that ``rows`` selects from a stack."""
-        out = copy.copy(self)
-        for name in ("_s_wye", "_live_wye", "_s_delta", "_live_delta"):
-            setattr(out, name, getattr(self, name)[rows])
-        return out
-
     def __call__(self, v):
         v_wye = v[..., self._wye]
         _check_degenerate(v_wye, self._live_wye, EPS_V, _DEGENERATE_WYE)
@@ -329,6 +321,96 @@ def _solve_result(v, step_norms, terms, tol_residual) -> SolveResult:
     )
 
 
+def _injection_rows(inj: InjectionSet, rows) -> InjectionSet:
+    return InjectionSet(inj.s_wye[rows], inj.s_delta[rows])
+
+
+def _leave_degenerate(outcomes, rows, exc):
+    """Give each of ``rows`` that ``exc`` names the error its one-row solve
+    raises; returns the mask of the rows that stay."""
+    for row in rows[exc.rows].tolist():
+        outcomes[row] = DegenerateVoltageError(str(exc), rows=np.bool_(True))
+    return ~exc.rows
+
+
+def _finish_rows(model, inj, rows, v, step_norms, outcomes, tol_residual):
+    """The ``SolveResult`` of each of ``rows``, whose step dropped below the
+    tolerance at ``v`` under the injections ``inj``, from one stacked
+    residual check."""
+    while rows.size:
+        try:
+            terms = power_flow_mismatch(model, v, inj)
+            break
+        except DegenerateVoltageError as exc:
+            stay = _leave_degenerate(outcomes, rows, exc)
+            rows, v, inj = rows[stay], v[stay], _injection_rows(inj, stay)
+    for j, row in enumerate(rows.tolist()):
+        outcomes[row] = _solve_result(v[j], step_norms[row], [t[j] for t in terms], tol_residual)
+
+
+def _solve_rows(
+    model: NetworkModel,
+    w_profile: ZeroLoadProfile,
+    inj: InjectionSet,
+    v_init,
+    tol_step: float = TOL_STEP,
+    tol_residual: float = BASE_RESIDUAL_TOL,
+    max_iter: int = MAX_ITER,
+) -> list:
+    """The fixed-point solve of one row of injections, or of each row of a
+    stack, the rows iterated together.
+
+    ``inj`` is one row (``s_wye`` of shape ``(n,)``) with a start ``v_init``
+    of shape ``(n,)``, or ``k`` rows (``s_wye`` of shape ``(k, n)``,
+    ``s_delta`` of shape ``(k, d)``) with one start per row, shape
+    ``(k, n)``.  Each step applies the update kernel to the rows still
+    active, one SuperLU solve with a right-hand side per row.  A row leaves
+    when its step drops below ``tol_step``, when it degenerates (the others
+    go on, and the step is redone without it), or after ``max_iter`` steps.
+    The rows whose step drops at one step have their residuals checked in
+    one stacked ``power_flow_mismatch``.
+
+    Returns a list with, per row, its ``SolveResult``, or the
+    ``NonConvergenceError`` or ``DegenerateVoltageError`` its solve ends
+    in.  No operation mixes rows, so a row comes out bit for bit as it
+    would alone.  Bad options, or injections or starts that do not fit the
+    model, raise ``ValueError``; with a stack, the message names the
+    shapes the injection rows call for.
+    """
+    _check_solver_options(tol_step, tol_residual, max_iter)
+    v = _checked_voltage(model, inj, "v_init", v_init, rows=np.shape(inj.s_wye)[:-1][:1])
+    if v.ndim == 1:
+        v, inj = v[None], _injection_rows(inj, None)
+    outcomes = [None] * len(v)
+    step_norms = [[] for _ in outcomes]
+    # active, v and inj hold the rows still iterating, and update their kernel.
+    active, iteration = np.arange(len(v)), 0
+    update = _UpdateKernel(model, w_profile, inj)
+    while active.size and iteration < max_iter:
+        try:
+            v_next = update(v)
+        except DegenerateVoltageError as exc:
+            stay = _leave_degenerate(outcomes, active, exc)
+        else:
+            iteration += 1
+            steps = _step_norms(v_next, v)
+            for row, step in zip(active.tolist(), steps.tolist()):
+                step_norms[row].append(step)
+            v, stay = v_next, ~(steps < tol_step)
+            if stay.all():
+                continue
+            done = ~stay
+            rows_inj = _injection_rows(inj, done) if stay.any() else inj
+            _finish_rows(model, rows_inj, active[done], v[done], step_norms, outcomes, tol_residual)
+        active, v = active[stay], v[stay]
+        if active.size:
+            inj = _injection_rows(inj, stay)
+            update = _UpdateKernel(model, w_profile, inj)
+    for row, last in zip(active.tolist(), v):
+        outcomes[row] = _not_converged(last, step_norms[row], max_iter)
+    return outcomes
+
+
 def solve_fixed_point(
     model: NetworkModel,
     w_profile: ZeroLoadProfile,
@@ -344,7 +426,7 @@ def solve_fixed_point(
     the returned result is then validated against ``tol_residual`` and
     flagged in ``converged``.  A miss is not logged here: the caller knows
     whether this is its final answer (the sweep hands such a point to
-    Newton).
+    Newton).  This is the one-row case of ``_solve_rows``.
 
     Raises
     ------
@@ -358,19 +440,11 @@ def solve_fixed_point(
     DegenerateVoltageError
         If an iterate degenerates under a nonzero injection.
     """
-    _check_solver_options(tol_step, tol_residual, max_iter)
-    v = _checked_voltage(model, inj, "v_init", w_profile.w if v_init is None else v_init)
-    update = _UpdateKernel(model, w_profile, inj)
-    step_norms = []
-    for _ in range(max_iter):
-        v_next = update(v)
-        step_norms.append(float(_step_norms(v_next, v)))
-        v = v_next
-        if step_norms[-1] < tol_step:
-            break
-    else:
-        raise _not_converged(v, step_norms, max_iter)
-    return _solve_result(v, step_norms, power_flow_mismatch(model, v, inj), tol_residual)
+    v_init = w_profile.w if v_init is None else v_init
+    (outcome,) = _solve_rows(model, w_profile, inj, v_init, tol_step, tol_residual, max_iter)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _newton_jacobian(model: NetworkModel, v, inj: InjectionSet, ic_delta, i):

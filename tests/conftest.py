@@ -6,6 +6,7 @@ phases exist at both ends.  Injections drawn here can be rescaled to any
 target loading norm, which is how the certified-instance suites are built.
 """
 
+import dataclasses
 import sys
 import tempfile
 from pathlib import Path
@@ -47,6 +48,32 @@ def assert_bitwise(actual, expected):
     assert np.array_equal(actual, expected)
     for part in (np.real, np.imag):
         assert np.array_equal(np.signbit(part(actual)), np.signbit(part(expected)))
+
+
+def assert_same_solve(actual, expected):
+    """The same solver outcome: a ``SolveResult`` equal in every field, the
+    arrays bit for bit, or an error of the same type and message whose
+    ``last_v``, ``step_norms`` and ``rows`` are equal."""
+    assert type(actual) is type(expected)
+    if isinstance(expected, Exception):
+        assert str(actual) == str(expected)
+        names = ("last_v", "step_norms", "rows")
+    else:
+        names = [f.name for f in dataclasses.fields(expected)]
+    for name in names:
+        got, want = getattr(actual, name, None), getattr(expected, name, None)
+        if isinstance(want, (np.ndarray, np.generic)):
+            assert_bitwise(got, want)
+        else:
+            assert got == want, name
+
+
+def solve_outcome(solve, *args, **kwargs):
+    """``solve(*args, **kwargs)``, or the solver error it raises."""
+    try:
+        return solve(*args, **kwargs)
+    except (mplf.NonConvergenceError, mplf.DegenerateVoltageError) as exc:
+        return exc
 
 
 def scaled_rows(inj, kappas):

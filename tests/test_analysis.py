@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import math
 
 import numpy as np
@@ -13,10 +12,10 @@ from mplf.datafiles import bundled_path
 from mplf.linearize import stack_injections
 from conftest import (
     assert_bitwise,
+    assert_same_solve,
     certified_instance,
-    injection_row,
-    scaled_rows,
     single_phase_model,
+    solve_outcome,
     wye_injection,
 )
 
@@ -470,32 +469,6 @@ class TestLinearErrorSweep:
             assert_bitwise(np.array(errors), np.array(expected))
 
 
-def assert_same_solve(actual, expected):
-    """The same solver outcome: a ``SolveResult`` equal in every field, the
-    arrays bit for bit, or an error of the same type and message whose
-    ``last_v`` and ``step_norms`` are equal."""
-    assert type(actual) is type(expected)
-    if isinstance(expected, Exception):
-        assert str(actual) == str(expected)
-        names = ("last_v", "step_norms")
-    else:
-        names = [f.name for f in dataclasses.fields(expected)]
-    for name in names:
-        got, want = getattr(actual, name, None), getattr(expected, name, None)
-        if isinstance(want, np.ndarray):
-            assert_bitwise(got, want)
-        else:
-            assert got == want, name
-
-
-def solve_outcome(solve, *args, **kwargs):
-    """``solve(*args, **kwargs)``, or the solver error it raises."""
-    try:
-        return solve(*args, **kwargs)
-    except (mplf.NonConvergenceError, mplf.DegenerateVoltageError) as exc:
-        return exc
-
-
 def fpl_start(fpl, s_ref, kappa):
     return mplf.evaluate_linear(fpl, stack_injections(s_ref.scaled(kappa)))[0]
 
@@ -574,10 +547,10 @@ class TestSweepRows:
         kappas = np.array([0.0, 0.5, 1.0, 1.5])
         base_sol = mplf.solve_fixed_point(model, profile, s_ref.scaled(0.0))
         plain = mplf.linear_error_sweep(model, profile, base_sol, s_ref.scaled(0.0), s_ref, kappas)
-        solve_block = analysis._solve_block
+        solve_rows = analysis._solve_rows
 
         def degenerate_at_half(model, profile, inj, v_init, *args):
-            outcomes = solve_block(model, profile, inj, v_init, *args)
+            outcomes = solve_rows(model, profile, inj, v_init, *args)
             outcomes[1] = mplf.DegenerateVoltageError("near-zero phase voltage")
             return outcomes
 
@@ -587,7 +560,7 @@ class TestSweepRows:
             newton_starts.append(v_init)
             return mplf.newton_oracle(model, inj, v_init=v_init, **kwargs)
 
-        monkeypatch.setattr(analysis, "_solve_block", degenerate_at_half)
+        monkeypatch.setattr(analysis, "_solve_rows", degenerate_at_half)
         monkeypatch.setattr(analysis, "newton_oracle", newton)
         result = mplf.linear_error_sweep(model, profile, base_sol, s_ref.scaled(0.0), s_ref, kappas)
         fpl = mplf.fpl_linearize(model, profile, base_sol, s_ref.scaled(0.0))
@@ -597,59 +570,6 @@ class TestSweepRows:
         assert np.isnan(result.solutions[1].contraction_estimate)  # Newton's
         for j in (0, 2, 3):
             assert_same_solve(result.solutions[j], plain.solutions[j])
-
-
-class TestSolveBlock:
-    """Rows iterated together come out as their own solves, bit for bit."""
-
-    @pytest.mark.parametrize("feeder", ["ieee37", "ieee123"])
-    def test_rows_equal_one_row_solves(self, feeder):
-        model, profile, inj = mixed_case(feeder)
-        stack = scaled_rows(inj, [0.4, 1.2, 0.0, -0.8, 1.0, 0.7])
-        # Zeros where the other rows load leave those entries out of the row.
-        stack.s_wye[5, ::2] = 0
-        stack.s_delta[5, ::2] = 0
-        rng = np.random.default_rng(3)
-        starts = profile.w * (1 + 0.02 * rng.standard_normal((6, model.n_phases)))
-        rows = analysis._solve_block(model, profile, stack, starts)
-        for j, got in enumerate(rows):
-            one = mplf.solve_fixed_point(model, profile, injection_row(stack, j), v_init=starts[j])
-            assert_same_solve(got, one)
-        assert len({sol.iterations for sol in rows}) > 1  # the rows left at different steps
-
-    def test_failing_rows_leave_the_others_unchanged(self):
-        model, profile, inj = mixed_case("ieee37")
-        stack = scaled_rows(inj, [1.0, 1.0, 1.0, 1.0, 0.0])
-        solved = mplf.solve_fixed_point(model, profile, injection_row(stack, 0))
-        starts = np.array([solved.v, profile.w, profile.w, profile.w, profile.w])
-        starts[2, np.flatnonzero(inj.s_wye)[0]] = 0  # a loaded phase at zero
-        pair = np.flatnonzero(inj.s_delta)[0]
-        conn = model.connection
-        starts[3, conn.second[pair]] = starts[3, conn.first[pair]]  # a loaded pair at zero
-        rows = analysis._solve_block(model, profile, stack, starts, max_iter=4)
-        assert [type(r).__name__ for r in rows] == [
-            "SolveResult", "NonConvergenceError", "DegenerateVoltageError",
-            "DegenerateVoltageError", "SolveResult",
-        ]
-        for j, got in enumerate(rows):
-            expected = solve_outcome(
-                mplf.solve_fixed_point, model, profile, injection_row(stack, j),
-                v_init=starts[j], max_iter=4,
-            )
-            assert_same_solve(got, expected)
-        assert "wye" in str(rows[2]) and "phase-to-phase" in str(rows[3])
-
-    def test_options_checked_as_in_one_row_solves(self):
-        model, profile, inj = mixed_case("ieee37")
-        stack = scaled_rows(inj, [1.0, 0.5])
-        starts = np.array([profile.w, profile.w])
-        with pytest.raises(ValueError, match="max_iter must be >= 1"):
-            analysis._solve_block(model, profile, stack, starts, max_iter=0)
-        with pytest.raises(ValueError, match="tol_step must be strictly positive"):
-            analysis._solve_block(model, profile, stack, starts, tol_step=np.nan)
-        message = r"^inj.s_wye has shape \(2, 108\); the model needs shape \(1, 108\)$"
-        with pytest.raises(ValueError, match=message):
-            analysis._solve_block(model, profile, stack, starts[:1])
 
 
 class TestOutputs:

@@ -169,6 +169,8 @@ class TestConnectionMatrix:
         for model in models:
             conn, n, d = model.connection, model.n_phases, model.n_delta
             H = dense_incidence(conn, n)
+            # scatter's fancy-index adds count on this: no phase repeats.
+            assert np.unique(conn.first).size == np.unique(conn.second).size == d
             for _ in range(10):
                 v, y, r = draw(n), draw(d), np.abs(draw(n))
                 rows = np.stack([draw(n) for _ in range(3)])

@@ -9,12 +9,14 @@ from mplf.datafiles import bundled_path
 from conftest import (
     BALANCED_V0,
     assert_bitwise,
+    assert_same_solve,
     certified_instance,
     dense_incidence,
     injection_row,
     random_network,
     scaled_rows,
     single_phase_model,
+    solve_outcome,
     wye_injection,
 )
 
@@ -307,6 +309,72 @@ class TestUpdateKernel:
             v = v_next
         assert_bitwise(sol.v, v)
         assert sol.step_norms == tuple(steps)
+
+
+class TestSolveRows:
+    """Rows iterated together come out as their own solves, bit for bit."""
+
+    @pytest.mark.parametrize("feeder", ["ieee37", "ieee123"])
+    def test_rows_equal_one_row_solves(self, feeder):
+        model, profile, inj = ieee37_mixed(feeder)
+        stack = scaled_rows(inj, [0.4, 1.2, 0.0, -0.8, 1.0, 0.7])
+        # Zeros where the other rows load leave those entries out of the row.
+        stack.s_wye[5, ::2] = 0
+        stack.s_delta[5, ::2] = 0
+        rng = np.random.default_rng(3)
+        starts = profile.w * (1 + 0.02 * rng.standard_normal((6, model.n_phases)))
+        rows = powerflow._solve_rows(model, profile, stack, starts)
+        for j, got in enumerate(rows):
+            one = mplf.solve_fixed_point(model, profile, injection_row(stack, j), v_init=starts[j])
+            assert_same_solve(got, one)
+        assert len({sol.iterations for sol in rows}) > 1  # the rows left at different steps
+
+    def test_failing_rows_leave_the_others_unchanged(self):
+        model, profile, inj = ieee37_mixed()
+        stack = scaled_rows(inj, [1.0, 1.0, 1.0, 1.0, 0.0])
+        solved = mplf.solve_fixed_point(model, profile, injection_row(stack, 0))
+        starts = np.array([solved.v, profile.w, profile.w, profile.w, profile.w])
+        starts[2, np.flatnonzero(inj.s_wye)[0]] = 0  # a loaded phase at zero
+        pair = np.flatnonzero(inj.s_delta)[0]
+        conn = model.connection
+        starts[3, conn.second[pair]] = starts[3, conn.first[pair]]  # a loaded pair at zero
+        rows = powerflow._solve_rows(model, profile, stack, starts, max_iter=4)
+        assert [type(r).__name__ for r in rows] == [
+            "SolveResult", "NonConvergenceError", "DegenerateVoltageError",
+            "DegenerateVoltageError", "SolveResult",
+        ]
+        for j, got in enumerate(rows):
+            expected = solve_outcome(
+                mplf.solve_fixed_point, model, profile, injection_row(stack, j),
+                v_init=starts[j], max_iter=4,
+            )
+            assert_same_solve(got, expected)
+        assert "wye" in str(rows[2]) and "phase-to-phase" in str(rows[3])
+
+    def test_degenerate_solve_names_its_row_as_the_map_does(self):
+        # A one-row solve raises the error of its row, which names that row
+        # as the map's check on one vector does: a 0-d True.
+        model, profile, inj = ieee37_mixed()
+        v = profile.w.copy()
+        v[np.flatnonzero(inj.s_wye)[0]] = 0
+        with pytest.raises(mplf.DegenerateVoltageError) as from_map:
+            mplf.fixed_point_map(model, profile, inj, v)
+        with pytest.raises(mplf.DegenerateVoltageError) as from_solve:
+            mplf.solve_fixed_point(model, profile, inj, v_init=v)
+        assert_same_solve(from_solve.value, from_map.value)
+
+    def test_arguments_checked_as_in_one_row_solves(self):
+        model, profile, inj = ieee37_mixed()
+        stack = scaled_rows(inj, [1.0, 0.5])
+        starts = np.array([profile.w, profile.w])
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            powerflow._solve_rows(model, profile, stack, starts, max_iter=0)
+        with pytest.raises(ValueError, match="tol_step must be strictly positive"):
+            powerflow._solve_rows(model, profile, stack, starts, tol_step=np.nan)
+        # The rows are the injections'; a start stack of another height is named.
+        message = r"^v_init has shape \(1, 108\); the model needs shape \(2, 108\)$"
+        with pytest.raises(ValueError, match=message):
+            powerflow._solve_rows(model, profile, stack, starts[:1])
 
 
 class TestStackedMismatch:
