@@ -440,8 +440,10 @@ def solve_fixed_point(
     DegenerateVoltageError
         If an iterate degenerates under a nonzero injection.
     """
-    v_init = w_profile.w if v_init is None else v_init
-    (outcome,) = _solve_rows(model, w_profile, inj, v_init, tol_step, tol_residual, max_iter)
+    # Checked here as one row, so that a stack of injections is refused.
+    _check_solver_options(tol_step, tol_residual, max_iter)
+    v = _checked_voltage(model, inj, "v_init", w_profile.w if v_init is None else v_init)
+    (outcome,) = _solve_rows(model, w_profile, inj, v, tol_step, tol_residual, max_iter)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

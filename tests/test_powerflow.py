@@ -441,6 +441,13 @@ class TestSolverArguments:
         with pytest.raises(ValueError, match=r"^inj.s_delta has shape \(13,\); the model needs length 32$"):
             SOLVERS[solver][1](model, profile, short, profile.w)
 
+    def test_stack_of_injections_rejected(self, solver):
+        # The solvers take one row; a stack is named as the injections.
+        model, profile, inj = ieee37_mixed()
+        stack = scaled_rows(inj, [1.0, 0.5])
+        with pytest.raises(ValueError, match=r"^inj.s_wye has shape \(2, 108\); the model needs length 108$"):
+            SOLVERS[solver][1](model, profile, stack, profile.w)
+
 
 class TestIterationBudget:
     @pytest.mark.parametrize("max_iter", [0, -3])
