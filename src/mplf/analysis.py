@@ -21,7 +21,7 @@ from .certify import (
     theorem2_closed_form,
 )
 from .errors import MplfError
-from .linearize import fot_linearize, fpl_linearize, stack_injections
+from .linearize import fot_linearize, fpl_linearize
 from .netmodel import NetworkModel, ZeroLoadProfile
 from .powerflow import (
     BASE_RESIDUAL_TOL,
@@ -278,13 +278,15 @@ def linear_error_sweep(
 
     Models are built once at the supplied base.  The rows are solved in
     blocks of ``_ROW_BLOCK``, in kappa order.  Both models are evaluated on
-    a block first, and each row's FPL prediction is its start: the fixed
-    point iterates the block's rows together (``powerflow._solve_rows``,
-    the loop of ``solve_fixed_point``), each row as ``solve_fixed_point``
-    from that start would.  A row that
-    degenerates, does not converge or misses ``tol_residual`` falls back to
-    Newton (see ``_solve_exact``).  A row's FPL error is its start's
-    distance from its solution.  One Theorem-2 call at ``s_hat + s_ref``
+    a block's stack of injections first, with no real injection vectors in
+    between, and each row's FPL prediction is its start: the fixed point
+    iterates the block's rows together with one update kernel until the
+    last row stops (``powerflow._solve_rows``, the loop of
+    ``solve_fixed_point``), each row as ``solve_fixed_point`` from that
+    start would.  A row that degenerates, does not converge or misses
+    ``tol_residual`` falls back to Newton (see ``_solve_exact``).  A row's
+    FPL error is its start's distance from its solution.  One Theorem-2
+    call at ``s_hat + s_ref``
     gives both theorems' intervals and each row's Theorem 2, the closed
     form at ``|kappa - base_kappa| xi(s_ref)``.
     """
@@ -312,9 +314,7 @@ def linear_error_sweep(
     for start in range(0, len(kappas), _ROW_BLOCK):
         block = kappas[start : start + _ROW_BLOCK, None]
         targets = InjectionSet(block * s_ref.s_wye, block * s_ref.s_delta)
-        x = stack_injections(targets)
-        v_fpl, v_fot = fpl._voltages(x), fot._voltages(x)
-        del x
+        v_fpl, v_fot = fpl._voltages(targets), fot._voltages(targets)
         outcomes = _solve_rows(model, w_profile, targets, v_fpl, tol_step, tol_residual, max_iter)
         for j, outcome in enumerate(outcomes):
             target = InjectionSet(targets.s_wye[j], targets.s_delta[j])

@@ -28,6 +28,7 @@ from .powerflow import (
     EPS_V,
     InjectionSet,
     SolveResult,
+    _UpdateKernel,
     checked_base,
 )
 
@@ -43,34 +44,37 @@ def stack_injections(inj: InjectionSet) -> np.ndarray:
 class LinearModel:
     """Affine voltage and magnitude predictors around a base operating point.
 
-    A model is held as an operator, not as matrices.  A stacked real
-    injection vector ``x`` (see ``stack_injections``) enters through the
-    right-hand side ``r(s) = conj(s_Y / v̂) + Hᵀ conj(s_δ / Hv̂)`` of one
-    sparse solve:
+    A model is held as an operator, not as matrices, and evaluates
+    injections (an ``InjectionSet``, one row or a stack of rows) through
+    the update map's kernel (``powerflow._UpdateKernel``) at the base
+    voltages ``v̂``, whose right-hand side is
+    ``r(s) = conj(s_Y / v̂) + Hᵀ conj(s_δ / Hv̂)``:
 
     * FOT (``kind == "fot"``): ``v = v̂ + dV``, with ``dV`` from the reduced
-      real ``2n`` operator applied to ``r(x − base_x)``;
-    * FPL (``kind == "fpl"``): ``v = w + yll⁻¹ r(x)``, one application of
-      the voltage-update map frozen at ``v̂``.
+      real ``2n`` operator applied to ``r(s − ŝ)``, the right-hand side of
+      a kernel built on the change of the injections from the base ``ŝ``;
+    * FPL (``kind == "fpl"``): ``v = w + yll⁻¹ r(s)``, the kernel for ``s``
+      applied at ``v̂``: one step of the voltage-update map frozen there.
 
     The magnitude predictor is an affine map of its own, not the magnitude
     of the complex prediction: ``|v̂| + Re(conj(v̂)·dv)/|v̂|``, with ``dv``
-    the change of the complex prediction from its value at ``base_x``.
+    the change of the complex prediction from its value at ``ŝ``.
     Evaluating at the base injections reproduces the base voltages.
 
     The dense coefficients, ``m_wye``/``m_delta`` with offset ``a`` for the
     voltages and ``k_wye``/``k_delta`` with offset ``b`` for the
-    magnitudes, are built on first access, for ``to_dict()``; evaluation
-    never reads them.
+    magnitudes, act on the stacked real injection vector ``x`` (see
+    ``stack_injections``; ``base_x`` is ``ŝ``'s).  They are built on first
+    access, for ``to_dict()``; evaluation never reads them.
     """
 
     kind: str
 
-    def __init__(self, base_v, base_x, connection, hv):
+    def __init__(self, model, base_v, base_inj):
+        self._model = model
         self.base_v = base_v
-        self.base_x = base_x
-        self._connection = connection
-        self._hv = hv
+        self._base_inj = base_inj
+        self.base_x = stack_injections(base_inj)
 
     @property
     def n_phases(self) -> int:
@@ -78,27 +82,17 @@ class LinearModel:
 
     @property
     def n_delta(self) -> int:
-        return self.base_x.size // 2 - self.n_phases
+        return self._model.n_delta
 
-    def _rhs(self, x):
-        """``r(s)`` for the injections ``s`` stacked in ``x``, along its last axis."""
-        n, d = self.n_phases, self.n_delta
-        r = _complex(x[..., :n], x[..., n : 2 * n])
-        r /= self.base_v
-        np.conj(r, out=r)
-        if d:
-            pair = np.conj((x[..., 2 * n : 2 * n + d] + 1j * x[..., 2 * n + d :]) / self._hv)
-            r += self._connection.scatter(pair, n)
-        return r
-
-    def _voltages(self, x):
-        """The complex voltage prediction at ``x``, or at each row of a stack
-        of them: one sparse solve with a right-hand side per row."""
+    def _voltages(self, inj: InjectionSet):
+        """The complex voltage prediction at the injections ``inj``, or at
+        each row of a stack of them: one sparse solve with a right-hand side
+        per row."""
         raise NotImplementedError
 
     @cached_property
     def _v_at_base(self):
-        return self._voltages(self.base_x)
+        return self._voltages(self._base_inj)
 
     def _coefficients(self):
         """The dense ``(m_wye, m_delta, a)``."""
@@ -137,41 +131,20 @@ def _offset(value, m_wye, m_delta, x):
     return value - np.einsum("ij,j", m_wye, x[:n2]) - np.einsum("ij,j", m_delta, x[n2:])
 
 
-def _complex(re, im):
-    """``re + 1j * im``, bit for bit, with no second temporary.
-
-    Evaluation works in place where it can: a stack of rows makes
-    temporaries of a stack's size, and they raise the peak resident set.
-    """
-    out = im * 1j
-    out += re
-    return out
-
-
-def _solve_rows(factor, rhs):
-    """Solve for each row of ``rhs`` (a vector is one row) in one call.
-
-    SuperLU takes the ``k`` rows as the columns of one right-hand side, and
-    each comes out bit for bit as its own one-row solve would (the tests
-    check this on ieee37 and ieee123, with one BLAS thread and with two).
-    """
-    return factor.solve(rhs.T).T
-
-
 class _TangentModel(LinearModel):
     kind = "fot"
 
-    def __init__(self, base_v, base_x, connection, hv, factor):
-        super().__init__(base_v, base_x, connection, hv)
+    def __init__(self, model, base_v, base_inj, factor):
+        super().__init__(model, base_v, base_inj)
         self._factor = factor
 
-    def _voltages(self, x):
+    def _voltages(self, inj):
         n = self.n_phases
-        r = self._rhs(x - self.base_x)
-        z = _solve_rows(self._factor, np.concatenate([r.real, r.imag], axis=-1))
-        del r
-        v = _complex(z[..., :n], z[..., n:])
-        del z
+        change = inj - self._base_inj
+        r = _UpdateKernel(self._model, None, change).rhs(self.base_v)
+        z = self._factor.solve(np.concatenate([r.real, r.imag], axis=-1).T).T
+        v = 1j * z[..., n:]
+        v += z[..., :n]
         v += self.base_v
         return v
 
@@ -191,8 +164,8 @@ class _TangentModel(LinearModel):
             )
 
         m_wye = response(1.0 / np.conj(self.base_v), re_unit, im_unit)
-        gather = self._connection.gather
-        m_delta = response(1.0 / np.conj(self._hv), gather(re_unit), gather(im_unit))
+        gather = self._model.connection.gather
+        m_delta = response(1.0 / np.conj(gather(self.base_v)), gather(re_unit), gather(im_unit))
         del re_unit, im_unit
         return m_wye, m_delta, _offset(self.base_v, m_wye, m_delta, self.base_x)
 
@@ -200,21 +173,19 @@ class _TangentModel(LinearModel):
 class _FixedPointModel(LinearModel):
     kind = "fpl"
 
-    def __init__(self, base_v, base_x, connection, hv, model, w):
-        super().__init__(base_v, base_x, connection, hv)
-        self._model = model
-        self._w = w
+    def __init__(self, model, base_v, base_inj, w_profile):
+        super().__init__(model, base_v, base_inj)
+        self._profile = w_profile
 
-    def _voltages(self, x):
-        v = _solve_rows(self._model.factor, self._rhs(x))
-        v += self._w
-        return v
+    def _voltages(self, inj):
+        return _UpdateKernel(self._model, self._profile, inj)(self.base_v)
 
     def _coefficients(self):
         z = self._model.yll_inverse
         p = z * (1.0 / np.conj(self.base_v))[None, :]
-        q = self._connection.gather(z) * (1.0 / np.conj(self._hv))[None, :]
-        return np.hstack([p, -1j * p]), np.hstack([q, -1j * q]), self._w.copy()
+        gather = self._model.connection.gather
+        q = gather(z) * (1.0 / np.conj(gather(self.base_v)))[None, :]
+        return np.hstack([p, -1j * p]), np.hstack([q, -1j * q]), self._profile.w.copy()
 
 
 def fot_linearize(
@@ -275,7 +246,7 @@ def fot_linearize(
         [[y.real - f.real, -y.imag - f.imag], [y.imag - f.imag, y.real + f.real]], format="csc"
     )
     factor = LUFactor(op, SingularSensitivityError, "reduced sensitivity operator")
-    return _TangentModel(v_hat, stack_injections(base_inj), conn, hv, factor)
+    return _TangentModel(model, v_hat, base_inj, factor)
 
 
 def fpl_linearize(
@@ -309,7 +280,7 @@ def fpl_linearize(
     hv = conn.gather(v_hat)
     if model.n_delta and np.abs(hv).min() <= EPS_DELTA:
         raise DegenerateVoltageError("degenerate phase-pair voltage at the base point")
-    return _FixedPointModel(v_hat, stack_injections(base_inj), conn, hv, model, w_profile.w)
+    return _FixedPointModel(model, v_hat, base_inj, w_profile)
 
 
 def evaluate_linear(linmodel: LinearModel, x) -> tuple[np.ndarray, np.ndarray]:
@@ -318,12 +289,13 @@ def evaluate_linear(linmodel: LinearModel, x) -> tuple[np.ndarray, np.ndarray]:
 
     ``x`` of shape ``(2n+2d,)`` gives two ``(n,)`` arrays, and a stack of
     ``k`` rows, shape ``(k, 2n+2d)``, gives two ``(k, n)`` arrays; each row
-    equals, bit for bit, the evaluation at that row alone.  One sparse solve
-    with ``k`` right-hand sides gives the complex voltage predictions; the
-    magnitude prediction is its own affine map around the base,
-    ``|v̂| + Re(conj(v̂)·dv)/|v̂|``, not the magnitude of the former, with
-    ``dv`` the change of the voltage prediction from its value at the base
-    injections.
+    equals, bit for bit, the evaluation at that row alone.  ``x`` becomes
+    injections once, here, and one sparse solve with ``k`` right-hand sides
+    gives the complex voltage predictions; the magnitude prediction is its
+    own affine map around the base, ``|v̂| + Re(conj(v̂)·dv)/|v̂|``, not the
+    magnitude of the former, with ``dv`` the change of the voltage
+    prediction from its value at the base injections.  An ``x`` of another
+    shape, or with an entry that is not finite, raises ``ValueError``.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != linmodel.base_x.size:
@@ -331,7 +303,13 @@ def evaluate_linear(linmodel: LinearModel, x) -> tuple[np.ndarray, np.ndarray]:
             f"expected a stacked injection vector of length {linmodel.base_x.size}, "
             f"or a stack of them, got shape {x.shape}"
         )
-    v = linmodel._voltages(x)
+    if not np.isfinite(x).all():
+        raise ValueError("x must be finite")
+    n, d = linmodel.n_phases, linmodel.n_delta
+    inj = InjectionSet(
+        x[..., :n] + 1j * x[..., n : 2 * n], x[..., 2 * n : 2 * n + d] + 1j * x[..., 2 * n + d :]
+    )
+    v = linmodel._voltages(inj)
     v_hat = linmodel.base_v
     vabs = np.abs(v_hat) + np.real(np.conj(v_hat) * (v - linmodel._v_at_base)) / np.abs(v_hat)
     return v, vabs

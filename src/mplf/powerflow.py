@@ -100,7 +100,11 @@ def _check_degenerate(values, live, eps, message):
     ``live`` (nonzero) injection is not above ``eps``.  The check runs
     along the last axis, so its ``rows`` name the degenerate rows of a
     stack (a 0-d ``True`` for one vector)."""
-    rows = ((np.abs(values) <= eps) & live).any(axis=-1)
+    magnitude = np.abs(values)
+    # One reduction settles the common case, no entry near zero at all.
+    if magnitude.min(initial=np.inf) > eps:
+        return
+    rows = ((magnitude <= eps) & live).any(axis=-1)
     if rows.any():
         raise DegenerateVoltageError(message, rows=rows)
 
@@ -211,8 +215,8 @@ def _checked_voltage(model: NetworkModel, inj: InjectionSet, name: str, v, rows=
 
 def _conj_quotients(s, values, live):
     """``conj(s / values)`` where ``live``, and ``+0`` elsewhere, as if the
-    entries that are not live had been left out."""
-    out = np.zeros(values.shape, dtype=complex)
+    entries that are not live had been left out; shaped as ``s``."""
+    out = np.zeros(s.shape, dtype=complex)
     np.divide(s, values, out=out, where=live)
     return np.conjugate(out, out=out, where=live)
 
@@ -226,23 +230,33 @@ class _UpdateKernel:
     """The update map ``G`` for one ``(model, profile)`` and one row of
     injections, or a stack of ``k`` rows (``s_wye`` of shape ``(k, n)``).
 
+    ``rhs(v)`` is ``r_v(s) = conj(s_Y / v) + Hᵀ conj(s_δ / Hv)``, and a
+    call is ``G(v) = w + yll⁻¹ r_v(s)``, the solve of ``rhs(v)`` plus
+    ``w``.  ``v`` has the injections' shape, or is one vector that every
+    row is taken at: the FPL model is a call at the base voltages, and the
+    FOT model solves its own operator on ``rhs`` at the base voltages of a
+    kernel built on the change of the injections.  A kernel used only for
+    ``rhs`` takes no profile (``None``).
+
     What does not change during a solve is taken once: the phases that
     some row loads, their injections and where each row's is nonzero, the
     same for the pairs (as a ``ConnectionMatrix`` of their phase columns),
-    ``yll``'s solve and ``w``.  An application works along the last axis,
-    so a vector is the one-row case, and every row of a stack comes out
-    bit for bit as that row alone: its quotients are taken where its own
-    injection is nonzero (``+0`` elsewhere, as for an entry no row loads),
-    both degeneracy checks look at its own nonzero injections, and its
-    right-hand side is one column of a single SuperLU solve.  The
+    and ``yll``'s solve.  An application works along the last axis, so a
+    vector is the one-row case, and every row of a stack comes out bit for
+    bit as that row alone: its quotients are taken where its own injection
+    is nonzero (``+0`` elsewhere, as for an entry no row loads), both
+    degeneracy checks look at its own nonzero injections, and its
+    right-hand side is one column of a single SuperLU solve.  ``drop(rows)``
+    clears the nonzero masks of the rows of a boolean mask: from then on
+    those rows are neither loaded nor checked, and come out as ``w``.  The
     right-hand side is the wye term plus the pair scatter, which
     ``scatter`` accumulates from a zero vector; scattering straight into
     the wye term reorders the sums and moves the iterates in their last
     bits.
     """
 
-    def __init__(self, model: NetworkModel, w_profile: ZeroLoadProfile, inj: InjectionSet):
-        self._n = model.n_phases
+    def __init__(self, model: NetworkModel, w_profile: ZeroLoadProfile | None, inj: InjectionSet):
+        self._shape = inj.s_wye.shape
         self._wye = _loaded(inj.s_wye)
         self._s_wye = inj.s_wye[..., self._wye]
         self._live_wye = self._s_wye != 0
@@ -253,22 +267,30 @@ class _UpdateKernel:
         self._s_delta = inj.s_delta[..., pairs]
         self._live_delta = self._s_delta != 0
         self._solve = model.factor.solve
-        self._w = w_profile.w
+        self._profile = w_profile
 
-    def __call__(self, v):
+    def rhs(self, v):
         v_wye = v[..., self._wye]
         _check_degenerate(v_wye, self._live_wye, EPS_V, _DEGENERATE_WYE)
-        rhs = np.zeros(v.shape, dtype=complex)
+        rhs = np.zeros(self._shape, dtype=complex)
         rhs[..., self._wye] = _conj_quotients(self._s_wye, v_wye, self._live_wye)
         # A model with pairs adds the scatter even when no pair is live, as
         # the map always has: its zeros turn a -0.0 of the wye term to +0.0.
         if self._has_pairs:
             hv = self._pairs.gather(v)
             _check_degenerate(hv, self._live_delta, EPS_DELTA, _DEGENERATE_PAIR)
-            rhs += self._pairs.scatter(_conj_quotients(self._s_delta, hv, self._live_delta), self._n)
-        v_next = self._solve(rhs.T).T
-        v_next += self._w
+            pair = _conj_quotients(self._s_delta, hv, self._live_delta)
+            rhs += self._pairs.scatter(pair, self._shape[-1])
+        return rhs
+
+    def __call__(self, v):
+        v_next = self._solve(self.rhs(v).T).T
+        v_next += self._profile.w
         return v_next
+
+    def drop(self, rows):
+        self._live_wye[rows] = False
+        self._live_delta[rows] = False
 
 
 def fixed_point_map(model: NetworkModel, w_profile: ZeroLoadProfile, inj: InjectionSet, v):
@@ -325,27 +347,25 @@ def _injection_rows(inj: InjectionSet, rows) -> InjectionSet:
     return InjectionSet(inj.s_wye[rows], inj.s_delta[rows])
 
 
-def _leave_degenerate(outcomes, rows, exc):
-    """Give each of ``rows`` that ``exc`` names the error its one-row solve
-    raises; returns the mask of the rows that stay."""
-    for row in rows[exc.rows].tolist():
-        outcomes[row] = DegenerateVoltageError(str(exc), rows=np.bool_(True))
-    return ~exc.rows
-
-
-def _finish_rows(model, inj, rows, v, step_norms, outcomes, tol_residual):
+def _finish_rows(model, inj, rows, v, steps, outcomes, tol_residual):
     """The ``SolveResult`` of each of ``rows``, whose step dropped below the
-    tolerance at ``v`` under the injections ``inj``, from one stacked
-    residual check."""
-    while rows.size:
-        try:
-            terms = power_flow_mismatch(model, v, inj)
-            break
-        except DegenerateVoltageError as exc:
-            stay = _leave_degenerate(outcomes, rows, exc)
-            rows, v, inj = rows[stay], v[stay], _injection_rows(inj, stay)
-    for j, row in enumerate(rows.tolist()):
-        outcomes[row] = _solve_result(v[j], step_norms[row], [t[j] for t in terms], tol_residual)
+    tolerance at ``v`` (the stack's iterate) under the injections ``inj``,
+    from one stacked residual check.  ``steps`` holds the stack's step
+    norms, one array per step.  A row whose check degenerates gets that
+    error instead."""
+    if len(rows) < len(v):
+        v, inj = v[rows], _injection_rows(inj, rows)
+    try:
+        terms = power_flow_mismatch(model, v, inj)
+    except DegenerateVoltageError as exc:
+        for row in rows[exc.rows].tolist():
+            outcomes[row] = DegenerateVoltageError(str(exc), rows=np.bool_(True))
+        keep = ~exc.rows
+        rows, v = rows[keep], v[keep]
+        terms = power_flow_mismatch(model, v, _injection_rows(inj, keep))
+    norms = np.array(steps).T[rows].tolist()
+    for j, (row, row_norms) in enumerate(zip(rows.tolist(), norms)):
+        outcomes[row] = _solve_result(v[j], row_norms, [t[j] for t in terms], tol_residual)
 
 
 def _solve_rows(
@@ -363,51 +383,48 @@ def _solve_rows(
     ``inj`` is one row (``s_wye`` of shape ``(n,)``) with a start ``v_init``
     of shape ``(n,)``, or ``k`` rows (``s_wye`` of shape ``(k, n)``,
     ``s_delta`` of shape ``(k, d)``) with one start per row, shape
-    ``(k, n)``.  Each step applies the update kernel to the rows still
-    active, one SuperLU solve with a right-hand side per row.  A row leaves
-    when its step drops below ``tol_step``, when it degenerates (the others
-    go on, and the step is redone without it), or after ``max_iter`` steps.
-    The rows whose step drops at one step have their residuals checked in
-    one stacked ``power_flow_mismatch``.
+    ``(k, n)``.  One update kernel is built for the call, and each step
+    applies it to every row, one SuperLU solve with a right-hand side per
+    row, until the last row stops.  A row stops when its step drops below
+    ``tol_step`` (its result is taken from that step's iterate, and the
+    rows that stop at one step have their residuals checked in one stacked
+    ``power_flow_mismatch``), when it degenerates (the step is redone
+    without it), or after ``max_iter`` steps.  A row that stops is dropped
+    from the kernel, so it is neither loaded nor checked again.
 
     Returns a list with, per row, its ``SolveResult``, or the
     ``NonConvergenceError`` or ``DegenerateVoltageError`` its solve ends
-    in.  No operation mixes rows, so a row comes out bit for bit as it
-    would alone.  Bad options, or injections or starts that do not fit the
-    model, raise ``ValueError``; with a stack, the message names the
-    shapes the injection rows call for.
+    in; an empty stack gives an empty list.  No operation mixes rows, so a
+    row comes out bit for bit as it would alone.  Bad options, or
+    injections or starts that do not fit the model, raise ``ValueError``;
+    with a stack, the message names the shapes the injection rows call for.
     """
     _check_solver_options(tol_step, tol_residual, max_iter)
     v = _checked_voltage(model, inj, "v_init", v_init, rows=np.shape(inj.s_wye)[:-1][:1])
     if v.ndim == 1:
         v, inj = v[None], _injection_rows(inj, None)
-    outcomes = [None] * len(v)
-    step_norms = [[] for _ in outcomes]
-    # active, v and inj hold the rows still iterating, and update their kernel.
-    active, iteration = np.arange(len(v)), 0
     update = _UpdateKernel(model, w_profile, inj)
-    while active.size and iteration < max_iter:
+    # live marks the rows still iterating: those whose outcome is None.
+    outcomes, steps = [None] * len(v), []
+    live = np.ones(len(v), dtype=bool)
+    while None in outcomes and len(steps) < max_iter:
         try:
             v_next = update(v)
         except DegenerateVoltageError as exc:
-            stay = _leave_degenerate(outcomes, active, exc)
+            stop = exc.rows
+            for row in np.flatnonzero(stop).tolist():
+                outcomes[row] = DegenerateVoltageError(str(exc), rows=np.bool_(True))
         else:
-            iteration += 1
-            steps = _step_norms(v_next, v)
-            for row, step in zip(active.tolist(), steps.tolist()):
-                step_norms[row].append(step)
-            v, stay = v_next, ~(steps < tol_step)
-            if stay.all():
+            steps.append(_step_norms(v_next, v))
+            v = v_next
+            stop = live & (steps[-1] < tol_step)
+            if not stop.any():
                 continue
-            done = ~stay
-            rows_inj = _injection_rows(inj, done) if stay.any() else inj
-            _finish_rows(model, rows_inj, active[done], v[done], step_norms, outcomes, tol_residual)
-        active, v = active[stay], v[stay]
-        if active.size:
-            inj = _injection_rows(inj, stay)
-            update = _UpdateKernel(model, w_profile, inj)
-    for row, last in zip(active.tolist(), v):
-        outcomes[row] = _not_converged(last, step_norms[row], max_iter)
+            _finish_rows(model, inj, np.flatnonzero(stop), v, steps, outcomes, tol_residual)
+        update.drop(stop)
+        live[stop] = False
+    for row in np.flatnonzero(live).tolist():
+        outcomes[row] = _not_converged(v[row], np.array(steps)[:, row].tolist(), max_iter)
     return outcomes
 
 

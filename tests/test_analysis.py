@@ -444,9 +444,9 @@ class TestLinearErrorSweep:
         calls = []
         for cls in (linearize._TangentModel, linearize._FixedPointModel):
 
-            def voltages(lin, x, _voltages=cls._voltages):
-                calls.append((lin.kind, len(x)))
-                return _voltages(lin, x)
+            def voltages(lin, inj, _voltages=cls._voltages):
+                calls.append((lin.kind, len(inj.s_wye)))
+                return _voltages(lin, inj)
 
             monkeypatch.setattr(cls, "_voltages", voltages)
         result = mplf.linear_error_sweep(

@@ -16,7 +16,9 @@ from conftest import (
     assert_bitwise,
     certified_instance,
     dense_incidence,
+    injection_row,
     random_network,
+    scaled_rows,
     single_phase_model,
     wye_injection,
 )
@@ -313,15 +315,29 @@ class TestFpl:
         npt.assert_allclose(vabs, np.abs(sol.v), atol=1e-10)
 
     def test_matches_one_map_application(self, rng):
-        # The model evaluated at arbitrary injections equals one update step
-        # frozen at the base voltages.
+        # The model evaluated at arbitrary injections is one update step
+        # frozen at the base voltages, bit for bit.
         model, profile, inj = certified_instance(rng)
         sol = mplf.solve_fixed_point(model, profile, inj)
         lin = mplf.fpl_linearize(model, profile, sol, inj)
         other = inj.scaled(0.4 + 0.2j)
         v_lin, _ = mplf.evaluate_linear(lin, stack_injections(other))
-        expected = mplf.fixed_point_map(model, profile, other, sol.v)
-        npt.assert_allclose(v_lin, expected, atol=1e-12)
+        assert_bitwise(v_lin, mplf.fixed_point_map(model, profile, other, lin.base_v))
+
+    @pytest.mark.parametrize("feeder", ["ieee37", "ieee123"])
+    def test_stacked_rows_match_one_map_application(self, feeder):
+        # Each row of a stack, a zero row and a half-zeroed row among them,
+        # is the map applied to that row at the base voltages.
+        model, profile, inj = bundled_case(feeder, "injections_mixed")
+        sol = mplf.solve_fixed_point(model, profile, inj)
+        lin = mplf.fpl_linearize(model, profile, sol, inj)
+        stack = scaled_rows(inj, [0.5, 0.0, 1.2, -0.7])
+        stack.s_wye[3, ::2] = 0
+        stack.s_delta[3, ::2] = 0
+        v_lin, _ = mplf.evaluate_linear(lin, stack_injections(stack))
+        for j in range(4):
+            row = injection_row(stack, j)
+            assert_bitwise(v_lin[j], mplf.fixed_point_map(model, profile, row, lin.base_v))
 
     def test_single_phase_prediction_and_error(self, golden):
         model, profile, inj = golden
@@ -459,6 +475,25 @@ class TestOperatorForm:
             with pytest.raises(ValueError, match="length 2"):
                 mplf.evaluate_linear(lin, x)
 
+    @pytest.mark.parametrize("kind", ["fot", "fpl"])
+    def test_non_finite_rejected_before_any_solve(self, kind, monkeypatch):
+        # A NaN entry used to come out as NaN predictions, with no error.
+        _, inj, models = linear_models("ieee37")
+        lin, factor = models[kind]
+        mplf.evaluate_linear(lin, stack_injections(inj))  # FPL caches its base prediction
+
+        def no_solve(rhs):
+            raise AssertionError("solved with a non-finite x")
+
+        monkeypatch.setattr(factor, "solve", no_solve)
+        for bad in (np.nan, np.inf):
+            x = stack_injections(inj)
+            x[3] = bad
+            with pytest.raises(ValueError, match="^x must be finite$"):
+                mplf.evaluate_linear(lin, x)
+            with pytest.raises(ValueError, match="^x must be finite$"):
+                mplf.evaluate_linear(lin, np.array([stack_injections(inj), x]))
+
 
 def linear_models(feeder):
     model, profile, inj = bundled_case(feeder, "injections_mixed")
@@ -491,6 +526,13 @@ class TestStackedEvaluation:
         one = mplf.evaluate_linear(lin, x[:1])
         assert_bitwise(one[0], v[:1])
         assert_bitwise(one[1], vabs[:1])
+
+    @pytest.mark.parametrize("kind", ["fot", "fpl"])
+    def test_empty_stack(self, kind):
+        _, inj, models = linear_models("ieee37")
+        lin = models[kind][0]
+        v, vabs = mplf.evaluate_linear(lin, np.zeros((0, lin.base_x.size)))
+        assert v.shape == vabs.shape == (0, lin.n_phases)
 
     @pytest.mark.parametrize("kind", ["fot", "fpl"])
     def test_one_solve_per_stack(self, kind, monkeypatch):

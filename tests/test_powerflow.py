@@ -363,6 +363,35 @@ class TestSolveRows:
             mplf.solve_fixed_point(model, profile, inj, v_init=v)
         assert_same_solve(from_solve.value, from_map.value)
 
+    def test_row_degenerate_at_its_residual_check(self, monkeypatch):
+        # The residual check of rows that stop together names the rows it
+        # finds degenerate; those get its error, and the others their results.
+        model, profile, inj = ieee37_mixed()
+        stack = scaled_rows(inj, [0.5, 0.5, 1.0])
+        starts = np.array([profile.w] * 3)
+        plain = powerflow._solve_rows(model, profile, stack, starts)
+        mismatch, checked = powerflow.power_flow_mismatch, []
+
+        def first_row_degenerate(model, v, inj):
+            checked.append(len(v))
+            if len(checked) == 1:
+                rows = np.arange(len(v)) == 0
+                raise mplf.DegenerateVoltageError(powerflow._DEGENERATE_PAIR, rows=rows)
+            return mismatch(model, v, inj)
+
+        monkeypatch.setattr(powerflow, "power_flow_mismatch", first_row_degenerate)
+        rows = powerflow._solve_rows(model, profile, stack, starts)
+        assert checked[0] >= 2 and checked[1] == checked[0] - 1
+        expected = mplf.DegenerateVoltageError(powerflow._DEGENERATE_PAIR, rows=np.bool_(True))
+        assert_same_solve(rows[0], expected)
+        for j in (1, 2):
+            assert_same_solve(rows[j], plain[j])
+
+    def test_empty_stack(self):
+        model, profile, inj = ieee37_mixed()
+        stack = scaled_rows(inj, [])
+        assert powerflow._solve_rows(model, profile, stack, np.zeros((0, model.n_phases))) == []
+
     def test_arguments_checked_as_in_one_row_solves(self):
         model, profile, inj = ieee37_mixed()
         stack = scaled_rows(inj, [1.0, 0.5])
