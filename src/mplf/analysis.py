@@ -41,12 +41,13 @@ ENDPOINT_MARGIN = 1e-10
 # Default scan bounds of a certified interval.
 KAPPA_BOUNDS = (-10.0, 10.0)
 # Sweep rows solved together.  Each step of a block is one SuperLU solve
-# with a right-hand side per active row, so wider blocks take fewer, wider
-# solves, but their temporaries raise the peak resident set.  Sweeps of 61
-# rows on ieee37 and ieee123 (one BLAS thread, 2-vCPU host) took 11.2 and
-# 18.5 ms with 4-row blocks, 8.5 and 15.0 ms with 8, 6.9 and 12.6 ms with
-# 16 and 5.4 and 10.4 ms with all 61; the ieee123 sweep's traced peak was
-# 0.86, 0.95, 1.24 and 2.39 MB, and 0.86 MB solving the rows one at a time.
+# with a right-hand side per row of the block, until its last row stops, so
+# wider blocks take fewer, wider solves, but their temporaries raise the
+# peak resident set.  Sweeps of 61 rows on ieee37 and ieee123 (one BLAS
+# thread, 2-vCPU host) took 11.5 and 18.4 ms with 4-row blocks, 8.5 and
+# 15.1 ms with 8, 7.0 and 12.9 ms with 16 and 5.5 and 11.9 ms with all 61;
+# the ieee123 sweep's traced peak was 0.86, 0.92, 1.20 and 2.35 MB, and
+# 0.86 MB solving the rows one at a time.
 _ROW_BLOCK = 8
 
 

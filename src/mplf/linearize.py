@@ -73,7 +73,7 @@ class LinearModel:
     def __init__(self, model, base_v, base_inj):
         self._model = model
         self.base_v = base_v
-        self._base_inj = base_inj
+        self._base_inj = InjectionSet(base_inj.s_wye.copy(), base_inj.s_delta.copy())
         self.base_x = stack_injections(base_inj)
 
     @property

@@ -476,6 +476,23 @@ class TestOperatorForm:
                 mplf.evaluate_linear(lin, x)
 
     @pytest.mark.parametrize("kind", ["fot", "fpl"])
+    def test_base_injections_kept(self, kind):
+        # Changing the caller's injection arrays afterwards moves no prediction.
+        model, profile, inj = bundled_case("ieee37", "injections_mixed")
+        sol = mplf.solve_fixed_point(model, profile, inj)
+        models = {
+            "fot": lambda: mplf.fot_linearize(model, sol, inj),
+            "fpl": lambda: mplf.fpl_linearize(model, profile, sol, inj),
+        }
+        lin = models[kind]()
+        x = 0.7 * stack_injections(inj)
+        before = mplf.evaluate_linear(models[kind](), x)
+        inj.s_wye[:] = 0
+        inj.s_delta[:] = 0
+        for got, want in zip(mplf.evaluate_linear(lin, x), before):
+            assert_bitwise(got, want)
+
+    @pytest.mark.parametrize("kind", ["fot", "fpl"])
     def test_non_finite_rejected_before_any_solve(self, kind, monkeypatch):
         # A NaN entry used to come out as NaN predictions, with no error.
         _, inj, models = linear_models("ieee37")
