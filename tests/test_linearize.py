@@ -480,13 +480,12 @@ class TestOperatorForm:
         # Changing the caller's injection arrays afterwards moves no prediction.
         model, profile, inj = bundled_case("ieee37", "injections_mixed")
         sol = mplf.solve_fixed_point(model, profile, inj)
-        models = {
+        build = {
             "fot": lambda: mplf.fot_linearize(model, sol, inj),
             "fpl": lambda: mplf.fpl_linearize(model, profile, sol, inj),
-        }
-        lin = models[kind]()
-        x = 0.7 * stack_injections(inj)
-        before = mplf.evaluate_linear(models[kind](), x)
+        }[kind]
+        lin, x = build(), 0.7 * stack_injections(inj)
+        before = mplf.evaluate_linear(build(), x)
         inj.s_wye[:] = 0
         inj.s_delta[:] = 0
         for got, want in zip(mplf.evaluate_linear(lin, x), before):
