@@ -53,7 +53,7 @@ print(f"\nexplicit certificate: satisfied={cert2.satisfied}, "
 print("condition diagnostics:", cert2.diagnostics["condition1"], cert2.diagnostics["condition2"])
 
 cert1 = mplf.check_theorem1(model, profile, base, inj)
-print(f"scanned certificate:  satisfied={cert1.satisfied}, smallest rho={cert1.rho_used:.5f}")
+print(f"general certificate:  satisfied={cert1.satisfied}, smallest rho={cert1.rho_used:.5f}")
 
 # The solution indeed sits inside the tight containment ball.
 gap = np.abs(sol.v - profile.w) - cert2.ball_radii(profile, cert2.rho_dagger)

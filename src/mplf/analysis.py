@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certify import (
-    SCAN_POINTS,
     XiQuantities,
     check_theorem2,
-    theorem1_scan,
+    radius_samples,
+    theorem1_polynomials,
+    theorem1_sides,
     theorem2_closed_form,
 )
 from .errors import MplfError
@@ -101,34 +102,43 @@ def _require_center(name, center, kappa_bounds):
         raise ValueError(f"{name} = {center} lies outside the kappa bounds [{lo}, {hi}]")
 
 
-def _theorem1_ray(gam, xi_hat, xi_ref, points: int, center_kappa: float):
-    """Theorem 1's certified ``kappa`` set along the ray, from the margins of
-    the base voltage, ``xi(s_hat)``, ``xi(s_ref)`` and the scan grid size.
+def _theorem1_ray(gam, xi_hat, xi_ref, center_kappa: float):
+    """Theorem 1's certified ``kappa`` interval along the ray, from the
+    margins of the base voltage, ``xi(s_hat) = |center| xi(s_ref)`` and a
+    nonzero ``xi(s_ref)`` (a zero one leaves Theorem 2 the whole line; see
+    ``_ray_interval``).
 
-    On each grid radius, condition 1 reads ``|kappa - center| A + C <= rho``
-    and condition 2 ``|kappa| B < 1``: one interval of ``kappa``.  Returns
-    the connected component of their union that holds the center, or ``None``.
+    At a radius, condition 1 reads ``|kappa - center| A + C <= rho`` and
+    condition 2 ``|kappa| B < 1``: the interval from
+    ``max(center - reach, -cap)`` to ``min(center + reach, cap)``, with
+    ``reach = (rho - C) / A`` and ``cap = 1 / B``, empty where ``C > rho``.
+    On the ray ``A' = B`` and ``C' = |center| B``, so
+    ``reach' = (1 - (|center| + reach) B) / A``.  Where ``reach`` peaks,
+    condition 2 therefore holds on all of ``[center - reach, center + reach]``
+    (``|kappa| B <= (|center| + reach) B = 1``), and the interval of every
+    other radius lies inside that one.  The peak is at a root of
+    ``nr' na - nr na'``, with ``reach = nr / na`` (see
+    ``certify.theorem1_polynomials``), or next to ``gamma`` where ``reach``
+    grows up to it.  The roots, the gaps between them and the last radius
+    below ``gamma`` are checked with ``theorem1_sides``; the result is the
+    hull of the intervals that hold the center, or ``None``.
     """
+    if not (gam.gamma and xi_ref.xi_total):
+        return None
     zero = XiQuantities(0.0, 0.0)
-    rho, per_change, per_target = theorem1_scan(gam, points, xi_ref, zero, xi_ref)
-    base_term = theorem1_scan(gam, points, zero, xi_hat, zero)[1]
-    # Only radii with room for the base loading count (``keep`` below).
-    reach = np.full_like(rho, np.inf)
-    np.divide(rho - base_term, per_change, out=reach, where=(per_change > 0) & (base_term <= rho))
-    cap = np.full_like(rho, np.inf)
-    np.divide(1.0, per_target, out=cap, where=per_target > 0)
-    lo = np.maximum(center_kappa - reach, -cap)
-    hi = np.minimum(center_kappa + reach, cap)
-    keep = (base_term <= rho) & (lo <= hi)
-    order = np.argsort(lo[keep], kind="stable")
-    lo, hi = lo[keep][order], np.maximum.accumulate(hi[keep][order])
+    na, d = theorem1_polynomials(gam, xi_ref, zero)
+    nr = np.polysub(np.r_[d, 0.0], theorem1_polynomials(gam, zero, xi_hat)[0])
+    peaks = np.polysub(np.convolve(np.polyder(nr), na), np.convolve(nr, np.polyder(na)))
+    rho = radius_samples(gam.gamma, peaks)
+    per_change, per_target = theorem1_sides(gam, rho, xi_ref, zero, xi_ref)
+    # A negative reach, where the base loading leaves no room, holds no kappa.
+    reach = (rho - theorem1_sides(gam, rho, zero, xi_hat, zero)[0]) / per_change
+    cap = 1.0 / per_target
+    lo, hi = np.maximum(center_kappa - reach, -cap), np.minimum(center_kappa + reach, cap)
     holds = (lo <= center_kappa) & (center_kappa <= hi)
     if not holds.any():
         return None
-    # A component starts wherever an interval begins past all before it.
-    component = np.cumsum(np.r_[True, lo[1:] > hi[:-1]])
-    members = np.flatnonzero(component == component[np.argmax(holds)])
-    return float(lo[members[0]]), float(hi[members[-1]])
+    return float(lo[holds].min()), float(hi[holds].max())
 
 
 def _inward(edge: float, bound: float, center: float) -> float:
@@ -149,15 +159,21 @@ def _require_on_ray(s_hat: InjectionSet, s_ref: InjectionSet, center_kappa: floa
         raise ValueError("base injections must equal s_ref scaled by center_kappa")
 
 
-def _ray_interval(ray, theorem: int, kappa_bounds, scan_points: int, center_kappa: float):
-    """A theorem's interval around ``center_kappa`` from the unit-step ``ray``."""
+def _ray_interval(ray, theorem: int, kappa_bounds, center_kappa: float):
+    """A theorem's interval around ``center_kappa`` from the unit-step ``ray``.
+
+    Theorem 2 implies Theorem 1, so Theorem 1's interval spans Theorem 2's
+    too.  Where the two sets are equal, as under a loading of one kind
+    (wye or delta) behind the smaller margin, their computed edges would
+    otherwise differ in the last bits, either way.
+    """
+    rhs = ray.diagnostics["condition2"]["rhs"]
+    half = rhs / ray.xi_change.xi_total if ray.xi_change.xi_total else math.inf
+    passes = ray.diagnostics["condition1"]["satisfied"] and rhs > 0
+    edges = (center_kappa - half, center_kappa + half) if passes else None
     if theorem == 1:
-        edges = _theorem1_ray(ray.margins, ray.xi_base, ray.xi_change, scan_points, center_kappa)
-    else:
-        rhs = ray.diagnostics["condition2"]["rhs"]
-        half = rhs / ray.xi_change.xi_total if ray.xi_change.xi_total else math.inf
-        passes = ray.diagnostics["condition1"]["satisfied"] and rhs > 0
-        edges = (center_kappa - half, center_kappa + half) if passes else None
+        general = _theorem1_ray(ray.margins, ray.xi_base, ray.xi_change, center_kappa) or edges
+        edges = general if edges is None else (min(edges[0], general[0]), max(edges[1], general[1]))
     if edges is None:
         raise ValueError("certificate does not pass at the interval center")
     return tuple(_inward(edge, bound, center_kappa) for edge, bound in zip(edges, kappa_bounds))
@@ -170,7 +186,6 @@ def feasible_interval(
     s_ref: InjectionSet,
     theorem: int = 2,
     kappa_bounds=KAPPA_BOUNDS,
-    scan_points: int = SCAN_POINTS,
     center_kappa: float = 0.0,
     tol_residual: float = BASE_RESIDUAL_TOL,
 ) -> tuple[float, float]:
@@ -184,9 +199,11 @@ def feasible_interval(
     the ray, the target ``s_hat + s_ref``, decides either theorem at every
     ``kappa``, and the center must pass.  Theorem 2 reads
     ``|kappa - center_kappa| xi(s_ref) < rhs`` of its condition 2.  For
-    Theorem 1, each radius of the scan grid certifies one interval of
-    ``kappa``; the result is the connected component of their union that
-    holds the center, so it agrees with the certificate at every ``kappa``.
+    Theorem 1, each radius in ``[0, gamma)`` certifies one interval of
+    ``kappa``, and the interval of the radius where the reach peaks, found
+    from polynomial roots, holds all the others (see ``_theorem1_ray``), so
+    the result agrees with the certificate at every ``kappa``; it holds
+    Theorem 2's interval too.
     Edges move inward by ``ENDPOINT_MARGIN * max(1, |edge|)`` so that the
     certificate passes there; an edge at or past a bound is the bound.
     Negative ``kappa`` (reverse flow) is allowed.  ``tol_residual`` is the
@@ -197,7 +214,7 @@ def feasible_interval(
     if theorem not in (1, 2):
         raise ValueError(f"theorem must be 1 or 2, got {theorem!r}")
     ray = check_theorem2(model, w_profile, base, base[1] + s_ref, tol_residual=tol_residual)
-    return _ray_interval(ray, theorem, kappa_bounds, scan_points, center_kappa)
+    return _ray_interval(ray, theorem, kappa_bounds, center_kappa)
 
 
 def recentered_interval(
@@ -207,7 +224,6 @@ def recentered_interval(
     s_ref: InjectionSet,
     theorem: int = 2,
     kappa_bounds=KAPPA_BOUNDS,
-    scan_points: int = SCAN_POINTS,
     tol_step: float = TOL_STEP,
     tol_residual: float = BASE_RESIDUAL_TOL,
     max_iter: int = MAX_ITER,
@@ -231,7 +247,6 @@ def recentered_interval(
         s_ref,
         theorem=theorem,
         kappa_bounds=kappa_bounds,
-        scan_points=scan_points,
         center_kappa=base_kappa,
         tol_residual=tol_residual,
     )
@@ -270,7 +285,6 @@ def linear_error_sweep(
     kappa_grid,
     base_kappa: float = 0.0,
     kappa_bounds=None,
-    scan_points: int = SCAN_POINTS,
     tol_step: float = TOL_STEP,
     tol_residual: float = BASE_RESIDUAL_TOL,
     max_iter: int = MAX_ITER,
@@ -302,7 +316,7 @@ def linear_error_sweep(
     # First, so that an off-ray base or a failing center stops the sweep early.
     _require_on_ray(base_inj, s_ref, base_kappa)
     ray = check_theorem2(model, w_profile, base, base_inj + s_ref, tol_residual=tol_residual)
-    endpoints = {t: _ray_interval(ray, t, kappa_bounds, scan_points, base_kappa) for t in (1, 2)}
+    endpoints = {t: _ray_interval(ray, t, kappa_bounds, base_kappa) for t in (1, 2)}
     ref = ray.xi_change  # xi(s_ref): the norms of a unit step along the ray
     certificates = [
         theorem2_closed_form(ray.base_v, ray.base_s, ray.margins, ray.xi_base, ref.scaled(span))

@@ -19,10 +19,6 @@ from .errors import DegenerateProfileError
 from .netmodel import NetworkModel, ZeroLoadProfile
 from .powerflow import BASE_RESIDUAL_TOL, InjectionSet, checked_base
 
-# Default number of radii in Theorem 1's scan grid.
-SCAN_POINTS = 10000
-
-
 @dataclass(frozen=True)
 class XiQuantities:
     """Weighted injection norms: wye part, delta part, and their sum.
@@ -91,34 +87,55 @@ def gamma_quantities(w_profile: ZeroLoadProfile, v) -> GammaQuantities:
     return GammaQuantities(alpha=alpha, beta=beta)
 
 
-def theorem1_scan(
-    gam: GammaQuantities,
-    scan_points: int,
-    xi_change: XiQuantities,
-    xi_base: XiQuantities,
-    xi_target: XiQuantities,
-):
-    """The radii Theorem 1 scans, a uniform grid over the open interval
-    ``(0, gamma)``, and the left sides of its self-mapping and contraction
-    conditions there, for the norms of the injection change, the base
-    loading and the target loading.
+def theorem1_sides(gam: GammaQuantities, rho, xi_change, xi_base, xi_target):
+    """The left sides of Theorem 1's self-mapping and contraction
+    conditions at the radii ``rho`` in ``[0, gamma)``, for the norms of the
+    injection change, the base loading and the target loading.
 
     Both left sides are linear in the xi arguments, so along an injection
     ray they split into per-unit-``kappa`` terms (see
     ``analysis._theorem1_ray``).  A zero ``gamma`` leaves no radius, and
     both left sides are infinite.
     """
-    if scan_points < 1:
-        raise ValueError("scan_points must be positive")
-    rho = gam.gamma * np.arange(1, scan_points + 1) / (scan_points + 1)
     if not gam.gamma:
-        return rho, np.full_like(rho, np.inf), np.full_like(rho, np.inf)
+        return np.full_like(rho, np.inf), np.full_like(rho, np.inf)
     lhs1 = (xi_change.xi_wye + xi_base.xi_wye * rho / gam.alpha) / (gam.alpha - rho)
     lhs2 = xi_target.xi_wye / (gam.alpha - rho) ** 2
     if gam.beta < math.inf:  # the model has phase-pair connections
         lhs1 = lhs1 + (xi_change.xi_delta + xi_base.xi_delta * rho / gam.beta) / (gam.beta - rho)
         lhs2 = lhs2 + xi_target.xi_delta / (gam.beta - rho) ** 2
-    return rho, lhs1, lhs2
+    return lhs1, lhs2
+
+
+def theorem1_polynomials(gam: GammaQuantities, xi_change, xi_base):
+    """The self-mapping side of :func:`theorem1_sides` as a ratio of
+    polynomials in the radius, ``lhs1 = n1 / d``, for a nonzero ``gamma``;
+    returns the coefficients of ``(n1, d)``, highest power first.  ``d`` is
+    ``(alpha - rho)(beta - rho)``, or ``alpha - rho`` without phase pairs,
+    and is positive on ``[0, gamma)``.
+    """
+    a = np.array([-1.0, gam.alpha])
+    b = np.array([-1.0, gam.beta]) if gam.beta < math.inf else np.ones(1)
+    wye = np.convolve([xi_base.xi_wye / gam.alpha, xi_change.xi_wye], b)
+    delta = np.convolve([xi_base.xi_delta / gam.beta, xi_change.xi_delta], a)
+    return np.polyadd(wye, delta), np.convolve(a, b)
+
+
+def radius_samples(gamma: float, *polys) -> np.ndarray:
+    """The radii where a condition built from ``polys`` can change, in
+    increasing order: zero, the real part of every root of every polynomial
+    that falls in ``(0, gamma)``, the last float below ``gamma``, and the
+    midpoint of each gap between them.
+
+    Between two consecutive roots no polynomial changes sign, so each gap's
+    midpoint stands for the whole gap.  The real part of a complex root is
+    kept too: a pair of roots near the real axis marks where a polynomial
+    comes closest to zero.
+    """
+    roots = np.concatenate([np.roots(p).real for p in polys])
+    inside = roots[(roots > 0.0) & (roots < gamma)]
+    radii = np.unique(np.r_[0.0, inside, np.nextafter(gamma, 0.0)])
+    return np.sort(np.r_[radii, 0.5 * (radii[1:] + radii[:-1])])
 
 
 @dataclass
@@ -127,9 +144,10 @@ class Certificate:
 
     ``rho_used`` is the self-mapping radius (for the explicit certificate,
     ``(gamma^2 - xi(s_hat)) / (2 gamma)``, the midpoint of the two roots of
-    its self-mapping quadratic; for the scanned one, the smallest passing
-    grid point) and ``rho_dagger`` the tight containment radius, the smaller
-    root, populated only when the explicit certificate is satisfied.
+    its self-mapping quadratic; for the general one, the smallest radius
+    that passes both of its conditions) and ``rho_dagger`` the tight
+    containment radius, the smaller root, populated only when the explicit
+    certificate is satisfied.
     ``margins`` and the ``xi_*`` norms are its inputs; ``diagnostics``
     records both sides of every condition.
     """
@@ -234,21 +252,54 @@ def theorem2_closed_form(v_hat, s_hat, gam, xi_hat, xi_diff) -> Certificate:
     )
 
 
+def theorem1_radius(gam: GammaQuantities, xi_change, xi_base, xi_target) -> tuple[bool, float]:
+    """Decide Theorem 1 for the margins ``gam`` and the norms of the
+    injection change, the base loading and the target loading: whether a
+    radius in ``[0, gamma)`` satisfies both the self-mapping inequality and
+    the strict contraction inequality, and the smallest such radius, or, on
+    a fail, the sampled radius with the smallest ``lhs1 - rho``.
+
+    On ``[0, gamma)`` the self-mapping inequality reads ``p1 >= 0`` for the
+    cubic ``p1 = rho d - n1`` (a quadratic without phase pairs; see
+    :func:`theorem1_polynomials`), and the contraction's left side grows
+    with the radius, so it holds below one crossing.  The smallest certified
+    radius is thus zero or a root of ``p1``.  Each root and each gap between
+    roots is checked with :func:`theorem1_sides`; the first that passes is
+    moved down, by bisection against the sample below it, to the smallest
+    radius that passes, so the result passes by construction.  A zero change
+    passes at radius zero.
+    """
+
+    def passes(rho):
+        lhs1, lhs2 = theorem1_sides(gam, rho, xi_change, xi_base, xi_target)
+        return (lhs1 <= rho) & (lhs2 < 1.0), lhs1 - rho
+
+    rho = np.zeros(1)
+    if gam.gamma:
+        n1, d = theorem1_polynomials(gam, xi_change, xi_base)
+        rho = radius_samples(gam.gamma, np.polysub(np.r_[d, 0.0], n1))
+    ok, slack = passes(rho)
+    if not ok.any():
+        return False, float(rho[np.argmin(slack)])
+    at = int(np.argmax(ok))
+    below, top = float(rho[max(at - 1, 0)]), float(rho[at])
+    while below < (mid := 0.5 * (below + top)) < top:
+        below, top = (below, mid) if passes(mid)[0] else (mid, top)
+    return True, top
+
+
 def check_theorem1(
     model: NetworkModel,
     w_profile: ZeroLoadProfile,
     base,
     target: InjectionSet,
-    scan_points: int = SCAN_POINTS,
     tol_residual: float = BASE_RESIDUAL_TOL,
 ) -> Certificate:
-    """Evaluate the general (scanned) certificate.
+    """Evaluate the general certificate around a checked base pair.
 
-    A uniform grid over the open interval ``(0, gamma)`` is scanned for a
-    radius satisfying both the self-mapping inequality and the strict
-    contraction inequality; the left side of the first is not unimodal in
-    general, so a grid is used instead of root finding.  The smallest
-    passing radius is returned.
+    ``rho_used`` is the smallest radius that passes both conditions (see
+    :func:`theorem1_radius`); the diagnostics are taken there, or, on a
+    fail, at the radius that came closest to self-mapping.
     """
     s_hat = base[1]
     v_hat = checked_base(model, base[0], s_hat, tol_residual)[0]
@@ -256,23 +307,13 @@ def check_theorem1(
     xi_hat = xi_norms(model, w_profile, s_hat)
     xi_diff = xi_norms(model, w_profile, target - s_hat)
     xi_target = xi_norms(model, w_profile, target)
-
-    rho, lhs1, lhs2 = theorem1_scan(gam, scan_points, xi_diff, xi_hat, xi_target)
-    ok = (lhs1 <= rho) & (lhs2 < 1.0)
-
-    satisfied = bool(ok.any())
-    if satisfied:
-        at = int(np.argmax(ok))
-        rho_used = float(rho[at])
-    else:
-        # Report the grid point closest to self-mapping feasibility.
-        at = int(np.argmin(lhs1 - rho))
-        rho_used = None
+    satisfied, rho = theorem1_radius(gam, xi_diff, xi_hat, xi_target)
+    lhs1, lhs2 = (float(side) for side in theorem1_sides(gam, rho, xi_diff, xi_hat, xi_target))
 
     return Certificate(
         kind="theorem1",
         satisfied=satisfied,
-        rho_used=rho_used,
+        rho_used=rho if satisfied else None,
         rho_dagger=None,
         base_v=v_hat,
         base_s=s_hat,
@@ -280,18 +321,9 @@ def check_theorem1(
         xi_base=xi_hat,
         xi_change=xi_diff,
         diagnostics={
-            "condition1": {
-                "lhs": float(lhs1[at]),
-                "rhs": float(rho[at]),
-                "satisfied": bool(lhs1[at] <= rho[at]),
-            },
-            "condition2": {
-                "lhs": float(lhs2[at]),
-                "rhs": 1.0,
-                "satisfied": bool(lhs2[at] < 1.0),
-            },
-            "rho_at_diagnostics": float(rho[at]),
-            "scan_points": int(scan_points),
+            "condition1": {"lhs": lhs1, "rhs": rho, "satisfied": lhs1 <= rho},
+            "condition2": {"lhs": lhs2, "rhs": 1.0, "satisfied": lhs2 < 1.0},
+            "rho_at_diagnostics": rho,
             "alpha": gam.alpha,
             "beta": gam.beta,
             "gamma": gam.gamma,

@@ -42,11 +42,9 @@ def _validate(args):
             raise ValueError(f"{key} must be finite, got {opts[key]}")
     check_tolerance("tol_step", args.tol_step)
     check_tolerance("tol_residual", args.tol_residual)
-    counts = [key for key in ("max_iter", "points", "scan_points") if key in opts]
+    counts = [key for key in ("max_iter", "points") if key in opts]
     if any(opts[key] < 1 for key in counts):
-        *rest, last = counts
-        names = f"{', '.join(rest)} and {last}" if rest else last
-        raise ValueError(f"{names} must be >= 1")
+        raise ValueError(f"{' and '.join(counts)} must be >= 1")
     if "kappa_min" in opts:
         if args.kappa_min > args.kappa_max:
             raise ValueError("kappa range must be well ordered (min <= max)")
@@ -112,12 +110,8 @@ def cmd_solve(args) -> int:
 def cmd_certify(args) -> int:
     model, w_profile, inj = _load(args)
     base = _solve_base(args, model, w_profile)
-    if args.theorem == 1:
-        cert = certify.check_theorem1(
-            model, w_profile, base, inj, scan_points=args.scan_points, tol_residual=args.tol_residual
-        )
-    else:
-        cert = certify.check_theorem2(model, w_profile, base, inj, tol_residual=args.tol_residual)
+    check = certify.check_theorem1 if args.theorem == 1 else certify.check_theorem2
+    cert = check(model, w_profile, base, inj, tol_residual=args.tol_residual)
     write_json(cert.to_dict(), _dest(args.output_path))
     return EXIT_OK if cert.satisfied else EXIT_NOT_CERTIFIED
 
@@ -148,7 +142,6 @@ def cmd_sweep(args) -> int:
         kappas,
         base_kappa=args.base_kappa,
         kappa_bounds=kappa_range,
-        scan_points=args.scan_points,
         **_solver_options(args),
     )
     analysis.write_continuation_csv(_dest(args.output_path), result)
@@ -180,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert = sub.add_parser("certify", help="evaluate a solvability certificate")
     common(p_cert, cmd_certify)
     p_cert.add_argument("--theorem", type=int, choices=(1, 2), default=2)
-    p_cert.add_argument("--scan-points", type=int, default=certify.SCAN_POINTS)
     p_cert.add_argument(
         "--base-injections",
         dest="base_injections_path",
@@ -197,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--kappa-max", type=float, default=1.5)
     p_sweep.add_argument("--points", type=int, default=61)
     p_sweep.add_argument("--base-kappa", type=float, default=1.0)
-    p_sweep.add_argument("--scan-points", type=int, default=certify.SCAN_POINTS)
     p_sweep.add_argument(
         "--interval-output",
         dest="interval_output_path",

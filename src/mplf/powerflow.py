@@ -377,17 +377,29 @@ def _solve_rows(
     tol_residual: float = BASE_RESIDUAL_TOL,
     max_iter: int = MAX_ITER,
 ) -> list:
-    """The fixed-point solve of one row of injections, or of each row of a
-    stack, the rows iterated together.
+    """The fixed-point solve of each row of a stack of injections, the
+    rows iterated together (see ``_iterate_rows``).
 
-    ``inj`` is one row (``s_wye`` of shape ``(n,)``) with a start ``v_init``
-    of shape ``(n,)``, or ``k`` rows (``s_wye`` of shape ``(k, n)``,
-    ``s_delta`` of shape ``(k, d)``) with one start per row, shape
-    ``(k, n)``.  One update kernel is built for the call, and each step
-    applies it to every row, one SuperLU solve with a right-hand side per
-    row, until the last row stops.  A row stops when its step drops below
-    ``tol_step`` (its result is taken from that step's iterate, and the
-    rows that stop at one step have their residuals checked in one stacked
+    ``inj`` holds ``k`` rows (``s_wye`` of shape ``(k, n)``, ``s_delta`` of
+    shape ``(k, d)``) and ``v_init`` one start per row, shape ``(k, n)``.
+    Bad options, or injections or starts that do not fit the model, raise
+    ``ValueError``; the message names the shapes the injection rows call
+    for.
+    """
+    _check_solver_options(tol_step, tol_residual, max_iter)
+    v = _checked_voltage(model, inj, "v_init", v_init, rows=np.shape(inj.s_wye)[:1])
+    return _iterate_rows(model, w_profile, inj, v, tol_step, tol_residual, max_iter)
+
+
+def _iterate_rows(model, w_profile, inj, v, tol_step, tol_residual, max_iter) -> list:
+    """The fixed-point loop on checked arguments: ``k`` rows of injections
+    and a start per row, ``v`` of shape ``(k, n)``.
+
+    One update kernel is built for the call, and each step applies it to
+    every row, one SuperLU solve with a right-hand side per row, until the
+    last row stops.  A row stops when its step drops below ``tol_step``
+    (its result is taken from that step's iterate, and the rows that stop
+    at one step have their residuals checked in one stacked
     ``power_flow_mismatch``), when it degenerates (the step is redone
     without it), or after ``max_iter`` steps.  A row that stops is dropped
     from the kernel, so it is neither loaded nor checked again.
@@ -395,14 +407,8 @@ def _solve_rows(
     Returns a list with, per row, its ``SolveResult``, or the
     ``NonConvergenceError`` or ``DegenerateVoltageError`` its solve ends
     in; an empty stack gives an empty list.  No operation mixes rows, so a
-    row comes out bit for bit as it would alone.  Bad options, or
-    injections or starts that do not fit the model, raise ``ValueError``;
-    with a stack, the message names the shapes the injection rows call for.
+    row comes out bit for bit as it would alone.
     """
-    _check_solver_options(tol_step, tol_residual, max_iter)
-    v = _checked_voltage(model, inj, "v_init", v_init, rows=np.shape(inj.s_wye)[:-1][:1])
-    if v.ndim == 1:
-        v, inj = v[None], _injection_rows(inj, None)
     update = _UpdateKernel(model, w_profile, inj)
     # live marks the rows still iterating: those whose outcome is None.
     outcomes, steps = [None] * len(v), []
@@ -443,7 +449,7 @@ def solve_fixed_point(
     the returned result is then validated against ``tol_residual`` and
     flagged in ``converged``.  A miss is not logged here: the caller knows
     whether this is its final answer (the sweep hands such a point to
-    Newton).  This is the one-row case of ``_solve_rows``.
+    Newton).  This is the one-row case of ``_iterate_rows``.
 
     Raises
     ------
@@ -460,7 +466,8 @@ def solve_fixed_point(
     # Checked here as one row, so that a stack of injections is refused.
     _check_solver_options(tol_step, tol_residual, max_iter)
     v = _checked_voltage(model, inj, "v_init", w_profile.w if v_init is None else v_init)
-    (outcome,) = _solve_rows(model, w_profile, inj, v, tol_step, tol_residual, max_iter)
+    rows = _injection_rows(inj, None)
+    (outcome,) = _iterate_rows(model, w_profile, rows, v[None], tol_step, tol_residual, max_iter)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

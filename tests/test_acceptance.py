@@ -198,17 +198,24 @@ def _solve_stacked(model, profile, x, v_start):
 
 
 def test_criterion_7_theorem2_implies_theorem1():
+    # Each instance at its own loading and at both edges of its Theorem-2
+    # interval along the ray, where Theorem 2 barely passes.
     rng = np.random.default_rng(707)
     counterexamples = 0
     for _ in range(100):
         model, profile, inj = certified_instance(rng)
         base = zero_base(model, profile)
-        c2 = check_theorem2(model, profile, base, inj)
-        c1 = check_theorem1(model, profile, base, inj, scan_points=10000)
-        assert c2.satisfied
-        if not c1.satisfied:
-            counterexamples += 1
-    record(7, counterexamples == 0, "100 instances, zero Theorem-2-pass/Theorem-1-fail cases")
+        edges = mplf.feasible_interval(model, profile, base, inj, theorem=2)
+        for kappa in (1.0, *edges):
+            target = inj.scaled(kappa)
+            assert check_theorem2(model, profile, base, target).satisfied
+            if not check_theorem1(model, profile, base, target).satisfied:
+                counterexamples += 1
+    record(
+        7, counterexamples == 0,
+        "100 instances at their loading and both Theorem-2 edges, "
+        "zero Theorem-2-pass/Theorem-1-fail cases",
+    )
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import csv
+import functools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import mplf
 from mplf import analysis, linearize
 from mplf.analysis import _theorem1_ray, interval_summary, write_continuation_csv
-from mplf.certify import GammaQuantities, XiQuantities, theorem1_scan
+from mplf.certify import GammaQuantities, XiQuantities, theorem1_radius, theorem1_sides
 from mplf.datafiles import bundled_path
 from mplf.linearize import stack_injections
 from conftest import (
@@ -49,10 +50,11 @@ class TestFeasibleInterval:
             model, profile, zero_base(model, profile), s_ref, theorem=1,
             kappa_bounds=(-10, 10),
         )
-        # self-mapping needs 0.1 kappa <= rho (1 - rho) <= 1/4, reached on
-        # the grid radius nearest to 1/2
-        assert hi == pytest.approx(2.5, abs=1e-6)
-        assert lo == pytest.approx(-2.5, abs=1e-6)
+        # self-mapping needs 0.1 kappa <= rho (1 - rho) <= 1/4, reached at
+        # rho = 1/2; the edges move inward by ENDPOINT_MARGIN
+        assert hi == pytest.approx(2.5, rel=1e-9)
+        assert lo == pytest.approx(-2.5, rel=1e-9)
+        assert -2.5 < lo and hi < 2.5
 
     def test_zero_reference_reports_scan_bounds(self, single_phase_case):
         model, profile, _ = single_phase_case
@@ -225,26 +227,123 @@ class TestRayIntervalProperties:
             assert hi == pytest.approx(base_kappa + half, rel=1e-9, abs=1e-9)
 
 
+def grid_theorem1_ray(gam, xi_hat, xi_ref, center, points):
+    """Reference for ``analysis._theorem1_ray`` on a nonzero ``xi_ref``:
+    each of ``points`` radii spread evenly over ``(0, gamma)`` certifies one
+    interval of kappa, and the result is the connected component of their
+    union that holds ``center``."""
+    zero = XiQuantities(0.0, 0.0)
+    rho = gam.gamma * np.arange(1, points + 1) / (points + 1)
+    per_change, per_target = theorem1_sides(gam, rho, xi_ref, zero, xi_ref)
+    base_term = theorem1_sides(gam, rho, zero, xi_hat, zero)[0]
+    reach = np.where(base_term <= rho, rho - base_term, -np.inf) / per_change
+    lo = np.maximum(center - reach, -1.0 / per_target)
+    hi = np.minimum(center + reach, 1.0 / per_target)
+    keep = (base_term <= rho) & (lo <= hi)
+    order = np.argsort(lo[keep], kind="stable")
+    lo, hi = lo[keep][order], np.maximum.accumulate(hi[keep][order])
+    holds = (lo <= center) & (center <= hi)
+    component = np.cumsum(np.r_[True, lo[1:] > hi[:-1]])
+    members = np.flatnonzero(component == component[np.argmax(holds)])
+    return float(lo[members[0]]), float(hi[members[-1]])
+
+
 def test_theorem1_union_reaches_past_intervals_holding_the_base():
-    # Near the edge of feasibility, a radius whose interval misses the base
-    # can still extend the component that holds it: here the radii whose
-    # interval holds kappa_b end about 2.6e-7 short of the returned edge.
+    # Near the edge of feasibility, on a grid of 2000 radii, one radius
+    # whose interval misses kappa_b extends the component that holds it by
+    # about 2.6e-7.  The exact interval holds that whole component, and its
+    # edges are where the pointwise decision changes.
     gam = GammaQuantities(0.6823482162879797, math.inf)
     ref = XiQuantities(0.17976654130160832, 0.0)
-    kappa_b, points = -2.5157266417175954, 2000
+    kappa_b = -2.5157266417175954
     xi_base = XiQuantities(abs(kappa_b) * ref.xi_wye, 0.0)
-    lo, hi = _theorem1_ray(gam, xi_base, ref, points, kappa_b)
+    lo, hi = _theorem1_ray(gam, xi_base, ref, kappa_b)
 
     def certified(kappa):
-        rho, lhs1, lhs2 = theorem1_scan(
-            gam, points, XiQuantities(abs(kappa - kappa_b) * ref.xi_wye, 0.0),
-            XiQuantities(abs(kappa_b) * ref.xi_wye, 0.0), XiQuantities(abs(kappa) * ref.xi_wye, 0.0),
-        )
-        return bool(((lhs1 <= rho) & (lhs2 < 1.0)).any())
+        return theorem1_radius(
+            gam, XiQuantities(abs(kappa - kappa_b) * ref.xi_wye, 0.0), xi_base,
+            XiQuantities(abs(kappa) * ref.xi_wye, 0.0),
+        )[0]
 
     assert lo < kappa_b < hi
     assert all(certified(k) for k in np.linspace(lo, hi, 201)[1:-1])
     assert not certified(lo - 1e-9) and not certified(hi + 1e-9)
+    grid_lo, grid_hi = grid_theorem1_ray(gam, xi_base, ref, kappa_b, 2000)
+    assert lo < grid_lo and grid_hi < hi
+
+
+def test_theorem1_reach_growing_up_to_gamma():
+    # With wye injections only, the pair margin beta = 0.4 sets gamma, but
+    # no term of Theorem 1 divides by beta - rho: reach = 10 rho (1 - rho)
+    # grows up to gamma, and the interval approaches +-2.4 there.
+    gam, ref = GammaQuantities(1.0, 0.4), XiQuantities(0.1, 0.0)
+    lo, hi = _theorem1_ray(gam, XiQuantities(0.0, 0.0), ref, 0.0)
+    assert lo == -hi and hi == pytest.approx(2.4, rel=1e-14)
+    assert grid_theorem1_ray(gam, XiQuantities(0.0, 0.0), ref, 0.0, 100000)[1] < hi
+
+
+@functools.lru_cache(maxsize=None)
+def bundled_ray(feeder, injections, base_kappa):
+    """A bundled feeder and injection file, the base pair at ``base_kappa``
+    on their ray, and the unit-step Theorem-2 call that decides both
+    intervals."""
+    model = mplf.network_from_file(bundled_path(f"{feeder}_network.json"))
+    profile = mplf.zero_load_voltage(model)
+    s_ref = mplf.injections_from_file(bundled_path(f"{feeder}_{injections}.json"), model)
+    base_inj = s_ref.scaled(base_kappa)
+    v = profile.w if base_kappa == 0.0 else mplf.solve_fixed_point(model, profile, base_inj).v
+    ray = mplf.check_theorem2(model, profile, (v, base_inj), base_inj + s_ref)
+    return model, profile, s_ref, (v, base_inj), ray
+
+
+BUNDLED_INJECTIONS = [
+    ("single_phase", "injections"),
+    ("three_bus", "injections"),
+    ("ieee37", "injections"),
+    ("ieee37", "injections_mixed"),
+    ("ieee123", "injections"),
+    ("ieee123", "injections_mixed"),
+]
+BUNDLED_RAYS = [(*pair, base_kappa) for pair in BUNDLED_INJECTIONS for base_kappa in (0.0, 1.0)]
+
+
+@pytest.mark.parametrize("feeder, injections, base_kappa", BUNDLED_RAYS)
+class TestBundledTheorem1Intervals:
+    def test_edges_match_a_fine_grid(self, feeder, injections, base_kappa):
+        # Grid radii are a subset of [0, gamma), so the grid's interval lies
+        # inside the exact one, and falls short of it by the grid's error.
+        ray = bundled_ray(feeder, injections, base_kappa)[4]
+        lo, hi = _theorem1_ray(ray.margins, ray.xi_base, ray.xi_change, base_kappa)
+        grid_lo, grid_hi = grid_theorem1_ray(
+            ray.margins, ray.xi_base, ray.xi_change, base_kappa, 100000
+        )
+        assert lo <= grid_lo <= grid_hi <= hi
+        assert grid_lo - lo <= 1e-9 * abs(lo) and hi - grid_hi <= 1e-9 * abs(hi)
+
+    def test_theorem2_interval_inside_theorem1(self, feeder, injections, base_kappa):
+        model, profile, s_ref, base, _ = bundled_ray(feeder, injections, base_kappa)
+        t1, t2 = (
+            mplf.feasible_interval(
+                model, profile, base, s_ref, theorem=theorem, kappa_bounds=(-10.0, 10.0),
+                center_kappa=base_kappa,
+            )
+            for theorem in (1, 2)
+        )
+        assert t1[0] <= t2[0] <= t2[1] <= t1[1]
+
+    def test_edges_pass_both_conditions(self, feeder, injections, base_kappa):
+        model, profile, s_ref, base, _ = bundled_ray(feeder, injections, base_kappa)
+        edges = mplf.feasible_interval(
+            model, profile, base, s_ref, theorem=1, kappa_bounds=(-10.0, 10.0),
+            center_kappa=base_kappa,
+        )
+        for kappa in edges:
+            target = s_ref.scaled(kappa)
+            cert = mplf.check_theorem1(model, profile, base, target)
+            rho = cert.rho_used
+            xi_target = mplf.xi_norms(model, profile, target)
+            lhs1, lhs2 = theorem1_sides(cert.margins, rho, cert.xi_change, cert.xi_base, xi_target)
+            assert cert.satisfied and lhs1 <= rho and lhs2 < 1.0
 
 
 class TestRecenteredInterval:

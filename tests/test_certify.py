@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import mplf
-from mplf.certify import check_theorem2, gamma_quantities, xi_norms
+from mplf.certify import check_theorem2, gamma_quantities, theorem1_sides, xi_norms
 from mplf.datafiles import bundled_path
 from conftest import (
     certified_instance,
@@ -193,19 +193,60 @@ class TestTheorem2:
 
 
 class TestTheorem1:
-    def test_zero_target_returns_smallest_grid_point(self, rng):
+    def test_zero_change_returns_radius_zero(self, rng):
+        # The base solves the target, so the ball of radius zero holds it.
         model, profile = random_network(rng)
         zero = mplf.InjectionSet.zeros(model)
-        cert = mplf.check_theorem1(model, profile, (profile.w, zero), zero, scan_points=100)
+        cert = mplf.check_theorem1(model, profile, (profile.w, zero), zero)
         assert cert.satisfied
-        assert cert.rho_used == pytest.approx(1.0 / 101, rel=1e-12)
+        assert cert.rho_used == 0.0
 
     def test_single_phase_feasible(self, golden):
         model, profile, inj = golden
         cert = mplf.check_theorem1(model, profile, (profile.w, mplf.InjectionSet.zeros(model)), inj)
         assert cert.satisfied
         # smallest rho with rho (1 - rho) >= 0.1
-        assert cert.rho_used == pytest.approx(0.5 - math.sqrt(0.15), abs=1e-3)
+        assert cert.rho_used == pytest.approx(0.5 - math.sqrt(0.15), rel=1e-12)
+
+    @staticmethod
+    def assert_smallest_passing_radius(cert, xi_target, points=100000):
+        # The radius passes both conditions, and no radius of a fine grid
+        # below it does.
+        rho = cert.rho_used
+        lhs1, lhs2 = theorem1_sides(cert.margins, rho, cert.xi_change, cert.xi_base, xi_target)
+        assert lhs1 <= rho and lhs2 < 1.0
+        grid = cert.margins.gamma * np.arange(1, points + 1) / (points + 1)
+        grid = grid[grid < rho]
+        lhs1, lhs2 = theorem1_sides(cert.margins, grid, cert.xi_change, cert.xi_base, xi_target)
+        assert not ((lhs1 <= grid) & (lhs2 < 1.0)).any()
+
+    def test_radius_is_the_smallest_that_passes(self, rng):
+        # At each instance's own loading and at the edge of its Theorem-1
+        # interval, where few radii pass.
+        for _ in range(10):
+            model, profile, inj = certified_instance(rng)
+            base = (profile.w, mplf.InjectionSet.zeros(model))
+            edge = mplf.feasible_interval(model, profile, base, inj, theorem=1)[1]
+            for kappa in (1.0, edge):
+                target = inj.scaled(kappa)
+                cert = mplf.check_theorem1(model, profile, base, target)
+                assert cert.satisfied
+                self.assert_smallest_passing_radius(cert, xi_norms(model, profile, target))
+
+    @pytest.mark.parametrize("kappa", [3.39996616, 3.39996617, 3.39996618])
+    def test_both_theorems_pass_below_the_ieee37_theorem2_edge(self, kappa):
+        # Theorem 2 passes up to kappa = 3.3999661877 on ieee37's original
+        # (all-delta) loading from (w, 0); there the two theorems certify the
+        # same set, so Theorem 1 must pass as well.
+        model = mplf.network_from_file(bundled_path("ieee37_network.json"))
+        profile = mplf.zero_load_voltage(model)
+        inj = mplf.injections_from_file(bundled_path("ieee37_injections.json"), model)
+        base = (profile.w, mplf.InjectionSet.zeros(model))
+        target = inj.scaled(kappa)
+        assert mplf.check_theorem2(model, profile, base, target).satisfied
+        cert = mplf.check_theorem1(model, profile, base, target)
+        assert cert.satisfied
+        self.assert_smallest_passing_radius(cert, xi_norms(model, profile, target))
 
     def test_single_phase_infeasible_beyond_limit(self):
         model, profile = single_phase_model()
@@ -213,11 +254,16 @@ class TestTheorem1:
         cert = mplf.check_theorem1(model, profile, (profile.w, mplf.InjectionSet.zeros(model)), inj)
         assert not cert.satisfied
         assert cert.rho_used is None
+        # rho (1 - rho) - 0.3 has the complex roots 0.5 +- 0.22i; the
+        # diagnostics are taken at their real part, where lhs1 = 0.6.
+        diag = cert.diagnostics
+        assert diag["rho_at_diagnostics"] == pytest.approx(0.5, rel=1e-12)
+        assert diag["condition1"]["lhs"] == pytest.approx(0.6, rel=1e-12)
 
     def test_zero_voltage_base_certifies_nothing(self):
-        # gamma is 0 at a zero voltage, so the scan grid holds no radius; the
-        # scan used to divide 0 by 0, which the warning filters turn into an
-        # error.
+        # gamma is 0 at a zero voltage, so no radius is left; the grid scan
+        # this replaced used to divide 0 by 0, which the warning filters
+        # turn into an error.
         model, profile = single_phase_model()
         base = (np.zeros(model.n_phases, dtype=complex), mplf.InjectionSet.zeros(model))
         cert = mplf.check_theorem1(model, profile, base, wye_injection(model, "load", "a", -0.1))
@@ -234,5 +280,5 @@ class TestTheorem1:
             c1 = mplf.check_theorem1(model, profile, base, inj)
             assert c2.satisfied
             assert c1.satisfied
-            # the scan finds a radius no larger than the explicit one
+            # the smallest certified radius is no larger than the explicit one
             assert c1.rho_used <= c2.rho_used + 1e-12

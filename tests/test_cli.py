@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from mplf import certify, cli
+from mplf import cli
 from mplf.datafiles import bundled_path
 from mplf.powerflow import BASE_RESIDUAL_TOL, MAX_ITER, TOL_STEP
 
@@ -235,8 +235,6 @@ class TestDefaults:
         assert args.tol_step == TOL_STEP
         assert args.tol_residual == BASE_RESIDUAL_TOL
         assert args.max_iter == MAX_ITER
-        if argv[0] in ("certify", "sweep"):
-            assert args.scan_points == certify.SCAN_POINTS
 
     def test_certify_defaults(self):
         args = cli.build_parser().parse_args(["certify", NET1, INJ1])
@@ -305,24 +303,17 @@ class TestConfigValidation:
         [
             (["solve", "--max-iter", "0"], "max_iter must be >= 1"),
             (["linearize", "--kind", "fpl", "--max-iter", "-1"], "max_iter must be >= 1"),
-            (["certify", "--scan-points", "0"], "max_iter and scan_points must be >= 1"),
-            (["sweep", "--points", "0"], "max_iter, points and scan_points must be >= 1"),
+            (["certify", "--max-iter", "0"], "max_iter must be >= 1"),
+            (["sweep", "--points", "0"], "max_iter and points must be >= 1"),
         ],
     )
     def test_count_below_one_names_the_subcommand_options(self, argv, message, capsys):
-        # solve used to name --points and --scan-points too, which it lacks.
+        # solve used to name --points too, which it lacks.
         assert run([argv[0], NET1, INJ1, *argv[1:]]) == 1
         assert capsys.readouterr().err == f"mplf: error: {message}\n"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["certify", "--theorem", "1", "--scan-points", str(10**17)],
-        ["sweep", "--points", str(10**17)],
-    ],
-    ids=["scan-points", "points"],
-)
+@pytest.mark.parametrize("argv", [["sweep", "--points", str(10**17)]], ids=["points"])
 def test_huge_count_is_an_error_not_a_traceback(argv, capsys):
     # numpy refuses the 800-petabyte grid before it allocates anything;
     # this used to end in a MemoryError traceback.
@@ -330,6 +321,22 @@ def test_huge_count_is_an_error_not_a_traceback(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("mplf: error: ") and "allocate" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("subcommand", ["certify", "sweep"])
+def test_scan_points_is_a_usage_error(subcommand):
+    # Theorem 1 is decided from polynomial roots, with no grid of radii to
+    # size; argparse rejects the flag, at any count, before anything runs.
+    flag = ["--scan-points", str(10**17)]
+    out = subprocess.run(
+        [sys.executable, "-m", "mplf.cli", subcommand, *IEEE37, *flag],
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("usage: mplf ")
+    assert out.stderr.endswith(f"mplf: error: unrecognized arguments: {' '.join(flag)}\n")
 
 
 @pytest.mark.parametrize(
