@@ -252,15 +252,17 @@ def recentered_interval(
     )
 
 
-def _solve_exact(model, target, fixed_point, v_start, tol_residual):
-    """A sweep row's exact solution from its fixed-point outcome, with the
-    Newton fallback, or ``None``.
+def _solve_exact(model, targets, j, fixed_point, v_start, tol_residual):
+    """The exact solution of row ``j`` of a sweep block's injections
+    ``targets`` from its fixed-point outcome, with the Newton fallback, or
+    ``None``.
 
     ``fixed_point`` is the row's ``SolveResult`` from ``v_start`` (its FPL
     prediction) or the error its solve raised.  A converged result is the
-    answer.  Newton takes over from ``v_start`` when the fixed point
-    degenerated or ran out of iterations, and from the fixed point's last
-    iterate when the step tolerance was met but ``tol_residual`` was not.
+    answer.  Newton takes over, on the row's own ``InjectionSet``, from
+    ``v_start`` when the fixed point degenerated or ran out of iterations,
+    and from the fixed point's last iterate when the step tolerance was met
+    but ``tol_residual`` was not.
     """
     if isinstance(fixed_point, SolveResult):
         if fixed_point.converged:
@@ -269,6 +271,7 @@ def _solve_exact(model, target, fixed_point, v_start, tol_residual):
         v_start = fixed_point.v
     else:
         log.debug("fixed point failed (%s); trying Newton", fixed_point)
+    target = InjectionSet(targets.s_wye[j], targets.s_delta[j])
     try:
         return newton_oracle(model, target, v_init=v_start, tol_residual=tol_residual)
     except MplfError as exc:
@@ -298,12 +301,13 @@ def linear_error_sweep(
     iterates the block's rows together with one update kernel until the
     last row stops (``powerflow._solve_rows``, the loop of
     ``solve_fixed_point``), each row as ``solve_fixed_point`` from that
-    start would.  A row that degenerates, does not converge or misses
-    ``tol_residual`` falls back to Newton (see ``_solve_exact``).  A row's
-    FPL error is its start's distance from its solution.  One Theorem-2
-    call at ``s_hat + s_ref``
-    gives both theorems' intervals and each row's Theorem 2, the closed
-    form at ``|kappa - base_kappa| xi(s_ref)``.
+    start would, and one stacked residual check covers every row of the
+    block that met ``tol_step``.  A row that degenerates, does not converge
+    or misses ``tol_residual`` falls back to Newton (see ``_solve_exact``),
+    and only such a row gets an ``InjectionSet`` of its own.  A row's FPL
+    error is its start's distance from its solution.  One Theorem-2 call at
+    ``s_hat + s_ref`` gives both theorems' intervals and each row's
+    Theorem 2, the closed form at ``|kappa - base_kappa| xi(s_ref)``.
     """
     kappas = np.sort(np.asarray(kappa_grid, dtype=float))
     if not kappas.size:
@@ -332,8 +336,7 @@ def linear_error_sweep(
         v_fpl, v_fot = fpl._voltages(targets), fot._voltages(targets)
         outcomes = _solve_rows(model, w_profile, targets, v_fpl, tol_step, tol_residual, max_iter)
         for j, outcome in enumerate(outcomes):
-            target = InjectionSet(targets.s_wye[j], targets.s_delta[j])
-            solutions[start + j] = _solve_exact(model, target, outcome, v_fpl[j], tol_residual)
+            solutions[start + j] = _solve_exact(model, targets, j, outcome, v_fpl[j], tol_residual)
         rows = [j for j in range(len(block)) if solutions[start + j] is not None]
         if not rows:
             continue

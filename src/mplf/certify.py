@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateProfileError
-from .netmodel import NetworkModel, ZeroLoadProfile
+from .netmodel import NetworkModel, ZeroLoadProfile, check_profile
 from .powerflow import BASE_RESIDUAL_TOL, InjectionSet, checked_base
 
 @dataclass(frozen=True)
@@ -68,6 +68,7 @@ def xi_norms(model: NetworkModel, w_profile: ZeroLoadProfile, inj: InjectionSet)
     by a diagonal reduces both to weighted absolute matrix-vector products
     with the profile's cached weights.
     """
+    check_profile(model, w_profile)
     weights_w, weights_d = w_profile.xi_weights
     xi_wye = float((weights_w @ np.abs(inj.s_wye)).max()) if model.n_phases else 0.0
     xi_delta = float((weights_d @ np.abs(inj.s_delta)).max()) if model.n_delta else 0.0
@@ -194,6 +195,7 @@ def check_theorem2(
     tol_residual: float = BASE_RESIDUAL_TOL,
 ) -> Certificate:
     """Evaluate the explicit certificate around a checked base pair."""
+    check_profile(model, w_profile)
     s_hat = base[1]
     v_hat = checked_base(model, base[0], s_hat, tol_residual)[0]
     gam = gamma_quantities(w_profile, v_hat)
@@ -301,6 +303,7 @@ def check_theorem1(
     :func:`theorem1_radius`); the diagnostics are taken there, or, on a
     fail, at the radius that came closest to self-mapping.
     """
+    check_profile(model, w_profile)
     s_hat = base[1]
     v_hat = checked_base(model, base[0], s_hat, tol_residual)[0]
     gam = gamma_quantities(w_profile, v_hat)

@@ -15,19 +15,19 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse
 
-from .certify import check_theorem2, xi_norms
+from .certify import check_theorem2, theorem1_sides, xi_norms
 from .errors import (
     CertificateRequiredError,
-    DegenerateVoltageError,
     SingularSensitivityError,
 )
-from .netmodel import LUFactor, NetworkModel, ZeroLoadProfile
+from .netmodel import LUFactor, NetworkModel, ZeroLoadProfile, check_profile
 from .powerflow import (
     BASE_RESIDUAL_TOL,
     EPS_DELTA,
     EPS_V,
     InjectionSet,
     SolveResult,
+    _check_degenerate,
     _UpdateKernel,
     checked_base,
 )
@@ -229,8 +229,7 @@ def fot_linearize(
     v_hat, ic_delta, i_hat = checked_base(model, base_solution.v, base_inj, tol_residual)
     conn = model.connection
     n, d = model.n_phases, model.n_delta
-    if np.abs(v_hat).min() <= EPS_V:
-        raise DegenerateVoltageError("degenerate phase voltage at the base point")
+    _check_degenerate(v_hat, True, EPS_V, "degenerate phase voltage at the base point")
     hv = conn.gather(v_hat)
     if d and np.abs(hv).min() <= EPS_DELTA:
         raise SingularSensitivityError(
@@ -272,14 +271,14 @@ def fpl_linearize(
     DegenerateVoltageError
         A base phase voltage, or a base phase-pair voltage, is not above
         ``EPS_V`` or ``EPS_DELTA``.
+    ValueError
+        ``w_profile`` was built for another model.
     """
+    check_profile(model, w_profile)
     v_hat = checked_base(model, base_solution.v, base_inj, tol_residual)[0]
-    conn = model.connection
-    if np.abs(v_hat).min() <= EPS_V:
-        raise DegenerateVoltageError("degenerate phase voltage at the base point")
-    hv = conn.gather(v_hat)
-    if model.n_delta and np.abs(hv).min() <= EPS_DELTA:
-        raise DegenerateVoltageError("degenerate phase-pair voltage at the base point")
+    _check_degenerate(v_hat, True, EPS_V, "degenerate phase voltage at the base point")
+    hv = model.connection.gather(v_hat)
+    _check_degenerate(hv, True, EPS_DELTA, "degenerate phase-pair voltage at the base point")
     return _FixedPointModel(model, v_hat, base_inj, w_profile)
 
 
@@ -339,11 +338,9 @@ def fpl_error_bound(
         raise CertificateRequiredError(
             "explicit certificate fails for the target injections; no bound available"
         )
-    rho_d, gam = cert.rho_dagger, cert.margins
-    xi_t = xi_norms(model, w_profile, target)
-    q = xi_t.xi_wye / (gam.alpha - rho_d) ** 2
-    if model.n_delta:
-        q += xi_t.xi_delta / (gam.beta - rho_d) ** 2
+    rho_d, xi_t = cert.rho_dagger, xi_norms(model, w_profile, target)
+    # Theorem 1's contraction side at the tight containment radius.
+    q = theorem1_sides(cert.margins, rho_d, cert.xi_change, cert.xi_base, xi_t)[1]
     if not q < 1.0:
         raise CertificateRequiredError(
             f"contraction coefficient q = {q:.6g} is not below one; no bound available"

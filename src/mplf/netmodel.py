@@ -698,7 +698,9 @@ class ZeroLoadProfile:
     ``w`` solves ``yll @ w = -yl0 @ v0``; ``w_abs`` and ``Lw`` are the
     entrywise magnitudes and pair sums used throughout the certificates.
     A model whose profile has any (near-)zero entry is rejected because all
-    certificate quantities divide by them.
+    certificate quantities divide by them.  A profile serves only its own
+    model object: every function that takes both checks ``model`` against
+    it with ``check_profile``.
     """
 
     w: np.ndarray
@@ -722,6 +724,13 @@ class ZeroLoadProfile:
             arr *= col_scale[None, :]
             arr.setflags(write=False)
         return weights
+
+
+def check_profile(model: NetworkModel, w_profile: ZeroLoadProfile):
+    """Raise ``ValueError`` unless ``w_profile`` was built for ``model``
+    itself (an equal model of the same size does not do)."""
+    if w_profile.model is not model:
+        raise ValueError("w_profile was built for another model")
 
 
 def zero_load_voltage(model: NetworkModel) -> ZeroLoadProfile:

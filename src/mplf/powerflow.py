@@ -20,10 +20,10 @@ from .errors import (
     SingularJacobianError,
 )
 from .netmodel import (
-    ConnectionMatrix,
     LUFactor,
     NetworkModel,
     ZeroLoadProfile,
+    check_profile,
     complex_from_doc,
     list_from_doc,
     zero_load_voltage,
@@ -97,9 +97,9 @@ class SolveResult:
 
 def _check_degenerate(values, live, eps, message):
     """Raise ``DegenerateVoltageError`` when an entry of ``values`` under a
-    ``live`` (nonzero) injection is not above ``eps``.  The check runs
-    along the last axis, so its ``rows`` name the degenerate rows of a
-    stack (a 0-d ``True`` for one vector)."""
+    ``live`` (nonzero) injection is not above ``eps``; ``live=True`` checks
+    every entry.  The check runs along the last axis, so its ``rows`` name
+    the degenerate rows of a stack (a 0-d ``True`` for one vector)."""
     magnitude = np.abs(values)
     # One reduction settles the common case, no entry near zero at all.
     if magnitude.min(initial=np.inf) > eps:
@@ -113,14 +113,13 @@ _DEGENERATE_WYE = "near-zero phase voltage with nonzero wye injection"
 _DEGENERATE_PAIR = "near-zero phase-to-phase voltage with nonzero delta injection"
 
 
-def _conj_delta_currents(model: NetworkModel, v, s_delta):
-    """conj(i_delta) = s_delta / (H v), zero where the injection is zero."""
-    hv = model.connection.gather(v)
-    live = s_delta != 0
-    _check_degenerate(hv, live, EPS_DELTA, _DEGENERATE_PAIR)
-    out = np.zeros_like(hv)
-    out[live] = s_delta[live] / hv[live]
-    return out
+def _quotients(s, values, live, eps, message):
+    """``s / values`` where ``live``, and ``+0`` elsewhere, shaped as ``s``,
+    once ``_check_degenerate`` has passed ``values`` under ``live``.
+    ``live`` is where ``s`` is nonzero, or a part of that."""
+    _check_degenerate(values, live, eps, message)
+    out = np.zeros(s.shape, dtype=complex)
+    return np.divide(s, values, out=out, where=live)
 
 
 def power_flow_mismatch(model: NetworkModel, v, inj: InjectionSet):
@@ -133,7 +132,8 @@ def power_flow_mismatch(model: NetworkModel, v, inj: InjectionSet):
     injection rows gives each row's terms, bit for bit as that row alone:
     every product works along the last axis.
     """
-    ic_delta = _conj_delta_currents(model, v, inj.s_delta)
+    hv = model.connection.gather(v)
+    ic_delta = _quotients(inj.s_delta, hv, inj.s_delta != 0, EPS_DELTA, _DEGENERATE_PAIR)
     i = model.yl0 @ model.v0 + (model.yll @ v.T).T
     pair_current = model.connection.scatter(ic_delta, model.n_phases)
     return pair_current * v + inj.s_wye - v * np.conj(i), ic_delta, i
@@ -213,19 +213,6 @@ def _checked_voltage(model: NetworkModel, inj: InjectionSet, name: str, v, rows=
     return v
 
 
-def _conj_quotients(s, values, live):
-    """``conj(s / values)`` where ``live``, and ``+0`` elsewhere, as if the
-    entries that are not live had been left out; shaped as ``s``."""
-    out = np.zeros(s.shape, dtype=complex)
-    np.divide(s, values, out=out, where=live)
-    return np.conjugate(out, out=out, where=live)
-
-
-def _loaded(s):
-    """The columns where some row of ``s`` is nonzero."""
-    return np.flatnonzero((s != 0).any(axis=tuple(range(s.ndim - 1))))
-
-
 class _UpdateKernel:
     """The update map ``G`` for one ``(model, profile)`` and one row of
     injections, or a stack of ``k`` rows (``s_wye`` of shape ``(k, n)``).
@@ -236,51 +223,43 @@ class _UpdateKernel:
     row is taken at: the FPL model is a call at the base voltages, and the
     FOT model solves its own operator on ``rhs`` at the base voltages of a
     kernel built on the change of the injections.  A kernel used only for
-    ``rhs`` takes no profile (``None``).
+    ``rhs`` takes no profile (``None``); a profile must be ``model``'s own.
 
-    What does not change during a solve is taken once: the phases that
-    some row loads, their injections and where each row's is nonzero, the
-    same for the pairs (as a ``ConnectionMatrix`` of their phase columns),
-    and ``yll``'s solve.  An application works along the last axis, so a
-    vector is the one-row case, and every row of a stack comes out bit for
-    bit as that row alone: its quotients are taken where its own injection
-    is nonzero (``+0`` elsewhere, as for an entry no row loads), both
-    degeneracy checks look at its own nonzero injections, and its
-    right-hand side is one column of a single SuperLU solve.  ``drop(rows)``
-    clears the nonzero masks of the rows of a boolean mask: from then on
-    those rows are neither loaded nor checked, and come out as ``w``.  The
-    right-hand side is the wye term plus the pair scatter, which
-    ``scatter`` accumulates from a zero vector; scattering straight into
-    the wye term reorders the sums and moves the iterates in their last
-    bits.
+    The kernel keeps the injections as given, with their nonzero masks,
+    and ``yll``'s solve.  An application works over every phase and pair
+    along the last axis, so a vector is the one-row case, and every row of
+    a stack comes out bit for bit as that row alone: its quotients are
+    taken where its own injection is nonzero (``+0`` elsewhere, see
+    ``_quotients``) and conjugated there only, both degeneracy checks look
+    at its own nonzero injections, and its right-hand side is one column
+    of a single SuperLU solve.  ``drop(rows)`` clears the masks of the rows
+    of a boolean mask: from then on those rows are neither loaded nor
+    checked, and come out as ``w``.  The right-hand side is the wye term
+    plus the pair scatter, which ``scatter`` accumulates from a zero
+    vector; scattering straight into the wye term reorders the sums and
+    moves the iterates in their last bits.
     """
 
     def __init__(self, model: NetworkModel, w_profile: ZeroLoadProfile | None, inj: InjectionSet):
-        self._shape = inj.s_wye.shape
-        self._wye = _loaded(inj.s_wye)
-        self._s_wye = inj.s_wye[..., self._wye]
-        self._live_wye = self._s_wye != 0
-        self._has_pairs = model.n_delta > 0
-        pairs = _loaded(inj.s_delta)
-        conn = model.connection
-        self._pairs = ConnectionMatrix(first=conn.first[pairs], second=conn.second[pairs])
-        self._s_delta = inj.s_delta[..., pairs]
-        self._live_delta = self._s_delta != 0
+        if w_profile is not None:
+            check_profile(model, w_profile)
+        self._s_wye, self._s_delta = inj.s_wye, inj.s_delta
+        self._live_wye, self._live_delta = inj.s_wye != 0, inj.s_delta != 0
+        self._pairs = model.connection if model.n_delta else None
         self._solve = model.factor.solve
         self._profile = w_profile
 
     def rhs(self, v):
-        v_wye = v[..., self._wye]
-        _check_degenerate(v_wye, self._live_wye, EPS_V, _DEGENERATE_WYE)
-        rhs = np.zeros(self._shape, dtype=complex)
-        rhs[..., self._wye] = _conj_quotients(self._s_wye, v_wye, self._live_wye)
+        live = self._live_wye
+        rhs = _quotients(self._s_wye, v, live, EPS_V, _DEGENERATE_WYE)
+        np.conjugate(rhs, out=rhs, where=live)
         # A model with pairs adds the scatter even when no pair is live, as
         # the map always has: its zeros turn a -0.0 of the wye term to +0.0.
-        if self._has_pairs:
-            hv = self._pairs.gather(v)
-            _check_degenerate(hv, self._live_delta, EPS_DELTA, _DEGENERATE_PAIR)
-            pair = _conj_quotients(self._s_delta, hv, self._live_delta)
-            rhs += self._pairs.scatter(pair, self._shape[-1])
+        if self._pairs is not None:
+            live, hv = self._live_delta, self._pairs.gather(v)
+            pair = _quotients(self._s_delta, hv, live, EPS_DELTA, _DEGENERATE_PAIR)
+            np.conjugate(pair, out=pair, where=live)
+            rhs += self._pairs.scatter(pair, rhs.shape[-1])
         return rhs
 
     def __call__(self, v):
@@ -296,17 +275,12 @@ class _UpdateKernel:
 def fixed_point_map(model: NetworkModel, w_profile: ZeroLoadProfile, inj: InjectionSet, v):
     """One application of the voltage-update operator G.
 
-    Raises ``ValueError`` when ``v`` or ``inj`` does not fit ``model`` or
-    ``v`` is not finite, and ``DegenerateVoltageError`` when a voltage
-    under a nonzero injection is near zero.
+    Raises ``ValueError`` when ``v``, ``inj`` or ``w_profile`` does not fit
+    ``model`` or ``v`` is not finite, and ``DegenerateVoltageError`` when a
+    voltage under a nonzero injection is near zero.
     """
     v = _checked_voltage(model, inj, "v", v)
     return _UpdateKernel(model, w_profile, inj)(v)
-
-
-def _step_norms(v_next, v):
-    """The infinity norm of each row's update (zero on a model with no phases)."""
-    return np.abs(v_next - v).max(axis=-1, initial=0.0)
 
 
 def _not_converged(v, step_norms, max_iter):
@@ -347,27 +321,6 @@ def _injection_rows(inj: InjectionSet, rows) -> InjectionSet:
     return InjectionSet(inj.s_wye[rows], inj.s_delta[rows])
 
 
-def _finish_rows(model, inj, rows, v, steps, outcomes, tol_residual):
-    """The ``SolveResult`` of each of ``rows``, whose step dropped below the
-    tolerance at ``v`` (the stack's iterate) under the injections ``inj``,
-    from one stacked residual check.  ``steps`` holds the stack's step
-    norms, one array per step.  A row whose check degenerates gets that
-    error instead."""
-    if len(rows) < len(v):
-        v, inj = v[rows], _injection_rows(inj, rows)
-    try:
-        terms = power_flow_mismatch(model, v, inj)
-    except DegenerateVoltageError as exc:
-        for row in rows[exc.rows].tolist():
-            outcomes[row] = DegenerateVoltageError(str(exc), rows=np.bool_(True))
-        keep = ~exc.rows
-        rows, v = rows[keep], v[keep]
-        terms = power_flow_mismatch(model, v, _injection_rows(inj, keep))
-    norms = np.array(steps).T[rows].tolist()
-    for j, (row, row_norms) in enumerate(zip(rows.tolist(), norms)):
-        outcomes[row] = _solve_result(v[j], row_norms, [t[j] for t in terms], tol_residual)
-
-
 def _solve_rows(
     model: NetworkModel,
     w_profile: ZeroLoadProfile,
@@ -378,13 +331,14 @@ def _solve_rows(
     max_iter: int = MAX_ITER,
 ) -> list:
     """The fixed-point solve of each row of a stack of injections, the
-    rows iterated together (see ``_iterate_rows``).
+    rows iterated together with one update kernel and their residuals
+    checked in one stacked pass at the end (see ``_iterate_rows``).
 
     ``inj`` holds ``k`` rows (``s_wye`` of shape ``(k, n)``, ``s_delta`` of
     shape ``(k, d)``) and ``v_init`` one start per row, shape ``(k, n)``.
-    Bad options, or injections or starts that do not fit the model, raise
-    ``ValueError``; the message names the shapes the injection rows call
-    for.
+    Bad options, injections or starts that do not fit the model, or a
+    profile of another model raise ``ValueError``; the message of a shape
+    names the shapes the injection rows call for.
     """
     _check_solver_options(tol_step, tol_residual, max_iter)
     v = _checked_voltage(model, inj, "v_init", v_init, rows=np.shape(inj.s_wye)[:1])
@@ -398,11 +352,13 @@ def _iterate_rows(model, w_profile, inj, v, tol_step, tol_residual, max_iter) ->
     One update kernel is built for the call, and each step applies it to
     every row, one SuperLU solve with a right-hand side per row, until the
     last row stops.  A row stops when its step drops below ``tol_step``
-    (its result is taken from that step's iterate, and the rows that stop
-    at one step have their residuals checked in one stacked
-    ``power_flow_mismatch``), when it degenerates (the step is redone
-    without it), or after ``max_iter`` steps.  A row that stops is dropped
-    from the kernel, so it is neither loaded nor checked again.
+    (the loop records that step and its iterate), when it degenerates (the
+    step is redone without it), or after ``max_iter`` steps.  A row that
+    stops is dropped from the kernel, so it is neither loaded nor checked
+    again.  After the loop, one stacked ``power_flow_mismatch`` checks the
+    residual of every row that met ``tol_step``, at its own iterate; a row
+    that degenerates in that check gets its error, and the check is redone
+    without it.
 
     Returns a list with, per row, its ``SolveResult``, or the
     ``NonConvergenceError`` or ``DegenerateVoltageError`` its solve ends
@@ -410,10 +366,12 @@ def _iterate_rows(model, w_profile, inj, v, tol_step, tol_residual, max_iter) ->
     row comes out bit for bit as it would alone.
     """
     update = _UpdateKernel(model, w_profile, inj)
-    # live marks the rows still iterating: those whose outcome is None.
     outcomes, steps = [None] * len(v), []
+    # live marks the rows still iterating; stopped_at is the step at which
+    # a row met tol_step (zero for the others), and v_stop its iterate there.
     live = np.ones(len(v), dtype=bool)
-    while None in outcomes and len(steps) < max_iter:
+    stopped_at, v_stop = np.zeros(len(v), dtype=int), np.empty_like(v)
+    while live.any() and len(steps) < max_iter:
         try:
             v_next = update(v)
         except DegenerateVoltageError as exc:
@@ -421,16 +379,29 @@ def _iterate_rows(model, w_profile, inj, v, tol_step, tol_residual, max_iter) ->
             for row in np.flatnonzero(stop).tolist():
                 outcomes[row] = DegenerateVoltageError(str(exc), rows=np.bool_(True))
         else:
-            steps.append(_step_norms(v_next, v))
+            # Each row's update norm, zero on a model with no phases.
+            steps.append(np.abs(v_next - v).max(axis=-1, initial=0.0))
             v = v_next
             stop = live & (steps[-1] < tol_step)
             if not stop.any():
                 continue
-            _finish_rows(model, inj, np.flatnonzero(stop), v, steps, outcomes, tol_residual)
+            stopped_at[stop], v_stop[stop] = len(steps), v[stop]
         update.drop(stop)
         live[stop] = False
+    norms, rows = np.array(steps).T, np.flatnonzero(stopped_at)
+    if rows.size:
+        try:
+            terms = power_flow_mismatch(model, v_stop[rows], _injection_rows(inj, rows))
+        except DegenerateVoltageError as exc:
+            for row in rows[exc.rows].tolist():
+                outcomes[row] = DegenerateVoltageError(str(exc), rows=np.bool_(True))
+            rows = rows[~exc.rows]
+            terms = power_flow_mismatch(model, v_stop[rows], _injection_rows(inj, rows))
+        for row, *row_terms in zip(rows.tolist(), *terms):
+            row_norms = norms[row, : stopped_at[row]].tolist()
+            outcomes[row] = _solve_result(v_stop[row], row_norms, row_terms, tol_residual)
     for row in np.flatnonzero(live).tolist():
-        outcomes[row] = _not_converged(v[row], np.array(steps)[:, row].tolist(), max_iter)
+        outcomes[row] = _not_converged(v[row], norms[row].tolist(), max_iter)
     return outcomes
 
 
@@ -449,20 +420,23 @@ def solve_fixed_point(
     the returned result is then validated against ``tol_residual`` and
     flagged in ``converged``.  A miss is not logged here: the caller knows
     whether this is its final answer (the sweep hands such a point to
-    Newton).  This is the one-row case of ``_iterate_rows``.
+    Newton).  This is the one-row case of ``_iterate_rows``: one update
+    kernel over every phase and pair, and one residual check at the
+    iterate where the step met ``tol_step``.
 
     Raises
     ------
     ValueError
-        If ``max_iter`` is below one, a tolerance is NaN or not positive,
-        ``v_init`` or ``inj`` does not fit the model, or ``v_init`` is not
-        finite.
+        If ``w_profile`` was built for another model, ``max_iter`` is below
+        one, a tolerance is NaN or not positive, ``v_init`` or ``inj`` does
+        not fit the model, or ``v_init`` is not finite.
     NonConvergenceError
         If ``max_iter`` updates do not bring the step below ``tol_step``.
         The exception carries the last iterate and all step norms.
     DegenerateVoltageError
         If an iterate degenerates under a nonzero injection.
     """
+    check_profile(model, w_profile)
     # Checked here as one row, so that a stack of injections is refused.
     _check_solver_options(tol_step, tol_residual, max_iter)
     v = _checked_voltage(model, inj, "v_init", w_profile.w if v_init is None else v_init)

@@ -576,6 +576,26 @@ class TestErrorBound:
         assert bound == pytest.approx(0.0143151, abs=1e-6)
         assert bound >= 0.0127017 - 1e-9
 
+    @pytest.mark.parametrize("feeder", ["ieee37", "ieee123"])
+    @pytest.mark.parametrize("injections", ["injections", "injections_mixed"])
+    def test_q_is_theorem1_contraction_side(self, feeder, injections):
+        # q is Theorem 1's contraction side at rho-dagger: the sum, in this
+        # order, of the wye term and (with phase pairs) the delta term.
+        model = mplf.network_from_file(bundled_path(f"{feeder}_network.json"))
+        inj = mplf.injections_from_file(bundled_path(f"{feeder}_{injections}.json"), model)
+        profile = mplf.zero_load_voltage(model)
+        base = (profile.w, mplf.InjectionSet.zeros(model))
+        target = inj.scaled(0.5)
+        cert = mplf.check_theorem2(model, profile, base, target)
+        xi_t, gam, rho = mplf.xi_norms(model, profile, target), cert.margins, cert.rho_dagger
+        q = xi_t.xi_wye / (gam.alpha - rho) ** 2
+        if model.n_delta:
+            q += xi_t.xi_delta / (gam.beta - rho) ** 2
+        bound = q * rho * float(profile.w_abs.max())
+        got = mplf.fpl_error_bound(model, profile, base, target)
+        assert got == (bound, q)
+        assert [type(x) for x in got] == [float, float]
+
     def test_zero_change_gives_zero_bound(self, rng):
         model, profile, inj = certified_instance(rng)
         sol = mplf.solve_fixed_point(model, profile, inj)

@@ -501,6 +501,49 @@ class TestZeroLoad:
         assert hi == pytest.approx(-lo) and hi == pytest.approx(3.73, abs=0.01)
 
 
+def feeder_case(feeder):
+    model = mplf.network_from_file(bundled_path(f"{feeder}_network.json"))
+    inj = mplf.injections_from_file(bundled_path(f"{feeder}_injections_mixed.json"), model)
+    return model, mplf.zero_load_voltage(model), inj
+
+
+PROFILE_USERS = {
+    "fixed_point_map": lambda m, p, own, inj: mplf.fixed_point_map(m, p, inj, own.w),
+    "solve_fixed_point": lambda m, p, own, inj: mplf.solve_fixed_point(m, p, inj),
+    "xi_norms": lambda m, p, own, inj: mplf.xi_norms(m, p, inj),
+    "check_theorem1": lambda m, p, own, inj: mplf.check_theorem1(
+        m, p, (own.w, mplf.InjectionSet.zeros(m)), inj
+    ),
+    "check_theorem2": lambda m, p, own, inj: mplf.check_theorem2(
+        m, p, (own.w, mplf.InjectionSet.zeros(m)), inj
+    ),
+    "fpl_linearize": lambda m, p, own, inj: mplf.fpl_linearize(
+        m, p, mplf.solve_fixed_point(m, own, inj), inj
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", list(PROFILE_USERS))
+class TestProfileOfAnotherModel:
+    """A zero-load profile serves only the model object it was built for."""
+
+    def test_other_feeder_rejected(self, entry):
+        model, own, inj = feeder_case("ieee37")
+        other = feeder_case("ieee123")[1]
+        with pytest.raises(ValueError, match="^w_profile was built for another model$"):
+            PROFILE_USERS[entry](model, other, own, inj)
+
+    def test_equal_model_rejected(self, entry):
+        # A second parse of the same document is another model object of
+        # the same size, whose profile holds the same numbers.
+        model, own, inj = feeder_case("ieee37")
+        twin = feeder_case("ieee37")[1]
+        assert_bitwise(twin.w, own.w)
+        with pytest.raises(ValueError, match="^w_profile was built for another model$"):
+            PROFILE_USERS[entry](model, twin, own, inj)
+        PROFILE_USERS[entry](model, own, own, inj)
+
+
 class TestPermutationEquivariance:
     def test_relabeling_permutes_everything(self, rng):
         for _ in range(5):

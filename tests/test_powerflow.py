@@ -387,6 +387,22 @@ class TestSolveRows:
         for j in (1, 2):
             assert_same_solve(rows[j], plain[j])
 
+    def test_one_residual_check_for_all_stop_steps(self, monkeypatch):
+        # Rows that stop at different steps share one stacked residual check.
+        model, profile, inj = ieee37_mixed()
+        stack = scaled_rows(inj, [0.4, 1.2, 0.0, -0.8])
+        starts = np.array([profile.w] * 4)
+        mismatch, checked = powerflow.power_flow_mismatch, []
+
+        def counted(model, v, inj):
+            checked.append(len(v))
+            return mismatch(model, v, inj)
+
+        monkeypatch.setattr(powerflow, "power_flow_mismatch", counted)
+        rows = powerflow._solve_rows(model, profile, stack, starts)
+        assert len({sol.iterations for sol in rows}) > 1
+        assert checked == [4]
+
     def test_empty_stack(self):
         model, profile, inj = ieee37_mixed()
         stack = scaled_rows(inj, [])
