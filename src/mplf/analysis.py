@@ -119,9 +119,15 @@ def _theorem1_ray(gam, xi_hat, xi_ref, center_kappa: float):
     other radius lies inside that one.  The peak is at a root of
     ``nr' na - nr na'``, with ``reach = nr / na`` (see
     ``certify.theorem1_polynomials``), or next to ``gamma`` where ``reach``
-    grows up to it.  The roots, the gaps between them and the last radius
-    below ``gamma`` are checked with ``theorem1_sides``; the result is the
-    hull of the intervals that hold the center, or ``None``.
+    grows up to it.  ``nr`` takes the denominator ``d`` of ``xi(s_ref)``'s
+    polynomials, which is also that of ``xi(s_hat)``'s: ``s_hat`` is
+    ``center s_ref``, so ``xi(s_hat)`` loads the kinds that ``xi(s_ref)``
+    loads, or none at ``center = 0``, where its ``n1`` is zero.  Only the
+    loaded kinds enter ``d``, so under a loading of one kind ``nr`` and
+    ``na`` share no factor of the other kind's margin, whose double root
+    would perturb the peak.  The roots, the gaps between them and the last
+    radius below ``gamma`` are checked with ``theorem1_sides``; the result
+    is the hull of the intervals that hold the center, or ``None``.
     """
     if not (gam.gamma and xi_ref.xi_total):
         return None

@@ -43,8 +43,9 @@ class XiQuantities:
 class GammaQuantities:
     """Minimum voltage margins of a profile relative to the zero-load one.
 
-    ``beta`` is ``inf`` when the model has no phase-pair connections, so the
-    combined margin reduces to the wye-only form.  At ``v = w``, ``alpha`` is
+    ``beta`` is the minimum over the model's phase pairs, so it is ``inf``,
+    the minimum over no pairs, on a model without phase-pair connections,
+    and ``gamma`` is then ``alpha``.  At ``v = w``, ``alpha`` is
     one but ``beta`` is at most one: a pair voltage ``|w_i - w_j|`` falls
     short of ``|w_i| + |w_j|``, to ``sqrt(3)/2`` of it on a balanced
     three-phase bus, so ``gamma(w)`` is below one on most feeders with
@@ -70,8 +71,8 @@ def xi_norms(model: NetworkModel, w_profile: ZeroLoadProfile, inj: InjectionSet)
     """
     check_profile(model, w_profile)
     weights_w, weights_d = w_profile.xi_weights
-    xi_wye = float((weights_w @ np.abs(inj.s_wye)).max()) if model.n_phases else 0.0
-    xi_delta = float((weights_d @ np.abs(inj.s_delta)).max()) if model.n_delta else 0.0
+    xi_wye = float((weights_w @ np.abs(inj.s_wye)).max(initial=0.0))
+    xi_delta = float((weights_d @ np.abs(inj.s_delta)).max(initial=0.0))
     return XiQuantities(xi_wye=xi_wye, xi_delta=xi_delta)
 
 
@@ -79,12 +80,10 @@ def gamma_quantities(w_profile: ZeroLoadProfile, v) -> GammaQuantities:
     """Minimum phase and phase-pair voltage margins of ``v``."""
     v = np.asarray(v, dtype=complex)
     alpha = float((np.abs(v) / w_profile.w_abs).min())
-    if w_profile.Lw.size:
-        if w_profile.Lw.min() <= 0.0:
-            raise DegenerateProfileError("zero phase-pair entry in the zero-load profile")
-        beta = float((np.abs(w_profile.model.connection.gather(v)) / w_profile.Lw).min())
-    else:
-        beta = math.inf
+    if w_profile.Lw.min(initial=math.inf) <= 0.0:
+        raise DegenerateProfileError("zero phase-pair entry in the zero-load profile")
+    pair_margins = np.abs(w_profile.model.connection.gather(v)) / w_profile.Lw
+    beta = float(pair_margins.min(initial=math.inf))
     return GammaQuantities(alpha=alpha, beta=beta)
 
 
@@ -93,33 +92,44 @@ def theorem1_sides(gam: GammaQuantities, rho, xi_change, xi_base, xi_target):
     conditions at the radii ``rho`` in ``[0, gamma)``, for the norms of the
     injection change, the base loading and the target loading.
 
-    Both left sides are linear in the xi arguments, so along an injection
-    ray they split into per-unit-``kappa`` terms (see
-    ``analysis._theorem1_ray``).  A zero ``gamma`` leaves no radius, and
-    both left sides are infinite.
+    Each side is a wye term in ``alpha`` plus a delta term in ``beta``.
+    Without phase pairs ``beta`` is ``inf`` and every delta norm is zero,
+    so the delta terms are ``0 / inf = 0``.  Both left sides are linear in
+    the xi arguments, so along an injection ray they split into
+    per-unit-``kappa`` terms (see ``analysis._theorem1_ray``).  A zero
+    ``gamma`` leaves no radius, and both left sides are infinite.
     """
     if not gam.gamma:
         return np.full_like(rho, np.inf), np.full_like(rho, np.inf)
     lhs1 = (xi_change.xi_wye + xi_base.xi_wye * rho / gam.alpha) / (gam.alpha - rho)
     lhs2 = xi_target.xi_wye / (gam.alpha - rho) ** 2
-    if gam.beta < math.inf:  # the model has phase-pair connections
-        lhs1 = lhs1 + (xi_change.xi_delta + xi_base.xi_delta * rho / gam.beta) / (gam.beta - rho)
-        lhs2 = lhs2 + xi_target.xi_delta / (gam.beta - rho) ** 2
+    lhs1 = lhs1 + (xi_change.xi_delta + xi_base.xi_delta * rho / gam.beta) / (gam.beta - rho)
+    lhs2 = lhs2 + xi_target.xi_delta / (gam.beta - rho) ** 2
     return lhs1, lhs2
 
 
 def theorem1_polynomials(gam: GammaQuantities, xi_change, xi_base):
     """The self-mapping side of :func:`theorem1_sides` as a ratio of
     polynomials in the radius, ``lhs1 = n1 / d``, for a nonzero ``gamma``;
-    returns the coefficients of ``(n1, d)``, highest power first.  ``d`` is
-    ``(alpha - rho)(beta - rho)``, or ``alpha - rho`` without phase pairs,
-    and is positive on ``[0, gamma)``.
+    returns the coefficients of ``(n1, d)``, highest power first.
+
+    Only the loaded kinds enter: a kind (wye with ``alpha``, delta with
+    ``beta``) that ``xi_change`` or ``xi_base`` loads multiplies ``d`` by
+    ``margin - rho`` and adds its term to ``n1``, and an unloaded kind adds
+    nothing, so ``d`` is ``(alpha - rho)(beta - rho)`` under both kinds, one
+    factor under one kind and ``1`` under none.  ``d`` is positive on
+    ``[0, gamma)``.
     """
-    a = np.array([-1.0, gam.alpha])
-    b = np.array([-1.0, gam.beta]) if gam.beta < math.inf else np.ones(1)
-    wye = np.convolve([xi_base.xi_wye / gam.alpha, xi_change.xi_wye], b)
-    delta = np.convolve([xi_base.xi_delta / gam.beta, xi_change.xi_delta], a)
-    return np.polyadd(wye, delta), np.convolve(a, b)
+    n1, d = np.zeros(1), np.ones(1)
+    for margin, change, base in (
+        (gam.alpha, xi_change.xi_wye, xi_base.xi_wye),
+        (gam.beta, xi_change.xi_delta, xi_base.xi_delta),
+    ):
+        if change or base:
+            factor = np.array([-1.0, margin])
+            n1 = np.polyadd(np.convolve(n1, factor), np.convolve([base / margin, change], d))
+            d = np.convolve(d, factor)
+    return n1, d
 
 
 def radius_samples(gamma: float, *polys) -> np.ndarray:
@@ -262,7 +272,7 @@ def theorem1_radius(gam: GammaQuantities, xi_change, xi_base, xi_target) -> tupl
     a fail, the sampled radius with the smallest ``lhs1 - rho``.
 
     On ``[0, gamma)`` the self-mapping inequality reads ``p1 >= 0`` for the
-    cubic ``p1 = rho d - n1`` (a quadratic without phase pairs; see
+    cubic ``p1 = rho d - n1`` (a quadratic under one loaded kind; see
     :func:`theorem1_polynomials`), and the contraction's left side grows
     with the radius, so it holds below one crossing.  The smallest certified
     radius is thus zero or a root of ``p1``.  Each root and each gap between

@@ -228,12 +228,12 @@ def fot_linearize(
     """
     v_hat, ic_delta, i_hat = checked_base(model, base_solution.v, base_inj, tol_residual)
     conn = model.connection
-    n, d = model.n_phases, model.n_delta
+    n = model.n_phases
     _check_degenerate(v_hat, True, EPS_V, "degenerate phase voltage at the base point")
     hv = conn.gather(v_hat)
-    if d and np.abs(hv).min() <= EPS_DELTA:
+    if (smallest := np.abs(hv).min(initial=np.inf)) <= EPS_DELTA:
         raise SingularSensitivityError(
-            f"phase-pair voltage |Hv| = {np.abs(hv).min():.3e} at the base is not above "
+            f"phase-pair voltage |Hv| = {smallest:.3e} at the base is not above "
             f"{EPS_DELTA:.0e}; the pair currents have no unique sensitivity"
         )
 

@@ -101,8 +101,6 @@ def build_phase_index(bus_ids, phases_per_bus, delta_per_bus) -> PhaseIndexMap:
     delta_index = {}
     for bus, phases, pairs in zip(bus_ids, phases_per_bus, delta_per_bus):
         for pair in pairs:
-            if pair not in DELTA_PAIRS:
-                raise ModelError(f"bus {bus!r}: unknown phase pair {pair!r}")
             if pair[0] not in phases or pair[1] not in phases:
                 raise ModelError(
                     f"bus {bus!r}: delta connection {pair!r} references a missing phase"
@@ -738,10 +736,10 @@ def zero_load_voltage(model: NetworkModel) -> ZeroLoadProfile:
     rhs = -model.yl0 @ model.v0
     w = model.factor.solve(rhs)
     w_abs = np.abs(w)
-    if w_abs.size and w_abs.min() <= PROFILE_FLOOR:
+    if w_abs.min(initial=np.inf) <= PROFILE_FLOOR:
         raise DegenerateProfileError("zero-load voltage has a (near-)zero phase entry")
     Lw = model.connection.pair_sum(w_abs)
-    if Lw.size and Lw.min() <= PROFILE_FLOOR:
+    if Lw.min(initial=np.inf) <= PROFILE_FLOOR:
         raise DegenerateProfileError("zero-load voltage has a (near-)zero phase-pair entry")
     for arr in (w, w_abs, Lw):
         arr.setflags(write=False)

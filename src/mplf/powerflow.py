@@ -146,7 +146,7 @@ def power_flow_residual(model: NetworkModel, v, inj: InjectionSet):
 
 
 def _inf_norm(x) -> float:
-    return float(np.abs(x).max()) if x.size else 0.0
+    return float(np.abs(x).max(initial=0.0))
 
 
 def checked_base(model: NetworkModel, base_v, base_inj: InjectionSet, tol_residual: float):
@@ -245,7 +245,7 @@ class _UpdateKernel:
             check_profile(model, w_profile)
         self._s_wye, self._s_delta = inj.s_wye, inj.s_delta
         self._live_wye, self._live_delta = inj.s_wye != 0, inj.s_delta != 0
-        self._pairs = model.connection if model.n_delta else None
+        self._pairs = model.connection
         self._solve = model.factor.solve
         self._profile = w_profile
 
@@ -253,13 +253,12 @@ class _UpdateKernel:
         live = self._live_wye
         rhs = _quotients(self._s_wye, v, live, EPS_V, _DEGENERATE_WYE)
         np.conjugate(rhs, out=rhs, where=live)
-        # A model with pairs adds the scatter even when no pair is live, as
-        # the map always has: its zeros turn a -0.0 of the wye term to +0.0.
-        if self._pairs is not None:
-            live, hv = self._live_delta, self._pairs.gather(v)
-            pair = _quotients(self._s_delta, hv, live, EPS_DELTA, _DEGENERATE_PAIR)
-            np.conjugate(pair, out=pair, where=live)
-            rhs += self._pairs.scatter(pair, rhs.shape[-1])
+        # The scatter is added on every model, with no pair or no live pair
+        # too: its zeros turn a -0.0 of the wye term to +0.0.
+        live, hv = self._live_delta, self._pairs.gather(v)
+        pair = _quotients(self._s_delta, hv, live, EPS_DELTA, _DEGENERATE_PAIR)
+        np.conjugate(pair, out=pair, where=live)
+        rhs += self._pairs.scatter(pair, rhs.shape[-1])
         return rhs
 
     def __call__(self, v):

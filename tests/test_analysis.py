@@ -282,6 +282,95 @@ def test_theorem1_reach_growing_up_to_gamma():
     assert grid_theorem1_ray(gam, XiQuantities(0.0, 0.0), ref, 0.0, 100000)[1] < hi
 
 
+def scanned_theorem1_ray(gam, xi_hat, xi_ref, center, points=100000, rounds=4):
+    """Reference for ``analysis._theorem1_ray``: the hull of the intervals
+    that hold ``center`` over ``points`` radii spread evenly over
+    ``[0, gamma)`` and the last float below ``gamma``, each edge refined by
+    ``rounds`` scans of 20001 radii between the neighbours of its best
+    radius; ``None`` where no radius holds the center."""
+    zero = XiQuantities(0.0, 0.0)
+
+    def intervals(rho):
+        per_change, per_target = theorem1_sides(gam, rho, xi_ref, zero, xi_ref)
+        reach = (rho - theorem1_sides(gam, rho, zero, xi_hat, zero)[0]) / per_change
+        lo = np.maximum(center - reach, -1.0 / per_target)
+        hi = np.minimum(center + reach, 1.0 / per_target)
+        holds = (lo <= center) & (center <= hi)
+        return np.where(holds, lo, np.inf), np.where(holds, -hi, np.inf)
+
+    rho = np.r_[np.linspace(0.0, gam.gamma, points, endpoint=False), np.nextafter(gam.gamma, 0.0)]
+    edges = []
+    for side in range(2):
+        radii, best = rho, np.inf
+        for _ in range(rounds + 1):
+            values = intervals(radii)[side]
+            at = int(np.argmin(values))
+            best = min(best, float(values[at]))
+            radii = np.linspace(radii[max(at - 1, 0)], radii[min(at + 1, len(radii) - 1)], 20001)
+        edges.append(best)
+    if math.isinf(edges[0]):
+        return None
+    return edges[0], -edges[1]
+
+
+def assert_matches_scan(gam, xi_ref, center):
+    xi_hat = xi_ref.scaled(abs(center))
+    edges = _theorem1_ray(gam, xi_hat, xi_ref, center)
+    scanned = scanned_theorem1_ray(gam, xi_hat, xi_ref, center)
+    assert (edges is None) == (scanned is None)
+    if edges is not None:
+        np.testing.assert_allclose(edges, scanned, rtol=1e-12, atol=0.0)
+
+
+# Each ray loads one kind.  The unloaded kind's margin must add no factor
+# to the polynomials: with its (margin - rho) factor, the numerator of
+# reach' has a double root next to the peak, and the edges here fall short
+# by 1.1e-8 relative (delta-only kappa_max 38.376315954946776, exact
+# 38.37631636662945), 6.4e-10 (wye-only kappa_min -13.583604812611306,
+# exact -13.583604821304569) and 1.3e-5 (wye-only-wide kappa_min
+# -32.52951621140939, exact -32.529951571080254).
+ONE_KIND_RAYS = [
+    pytest.param(
+        GammaQuantities(0.33119680123721623, 0.6667966386048911),
+        XiQuantities(0.0, 0.002936671063271655),
+        1.0480250384209722,
+        id="delta-only",
+    ),
+    pytest.param(
+        GammaQuantities(0.8128660374491947, 0.4021825132937602),
+        XiQuantities(0.012452399751794036, 0.0),
+        -0.6323629140350242,
+        id="wye-only",
+    ),
+    pytest.param(
+        GammaQuantities(0.9361940219291132, 0.46779110668162904),
+        XiQuantities(0.0067448683694609655, 0.0),
+        -0.08757182728396984,
+        id="wye-only-wide",
+    ),
+]
+
+
+class TestOneKindRays:
+    @pytest.mark.parametrize("gam, xi_ref, center", ONE_KIND_RAYS)
+    def test_edges_match_a_refined_scan(self, gam, xi_ref, center):
+        assert_matches_scan(gam, xi_ref, center)
+
+    @pytest.mark.parametrize("gam, xi_ref, center", ONE_KIND_RAYS)
+    def test_zero_center(self, gam, xi_ref, center):
+        # xi_hat is zero: its polynomial has no kind loaded, and the ray's
+        # polynomials keep the denominator of xi_ref's kind.
+        assert_matches_scan(gam, xi_ref, 0.0)
+
+    def test_random_one_kind_rays(self):
+        rng = np.random.default_rng(25)
+        for _ in range(100):
+            gam = GammaQuantities(*rng.uniform(0.0, 1.0, 2))
+            xi = rng.uniform(0.0, 0.02)
+            xi_ref = XiQuantities(xi, 0.0) if rng.random() < 0.5 else XiQuantities(0.0, xi)
+            assert_matches_scan(gam, xi_ref, rng.uniform(-5.0, 5.0))
+
+
 @functools.lru_cache(maxsize=None)
 def bundled_ray(feeder, injections, base_kappa):
     """A bundled feeder and injection file, the base pair at ``base_kappa``

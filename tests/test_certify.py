@@ -6,9 +6,18 @@ import numpy as np
 import pytest
 
 import mplf
-from mplf.certify import check_theorem2, gamma_quantities, theorem1_sides, xi_norms
+from mplf.certify import (
+    GammaQuantities,
+    XiQuantities,
+    check_theorem2,
+    gamma_quantities,
+    theorem1_polynomials,
+    theorem1_sides,
+    xi_norms,
+)
 from mplf.datafiles import bundled_path
 from conftest import (
+    assert_bitwise,
     certified_instance,
     dense_incidence,
     random_injections,
@@ -282,3 +291,53 @@ class TestTheorem1:
             assert c1.satisfied
             # the smallest certified radius is no larger than the explicit one
             assert c1.rho_used <= c2.rho_used + 1e-12
+
+
+class TestTheorem1Polynomials:
+    def test_both_kinds_give_the_two_kind_expressions_bitwise(self, rng):
+        for _ in range(50):
+            alpha, beta = rng.uniform(0.05, 1.0, 2)
+            change, base = (XiQuantities(*rng.uniform(0.0, 0.1, 2)) for _ in range(2))
+            n1, d = theorem1_polynomials(GammaQuantities(alpha, beta), change, base)
+            a, b = np.array([-1.0, alpha]), np.array([-1.0, beta])
+            wye = np.convolve([base.xi_wye / alpha, change.xi_wye], b)
+            delta = np.convolve([base.xi_delta / beta, change.xi_delta], a)
+            assert_bitwise(n1, np.polyadd(wye, delta))
+            assert_bitwise(d, np.convolve(a, b))
+
+    @pytest.mark.parametrize(
+        "gam, change, base",
+        [
+            (GammaQuantities(0.9, 0.6), XiQuantities(0.0, 0.01), XiQuantities(0.0, 0.02)),
+            (GammaQuantities(0.9, 0.6), XiQuantities(0.01, 0.0), XiQuantities(0.0, 0.0)),
+            (GammaQuantities(0.9, 0.6), XiQuantities(0.0, 0.0), XiQuantities(0.03, 0.0)),
+            (GammaQuantities(0.9, math.inf), XiQuantities(0.01, 0.0), XiQuantities(0.02, 0.0)),
+        ],
+    )
+    def test_an_unloaded_kind_adds_no_factor(self, gam, change, base):
+        # The self-mapping polynomial p1 = rho d - n1 is a quadratic, with
+        # no root at the unloaded kind's margin, and n1 / d is lhs1.
+        n1, d = theorem1_polynomials(gam, change, base)
+        assert len(np.polysub(np.r_[d, 0.0], n1)) == 3
+        rho = np.linspace(0.0, gam.gamma, 7, endpoint=False)
+        lhs1 = theorem1_sides(gam, rho, change, base, change)[0]
+        np.testing.assert_allclose(np.polyval(n1, rho) / np.polyval(d, rho), lhs1, rtol=1e-14)
+
+    def test_no_loading_gives_a_constant_ratio(self):
+        zero = XiQuantities(0.0, 0.0)
+        n1, d = theorem1_polynomials(GammaQuantities(0.9, 0.6), zero, zero)
+        assert_bitwise(n1, [0.0])
+        assert_bitwise(d, [1.0])
+
+    @pytest.mark.parametrize(
+        "feeder, rho_used", [("ieee37", 0.06920979464648916), ("single_phase", 0.11270166537925831)]
+    )
+    def test_bundled_radius_unchanged(self, feeder, rho_used):
+        # The smallest certified radius of each bundled loading from (w, 0),
+        # bit for bit: ieee37's original loading is all delta, and
+        # single_phase has no pairs at all.
+        model = mplf.network_from_file(bundled_path(f"{feeder}_network.json"))
+        profile = mplf.zero_load_voltage(model)
+        inj = mplf.injections_from_file(bundled_path(f"{feeder}_injections.json"), model)
+        cert = mplf.check_theorem1(model, profile, (profile.w, mplf.InjectionSet.zeros(model)), inj)
+        assert cert.satisfied and cert.rho_used == rho_used

@@ -241,6 +241,22 @@ class TestAssembly:
         with pytest.raises(mplf.ModelError, match="absent"):
             mplf.assemble_network(buses, lines, mplf.SlackSpec("s", np.array([1.0 + 0j])))
 
+    @pytest.mark.parametrize(
+        "slack_pairs, pairs, phases, message",
+        [
+            ((), ("ab", "ab"), "abc", "bus 'b': duplicate delta connection"),
+            ((), ("ba",), "abc", "bus 'b': unknown phase pair in ('ba',)"),
+            ((), ("bc",), "ab", "bus 'b': delta connection 'bc' references a missing phase"),
+            (("ab",), (), "abc", "delta connections on the slack bus are not supported"),
+        ],
+    )
+    def test_bad_delta_connections_rejected(self, slack_pairs, pairs, phases, message):
+        buses = [mplf.BusSpec("s", "abc", slack_pairs), mplf.BusSpec("b", phases, pairs)]
+        lines = [mplf.LineSpec("s", "b", phases, np.eye(len(phases), dtype=complex))]
+        with pytest.raises(mplf.ModelError) as info:
+            mplf.assemble_network(buses, lines, mplf.SlackSpec("s", BALANCED_V0))
+        assert str(info.value) == message
+
     def test_full_matrix_symmetric_on_random_networks(self, rng):
         for _ in range(10):
             model, _ = random_network(rng)
