@@ -340,7 +340,7 @@ def linear_error_sweep(
         block = kappas[start : start + _ROW_BLOCK, None]
         targets = InjectionSet(block * s_ref.s_wye, block * s_ref.s_delta)
         v_fpl, v_fot = fpl._voltages(targets), fot._voltages(targets)
-        outcomes = _solve_rows(model, w_profile, targets, v_fpl, tol_step, tol_residual, max_iter)
+        outcomes = _solve_rows(model, targets, v_fpl, tol_step, tol_residual, max_iter)
         for j, outcome in enumerate(outcomes):
             solutions[start + j] = _solve_exact(model, targets, j, outcome, v_fpl[j], tol_residual)
         rows = [j for j in range(len(block)) if solutions[start + j] is not None]

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateProfileError
 from .netmodel import NetworkModel, ZeroLoadProfile, check_profile
 from .powerflow import BASE_RESIDUAL_TOL, InjectionSet, checked_base
 
@@ -37,6 +36,9 @@ class XiQuantities:
     def scaled(self, factor: float) -> XiQuantities:
         """The norms of the injections scaled by ``factor >= 0``."""
         return XiQuantities(factor * self.xi_wye, factor * self.xi_delta)
+
+    def to_dict(self) -> dict:
+        return {"wye": self.xi_wye, "delta": self.xi_delta}
 
 
 @dataclass(frozen=True)
@@ -67,10 +69,10 @@ def xi_norms(model: NetworkModel, w_profile: ZeroLoadProfile, inj: InjectionSet)
     ``diag(w)^-1 yll^-1 diag(w)^-1 diag(s_wye)`` and the delta part the same
     for ``diag(w)^-1 yll^-1 H^T diag(L|w|)^-1 diag(s_delta)``; column scaling
     by a diagonal reduces both to weighted absolute matrix-vector products
-    with the profile's cached weights.
+    with the model's cached weights.
     """
     check_profile(model, w_profile)
-    weights_w, weights_d = w_profile.xi_weights
+    weights_w, weights_d = model.xi_weights
     xi_wye = float((weights_w @ np.abs(inj.s_wye)).max(initial=0.0))
     xi_delta = float((weights_d @ np.abs(inj.s_delta)).max(initial=0.0))
     return XiQuantities(xi_wye=xi_wye, xi_delta=xi_delta)
@@ -80,9 +82,7 @@ def gamma_quantities(w_profile: ZeroLoadProfile, v) -> GammaQuantities:
     """Minimum phase and phase-pair voltage margins of ``v``."""
     v = np.asarray(v, dtype=complex)
     alpha = float((np.abs(v) / w_profile.w_abs).min())
-    if w_profile.Lw.min(initial=math.inf) <= 0.0:
-        raise DegenerateProfileError("zero phase-pair entry in the zero-load profile")
-    pair_margins = np.abs(w_profile.model.connection.gather(v)) / w_profile.Lw
+    pair_margins = np.abs(w_profile.connection.gather(v)) / w_profile.Lw
     beta = float(pair_margins.min(initial=math.inf))
     return GammaQuantities(alpha=alpha, beta=beta)
 
@@ -160,7 +160,8 @@ class Certificate:
     containment radius, the smaller root, populated only when the explicit
     certificate is satisfied.
     ``margins`` and the ``xi_*`` norms are its inputs; ``diagnostics``
-    records both sides of every condition.
+    records both sides of every condition, and construction adds the
+    margins and the norms to it.
     """
 
     kind: str
@@ -173,6 +174,16 @@ class Certificate:
     xi_base: XiQuantities = field(repr=False)
     xi_change: XiQuantities = field(repr=False)
     diagnostics: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        gam = self.margins
+        self.diagnostics.update(
+            alpha=gam.alpha,
+            beta=gam.beta,
+            gamma=gam.gamma,
+            xi_base=self.xi_base.to_dict(),
+            xi_change=self.xi_change.to_dict(),
+        )
 
     def ball_radii(self, w_profile: ZeroLoadProfile, rho: float | None = None) -> np.ndarray:
         """Entrywise radii of the uniqueness ball around ``base_v``."""
@@ -206,12 +217,17 @@ def check_theorem2(
 ) -> Certificate:
     """Evaluate the explicit certificate around a checked base pair."""
     check_profile(model, w_profile)
-    s_hat = base[1]
+    return theorem2_closed_form(*_base_evaluation(model, base, target, tol_residual))
+
+
+def _base_evaluation(model: NetworkModel, base, target: InjectionSet, tol_residual: float):
+    """What both certificates evaluate around a base pair: the checked
+    ``(v_hat, s_hat)``, the margins of ``v_hat``, and the norms of
+    ``s_hat`` and of the change ``target - s_hat``."""
+    s_hat, profile = base[1], model.zero_load
     v_hat = checked_base(model, base[0], s_hat, tol_residual)[0]
-    gam = gamma_quantities(w_profile, v_hat)
-    xi_hat = xi_norms(model, w_profile, s_hat)
-    xi_diff = xi_norms(model, w_profile, target - s_hat)
-    return theorem2_closed_form(v_hat, s_hat, gam, xi_hat, xi_diff)
+    gam = gamma_quantities(profile, v_hat)
+    return v_hat, s_hat, gam, xi_norms(model, profile, s_hat), xi_norms(model, profile, target - s_hat)
 
 
 def theorem2_closed_form(v_hat, s_hat, gam, xi_hat, xi_diff) -> Certificate:
@@ -243,23 +259,10 @@ def theorem2_closed_form(v_hat, s_hat, gam, xi_hat, xi_diff) -> Certificate:
         rho_dagger = rho_used - math.sqrt(max(rho_used**2 - xi_diff.xi_total, 0.0))
 
     return Certificate(
-        kind="theorem2",
-        satisfied=satisfied,
-        rho_used=rho_used,
-        rho_dagger=rho_dagger,
-        base_v=v_hat,
-        base_s=s_hat,
-        margins=gam,
-        xi_base=xi_hat,
-        xi_change=xi_diff,
+        "theorem2", satisfied, rho_used, rho_dagger, v_hat, s_hat, gam, xi_hat, xi_diff,
         diagnostics={
             "condition1": {"lhs": xi_hat.xi_total, "rhs": cond1_rhs, "satisfied": cond1_ok},
             "condition2": {"lhs": xi_diff.xi_total, "rhs": cond2_rhs, "satisfied": cond2_ok},
-            "alpha": gam.alpha,
-            "beta": gam.beta,
-            "gamma": gam.gamma,
-            "xi_base": {"wye": xi_hat.xi_wye, "delta": xi_hat.xi_delta},
-            "xi_change": {"wye": xi_diff.xi_wye, "delta": xi_diff.xi_delta},
         },
     )
 
@@ -314,34 +317,17 @@ def check_theorem1(
     fail, at the radius that came closest to self-mapping.
     """
     check_profile(model, w_profile)
-    s_hat = base[1]
-    v_hat = checked_base(model, base[0], s_hat, tol_residual)[0]
-    gam = gamma_quantities(w_profile, v_hat)
-    xi_hat = xi_norms(model, w_profile, s_hat)
-    xi_diff = xi_norms(model, w_profile, target - s_hat)
+    terms = _base_evaluation(model, base, target, tol_residual)
+    _, _, gam, xi_hat, xi_diff = terms
     xi_target = xi_norms(model, w_profile, target)
     satisfied, rho = theorem1_radius(gam, xi_diff, xi_hat, xi_target)
     lhs1, lhs2 = (float(side) for side in theorem1_sides(gam, rho, xi_diff, xi_hat, xi_target))
-
     return Certificate(
-        kind="theorem1",
-        satisfied=satisfied,
-        rho_used=rho if satisfied else None,
-        rho_dagger=None,
-        base_v=v_hat,
-        base_s=s_hat,
-        margins=gam,
-        xi_base=xi_hat,
-        xi_change=xi_diff,
+        "theorem1", satisfied, rho if satisfied else None, None, *terms,
         diagnostics={
             "condition1": {"lhs": lhs1, "rhs": rho, "satisfied": lhs1 <= rho},
             "condition2": {"lhs": lhs2, "rhs": 1.0, "satisfied": lhs2 < 1.0},
             "rho_at_diagnostics": rho,
-            "alpha": gam.alpha,
-            "beta": gam.beta,
-            "gamma": gam.gamma,
-            "xi_base": {"wye": xi_hat.xi_wye, "delta": xi_hat.xi_delta},
-            "xi_change": {"wye": xi_diff.xi_wye, "delta": xi_diff.xi_delta},
-            "xi_target": {"wye": xi_target.xi_wye, "delta": xi_target.xi_delta},
+            "xi_target": xi_target.to_dict(),
         },
     )

@@ -68,12 +68,12 @@ def _load(args):
     return model, w_profile, inj
 
 
-def _solve_base(args, model, w_profile):
+def _solve_base(args, model):
     """Base pair for certificates: (w, 0) unless base injections are given."""
     if args.base_injections_path is None:
-        return w_profile.w, InjectionSet.zeros(model)
+        return model.zero_load.w, InjectionSet.zeros(model)
     base_inj = injections_from_file(args.base_injections_path, model)
-    sol = solve_fixed_point(model, w_profile, base_inj, **_solver_options(args))
+    sol = solve_fixed_point(model, model.zero_load, base_inj, **_solver_options(args))
     return sol.v, base_inj
 
 
@@ -109,7 +109,7 @@ def cmd_solve(args) -> int:
 
 def cmd_certify(args) -> int:
     model, w_profile, inj = _load(args)
-    base = _solve_base(args, model, w_profile)
+    base = _solve_base(args, model)
     check = certify.check_theorem1 if args.theorem == 1 else certify.check_theorem2
     cert = check(model, w_profile, base, inj, tol_residual=args.tol_residual)
     write_json(cert.to_dict(), _dest(args.output_path))

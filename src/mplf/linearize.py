@@ -13,14 +13,13 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse
 
 from .certify import check_theorem2, theorem1_sides, xi_norms
 from .errors import (
     CertificateRequiredError,
     SingularSensitivityError,
 )
-from .netmodel import LUFactor, NetworkModel, ZeroLoadProfile, check_profile
+from .netmodel import LUFactor, NetworkModel, ZeroLoadProfile, _real_form, check_profile
 from .powerflow import (
     BASE_RESIDUAL_TOL,
     EPS_DELTA,
@@ -141,7 +140,7 @@ class _TangentModel(LinearModel):
     def _voltages(self, inj):
         n = self.n_phases
         change = inj - self._base_inj
-        r = _UpdateKernel(self._model, None, change).rhs(self.base_v)
+        r = _UpdateKernel(self._model, change).rhs(self.base_v)
         z = self._factor.solve(np.concatenate([r.real, r.imag], axis=-1).T).T
         v = 1j * z[..., n:]
         v += z[..., :n]
@@ -173,19 +172,15 @@ class _TangentModel(LinearModel):
 class _FixedPointModel(LinearModel):
     kind = "fpl"
 
-    def __init__(self, model, base_v, base_inj, w_profile):
-        super().__init__(model, base_v, base_inj)
-        self._profile = w_profile
-
     def _voltages(self, inj):
-        return _UpdateKernel(self._model, self._profile, inj)(self.base_v)
+        return _UpdateKernel(self._model, inj)(self.base_v)
 
     def _coefficients(self):
         z = self._model.yll_inverse
         p = z * (1.0 / np.conj(self.base_v))[None, :]
         gather = self._model.connection.gather
         q = gather(z) * (1.0 / np.conj(gather(self.base_v)))[None, :]
-        return np.hstack([p, -1j * p]), np.hstack([q, -1j * q]), self._profile.w.copy()
+        return np.hstack([p, -1j * p]), np.hstack([q, -1j * q]), self._model.zero_load.w.copy()
 
 
 def fot_linearize(
@@ -240,10 +235,7 @@ def fot_linearize(
     # F = conj(diag(f_diag) - H^T diag(ic_delta / hv) H), assembled bus-local.
     f_diag = (conn.scatter(ic_delta, n) - np.conj(i_hat)) / v_hat
     f = conn.bus_block(np.conj(f_diag), np.conj(ic_delta / hv))
-    y = model.yll
-    op = scipy.sparse.bmat(
-        [[y.real - f.real, -y.imag - f.imag], [y.imag - f.imag, y.real + f.real]], format="csc"
-    )
+    op = _real_form(model.yll, -f)
     factor = LUFactor(op, SingularSensitivityError, "reduced sensitivity operator")
     return _TangentModel(model, v_hat, base_inj, factor)
 
@@ -279,7 +271,7 @@ def fpl_linearize(
     _check_degenerate(v_hat, True, EPS_V, "degenerate phase voltage at the base point")
     hv = model.connection.gather(v_hat)
     _check_degenerate(hv, True, EPS_DELTA, "degenerate phase-pair voltage at the base point")
-    return _FixedPointModel(model, v_hat, base_inj, w_profile)
+    return _FixedPointModel(model, v_hat, base_inj)
 
 
 def evaluate_linear(linmodel: LinearModel, x) -> tuple[np.ndarray, np.ndarray]:
@@ -294,9 +286,13 @@ def evaluate_linear(linmodel: LinearModel, x) -> tuple[np.ndarray, np.ndarray]:
     own affine map around the base, ``|v̂| + Re(conj(v̂)·dv)/|v̂|``, not the
     magnitude of the former, with ``dv`` the change of the voltage
     prediction from its value at the base injections.  An ``x`` of another
-    shape, or with an entry that is not finite, raises ``ValueError``.
+    shape, a complex ``x``, or one with an entry that is not finite raises
+    ``ValueError``.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        raise ValueError("x must be real")
+    x = x.astype(float, copy=False)
     if x.ndim not in (1, 2) or x.shape[-1] != linmodel.base_x.size:
         raise ValueError(
             f"expected a stacked injection vector of length {linmodel.base_x.size}, "

@@ -294,6 +294,15 @@ class NetworkModel:
         a radial feeder ``yll_inverse`` comes from a walk over the bus tree.
     rcond : float
         Reciprocal condition estimate of ``yll`` from its LU factors.
+    zero_load : ZeroLoadProfile
+        The zero-load voltage profile, solved on first use.
+    yll_inverse, xi_weights : ndarray
+        The dense ``yll^-1`` and the weights of the injection norms, built
+        on first use.
+
+    The three cached quantities depend on the network alone, so each is
+    built once per model; the profile keeps ``connection``, not the model,
+    so that no reference cycle keeps a dropped model alive.
 
     Before ``yll`` is factored, the bus graph of the full matrix, the slack
     included, is walked breadth-first from the slack.  A PQ bus that the
@@ -374,6 +383,40 @@ class NetworkModel:
             inv = self.factor.inverse()
         inv.setflags(write=False)
         return inv
+
+    @cached_property
+    def zero_load(self) -> ZeroLoadProfile:
+        """The zero-load voltage ``w``, solving ``yll @ w = -yl0 @ v0``, and
+        its pair magnitudes; ``DegenerateProfileError`` when an entry of
+        ``|w|`` or ``L|w|`` is (near) zero."""
+        w = self.factor.solve(-self.yl0 @ self.v0)
+        w_abs = np.abs(w)
+        if w_abs.min(initial=np.inf) <= PROFILE_FLOOR:
+            raise DegenerateProfileError("zero-load voltage has a (near-)zero phase entry")
+        Lw = self.connection.pair_sum(w_abs)
+        if Lw.min(initial=np.inf) <= PROFILE_FLOOR:
+            raise DegenerateProfileError("zero-load voltage has a (near-)zero phase-pair entry")
+        for arr in (w, w_abs, Lw):
+            arr.setflags(write=False)
+        return ZeroLoadProfile(w=w, w_abs=w_abs, Lw=Lw, connection=self.connection)
+
+    @cached_property
+    def xi_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Weights of the injection norms, built from ``yll^-1`` on first use:
+        ``|diag(w)^-1 yll^-1 diag(w)^-1|`` for wye injections and
+        ``|diag(w)^-1 yll^-1 H^T diag(L|w|)^-1|`` for delta injections, with
+        ``yll^-1 H^T`` taken as column differences of ``yll^-1``.  Both are
+        formed in real arithmetic: the magnitudes of ``yll^-1`` and of its
+        column differences, scaled by ``1/|w|`` on the rows and by ``1/|w|``
+        or ``1/L|w|`` on the columns."""
+        yinv, profile = self.yll_inverse, self.zero_load
+        w_scale = 1.0 / profile.w_abs
+        weights = np.abs(yinv), np.abs(self.connection.gather(yinv))
+        for arr, col_scale in zip(weights, (w_scale, 1.0 / profile.Lw)):
+            arr *= w_scale[:, None]
+            arr *= col_scale[None, :]
+            arr.setflags(write=False)
+        return weights
 
 
 def _tree_inverse(yll, bus, order, parent, rcond):
@@ -691,59 +734,42 @@ def _stacked_blocks(stacks):
 
 @dataclass(frozen=True)
 class ZeroLoadProfile:
-    """Voltage profile of ``model`` with all injections at zero.
+    """Voltage profile of a model with all injections at zero, as its
+    ``NetworkModel.zero_load`` holds it.
 
     ``w`` solves ``yll @ w = -yl0 @ v0``; ``w_abs`` and ``Lw`` are the
-    entrywise magnitudes and pair sums used throughout the certificates.
-    A model whose profile has any (near-)zero entry is rejected because all
-    certificate quantities divide by them.  A profile serves only its own
-    model object: every function that takes both checks ``model`` against
-    it with ``check_profile``.
+    entrywise magnitudes and pair sums used throughout the certificates, and
+    ``connection`` is the model's phase-pair incidence.  A model whose
+    profile has any (near-)zero entry is rejected because all certificate
+    quantities divide by them.  A profile serves only its own model object:
+    every public function that takes both checks them with ``check_profile``.
     """
 
     w: np.ndarray
     w_abs: np.ndarray
     Lw: np.ndarray
-    model: NetworkModel = field(repr=False, compare=False)
-
-    @cached_property
-    def xi_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """Weights of the injection norms, built from ``yll^-1`` on first use:
-        ``|diag(w)^-1 yll^-1 diag(w)^-1|`` for wye injections and
-        ``|diag(w)^-1 yll^-1 H^T diag(L|w|)^-1|`` for delta injections, with
-        ``yll^-1 H^T`` taken as column differences of ``yll^-1``.  Both are
-        formed in real arithmetic: the magnitudes of ``yll^-1`` and of its
-        column differences, scaled by ``1/|w|`` on the rows and by ``1/|w|``
-        or ``1/L|w|`` on the columns."""
-        yinv, w_scale = self.model.yll_inverse, 1.0 / self.w_abs
-        weights = np.abs(yinv), np.abs(self.model.connection.gather(yinv))
-        for arr, col_scale in zip(weights, (w_scale, 1.0 / self.Lw)):
-            arr *= w_scale[:, None]
-            arr *= col_scale[None, :]
-            arr.setflags(write=False)
-        return weights
+    connection: ConnectionMatrix = field(repr=False, compare=False)
 
 
 def check_profile(model: NetworkModel, w_profile: ZeroLoadProfile):
-    """Raise ``ValueError`` unless ``w_profile`` was built for ``model``
-    itself (an equal model of the same size does not do)."""
-    if w_profile.model is not model:
+    """Raise ``ValueError`` unless ``w_profile`` is ``model.zero_load``
+    itself (the profile of an equal model does not do)."""
+    if w_profile is not model.zero_load:
         raise ValueError("w_profile was built for another model")
 
 
 def zero_load_voltage(model: NetworkModel) -> ZeroLoadProfile:
-    """Compute the zero-load voltage and its pair magnitudes."""
-    rhs = -model.yl0 @ model.v0
-    w = model.factor.solve(rhs)
-    w_abs = np.abs(w)
-    if w_abs.min(initial=np.inf) <= PROFILE_FLOOR:
-        raise DegenerateProfileError("zero-load voltage has a (near-)zero phase entry")
-    Lw = model.connection.pair_sum(w_abs)
-    if Lw.min(initial=np.inf) <= PROFILE_FLOOR:
-        raise DegenerateProfileError("zero-load voltage has a (near-)zero phase-pair entry")
-    for arr in (w, w_abs, Lw):
-        arr.setflags(write=False)
-    return ZeroLoadProfile(w=w, w_abs=w_abs, Lw=Lw, model=model)
+    """The model's zero-load profile, ``model.zero_load``: solved on the
+    first call, the same object on every later one."""
+    return model.zero_load
+
+
+def _real_form(a, b):
+    """The real form, on ``(Re x, Im x)``, of the sparse map
+    ``x -> a x + b conj(x)``, as one CSC matrix."""
+    return scipy.sparse.bmat(
+        [[a.real + b.real, -a.imag + b.imag], [a.imag + b.imag, a.real - b.real]], format="csc"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -921,10 +947,17 @@ def network_from_json(doc: dict) -> NetworkModel:
     return assemble_network(buses, lines, slack)
 
 
-def network_from_file(path) -> NetworkModel:
+def _read_json(path):
+    """The document in the JSON file at ``path``.  A file that ``json``
+    cannot read, also one that is not UTF-8, is nested past the recursion
+    limit or holds an integer past Python's digit limit, raises
+    ``InputFormatError`` naming ``path``."""
     with open(path) as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
             raise InputFormatError(f"{path}: invalid JSON ({exc})") from None
-    return network_from_json(doc)
+
+
+def network_from_file(path) -> NetworkModel:
+    return network_from_json(_read_json(path))

@@ -6,7 +6,6 @@ real parts.  All quantities are per unit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +22,11 @@ from .netmodel import (
     LUFactor,
     NetworkModel,
     ZeroLoadProfile,
+    _read_json,
+    _real_form,
     check_profile,
     complex_from_doc,
     list_from_doc,
-    zero_load_voltage,
 )
 
 # Guards for the diagonal inversions in the fixed-point map; voltages this
@@ -214,16 +214,16 @@ def _checked_voltage(model: NetworkModel, inj: InjectionSet, name: str, v, rows=
 
 
 class _UpdateKernel:
-    """The update map ``G`` for one ``(model, profile)`` and one row of
-    injections, or a stack of ``k`` rows (``s_wye`` of shape ``(k, n)``).
+    """The update map ``G`` of one model for one row of injections, or a
+    stack of ``k`` rows (``s_wye`` of shape ``(k, n)``).
 
     ``rhs(v)`` is ``r_v(s) = conj(s_Y / v) + Hᵀ conj(s_δ / Hv)``, and a
     call is ``G(v) = w + yll⁻¹ r_v(s)``, the solve of ``rhs(v)`` plus
-    ``w``.  ``v`` has the injections' shape, or is one vector that every
-    row is taken at: the FPL model is a call at the base voltages, and the
-    FOT model solves its own operator on ``rhs`` at the base voltages of a
-    kernel built on the change of the injections.  A kernel used only for
-    ``rhs`` takes no profile (``None``); a profile must be ``model``'s own.
+    ``w = model.zero_load.w``, which only a call reads.  ``v`` has the
+    injections' shape, or is one vector that every row is taken at: the FPL
+    model is a call at the base voltages, and the FOT model solves its own
+    operator on ``rhs`` at the base voltages of a kernel built on the change
+    of the injections.
 
     The kernel keeps the injections as given, with their nonzero masks,
     and ``yll``'s solve.  An application works over every phase and pair
@@ -240,14 +240,11 @@ class _UpdateKernel:
     moves the iterates in their last bits.
     """
 
-    def __init__(self, model: NetworkModel, w_profile: ZeroLoadProfile | None, inj: InjectionSet):
-        if w_profile is not None:
-            check_profile(model, w_profile)
+    def __init__(self, model: NetworkModel, inj: InjectionSet):
         self._s_wye, self._s_delta = inj.s_wye, inj.s_delta
         self._live_wye, self._live_delta = inj.s_wye != 0, inj.s_delta != 0
-        self._pairs = model.connection
+        self._model, self._pairs = model, model.connection
         self._solve = model.factor.solve
-        self._profile = w_profile
 
     def rhs(self, v):
         live = self._live_wye
@@ -263,7 +260,7 @@ class _UpdateKernel:
 
     def __call__(self, v):
         v_next = self._solve(self.rhs(v).T).T
-        v_next += self._profile.w
+        v_next += self._model.zero_load.w
         return v_next
 
     def drop(self, rows):
@@ -278,8 +275,9 @@ def fixed_point_map(model: NetworkModel, w_profile: ZeroLoadProfile, inj: Inject
     ``model`` or ``v`` is not finite, and ``DegenerateVoltageError`` when a
     voltage under a nonzero injection is near zero.
     """
+    check_profile(model, w_profile)
     v = _checked_voltage(model, inj, "v", v)
-    return _UpdateKernel(model, w_profile, inj)(v)
+    return _UpdateKernel(model, inj)(v)
 
 
 def _not_converged(v, step_norms, max_iter):
@@ -322,7 +320,6 @@ def _injection_rows(inj: InjectionSet, rows) -> InjectionSet:
 
 def _solve_rows(
     model: NetworkModel,
-    w_profile: ZeroLoadProfile,
     inj: InjectionSet,
     v_init,
     tol_step: float = TOL_STEP,
@@ -335,16 +332,16 @@ def _solve_rows(
 
     ``inj`` holds ``k`` rows (``s_wye`` of shape ``(k, n)``, ``s_delta`` of
     shape ``(k, d)``) and ``v_init`` one start per row, shape ``(k, n)``.
-    Bad options, injections or starts that do not fit the model, or a
-    profile of another model raise ``ValueError``; the message of a shape
-    names the shapes the injection rows call for.
+    Bad options, or injections or starts that do not fit the model, raise
+    ``ValueError``; the message of a shape names the shapes the injection
+    rows call for.
     """
     _check_solver_options(tol_step, tol_residual, max_iter)
     v = _checked_voltage(model, inj, "v_init", v_init, rows=np.shape(inj.s_wye)[:1])
-    return _iterate_rows(model, w_profile, inj, v, tol_step, tol_residual, max_iter)
+    return _iterate_rows(model, inj, v, tol_step, tol_residual, max_iter)
 
 
-def _iterate_rows(model, w_profile, inj, v, tol_step, tol_residual, max_iter) -> list:
+def _iterate_rows(model, inj, v, tol_step, tol_residual, max_iter) -> list:
     """The fixed-point loop on checked arguments: ``k`` rows of injections
     and a start per row, ``v`` of shape ``(k, n)``.
 
@@ -364,7 +361,7 @@ def _iterate_rows(model, w_profile, inj, v, tol_step, tol_residual, max_iter) ->
     in; an empty stack gives an empty list.  No operation mixes rows, so a
     row comes out bit for bit as it would alone.
     """
-    update = _UpdateKernel(model, w_profile, inj)
+    update = _UpdateKernel(model, inj)
     outcomes, steps = [None] * len(v), []
     # live marks the rows still iterating; stopped_at is the step at which
     # a row met tol_step (zero for the others), and v_stop its iterate there.
@@ -440,7 +437,7 @@ def solve_fixed_point(
     _check_solver_options(tol_step, tol_residual, max_iter)
     v = _checked_voltage(model, inj, "v_init", w_profile.w if v_init is None else v_init)
     rows = _injection_rows(inj, None)
-    (outcome,) = _iterate_rows(model, w_profile, rows, v[None], tol_step, tol_residual, max_iter)
+    (outcome,) = _iterate_rows(model, rows, v[None], tol_step, tol_residual, max_iter)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -460,13 +457,7 @@ def _newton_jacobian(model: NetworkModel, v, inj: InjectionSet, ic_delta, i):
     dc[live] = inj.s_delta[live] / hv[live] ** 2
     j_v = conn.bus_block(conn.scatter(ic_delta, model.n_phases) - np.conj(i), dc, scale=v)
     j_vbar = scipy.sparse.diags(-v, format="csc") @ model.yll.conj()
-    return scipy.sparse.bmat(
-        [
-            [j_v.real + j_vbar.real, -j_v.imag + j_vbar.imag],
-            [j_v.imag + j_vbar.imag, j_v.real - j_vbar.real],
-        ],
-        format="csc",
-    )
+    return _real_form(j_v, j_vbar)
 
 
 def newton_oracle(
@@ -494,7 +485,7 @@ def newton_oracle(
     check_tolerance("tol_residual", tol_residual)
     n = model.n_phases
     if v_init is None:
-        v_init = zero_load_voltage(model).w
+        v_init = model.zero_load.w
     v = _checked_voltage(model, inj, "v_init", v_init)
 
     f, ic_delta, i = power_flow_mismatch(model, v, inj)
@@ -588,9 +579,4 @@ def injections_from_json(doc: dict, model: NetworkModel) -> InjectionSet:
 
 
 def injections_from_file(path, model: NetworkModel) -> InjectionSet:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"{path}: invalid JSON ({exc})") from None
-    return injections_from_json(doc, model)
+    return injections_from_json(_read_json(path), model)

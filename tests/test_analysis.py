@@ -737,8 +737,8 @@ class TestSweepRows:
         plain = mplf.linear_error_sweep(model, profile, base_sol, s_ref.scaled(0.0), s_ref, kappas)
         solve_rows = analysis._solve_rows
 
-        def degenerate_at_half(model, profile, inj, v_init, *args):
-            outcomes = solve_rows(model, profile, inj, v_init, *args)
+        def degenerate_at_half(model, inj, v_init, *args):
+            outcomes = solve_rows(model, inj, v_init, *args)
             outcomes[1] = mplf.DegenerateVoltageError("near-zero phase voltage")
             return outcomes
 

@@ -22,6 +22,7 @@ from conftest import (
     dense_incidence,
     random_injections,
     random_network,
+    random_network_specs,
     single_phase_model,
     wye_injection,
 )
@@ -74,8 +75,12 @@ class TestXiNorms:
 
 
 class TestXiWeights:
-    def test_built_once_per_profile(self, rng, monkeypatch):
-        model, _, inj = certified_instance(rng)
+    def test_built_once_per_model(self, rng, monkeypatch):
+        # Two models of one network: the first scales the injections, so
+        # only the second builds its weights while yll_inverse is counted.
+        specs = random_network_specs(rng)
+        other, model = (mplf.assemble_network(*specs) for _ in range(2))
+        inj = random_injections(rng, other, mplf.zero_load_voltage(other), target_xi=0.1)
         built = []
         inverse = type(model).yll_inverse.func
         monkeypatch.setattr(
@@ -85,15 +90,17 @@ class TestXiWeights:
         assert built == []
         base = (profile.w, mplf.InjectionSet.zeros(model))
         first = xi_norms(model, profile, inj)
-        weights = profile.xi_weights
+        weights = model.xi_weights
         for _ in range(3):
             assert xi_norms(model, profile, inj) == first
             assert check_theorem2(model, profile, base, inj).satisfied
         assert built == [model]
-        assert all(a is b for a, b in zip(profile.xi_weights, weights))
-        # a new profile of the same model builds its own weights once
+        assert all(a is b for a, b in zip(model.xi_weights, weights))
+        # the profile is the model's own, so asking again builds nothing
+        assert mplf.zero_load_voltage(model) is profile
         xi_norms(model, mplf.zero_load_voltage(model), inj)
-        assert built == [model, model]
+        xi_norms(other, mplf.zero_load_voltage(other), inj)
+        assert built == [model]
 
     def test_delta_weights_equal_matrix_product_bitwise(self, rng):
         # yll^-1 H^T is taken as column differences; each product entry has
@@ -107,7 +114,7 @@ class TestXiWeights:
             product = model.yll_inverse @ dense_incidence(model.connection, model.n_phases).T
             row_scale, col_scale = 1.0 / profile.w_abs, 1.0 / profile.Lw
             expected = np.abs(product) * row_scale[:, None] * col_scale[None, :]
-            assert np.array_equal(profile.xi_weights[1], expected)
+            assert np.array_equal(model.xi_weights[1], expected)
 
 
 class TestGammaQuantities:

@@ -59,10 +59,23 @@ class TestSolve:
         assert a.read_bytes() == b.read_bytes()
 
     def test_bad_file_exits_one(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert run(["solve", str(bad), INJ1]) == 1
-        assert "error" in capsys.readouterr().err
+        # Not JSON, not UTF-8, nested past the recursion limit, and an
+        # integer past Python's digit limit: as the network and as the
+        # injections, each is one error line that names the file.
+        contents = {
+            "bad.json": b"{not json",
+            "latin1.json": b'{"buses": "caf\xe9"}',
+            "deep.json": b"[" * 200_000 + b"]" * 200_000,
+            "digits.json": b'{"buses": ' + b"7" * 5000 + b"}",
+        }
+        for name, data in contents.items():
+            bad = tmp_path / name
+            bad.write_bytes(data)
+            for argv in ([str(bad), INJ1], [NET1, str(bad)]):
+                assert run(["solve", *argv]) == 1
+                err = capsys.readouterr().err
+                assert err.startswith(f"mplf: error: {bad}: ") and err.count("\n") == 1
+                assert "Traceback" not in err
 
 
 class TestCertify:

@@ -509,6 +509,12 @@ class TestOperatorForm:
                 mplf.evaluate_linear(lin, x)
             with pytest.raises(ValueError, match="^x must be finite$"):
                 mplf.evaluate_linear(lin, np.array([stack_injections(inj), x]))
+        # A complex x used to lose its imaginary part, with a ComplexWarning.
+        x = stack_injections(inj) + 0j
+        x[3] += 1j
+        for arg in (x, np.array([stack_injections(inj), x])):
+            with pytest.raises(ValueError, match="^x must be real$"):
+                mplf.evaluate_linear(lin, arg)
 
 
 def linear_models(feeder):

@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import io
 import json
 import math
 import re
+import weakref
 from functools import partial
 
 import numpy as np
@@ -481,6 +483,24 @@ class TestZeroLoad:
         model = mplf.assemble_network(buses, lines, mplf.SlackSpec("s", np.array([1.0 + 0j])))
         profile = mplf.zero_load_voltage(model)
         npt.assert_allclose(profile.w, [1.0, 1.0], atol=1e-12)
+
+    def test_profile_is_the_models_own(self, rng):
+        model, profile = random_network(rng)
+        assert mplf.zero_load_voltage(model) is mplf.zero_load_voltage(model) is profile
+        assert model.zero_load is profile and profile.connection is model.connection
+
+    def test_dropped_model_freed_without_gc(self):
+        # No reference cycle runs through the model and its cached
+        # quantities, so the last reference frees it with the collector off.
+        model = mplf.network_from_file(bundled_path("ieee37_network.json"))
+        gc.disable()
+        try:
+            mplf.zero_load_voltage(model), model.yll_inverse, model.xi_weights
+            freed = weakref.ref(model)
+            del model
+            assert freed() is None
+        finally:
+            gc.enable()
 
     def test_zero_slack_voltage_rejected(self):
         with pytest.raises(mplf.DegenerateProfileError):

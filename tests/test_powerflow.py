@@ -323,7 +323,7 @@ class TestSolveRows:
         stack.s_delta[5, ::2] = 0
         rng = np.random.default_rng(3)
         starts = profile.w * (1 + 0.02 * rng.standard_normal((6, model.n_phases)))
-        rows = powerflow._solve_rows(model, profile, stack, starts)
+        rows = powerflow._solve_rows(model, stack, starts)
         for j, got in enumerate(rows):
             one = mplf.solve_fixed_point(model, profile, injection_row(stack, j), v_init=starts[j])
             assert_same_solve(got, one)
@@ -338,7 +338,7 @@ class TestSolveRows:
         pair = np.flatnonzero(inj.s_delta)[0]
         conn = model.connection
         starts[3, conn.second[pair]] = starts[3, conn.first[pair]]  # a loaded pair at zero
-        rows = powerflow._solve_rows(model, profile, stack, starts, max_iter=4)
+        rows = powerflow._solve_rows(model, stack, starts, max_iter=4)
         assert [type(r).__name__ for r in rows] == [
             "SolveResult", "NonConvergenceError", "DegenerateVoltageError",
             "DegenerateVoltageError", "SolveResult",
@@ -369,7 +369,7 @@ class TestSolveRows:
         model, profile, inj = ieee37_mixed()
         stack = scaled_rows(inj, [0.5, 0.5, 1.0])
         starts = np.array([profile.w] * 3)
-        plain = powerflow._solve_rows(model, profile, stack, starts)
+        plain = powerflow._solve_rows(model, stack, starts)
         mismatch, checked = powerflow.power_flow_mismatch, []
 
         def first_row_degenerate(model, v, inj):
@@ -380,7 +380,7 @@ class TestSolveRows:
             return mismatch(model, v, inj)
 
         monkeypatch.setattr(powerflow, "power_flow_mismatch", first_row_degenerate)
-        rows = powerflow._solve_rows(model, profile, stack, starts)
+        rows = powerflow._solve_rows(model, stack, starts)
         assert checked[0] >= 2 and checked[1] == checked[0] - 1
         expected = mplf.DegenerateVoltageError(powerflow._DEGENERATE_PAIR, rows=np.bool_(True))
         assert_same_solve(rows[0], expected)
@@ -399,27 +399,27 @@ class TestSolveRows:
             return mismatch(model, v, inj)
 
         monkeypatch.setattr(powerflow, "power_flow_mismatch", counted)
-        rows = powerflow._solve_rows(model, profile, stack, starts)
+        rows = powerflow._solve_rows(model, stack, starts)
         assert len({sol.iterations for sol in rows}) > 1
         assert checked == [4]
 
     def test_empty_stack(self):
         model, profile, inj = ieee37_mixed()
         stack = scaled_rows(inj, [])
-        assert powerflow._solve_rows(model, profile, stack, np.zeros((0, model.n_phases))) == []
+        assert powerflow._solve_rows(model, stack, np.zeros((0, model.n_phases))) == []
 
     def test_arguments_checked_as_in_one_row_solves(self):
         model, profile, inj = ieee37_mixed()
         stack = scaled_rows(inj, [1.0, 0.5])
         starts = np.array([profile.w, profile.w])
         with pytest.raises(ValueError, match="max_iter must be >= 1"):
-            powerflow._solve_rows(model, profile, stack, starts, max_iter=0)
+            powerflow._solve_rows(model, stack, starts, max_iter=0)
         with pytest.raises(ValueError, match="tol_step must be strictly positive"):
-            powerflow._solve_rows(model, profile, stack, starts, tol_step=np.nan)
+            powerflow._solve_rows(model, stack, starts, tol_step=np.nan)
         # The rows are the injections'; a start stack of another height is named.
         message = r"^v_init has shape \(1, 108\); the model needs shape \(2, 108\)$"
         with pytest.raises(ValueError, match=message):
-            powerflow._solve_rows(model, profile, stack, starts[:1])
+            powerflow._solve_rows(model, stack, starts[:1])
 
 
 class TestStackedMismatch:
