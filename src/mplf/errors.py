@@ -22,7 +22,7 @@ class SingularModelError(ModelError):
 
 
 class DegenerateProfileError(ModelError):
-    """The zero-load voltage has a (near-)zero phase or phase-pair entry."""
+    """The zero-load voltage has a (near-)zero phase entry."""
 
 
 class DegenerateVoltageError(MplfError):

@@ -19,7 +19,7 @@ from .errors import (
     CertificateRequiredError,
     SingularSensitivityError,
 )
-from .netmodel import LUFactor, NetworkModel, ZeroLoadProfile, _real_form, check_profile
+from .netmodel import NetworkModel, ZeroLoadProfile, check_profile
 from .powerflow import (
     BASE_RESIDUAL_TOL,
     EPS_DELTA,
@@ -27,6 +27,8 @@ from .powerflow import (
     InjectionSet,
     SolveResult,
     _check_degenerate,
+    _tangent_factor,
+    _tangent_solve,
     _UpdateKernel,
     checked_base,
 )
@@ -138,23 +140,18 @@ class _TangentModel(LinearModel):
         self._factor = factor
 
     def _voltages(self, inj):
-        n = self.n_phases
-        change = inj - self._base_inj
-        r = _UpdateKernel(self._model, change).rhs(self.base_v)
-        z = self._factor.solve(np.concatenate([r.real, r.imag], axis=-1).T).T
-        v = 1j * z[..., n:]
-        v += z[..., :n]
+        r = _UpdateKernel(self._model, inj - self._base_inj).rhs(self.base_v)
+        v = _tangent_solve(self._factor, r)
         v += self.base_v
         return v
 
     def _coefficients(self):
-        n = self.n_phases
-        z = self._factor.inverse()
-        # Complex dV responses to a real (re_unit) and an imaginary (im_unit)
-        # unit right-hand side on each phase.
-        re_unit = z[:n, :n] + 1j * z[n:, :n]
-        im_unit = z[:n, n:] + 1j * z[n:, n:]
-        del z  # the unit responses are freed before the magnitude maps are built
+        # Complex dV responses (as columns) to a real (re_unit) and an
+        # imaginary (im_unit) unit right-hand side on each phase.
+        eye = np.eye(self.n_phases)
+        re_unit = _tangent_solve(self._factor, eye).T
+        im_unit = _tangent_solve(self._factor, 1j * eye).T
+        del eye
 
         def response(c, re_cols, im_cols):
             # dV for the injections (Re x, Im x) whose right-hand sides are (c, -i c).
@@ -191,18 +188,13 @@ def fot_linearize(
 ) -> LinearModel:
     """Tangent (first-order) model at a solved base point.
 
-    Differentiating the balance rows and the pair rows ``ī∘(Hv) = s_δ``
-    (``ī`` the conjugate pair currents) at the base gives equations in
-    ``(dV, dĪ)``.  The pair rows are eliminated first:
-    ``dĪ = (ds_δ − ī∘(H dV)) / Hv̂``.  Dividing the balance rows by ``v̂``
-    and conjugating them leaves
+    The model is the balance equations' tangent operator at the base
+    (``powerflow._tangent_factor``, which derives it and its bus-local
+    ``F``): the real ``2n`` form on ``(Re dV, Im dV)`` of
 
         yll·dV − F·conj(dV) = conj(ds_Y / v̂) + Hᵀ conj(ds_δ / Hv̂),
-        F = conj(diag((Hᵀī − conj(î)) / v̂) − Hᵀ diag(ī / Hv̂) H),
 
-    with ``F`` bus-local.  The equations are real-linear but not
-    complex-linear, so they are solved as one real ``2n`` operator on
-    ``(Re dV, Im dV)`` with the sparsity of ``yll``.  The operator is
+    with the sparsity of ``yll``.  The operator is
     factored here, once, and the model keeps the factors: each evaluation
     is one solve with them.  The dense coefficients (for ``to_dict()``)
     are the responses to the ``2n`` unit right-hand sides: the response to
@@ -222,21 +214,16 @@ def fot_linearize(
         uniquely defined at this base (neither hypothesis holds).
     """
     v_hat, ic_delta, i_hat = checked_base(model, base_solution.v, base_inj, tol_residual)
-    conn = model.connection
-    n = model.n_phases
     _check_degenerate(v_hat, True, EPS_V, "degenerate phase voltage at the base point")
-    hv = conn.gather(v_hat)
+    hv = model.connection.gather(v_hat)
     if (smallest := np.abs(hv).min(initial=np.inf)) <= EPS_DELTA:
         raise SingularSensitivityError(
             f"phase-pair voltage |Hv| = {smallest:.3e} at the base is not above "
             f"{EPS_DELTA:.0e}; the pair currents have no unique sensitivity"
         )
-
-    # F = conj(diag(f_diag) - H^T diag(ic_delta / hv) H), assembled bus-local.
-    f_diag = (conn.scatter(ic_delta, n) - np.conj(i_hat)) / v_hat
-    f = conn.bus_block(np.conj(f_diag), np.conj(ic_delta / hv))
-    op = _real_form(model.yll, -f)
-    factor = LUFactor(op, SingularSensitivityError, "reduced sensitivity operator")
+    factor = _tangent_factor(
+        model, v_hat, ic_delta, i_hat, SingularSensitivityError, "reduced sensitivity operator"
+    )
     return _TangentModel(model, v_hat, base_inj, factor)
 
 

@@ -153,19 +153,14 @@ class ConnectionMatrix:
         out[..., self.second] -= y
         return out
 
-    def bus_block(self, diag, pair, scale=None):
-        """The bus-local ``diag(diag) - diag(scale) H.T diag(pair) H`` as a CSC
-        matrix, from COO triplets: the diagonal, then ``(first, first)``,
-        ``(second, second)``, ``(first, second)`` and ``(second, first)``.
-        No ``scale`` means the identity."""
+    def bus_block(self, diag, pair):
+        """The bus-local ``diag(diag) - H.T diag(pair) H`` as a CSC matrix,
+        from COO triplets: the diagonal, then ``(first, first)``,
+        ``(second, second)``, ``(first, second)`` and ``(second, first)``."""
         n, p, q = diag.size, self.first, self.second
-        if scale is None:
-            terms = [-pair, -pair, pair, pair]
-        else:
-            terms = [-scale[p] * pair, -scale[q] * pair, scale[p] * pair, scale[q] * pair]
         rows = np.concatenate([np.arange(n), p, q, p, q])
         cols = np.concatenate([np.arange(n), p, q, q, p])
-        vals = np.concatenate([diag, *terms])
+        vals = np.concatenate([diag, -pair, -pair, pair, pair])
         return scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(n, n))
 
 
@@ -196,8 +191,10 @@ class LUFactor:
     ``rcond`` is non-finite or below ``RCOND_FLOOR`` (an exactly singular
     matrix reports ``rcond=0``); ``what`` names the matrix in the message.
     ``solve(rhs)`` solves ``matrix @ x = rhs``, and ``inverse()`` forms the
-    dense inverse.  ``yll`` (see ``NetworkModel``), the reduced FOT operator
-    and the Newton Jacobian are all factored here.
+    dense inverse, which only ``NetworkModel.yll_inverse`` reads.  ``yll``
+    (see ``NetworkModel``) and the balance equations' tangent operator
+    (``powerflow._tangent_factor``: the FOT model at a solved pair, the
+    Newton step at an iterate) are the matrices factored here.
     """
 
     def __init__(self, matrix, error, what):
@@ -387,15 +384,14 @@ class NetworkModel:
     @cached_property
     def zero_load(self) -> ZeroLoadProfile:
         """The zero-load voltage ``w``, solving ``yll @ w = -yl0 @ v0``, and
-        its pair magnitudes; ``DegenerateProfileError`` when an entry of
-        ``|w|`` or ``L|w|`` is (near) zero."""
+        its pair magnitudes ``L|w|``; ``DegenerateProfileError`` when an
+        entry of ``|w|`` is (near) zero.  Each entry of ``L|w|`` is then
+        above ``2 * PROFILE_FLOOR``, so it needs no check of its own."""
         w = self.factor.solve(-self.yl0 @ self.v0)
         w_abs = np.abs(w)
         if w_abs.min(initial=np.inf) <= PROFILE_FLOOR:
             raise DegenerateProfileError("zero-load voltage has a (near-)zero phase entry")
         Lw = self.connection.pair_sum(w_abs)
-        if Lw.min(initial=np.inf) <= PROFILE_FLOOR:
-            raise DegenerateProfileError("zero-load voltage has a (near-)zero phase-pair entry")
         for arr in (w, w_abs, Lw):
             arr.setflags(write=False)
         return ZeroLoadProfile(w=w, w_abs=w_abs, Lw=Lw, connection=self.connection)
@@ -762,14 +758,6 @@ def zero_load_voltage(model: NetworkModel) -> ZeroLoadProfile:
     """The model's zero-load profile, ``model.zero_load``: solved on the
     first call, the same object on every later one."""
     return model.zero_load
-
-
-def _real_form(a, b):
-    """The real form, on ``(Re x, Im x)``, of the sparse map
-    ``x -> a x + b conj(x)``, as one CSC matrix."""
-    return scipy.sparse.bmat(
-        [[a.real + b.real, -a.imag + b.imag], [a.imag + b.imag, a.real - b.real]], format="csc"
-    )
 
 
 # ---------------------------------------------------------------------------

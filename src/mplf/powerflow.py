@@ -23,7 +23,6 @@ from .netmodel import (
     NetworkModel,
     ZeroLoadProfile,
     _read_json,
-    _real_form,
     check_profile,
     complex_from_doc,
     list_from_doc,
@@ -443,21 +442,53 @@ def solve_fixed_point(
     return outcome
 
 
-def _newton_jacobian(model: NetworkModel, v, inj: InjectionSet, ic_delta, i):
-    """Real form, on ``(Re dv, Im dv)``, of the mismatch's derivative at ``v``.
+def _real_form(a, b):
+    """The real form, on ``(Re x, Im x)``, of the sparse map
+    ``x -> a x + b conj(x)``, as one CSC matrix."""
+    return scipy.sparse.bmat(
+        [[a.real + b.real, -a.imag + b.imag], [a.imag + b.imag, a.real - b.real]], format="csc"
+    )
 
-    ``ic_delta`` and ``i`` are the mismatch terms at ``v``.  Of the
-    Wirtinger blocks, d/dv is a diagonal plus the bus-local pair term and
-    d/dconj(v) is ``-diag(v) conj(yll)``.
+
+def _tangent_factor(model: NetworkModel, v, ic_delta, i, error, what) -> LUFactor:
+    """The factored tangent operator of the balance equations at ``v``.
+
+    ``ic_delta`` and ``i`` are the mismatch terms at ``v`` (see
+    ``power_flow_mismatch``), and every phase voltage must be nonzero.
+    Differentiating the balance rows and the pair rows ``ī∘(Hv) = s_δ``
+    (``ī`` the conjugate pair currents) gives equations in ``(dV, dĪ)``.
+    The pair rows are eliminated first, ``dĪ = (ds_δ − ī∘(H dV)) / Hv``;
+    dividing the balance rows by ``v`` and conjugating them leaves
+
+        yll·dV − F·conj(dV) = conj(ds_Y / v) + Hᵀ conj(ds_δ / Hv),
+        F = conj(diag((Hᵀī − conj(i)) / v) − Hᵀ diag(ī / Hv) H),
+
+    with ``F`` bus-local and its pair term ``ī / Hv`` zero where ``ī`` is
+    (a dead pair may have ``Hv = 0``).  The equations are real-linear but
+    not complex-linear, so the operator is the real ``2n`` form on
+    ``(Re dV, Im dV)``, with the sparsity of ``yll``, factored through
+    ``LUFactor``; ``error`` and ``what`` are its singularity error and
+    the operator's name.  ``_tangent_solve`` solves with it.
+
+    At a solved pair this is the FOT model.  At any other ``v`` with
+    mismatch ``m``, ``v`` solves the injections ``(s_Y − m, s_δ)``
+    exactly, so the response to ``ds_Y = m`` is the Newton step.
     """
-    conn = model.connection
-    hv = conn.gather(v)
-    live = inj.s_delta != 0
-    dc = np.zeros_like(hv)
-    dc[live] = inj.s_delta[live] / hv[live] ** 2
-    j_v = conn.bus_block(conn.scatter(ic_delta, model.n_phases) - np.conj(i), dc, scale=v)
-    j_vbar = scipy.sparse.diags(-v, format="csc") @ model.yll.conj()
-    return _real_form(j_v, j_vbar)
+    conn, n = model.connection, model.n_phases
+    live = ic_delta != 0
+    pair = np.divide(ic_delta, conn.gather(v), out=np.zeros_like(ic_delta), where=live)
+    # F = conj(diag(f_diag) - H^T diag(pair) H), assembled bus-local.
+    f_diag = (conn.scatter(ic_delta, n) - np.conj(i)) / v
+    f = conn.bus_block(np.conj(f_diag), np.conj(pair))
+    return LUFactor(_real_form(model.yll, -f), error, what)
+
+
+def _tangent_solve(factor: LUFactor, rhs):
+    """The ``dV`` of the tangent operator's right-hand side ``rhs``, along
+    the last axis: one solve with a column per row of a stack."""
+    n = rhs.shape[-1]
+    z = factor.solve(np.concatenate([rhs.real, rhs.imag], axis=-1).T).T
+    return z[..., :n] + 1j * z[..., n:]
 
 
 def newton_oracle(
@@ -467,23 +498,36 @@ def newton_oracle(
     tol_residual: float = 1e-10,
     max_iter: int = 60,
 ) -> SolveResult:
-    """Damped Newton on the real/imaginary stacked balance equations.
+    """Damped Newton on the balance equations, through FOT's tangent operator.
 
     The same equations as the fixed point, solved by an unrelated
     algorithm: the sweep's fallback where the fixed point fails or misses
-    ``tol_residual``, and the tests' cross-check of the fixed point.  The
-    Jacobian is sparse (the pattern of ``yll`` plus bus-local pair entries)
-    and is factored through ``LUFactor``.  The step is damped by halving
-    whenever the residual norm would increase.  ``iterations`` is the
-    number of Newton steps taken (zero from a start that already meets
-    ``tol_residual``).  A Jacobian with ``rcond < RCOND_FLOOR`` raises
-    :class:`SingularJacobianError`; ``max_iter`` below one, a NaN or
-    non-positive ``tol_residual``, a ``v_init`` or ``inj`` that does not fit
-    the model, or a non-finite ``v_init`` raises ``ValueError``.
+    ``tol_residual``, and the tests' cross-check of the fixed point.  With
+    mismatch ``m`` at the iterate ``v``, the pair ``(v, (s_Y − m, s_δ))``
+    is exact, so each step is the tangent model's response to the wye
+    change ``m``: ``_tangent_factor`` at ``v`` (the pattern of ``yll`` plus
+    bus-local pair entries, factored through ``LUFactor``) solved on
+    ``conj(m / v)``.  The step is damped by halving whenever the residual
+    norm would increase.  ``iterations`` is the number of Newton steps
+    taken (zero from a start that already meets ``tol_residual``).
+
+    Raises
+    ------
+    DegenerateVoltageError
+        A phase voltage of an iterate that takes a step, the start
+        included, is not above ``EPS_V``: the operator divides by it.
+    SingularJacobianError
+        The operator's ``rcond`` is below ``RCOND_FLOOR``.
+    NonConvergenceError
+        ``max_iter`` steps do not meet ``tol_residual``, or the damping
+        finds no decrease.
+    ValueError
+        ``max_iter`` is below one, ``tol_residual`` is NaN or not positive,
+        ``v_init`` or ``inj`` does not fit the model, or ``v_init`` is not
+        finite.
     """
     _check_max_iter(max_iter)
     check_tolerance("tol_residual", tol_residual)
-    n = model.n_phases
     if v_init is None:
         v_init = model.zero_load.w
     v = _checked_voltage(model, inj, "v_init", v_init)
@@ -499,10 +543,9 @@ def newton_oracle(
                 f"Newton did not converge in {max_iter} iterations (residual {fnorm:.3e})",
                 last_v=v,
             )
-        A = _newton_jacobian(model, v, inj, ic_delta, i)
-        rhs = -np.concatenate([f.real, f.imag])
-        delta = LUFactor(A, SingularJacobianError, "Newton Jacobian").solve(rhs)
-        dv = delta[:n] + 1j * delta[n:]
+        _check_degenerate(v, True, EPS_V, "near-zero phase voltage at a Newton iterate")
+        factor = _tangent_factor(model, v, ic_delta, i, SingularJacobianError, "Newton Jacobian")
+        dv = _tangent_solve(factor, np.conj(f / v))
 
         lam = 1.0
         while True:

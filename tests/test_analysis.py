@@ -465,6 +465,8 @@ class TestRecenteredInterval:
         monkeypatch.setattr(analysis, "solve_fixed_point", no_solve)
         with pytest.raises(ValueError, match="theorem must be 1 or 2, got 3"):
             mplf.recentered_interval(model, profile, 0.5, s_ref, theorem=3)
+        with pytest.raises(ValueError, match="theorem must be 1 or 2, got 3"):
+            mplf.feasible_interval(model, profile, zero_base(model, profile), s_ref, theorem=3)
 
     def test_nonconvergence_propagates(self, single_phase_case):
         model, profile, s_ref = single_phase_case

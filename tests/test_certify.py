@@ -163,6 +163,8 @@ class TestTheorem2:
         cert = mplf.check_theorem2(model, profile, (profile.w, mplf.InjectionSet.zeros(model)), inj)
         assert not cert.satisfied
         assert cert.rho_used is None
+        with pytest.raises(ValueError, match="no ball radius available"):
+            cert.ball_radii(profile)
 
     def test_target_equal_base_gives_zero_radius(self, rng):
         model, profile, inj = certified_instance(rng)

@@ -137,3 +137,9 @@ class TestConverterReproducibility:
             regenerated = json.loads((tmp_path / name).read_text())
             bundled = json.loads(Path(bundled_path(name)).read_text())
             assert regenerated == bundled, f"{name} drifted from converter output"
+
+
+def test_missing_bundled_file_lists_the_available_ones():
+    with pytest.raises(FileNotFoundError, match="no bundled file 'missing.json'") as info:
+        bundled_path("missing.json")
+    assert "'ieee37_network.json'" in str(info.value)

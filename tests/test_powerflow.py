@@ -223,6 +223,14 @@ class TestNewtonOracle:
         with pytest.raises(mplf.SingularJacobianError, match="Newton Jacobian"):
             mplf.newton_oracle(model, inj, v_init=[0.5])
 
+    def test_zero_phase_voltage_start_rejected(self):
+        # The tangent operator divides by v, so no step is taken from a
+        # start with a zero phase voltage.
+        model, _ = single_phase_model()
+        inj = wye_injection(model, "load", "a", -0.1)
+        with pytest.raises(mplf.DegenerateVoltageError, match="Newton iterate"):
+            mplf.newton_oracle(model, inj, v_init=[0.0])
+
 
 def dense_jacobian(model, v, inj, ic_delta, i):
     """The real stacked Newton Jacobian from dense Wirtinger blocks."""
@@ -243,7 +251,10 @@ def dense_jacobian(model, v, inj, ic_delta, i):
     )
 
 
-class TestNewtonJacobian:
+class TestNewtonStep:
+    """A Newton step is the tangent operator's response to the mismatch,
+    and equals the step of the dense stacked Jacobian."""
+
     def cases(self, rng):
         for feeder in ("ieee37", "ieee123"):
             model = mplf.network_from_file(bundled_path(f"{feeder}_network.json"))
@@ -254,16 +265,21 @@ class TestNewtonJacobian:
         for _ in range(10):
             yield certified_instance(rng)
 
-    def test_matches_dense_block_construction(self, rng):
+    def test_matches_dense_jacobian_step(self, rng):
         for model, profile, inj in self.cases(rng):
             v = mplf.solve_fixed_point(model, profile, inj).v
             # Off the solution, so that every term of the Jacobian is live.
             v = v * (1.0 + 0.01 * rng.standard_normal(v.size))
-            _, ic_delta, i = powerflow.power_flow_mismatch(model, v, inj)
-            sparse = powerflow._newton_jacobian(model, v, inj, ic_delta, i)
-            dense = dense_jacobian(model, v, inj, ic_delta, i)
-            assert sparse.format == "csc"
-            assert np.abs(sparse.toarray() - dense).max() <= 1e-12 * np.abs(dense).max()
+            f, ic_delta, i = powerflow.power_flow_mismatch(model, v, inj)
+            factor = powerflow._tangent_factor(
+                model, v, ic_delta, i, mplf.SingularJacobianError, "Newton Jacobian"
+            )
+            step = powerflow._tangent_solve(factor, np.conj(f / v))
+            dense = np.linalg.solve(
+                dense_jacobian(model, v, inj, ic_delta, i), -np.concatenate([f.real, f.imag])
+            )
+            expected = dense[: v.size] + 1j * dense[v.size :]
+            assert np.abs(step - expected).max() <= 1e-10 * np.abs(expected).max()
 
 
 def ieee37_mixed(feeder="ieee37"):
