@@ -23,18 +23,11 @@ Modeling choices (see README.md in this directory):
     1/35/76/99 (per-unit values used verbatim).
 """
 
-import argparse
-import json
-import math
-from pathlib import Path
-
 import numpy as np
 
-V_BASE_LL = 4160.0
-S_BASE_3PH = 1.0e6
+from feeder_docs import PAIRS, balanced_slack, line, main, transformer
 
-FT_PER_MILE = 5280.0
-PAIRS = ("ab", "bc", "ca")
+V_BASE_LL = 4160.0
 
 # Position impedance matrix (ohms/mile) and shunt susceptance (uS/mile) of
 # the 336,400 26/7 ACSR / 4/0 6/1 ACSR crossarm used by configurations 1-6;
@@ -55,52 +48,41 @@ POS_B = np.array(
 )
 PHASING = {1: "abc", 2: "cab", 3: "bca", 4: "cba", 5: "bac", 6: "acb"}
 
+# Configurations 7 (phases a, c) and 8 (phases a, b) share one two-phase
+# impedance and susceptance.
+TWO_PHASE = (
+    np.array([[0.4576 + 1.0780j, 0.1535 + 0.3849j], [0.1535 + 0.3849j, 0.4615 + 1.0651j]]),
+    np.array([[5.6990, -1.0817], [-1.0817, 5.1795]]),
+)
+
 
 def _permuted(phasing):
     # position p carries phase phasing[p]; return matrices in a,b,c order
-    order = [phasing.index(p) for p in "abc" if p in phasing]
-    z = POS_Z[np.ix_(order, order)]
-    b = POS_B[np.ix_(order, order)]
-    return z, b
+    order = [phasing.index(p) for p in "abc"]
+    return "abc", POS_Z[np.ix_(order, order)], POS_B[np.ix_(order, order)]
 
 
-def build_configs():
-    configs = {}
-    for cfg, phasing in PHASING.items():
-        z, b = _permuted(phasing)
-        configs[cfg] = {"phases": "abc", "z": z, "b": b}
-    configs[7] = {
-        "phases": "ac",
-        "z": np.array(
-            [[0.4576 + 1.0780j, 0.1535 + 0.3849j], [0.1535 + 0.3849j, 0.4615 + 1.0651j]]
-        ),
-        "b": np.array([[5.6990, -1.0817], [-1.0817, 5.1795]]),
-    }
-    configs[8] = {
-        "phases": "ab",
-        "z": np.array(
-            [[0.4576 + 1.0780j, 0.1535 + 0.3849j], [0.1535 + 0.3849j, 0.4615 + 1.0651j]]
-        ),
-        "b": np.array([[5.6990, -1.0817], [-1.0817, 5.1795]]),
-    }
-    for cfg, phase in ((9, "a"), (10, "b"), (11, "c")):
-        configs[cfg] = {
-            "phases": phase,
-            "z": np.array([[1.3292 + 1.3475j]]),
-            "b": np.array([[4.5193]]),
-        }
-    configs[12] = {
-        "phases": "abc",
-        "z": np.array(
+# configuration -> (phases, ohms/mile, uS/mile)
+CONFIGS = {
+    **{cfg: _permuted(phasing) for cfg, phasing in PHASING.items()},
+    7: ("ac", *TWO_PHASE),
+    8: ("ab", *TWO_PHASE),
+    **{
+        cfg: (phase, np.array([[1.3292 + 1.3475j]]), np.array([[4.5193]]))
+        for cfg, phase in ((9, "a"), (10, "b"), (11, "c"))
+    },
+    12: (
+        "abc",
+        np.array(
             [
                 [1.5209 + 0.7521j, 0.5198 + 0.2775j, 0.4924 + 0.2157j],
                 [0.5198 + 0.2775j, 1.5329 + 0.7162j, 0.5198 + 0.2775j],
                 [0.4924 + 0.2157j, 0.5198 + 0.2775j, 1.5209 + 0.7521j],
             ]
         ),
-        "b": np.diag([88.9912, 88.9912, 88.9912]),
-    }
-    return configs
+        np.diag([88.9912, 88.9912, 88.9912]),
+    ),
+}
 
 
 # node A, node B, length (ft), configuration
@@ -191,8 +173,9 @@ SEGMENTS = [
 # Closed switches / nominal-tap substation regulator: merged node pairs.
 MERGES = {149: 150, 152: 13, 135: 18, 160: 60, 197: 97}
 
-# XFM-1: 150 kVA, 4.16 kV / 0.48 kV, R% / X% on its own rating.
-XFM1 = {"from": 61, "to": 610, "kva": 150.0, "r_pct": 1.27, "x_pct": 2.72}
+# XFM-1 as (from, to, kVA, R%, X%): 150 kVA, 4.16 kV / 0.48 kV, R% / X% on
+# its own rating.
+XFM1 = (61, 610, 150.0, 1.27, 2.72)
 
 # Spot loads: node -> (connection, [(phase-or-pair, kW + j kvar), ...]);
 # constant-current/impedance codes taken at nominal power.
@@ -286,150 +269,71 @@ LOADS = {
 
 # Mixed-source study additions, already per unit (generation-positive sign).
 MIXED_PU = [
-    ("1", "D", "ab", -0.03 - 0.01j),
-    ("1", "D", "bc", -0.03 - 0.01j),
-    ("1", "D", "ca", -0.03 - 0.01j),
-    ("35", "Y", "a", -0.02 + 0j),
-    ("35", "Y", "b", -0.02 + 0j),
-    ("35", "Y", "c", -0.02 + 0j),
-    ("76", "Y", "a", 0.04 + 0.01j),
-    ("76", "Y", "b", 0.04 + 0.01j),
-    ("76", "Y", "c", 0.04 + 0.01j),
-    ("99", "D", "ab", -0.02 - 0.01j),
-    ("99", "D", "bc", -0.02 - 0.01j),
-    ("99", "D", "ca", -0.02 - 0.01j),
+    (1, "D", "ab", -0.03 - 0.01j),
+    (1, "D", "bc", -0.03 - 0.01j),
+    (1, "D", "ca", -0.03 - 0.01j),
+    (35, "Y", "a", -0.02 + 0j),
+    (35, "Y", "b", -0.02 + 0j),
+    (35, "Y", "c", -0.02 + 0j),
+    (76, "Y", "a", 0.04 + 0.01j),
+    (76, "Y", "b", 0.04 + 0.01j),
+    (76, "Y", "c", 0.04 + 0.01j),
+    (99, "D", "ab", -0.02 - 0.01j),
+    (99, "D", "bc", -0.02 - 0.01j),
+    (99, "D", "ca", -0.02 - 0.01j),
 ]
 
 SLACK = 150
 
 
-def cd(z):
-    z = complex(z)
-    return {"re": z.real, "im": z.imag}
+def node_id(n):
+    return str(MERGES.get(n, n))
 
 
-def block(mat):
-    return [cd(z) for z in np.asarray(mat, dtype=complex).ravel()]
+def injections(entries):
+    """Wye and delta entries of ``(node, "Y" or "D", phase or pair, s_pu)``."""
+    doc = {"wye": [], "delta": []}
+    for node, conn, key, s_pu in entries:
+        kind, field = ("wye", "phase") if conn == "Y" else ("delta", "pair")
+        doc[kind].append({"bus": node_id(node), field: key, "re": s_pu.real, "im": s_pu.imag})
+    return doc
 
 
 def build(s_base_3ph):
-    configs = build_configs()
     z_base = V_BASE_LL**2 / s_base_3ph
     s_base_1ph = s_base_3ph / 3.0
 
-    def node_id(n):
-        return str(MERGES.get(n, n))
-
-    segments = [(node_id(a), node_id(b), ft, cfg) for a, b, ft, cfg in SEGMENTS]
-    segments.append((node_id(XFM1["from"]), node_id(XFM1["to"]), None, "xfm"))
-
     phases = {}
-    for a, b, _, cfg in segments:
-        p = "abc" if cfg == "xfm" else configs[cfg]["phases"]
-        for end in (a, b):
-            phases[end] = "".join(sorted(set(phases.get(end, "")) | set(p)))
-    slack_id = node_id(SLACK)
-
+    for a, b, span in [(a, b, CONFIGS[cfg][0]) for a, b, _, cfg in SEGMENTS] + [(*XFM1[:2], "abc")]:
+        for end in (node_id(a), node_id(b)):
+            phases.setdefault(end, set()).update(span)
+    loads = [
+        (node, conn, key, -complex(s) * 1e3 / s_base_1ph)
+        for node in sorted(LOADS)
+        for conn, entries in [LOADS[node]]
+        for key, s in entries
+    ]
     delta_pairs = {}
-    for node, (conn, entries) in LOADS.items():
+    for node, conn, key, _ in loads + MIXED_PU:
         if conn == "D":
-            delta_pairs.setdefault(node_id(node), set()).update(p for p, _ in entries)
-    for node, conn, key, _ in MIXED_PU:
-        if conn == "D":
-            delta_pairs.setdefault(node_id(int(node)), set()).update([key])
-
-    def bus_sort_key(b):
-        return (len(b), b)
+            delta_pairs.setdefault(node_id(node), set()).add(key)
 
     buses = []
-    for b in sorted(phases, key=bus_sort_key):
+    for b in sorted(phases, key=lambda b: (len(b), b)):
         doc = {"id": b, "phases": "".join(p for p in "abc" if p in phases[b])}
         pairs = [p for p in PAIRS if p in delta_pairs.get(b, ())]
         if pairs:
             doc["delta_connections"] = pairs
         buses.append(doc)
-
-    lines = []
-    for a, b, ft, cfg in segments:
-        if cfg == "xfm":
-            z_x = complex(XFM1["r_pct"], XFM1["x_pct"]) / 100.0 * (
-                s_base_3ph / (XFM1["kva"] * 1e3)
-            )
-            lines.append(
-                {
-                    "from": a,
-                    "to": b,
-                    "phases": "abc",
-                    "series_admittance": block(np.eye(3) / z_x),
-                }
-            )
-            continue
-        conf = configs[cfg]
-        z = conf["z"] * (ft / FT_PER_MILE)
-        y_series = np.linalg.inv(z) * z_base
-        b_half = conf["b"] * 1e-6 * (ft / FT_PER_MILE) / 2.0
-        shunt = block(1j * b_half * z_base)
-        lines.append(
-            {
-                "from": a,
-                "to": b,
-                "phases": conf["phases"],
-                "series_admittance": block(y_series),
-                "shunt_from": shunt,
-                "shunt_to": shunt,
-            }
-        )
-
-    angle = -2.0 * math.pi / 3.0
-    v0 = [cd(1.0), cd(complex(math.cos(angle), math.sin(angle))),
-          cd(complex(math.cos(angle), -math.sin(angle)))]
-    network = {"buses": buses, "lines": lines, "slack": {"id": slack_id, "voltages": v0}}
-
-    wye_entries, delta_entries = [], []
-    for node in sorted(LOADS):
-        conn, entries = LOADS[node]
-        for key, s in entries:
-            s_pu = -complex(s) * 1e3 / s_base_1ph
-            entry = {"bus": node_id(node), "re": s_pu.real, "im": s_pu.imag}
-            if conn == "Y":
-                wye_entries.append({**entry, "phase": key})
-            else:
-                delta_entries.append({**entry, "pair": key})
-    original = {"wye": wye_entries, "delta": delta_entries}
-
-    mixed = {"wye": list(wye_entries), "delta": list(delta_entries)}
-    for node, conn, key, value in MIXED_PU:
-        entry = {"bus": node, "re": value.real, "im": value.imag}
-        if conn == "Y":
-            mixed["wye"].append({**entry, "phase": key})
-        else:
-            mixed["delta"].append({**entry, "pair": key})
-    return network, original, mixed
-
-
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--s-base", type=float, default=S_BASE_3PH,
-                        help="three-phase power base in VA (default 1e6)")
-    parser.add_argument("--out-dir", default=str(Path(__file__).resolve().parents[1] / "src/mplf/data"))
-    args = parser.parse_args()
-
-    total = sum(sum(s for _, s in entries) for _, entries in LOADS.values())
-    print(f"total spot load: {total.real:.0f} kW + j{total.imag:.0f} kvar")
-
-    network, original, mixed = build(args.s_base)
-    print(f"buses: {len(network['buses'])}, lines: {len(network['lines'])}")
-    out = Path(args.out_dir)
-    for name, doc in [
-        ("ieee123_network.json", network),
-        ("ieee123_injections.json", original),
-        ("ieee123_injections_mixed.json", mixed),
-    ]:
-        with open(out / name, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print("wrote", out / name)
+    lines = [
+        line(node_id(a), node_id(b), *CONFIGS[cfg], ft, z_base)
+        for a, b, ft, cfg in SEGMENTS
+    ]
+    lines.append(transformer(node_id(XFM1[0]), node_id(XFM1[1]), *XFM1[2:], s_base_3ph))
+    network = {"buses": buses, "lines": lines, "slack": balanced_slack(node_id(SLACK))}
+    return network, injections(loads), injections(loads + MIXED_PU)
 
 
 if __name__ == "__main__":
-    main()
+    total = sum(sum(s for _, s in entries) for _, entries in LOADS.values())
+    main(__doc__, "ieee123", build, total)

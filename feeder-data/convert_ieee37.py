@@ -17,17 +17,11 @@ Modeling choices (see README.md in this directory):
   * mixed-source variant adds the wye units at nodes 701/720/730/735/737/742.
 """
 
-import argparse
-import json
-import math
-from pathlib import Path
-
 import numpy as np
 
-V_BASE_LL = 4800.0
-S_BASE_3PH = 1.0e6  # default power base, overridable on the command line
+from feeder_docs import PAIRS, balanced_slack, line, main, transformer
 
-FT_PER_MILE = 5280.0
+V_BASE_LL = 4800.0
 
 # Phase impedance matrices in ohms/mile (upper triangle, symmetric) and
 # shunt susceptance diagonals in microsiemens/mile.
@@ -105,8 +99,9 @@ SEGMENTS = [
     (799, 701, 1850, 721),
 ]
 
-# XFM-1: 500 kVA, 4.8 kV delta / 0.48 kV delta, R% / X% on its own rating.
-XFM1 = {"from": 709, "to": 775, "kva": 500.0, "r_pct": 0.09, "x_pct": 1.81}
+# XFM-1 as (from, to, kVA, R%, X%): 500 kVA, 4.8 kV delta / 0.48 kV delta,
+# R% / X% on its own rating.
+XFM1 = (709, 775, 500.0, 0.09, 1.81)
 
 # Spot loads, kW + j kvar per phase pair (ab, bc, ca); all delta-connected,
 # constant-current/impedance codes taken at nominal power.
@@ -156,110 +151,39 @@ MIXED_WYE_PU = {
     (737, "c"): -0.02 - 0.01j,
 }
 
-PAIRS = ("ab", "bc", "ca")
-
-
-def cd(z):
-    z = complex(z)
-    return {"re": z.real, "im": z.imag}
-
-
-def block(mat):
-    return [cd(z) for z in np.asarray(mat, dtype=complex).ravel()]
+SLACK = 799
 
 
 def build(s_base_3ph):
     z_base = V_BASE_LL**2 / s_base_3ph
     s_base_1ph = s_base_3ph / 3.0
 
-    nodes = sorted({a for a, *_ in SEGMENTS} | {b for _, b, *_ in SEGMENTS})
-    nodes.append(XFM1["to"])
-    nodes = sorted(set(nodes))
-
     buses = []
-    for node in nodes:
-        pairs = [p for i, p in enumerate(PAIRS) if node in LOADS and LOADS[node][i] != 0]
+    for node in sorted({a for a, *_ in SEGMENTS} | {b for _, b, *_ in SEGMENTS} | {XFM1[1]}):
         bus = {"id": str(node), "phases": "abc"}
+        pairs = [pair for pair, s in zip(PAIRS, LOADS.get(node, ())) if s != 0]
         if pairs:
             bus["delta_connections"] = pairs
         buses.append(bus)
-
-    lines = []
-    for a, b, length, cfg in SEGMENTS:
-        z = np.array(CONFIGS[cfg]["z"]) * (length / FT_PER_MILE)
-        y_series = np.linalg.inv(z) * z_base
-        b_half = CONFIGS[cfg]["b"] * 1e-6 * (length / FT_PER_MILE) / 2.0
-        shunt = block(1j * b_half * np.eye(3) * z_base)
-        lines.append(
-            {
-                "from": str(a),
-                "to": str(b),
-                "phases": "abc",
-                "series_admittance": block(y_series),
-                "shunt_from": shunt,
-                "shunt_to": shunt,
-            }
-        )
-    z_x = complex(XFM1["r_pct"], XFM1["x_pct"]) / 100.0 * (s_base_3ph / (XFM1["kva"] * 1e3))
-    lines.append(
-        {
-            "from": str(XFM1["from"]),
-            "to": str(XFM1["to"]),
-            "phases": "abc",
-            "series_admittance": block(np.eye(3) / z_x),
-        }
-    )
-
-    angle = -2.0 * math.pi / 3.0
-    v0 = [cd(1.0), cd(complex(math.cos(angle), math.sin(angle))),
-          cd(complex(math.cos(angle), -math.sin(angle)))]
-    network = {
-        "buses": buses,
-        "lines": lines,
-        "slack": {"id": "799", "voltages": v0},
-    }
+    lines = [
+        line(a, b, "abc", CONFIGS[cfg]["z"], CONFIGS[cfg]["b"] * np.eye(3), length, z_base)
+        for a, b, length, cfg in SEGMENTS
+    ]
+    lines.append(transformer(*XFM1, s_base_3ph))
+    network = {"buses": buses, "lines": lines, "slack": balanced_slack(SLACK)}
 
     delta_entries = []
     for node in sorted(LOADS):
-        for i, pair in enumerate(PAIRS):
-            s = LOADS[node][i]
+        for pair, s in zip(PAIRS, LOADS[node]):
             if s != 0:
                 s_pu = -complex(s) * 1e3 / s_base_1ph
-                delta_entries.append(
-                    {"bus": str(node), "pair": pair, "re": s_pu.real, "im": s_pu.imag}
-                )
-    original = {"delta": delta_entries}
-
+                delta_entries.append({"bus": str(node), "pair": pair, "re": s_pu.real, "im": s_pu.imag})
     wye_entries = [
         {"bus": str(node), "phase": phase, "re": value.real, "im": value.imag}
-        for (node, phase), value in sorted(MIXED_WYE_PU.items(), key=lambda kv: (kv[0][0], kv[0][1]))
+        for (node, phase), value in sorted(MIXED_WYE_PU.items())
     ]
-    mixed = {"delta": delta_entries, "wye": wye_entries}
-    return network, original, mixed
-
-
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--s-base", type=float, default=S_BASE_3PH,
-                        help="three-phase power base in VA (default 1e6)")
-    parser.add_argument("--out-dir", default=str(Path(__file__).resolve().parents[1] / "src/mplf/data"))
-    args = parser.parse_args()
-
-    total = sum(sum(map(complex, v)) for v in LOADS.values())
-    print(f"total spot load: {total.real:.0f} kW + j{total.imag:.0f} kvar")
-
-    network, original, mixed = build(args.s_base)
-    out = Path(args.out_dir)
-    for name, doc in [
-        ("ieee37_network.json", network),
-        ("ieee37_injections.json", original),
-        ("ieee37_injections_mixed.json", mixed),
-    ]:
-        with open(out / name, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print("wrote", out / name)
+    return network, {"delta": delta_entries}, {"delta": delta_entries, "wye": wye_entries}
 
 
 if __name__ == "__main__":
-    main()
+    main(__doc__, "ieee37", build, sum(sum(map(complex, loads)) for loads in LOADS.values()))

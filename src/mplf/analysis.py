@@ -30,6 +30,7 @@ from .powerflow import (
     TOL_STEP,
     InjectionSet,
     SolveResult,
+    _check_injections,
     _solve_rows,
     newton_oracle,
     solve_fixed_point,
@@ -157,7 +158,12 @@ def _inward(edge: float, bound: float, center: float) -> float:
     return float(min(max(edge, min(bound, center)), max(bound, center)))
 
 
-def _require_on_ray(s_hat: InjectionSet, s_ref: InjectionSet, center_kappa: float):
+def _require_on_ray(model, s_hat: InjectionSet, s_ref: InjectionSet, center_kappa: float):
+    """Raise ``ValueError`` unless ``s_ref`` and the base injections
+    ``s_hat`` fit ``model`` and ``s_hat`` is ``s_ref`` scaled by
+    ``center_kappa``."""
+    _check_injections(model, s_ref, "s_ref")
+    _check_injections(model, s_hat, "base_inj")
     on_ray = s_ref.scaled(center_kappa)
     if not (
         np.array_equal(s_hat.s_wye, on_ray.s_wye) and np.array_equal(s_hat.s_delta, on_ray.s_delta)
@@ -216,7 +222,7 @@ def feasible_interval(
     tolerance of the base-pair check.
     """
     _require_center("center_kappa", center_kappa, kappa_bounds)
-    _require_on_ray(base[1], s_ref, center_kappa)
+    _require_on_ray(model, base[1], s_ref, center_kappa)
     if theorem not in (1, 2):
         raise ValueError(f"theorem must be 1 or 2, got {theorem!r}")
     ray = check_theorem2(model, w_profile, base, base[1] + s_ref, tol_residual=tol_residual)
@@ -242,6 +248,7 @@ def recentered_interval(
     _require_center("base_kappa", base_kappa, kappa_bounds)
     if theorem not in (1, 2):
         raise ValueError(f"theorem must be 1 or 2, got {theorem!r}")
+    _check_injections(model, s_ref, "s_ref")
     s_base = s_ref.scaled(base_kappa)
     sol = solve_fixed_point(
         model, w_profile, s_base, tol_step=tol_step, tol_residual=tol_residual, max_iter=max_iter
@@ -324,7 +331,7 @@ def linear_error_sweep(
     _require_center("base_kappa", base_kappa, kappa_bounds)
     base = (base_solution.v, base_inj)
     # First, so that an off-ray base or a failing center stops the sweep early.
-    _require_on_ray(base_inj, s_ref, base_kappa)
+    _require_on_ray(model, base_inj, s_ref, base_kappa)
     ray = check_theorem2(model, w_profile, base, base_inj + s_ref, tol_residual=tol_residual)
     endpoints = {t: _ray_interval(ray, t, kappa_bounds, base_kappa) for t in (1, 2)}
     ref = ray.xi_change  # xi(s_ref): the norms of a unit step along the ray

@@ -16,7 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .netmodel import NetworkModel, ZeroLoadProfile, check_profile
-from .powerflow import BASE_RESIDUAL_TOL, InjectionSet, checked_base
+from .powerflow import (
+    BASE_RESIDUAL_TOL,
+    InjectionSet,
+    _check_injections,
+    _checked_vector,
+    checked_base,
+)
+
 
 @dataclass(frozen=True)
 class XiQuantities:
@@ -69,9 +76,10 @@ def xi_norms(model: NetworkModel, w_profile: ZeroLoadProfile, inj: InjectionSet)
     ``diag(w)^-1 yll^-1 diag(w)^-1 diag(s_wye)`` and the delta part the same
     for ``diag(w)^-1 yll^-1 H^T diag(L|w|)^-1 diag(s_delta)``; column scaling
     by a diagonal reduces both to weighted absolute matrix-vector products
-    with the model's cached weights.
+    with the model's cached weights.  ``inj`` must fit ``model``.
     """
     check_profile(model, w_profile)
+    _check_injections(model, inj, "inj")
     weights_w, weights_d = model.xi_weights
     xi_wye = float((weights_w @ np.abs(inj.s_wye)).max(initial=0.0))
     xi_delta = float((weights_d @ np.abs(inj.s_delta)).max(initial=0.0))
@@ -79,8 +87,9 @@ def xi_norms(model: NetworkModel, w_profile: ZeroLoadProfile, inj: InjectionSet)
 
 
 def gamma_quantities(w_profile: ZeroLoadProfile, v) -> GammaQuantities:
-    """Minimum phase and phase-pair voltage margins of ``v``."""
-    v = np.asarray(v, dtype=complex)
+    """Minimum phase and phase-pair voltage margins of ``v``, which must
+    be finite with one entry per phase of the profile."""
+    v = _checked_vector("v", v, w_profile.w_abs.size)
     alpha = float((np.abs(v) / w_profile.w_abs).min())
     pair_margins = np.abs(w_profile.connection.gather(v)) / w_profile.Lw
     beta = float(pair_margins.min(initial=math.inf))
@@ -223,9 +232,11 @@ def check_theorem2(
 def _base_evaluation(model: NetworkModel, base, target: InjectionSet, tol_residual: float):
     """What both certificates evaluate around a base pair: the checked
     ``(v_hat, s_hat)``, the margins of ``v_hat``, and the norms of
-    ``s_hat`` and of the change ``target - s_hat``."""
+    ``s_hat`` and of the change ``target - s_hat``, once ``target`` fits
+    ``model``."""
     s_hat, profile = base[1], model.zero_load
     v_hat = checked_base(model, base[0], s_hat, tol_residual)[0]
+    _check_injections(model, target, "target")
     gam = gamma_quantities(profile, v_hat)
     return v_hat, s_hat, gam, xi_norms(model, profile, s_hat), xi_norms(model, profile, target - s_hat)
 

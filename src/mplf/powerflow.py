@@ -156,15 +156,18 @@ def checked_base(model: NetworkModel, base_v, base_inj: InjectionSet, tol_residu
     Raises
     ------
     InvalidBaseError
-        The pair misses the power-flow equations by more than ``tol_residual``.
+        The pair misses the power-flow equations by more than ``tol_residual``,
+        or its residual is not finite.
     ValueError
-        If ``tol_residual`` is NaN or not positive.
+        If ``tol_residual`` is NaN or not positive, if ``base_v`` or
+        ``base_inj`` does not fit ``model``, or if ``base_v`` is not finite.
     """
     check_tolerance("tol_residual", tol_residual)
-    v = np.asarray(base_v, dtype=complex)
+    _check_injections(model, base_inj, "base_inj")
+    v = _checked_vector("base_v", base_v, model.n_phases)
     mismatch, ic_delta, i = power_flow_mismatch(model, v, base_inj)
     res_inf = _inf_norm(mismatch)
-    if res_inf > tol_residual:
+    if not res_inf <= tol_residual:
         raise InvalidBaseError(
             f"base pair residual {res_inf:.3e} exceeds tolerance {tol_residual:.1e}"
         )
@@ -173,8 +176,8 @@ def checked_base(model: NetworkModel, base_v, base_inj: InjectionSet, tol_residu
 
 def check_tolerance(name, value):
     """Reject a tolerance that is NaN or not positive.  ``inf`` passes: as
-    ``tol_residual`` it accepts any base pair, which builds a linear model
-    away from a solution."""
+    ``tol_residual`` it accepts any base pair with a finite residual, which
+    builds a linear model away from a solution."""
     if not value > 0:
         raise ValueError(f"{name} must be strictly positive")
 
@@ -190,6 +193,31 @@ def _check_solver_options(tol_step, tol_residual, max_iter):
     check_tolerance("tol_residual", tol_residual)
 
 
+def _check_fit(what, values, size, rows=()):
+    """Raise ``ValueError`` naming ``what`` and both lengths unless
+    ``values`` has shape ``rows + (size,)``."""
+    if values.shape != rows + (size,):
+        need = f"shape {rows + (size,)}" if rows else f"length {size}"
+        raise ValueError(f"{what} has shape {values.shape}; the model needs {need}")
+
+
+def _check_injections(model: NetworkModel, inj: InjectionSet, name: str, rows=()):
+    """Raise ``ValueError`` unless ``inj``, the argument ``name``, has one
+    entry per phase and per pair of ``model`` (in each of its rows)."""
+    _check_fit(f"{name}.s_wye", inj.s_wye, model.n_phases, rows)
+    _check_fit(f"{name}.s_delta", inj.s_delta, model.n_delta, rows)
+
+
+def _checked_vector(name: str, v, size: int, rows=()):
+    """``v`` as a new complex array, once it has shape ``rows + (size,)``
+    and is finite; ``ValueError`` naming ``name`` otherwise."""
+    v = np.array(v, dtype=complex)
+    _check_fit(name, v, size, rows)
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} must be finite")
+    return v
+
+
 def _checked_voltage(model: NetworkModel, inj: InjectionSet, name: str, v, rows=()):
     """``v`` as a new complex array, once ``inj`` and ``v`` fit ``model``.
 
@@ -198,18 +226,8 @@ def _checked_voltage(model: NetworkModel, inj: InjectionSet, name: str, v, rows=
     when ``v`` is not finite.  ``rows`` is the leading shape of a stack of
     rows, ``(k,)``; each array then holds ``k`` rows.
     """
-    v = np.array(v, dtype=complex)
-    for what, values, size in (
-        ("inj.s_wye", inj.s_wye, model.n_phases),
-        ("inj.s_delta", inj.s_delta, model.n_delta),
-        (name, v, model.n_phases),
-    ):
-        if values.shape != rows + (size,):
-            need = f"shape {rows + (size,)}" if rows else f"length {size}"
-            raise ValueError(f"{what} has shape {values.shape}; the model needs {need}")
-    if not np.isfinite(v).all():
-        raise ValueError(f"{name} must be finite")
-    return v
+    _check_injections(model, inj, "inj", rows)
+    return _checked_vector(name, v, model.n_phases, rows)
 
 
 class _UpdateKernel:

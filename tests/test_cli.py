@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -228,7 +229,7 @@ class TestSweep:
 def test_tol_residual_reaches_base_checks(tmp_path, args):
     # Solves at --tol-step 1e-4 leave residuals near 1e-6, inside
     # --tol-residual 1e-3 but far above the 1e-8 default.
-    half = json.loads(open(IEEE123[1]).read())
+    half = json.loads(Path(IEEE123[1]).read_text())
     for entry in half["wye"] + half["delta"]:
         entry["re"], entry["im"] = 0.5 * entry["re"], 0.5 * entry["im"]
     half_path = tmp_path / "half.json"

@@ -4,7 +4,6 @@ Endpoint values here are regression pins for this conversion; the
 paper-scale comparisons live in the acceptance suite.
 """
 
-import json
 import subprocess
 import sys
 from pathlib import Path
@@ -119,24 +118,55 @@ class TestFeeder123:
         assert lo == pytest.approx(-1.11, abs=0.01)
 
 
+CONVERTERS = [
+    ("convert_ieee37.py",
+     ["ieee37_network.json", "ieee37_injections.json", "ieee37_injections_mixed.json"]),
+    ("convert_ieee123.py",
+     ["ieee123_network.json", "ieee123_injections.json", "ieee123_injections_mixed.json"]),
+]
+
+
+def convert(script, out_dir, *args):
+    """Run a converter into ``out_dir``, any warning an error."""
+    out = subprocess.run(
+        [sys.executable, "-W", "error", str(REPO / "feeder-data" / script), "--out-dir", str(out_dir),
+         *args],
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
+
+
 class TestConverterReproducibility:
-    @pytest.mark.parametrize("script,names", [
-        ("convert_ieee37.py",
-         ["ieee37_network.json", "ieee37_injections.json", "ieee37_injections_mixed.json"]),
-        ("convert_ieee123.py",
-         ["ieee123_network.json", "ieee123_injections.json", "ieee123_injections_mixed.json"]),
-    ])
+    @pytest.mark.parametrize("script,names", CONVERTERS)
     def test_bundled_files_match_converter_output(self, tmp_path, script, names):
-        out = subprocess.run(
-            [sys.executable, str(REPO / "feeder-data" / script), "--out-dir", str(tmp_path)],
-            capture_output=True,
-            text=True,
-        )
-        assert out.returncode == 0, out.stderr
+        # Bytes, not parsed JSON: a -0.0/0.0 flip or any change in the text
+        # of a float is drift too.
+        convert(script, tmp_path)
         for name in names:
-            regenerated = json.loads((tmp_path / name).read_text())
-            bundled = json.loads(Path(bundled_path(name)).read_text())
-            assert regenerated == bundled, f"{name} drifted from converter output"
+            regenerated = (tmp_path / name).read_bytes()
+            assert regenerated == Path(bundled_path(name)).read_bytes(), (
+                f"{name} drifted from converter output"
+            )
+
+    @pytest.mark.parametrize("script,names", CONVERTERS)
+    def test_intervals_do_not_depend_on_the_power_base(self, tmp_path, script, names):
+        # kappa scales physical loads, so the certified intervals on the
+        # original loading are the same at any per-unit power base.
+        convert(script, tmp_path, "--s-base", "3e6")
+        network, injections = names[:2]
+        edges = []
+        for data in (Path(bundled_path(network)).parent, tmp_path):
+            model = mplf.network_from_file(data / network)
+            s_ref = mplf.injections_from_file(data / injections, model)
+            base = (model.zero_load.w, mplf.InjectionSet.zeros(model))
+            edges.append([
+                mplf.feasible_interval(model, model.zero_load, base, s_ref, theorem=theorem,
+                                       kappa_bounds=(-10, 10))
+                for theorem in (1, 2)
+            ])
+        assert np.abs(edges[0]).max() < 10  # no edge clipped at the bounds
+        np.testing.assert_allclose(edges[1], edges[0], rtol=1e-12, atol=0)
 
 
 def test_missing_bundled_file_lists_the_available_ones():
