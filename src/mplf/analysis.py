@@ -13,14 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certify import (
-    XiQuantities,
-    check_theorem2,
-    radius_samples,
-    theorem1_polynomials,
-    theorem1_sides,
-    theorem2_closed_form,
-)
+from .certify import _theorem1_ray, check_theorem2, theorem2_closed_form
 from .errors import MplfError
 from .linearize import fot_linearize, fpl_linearize
 from .netmodel import NetworkModel, ZeroLoadProfile
@@ -103,51 +96,6 @@ def _require_center(name, center, kappa_bounds):
         raise ValueError(f"{name} = {center} lies outside the kappa bounds [{lo}, {hi}]")
 
 
-def _theorem1_ray(gam, xi_hat, xi_ref, center_kappa: float):
-    """Theorem 1's certified ``kappa`` interval along the ray, from the
-    margins of the base voltage, ``xi(s_hat) = |center| xi(s_ref)`` and a
-    nonzero ``xi(s_ref)`` (a zero one leaves Theorem 2 the whole line; see
-    ``_ray_interval``).
-
-    At a radius, condition 1 reads ``|kappa - center| A + C <= rho`` and
-    condition 2 ``|kappa| B < 1``: the interval from
-    ``max(center - reach, -cap)`` to ``min(center + reach, cap)``, with
-    ``reach = (rho - C) / A`` and ``cap = 1 / B``, empty where ``C > rho``.
-    On the ray ``A' = B`` and ``C' = |center| B``, so
-    ``reach' = (1 - (|center| + reach) B) / A``.  Where ``reach`` peaks,
-    condition 2 therefore holds on all of ``[center - reach, center + reach]``
-    (``|kappa| B <= (|center| + reach) B = 1``), and the interval of every
-    other radius lies inside that one.  The peak is at a root of
-    ``nr' na - nr na'``, with ``reach = nr / na`` (see
-    ``certify.theorem1_polynomials``), or next to ``gamma`` where ``reach``
-    grows up to it.  ``nr`` takes the denominator ``d`` of ``xi(s_ref)``'s
-    polynomials, which is also that of ``xi(s_hat)``'s: ``s_hat`` is
-    ``center s_ref``, so ``xi(s_hat)`` loads the kinds that ``xi(s_ref)``
-    loads, or none at ``center = 0``, where its ``n1`` is zero.  Only the
-    loaded kinds enter ``d``, so under a loading of one kind ``nr`` and
-    ``na`` share no factor of the other kind's margin, whose double root
-    would perturb the peak.  The roots, the gaps between them and the last
-    radius below ``gamma`` are checked with ``theorem1_sides``; the result
-    is the hull of the intervals that hold the center, or ``None``.
-    """
-    if not (gam.gamma and xi_ref.xi_total):
-        return None
-    zero = XiQuantities(0.0, 0.0)
-    na, d = theorem1_polynomials(gam, xi_ref, zero)
-    nr = np.polysub(np.r_[d, 0.0], theorem1_polynomials(gam, zero, xi_hat)[0])
-    peaks = np.polysub(np.convolve(np.polyder(nr), na), np.convolve(nr, np.polyder(na)))
-    rho = radius_samples(gam.gamma, peaks)
-    per_change, per_target = theorem1_sides(gam, rho, xi_ref, zero, xi_ref)
-    # A negative reach, where the base loading leaves no room, holds no kappa.
-    reach = (rho - theorem1_sides(gam, rho, zero, xi_hat, zero)[0]) / per_change
-    cap = 1.0 / per_target
-    lo, hi = np.maximum(center_kappa - reach, -cap), np.minimum(center_kappa + reach, cap)
-    holds = (lo <= center_kappa) & (center_kappa <= hi)
-    if not holds.any():
-        return None
-    return float(lo[holds].min()), float(hi[holds].max())
-
-
 def _inward(edge: float, bound: float, center: float) -> float:
     """An interval edge moved toward ``center`` by ``ENDPOINT_MARGIN``
     relative and clipped between ``center`` and ``bound``; an infinite edge
@@ -213,9 +161,9 @@ def feasible_interval(
     ``|kappa - center_kappa| xi(s_ref) < rhs`` of its condition 2.  For
     Theorem 1, each radius in ``[0, gamma)`` certifies one interval of
     ``kappa``, and the interval of the radius where the reach peaks, found
-    from polynomial roots, holds all the others (see ``_theorem1_ray``), so
-    the result agrees with the certificate at every ``kappa``; it holds
-    Theorem 2's interval too.
+    from polynomial roots, holds all the others (see
+    ``certify._theorem1_ray``), so the result agrees with the certificate at
+    every ``kappa``; it holds Theorem 2's interval too.
     Edges move inward by ``ENDPOINT_MARGIN * max(1, |edge|)`` so that the
     certificate passes there; an edge at or past a bound is the bound.
     Negative ``kappa`` (reverse flow) is allowed.  ``tol_residual`` is the
@@ -345,7 +293,7 @@ def linear_error_sweep(
     solutions, fot_errors, fpl_errors = ([None] * len(kappas) for _ in range(3))
     for start in range(0, len(kappas), _ROW_BLOCK):
         block = kappas[start : start + _ROW_BLOCK, None]
-        targets = InjectionSet(block * s_ref.s_wye, block * s_ref.s_delta)
+        targets = s_ref.scaled(block)
         v_fpl, v_fot = fpl._voltages(targets), fot._voltages(targets)
         outcomes = _solve_rows(model, targets, v_fpl, tol_step, tol_residual, max_iter)
         for j, outcome in enumerate(outcomes):

@@ -105,7 +105,7 @@ def theorem1_sides(gam: GammaQuantities, rho, xi_change, xi_base, xi_target):
     Without phase pairs ``beta`` is ``inf`` and every delta norm is zero,
     so the delta terms are ``0 / inf = 0``.  Both left sides are linear in
     the xi arguments, so along an injection ray they split into
-    per-unit-``kappa`` terms (see ``analysis._theorem1_ray``).  A zero
+    per-unit-``kappa`` terms (see ``_theorem1_ray``).  A zero
     ``gamma`` leaves no radius, and both left sides are infinite.
     """
     if not gam.gamma:
@@ -312,6 +312,51 @@ def theorem1_radius(gam: GammaQuantities, xi_change, xi_base, xi_target) -> tupl
     while below < (mid := 0.5 * (below + top)) < top:
         below, top = (below, mid) if passes(mid)[0] else (mid, top)
     return True, top
+
+
+def _theorem1_ray(gam, xi_hat, xi_ref, center_kappa: float):
+    """Theorem 1's certified ``kappa`` interval along the ray, from the
+    margins of the base voltage, ``xi(s_hat) = |center| xi(s_ref)`` and a
+    nonzero ``xi(s_ref)`` (a zero one leaves Theorem 2 the whole line; see
+    ``analysis._ray_interval``).
+
+    At a radius, condition 1 reads ``|kappa - center| A + C <= rho`` and
+    condition 2 ``|kappa| B < 1``: the interval from
+    ``max(center - reach, -cap)`` to ``min(center + reach, cap)``, with
+    ``reach = (rho - C) / A`` and ``cap = 1 / B``, empty where ``C > rho``.
+    On the ray ``A' = B`` and ``C' = |center| B``, so
+    ``reach' = (1 - (|center| + reach) B) / A``.  Where ``reach`` peaks,
+    condition 2 therefore holds on all of ``[center - reach, center + reach]``
+    (``|kappa| B <= (|center| + reach) B = 1``), and the interval of every
+    other radius lies inside that one.  The peak is at a root of
+    ``nr' na - nr na'``, with ``reach = nr / na`` (see
+    :func:`theorem1_polynomials`), or next to ``gamma`` where ``reach``
+    grows up to it.  ``nr`` takes the denominator ``d`` of ``xi(s_ref)``'s
+    polynomials, which is also that of ``xi(s_hat)``'s: ``s_hat`` is
+    ``center s_ref``, so ``xi(s_hat)`` loads the kinds that ``xi(s_ref)``
+    loads, or none at ``center = 0``, where its ``n1`` is zero.  Only the
+    loaded kinds enter ``d``, so under a loading of one kind ``nr`` and
+    ``na`` share no factor of the other kind's margin, whose double root
+    would perturb the peak.  The roots, the gaps between them and the last
+    radius below ``gamma`` are checked with :func:`theorem1_sides`; the
+    result is the hull of the intervals that hold the center, or ``None``.
+    """
+    if not (gam.gamma and xi_ref.xi_total):
+        return None
+    zero = XiQuantities(0.0, 0.0)
+    na, d = theorem1_polynomials(gam, xi_ref, zero)
+    nr = np.polysub(np.r_[d, 0.0], theorem1_polynomials(gam, zero, xi_hat)[0])
+    peaks = np.polysub(np.convolve(np.polyder(nr), na), np.convolve(nr, np.polyder(na)))
+    rho = radius_samples(gam.gamma, peaks)
+    per_change, per_target = theorem1_sides(gam, rho, xi_ref, zero, xi_ref)
+    # A negative reach, where the base loading leaves no room, holds no kappa.
+    reach = (rho - theorem1_sides(gam, rho, zero, xi_hat, zero)[0]) / per_change
+    cap = 1.0 / per_target
+    lo, hi = np.maximum(center_kappa - reach, -cap), np.minimum(center_kappa + reach, cap)
+    holds = (lo <= center_kappa) & (center_kappa <= hi)
+    if not holds.any():
+        return None
+    return float(lo[holds].min()), float(hi[holds].max())
 
 
 def check_theorem1(

@@ -94,12 +94,10 @@ class PhaseIndexMap:
 
 
 def build_phase_index(bus_ids, phases_per_bus, delta_per_bus) -> PhaseIndexMap:
-    phase_index = {}
-    for bus, phases in zip(bus_ids, phases_per_bus):
+    phase_index, delta_index = {}, {}
+    for bus, phases, pairs in zip(bus_ids, phases_per_bus, delta_per_bus):
         for p in phases:
             phase_index[(bus, p)] = len(phase_index)
-    delta_index = {}
-    for bus, phases, pairs in zip(bus_ids, phases_per_bus, delta_per_bus):
         for pair in pairs:
             if pair[0] not in phases or pair[1] not in phases:
                 raise ModelError(
@@ -577,7 +575,6 @@ def assemble_network(buses, lines, slack) -> NetworkModel:
     """
     bus_phases = {}
     bus_delta = {}
-    order = []
     for b in buses:
         if b.id in bus_phases:
             raise ModelError(f"duplicate bus id {b.id!r}")
@@ -588,7 +585,6 @@ def assemble_network(buses, lines, slack) -> NetworkModel:
         bus_delta[b.id] = tuple(p for p in DELTA_PAIRS if p in pairs)
         if set(bus_delta[b.id]) != set(pairs):
             raise ModelError(f"bus {b.id!r}: unknown phase pair in {pairs!r}")
-        order.append(b.id)
     if slack.id not in bus_phases:
         raise ModelError(f"slack bus {slack.id!r} is not a declared bus")
     if bus_delta[slack.id]:
@@ -603,7 +599,7 @@ def assemble_network(buses, lines, slack) -> NetworkModel:
     if not np.all(np.isfinite(v0)):
         raise InputFormatError("slack voltages must be finite")
 
-    pq_ids = [b for b in order if b != slack.id]
+    pq_ids = [b for b in bus_phases if b != slack.id]
     if not pq_ids:
         raise ModelError("network has no bus besides the slack")
     index = build_phase_index(

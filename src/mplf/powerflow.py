@@ -140,8 +140,11 @@ def power_flow_mismatch(model: NetworkModel, v, inj: InjectionSet):
 
 def power_flow_residual(model: NetworkModel, v, inj: InjectionSet):
     """Entrywise magnitude of the power-balance mismatch at voltages ``v``;
-    callers reduce with the infinity norm."""
-    return np.abs(power_flow_mismatch(model, np.asarray(v, dtype=complex), inj)[0])
+    callers reduce with the infinity norm.  A stack of injection rows takes
+    a voltage row each.  Raises ``ValueError`` naming the argument when
+    ``inj`` or ``v`` does not fit ``model``, or ``v`` is not finite."""
+    v = _checked_voltage(model, inj, "v", v, rows=np.shape(inj.s_wye)[:-1])
+    return np.abs(power_flow_mismatch(model, v, inj)[0])
 
 
 def _inf_norm(x) -> float:
@@ -183,8 +186,10 @@ def check_tolerance(name, value):
 
 
 def _check_max_iter(max_iter):
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    """Reject a step cap that is not an integer of at least one: numpy
+    integers pass, and any float (``3.0``, ``nan`` and ``inf`` too) fails."""
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter}")
 
 
 def _check_solver_options(tol_step, tol_residual, max_iter):
@@ -440,9 +445,10 @@ def solve_fixed_point(
     Raises
     ------
     ValueError
-        If ``w_profile`` was built for another model, ``max_iter`` is below
-        one, a tolerance is NaN or not positive, ``v_init`` or ``inj`` does
-        not fit the model, or ``v_init`` is not finite.
+        If ``w_profile`` was built for another model, ``max_iter`` is not
+        an integer of at least one, a tolerance is NaN or not positive,
+        ``v_init`` or ``inj`` does not fit the model, or ``v_init`` is not
+        finite.
     NonConvergenceError
         If ``max_iter`` updates do not bring the step below ``tol_step``.
         The exception carries the last iterate and all step norms.
@@ -481,20 +487,20 @@ def _tangent_factor(model: NetworkModel, v, ic_delta, i, error, what) -> LUFacto
         yll·dV − F·conj(dV) = conj(ds_Y / v) + Hᵀ conj(ds_δ / Hv),
         F = conj(diag((Hᵀī − conj(i)) / v) − Hᵀ diag(ī / Hv) H),
 
-    with ``F`` bus-local and its pair term ``ī / Hv`` zero where ``ī`` is
-    (a dead pair may have ``Hv = 0``).  The equations are real-linear but
-    not complex-linear, so the operator is the real ``2n`` form on
-    ``(Re dV, Im dV)``, with the sparsity of ``yll``, factored through
-    ``LUFactor``; ``error`` and ``what`` are its singularity error and
-    the operator's name.  ``_tangent_solve`` solves with it.
+    with ``F`` bus-local and its pair term ``ī / Hv`` from ``_quotients``,
+    zero where ``ī`` is (a dead pair may have ``Hv = 0``; a live one passed
+    the same check in ``power_flow_mismatch``).  The equations are
+    real-linear but not complex-linear, so the operator is the real ``2n``
+    form on ``(Re dV, Im dV)``, with the sparsity of ``yll``, factored
+    through ``LUFactor``; ``error`` and ``what`` are its singularity error
+    and the operator's name.  ``_tangent_solve`` solves with it.
 
     At a solved pair this is the FOT model.  At any other ``v`` with
     mismatch ``m``, ``v`` solves the injections ``(s_Y − m, s_δ)``
     exactly, so the response to ``ds_Y = m`` is the Newton step.
     """
     conn, n = model.connection, model.n_phases
-    live = ic_delta != 0
-    pair = np.divide(ic_delta, conn.gather(v), out=np.zeros_like(ic_delta), where=live)
+    pair = _quotients(ic_delta, conn.gather(v), ic_delta != 0, EPS_DELTA, _DEGENERATE_PAIR)
     # F = conj(diag(f_diag) - H^T diag(pair) H), assembled bus-local.
     f_diag = (conn.scatter(ic_delta, n) - np.conj(i)) / v
     f = conn.bus_block(np.conj(f_diag), np.conj(pair))
@@ -540,9 +546,9 @@ def newton_oracle(
         ``max_iter`` steps do not meet ``tol_residual``, or the damping
         finds no decrease.
     ValueError
-        ``max_iter`` is below one, ``tol_residual`` is NaN or not positive,
-        ``v_init`` or ``inj`` does not fit the model, or ``v_init`` is not
-        finite.
+        ``max_iter`` is not an integer of at least one, ``tol_residual`` is
+        NaN or not positive, ``v_init`` or ``inj`` does not fit the model,
+        or ``v_init`` is not finite.
     """
     _check_max_iter(max_iter)
     check_tolerance("tol_residual", tol_residual)
@@ -572,9 +578,8 @@ def newton_oracle(
                 f_try, ic_try, i_try = power_flow_mismatch(model, v_try, inj)
             except DegenerateVoltageError:
                 f_try = None
-            if f_try is not None and np.abs(f_try).max() < fnorm:
-                v, f, ic_delta, i = v_try, f_try, ic_try, i_try
-                fnorm = np.abs(f).max()
+            if f_try is not None and (fnorm_try := _inf_norm(f_try)) < fnorm:
+                v, f, ic_delta, i, fnorm = v_try, f_try, ic_try, i_try, fnorm_try
                 break
             lam *= 0.5
             if lam < 2.0**-30:
@@ -588,7 +593,7 @@ def newton_oracle(
         i_delta=np.conj(ic_delta),
         i=i,
         iterations=steps,
-        residual_inf=float(fnorm),
+        residual_inf=fnorm,
         converged=True,
         contraction_estimate=float("nan"),
     )

@@ -7,8 +7,14 @@ import pytest
 
 import mplf
 from mplf import analysis, linearize
-from mplf.analysis import _theorem1_ray, interval_summary, write_continuation_csv
-from mplf.certify import GammaQuantities, XiQuantities, theorem1_radius, theorem1_sides
+from mplf.analysis import interval_summary, write_continuation_csv
+from mplf.certify import (
+    GammaQuantities,
+    XiQuantities,
+    _theorem1_ray,
+    theorem1_radius,
+    theorem1_sides,
+)
 from mplf.datafiles import bundled_path
 from mplf.linearize import stack_injections
 from conftest import (
@@ -228,7 +234,7 @@ class TestRayIntervalProperties:
 
 
 def grid_theorem1_ray(gam, xi_hat, xi_ref, center, points):
-    """Reference for ``analysis._theorem1_ray`` on a nonzero ``xi_ref``:
+    """Reference for ``certify._theorem1_ray`` on a nonzero ``xi_ref``:
     each of ``points`` radii spread evenly over ``(0, gamma)`` certifies one
     interval of kappa, and the result is the connected component of their
     union that holds ``center``."""
@@ -283,7 +289,7 @@ def test_theorem1_reach_growing_up_to_gamma():
 
 
 def scanned_theorem1_ray(gam, xi_hat, xi_ref, center, points=100000, rounds=4):
-    """Reference for ``analysis._theorem1_ray``: the hull of the intervals
+    """Reference for ``certify._theorem1_ray``: the hull of the intervals
     that hold ``center`` over ``points`` radii spread evenly over
     ``[0, gamma)`` and the last float below ``gamma``, each edge refined by
     ``rounds`` scans of 20001 radii between the neighbours of its best

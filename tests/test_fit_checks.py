@@ -68,6 +68,22 @@ def test_gamma_quantities_rejects_wrong_length_voltage(ieee37):
         mplf.gamma_quantities(profile, np.r_[np.nan, profile.w[1:]])
 
 
+def test_power_flow_residual_checks_its_arguments(ieee37):
+    # The one-entry set used to broadcast to a 108-entry residual, and v[:1]
+    # ended in an IndexError.
+    model, profile, inj = ieee37
+    with pytest.raises(ValueError, match=rf"^inj\.{SHORT_WYE}"):
+        mplf.power_flow_residual(model, profile.w, SHORT)
+    with pytest.raises(ValueError, match=r"^v has shape \(1,\); the model needs length 108$"):
+        mplf.power_flow_residual(model, profile.w[:1], inj)
+    with pytest.raises(ValueError, match="^v must be finite$"):
+        mplf.power_flow_residual(model, np.r_[np.nan, profile.w[1:]], inj)
+    # A stack of injection rows takes a voltage row each.
+    stack = mplf.InjectionSet(np.stack([inj.s_wye, 0 * inj.s_wye]), np.stack([inj.s_delta] * 2))
+    rows = mplf.power_flow_residual(model, np.stack([profile.w] * 2), stack)
+    assert np.array_equal(rows[0], mplf.power_flow_residual(model, profile.w, inj))
+
+
 # base-pair entry point -> a call with the base voltages and injections
 BASE_CALLS = {
     "check_theorem2": lambda m, p, v, s, inj: mplf.check_theorem2(m, p, (v, s), inj),

@@ -231,6 +231,19 @@ class TestNewtonOracle:
         with pytest.raises(mplf.DegenerateVoltageError, match="Newton iterate"):
             mplf.newton_oracle(model, inj, v_init=[0.0])
 
+    def test_dead_pair_at_zero_pair_voltage(self):
+        # A pair without injection has no pair current, so the tangent
+        # operator's pair term is zero there whatever its voltage: equal
+        # phase voltages (Hv = 0) under a wye-only loading take steps.
+        model, _, _ = two_phase_delta_case()
+        inj = mplf.InjectionSet(np.array([-0.06 - 0.02j, -0.03 - 0.01j]), np.zeros(1))
+        v_init = np.array([0.9 + 0j, 0.9 + 0j])
+        assert model.connection.gather(v_init)[0] == 0
+        sol = mplf.newton_oracle(model, inj, v_init=v_init)
+        # From this start Newton reaches a low-voltage root on phase b.
+        assert sol.iterations > 0
+        assert mplf.power_flow_residual(model, sol.v, inj).max() <= 1e-10
+
 
 def dense_jacobian(model, v, inj, ic_delta, i):
     """The real stacked Newton Jacobian from dense Wirtinger blocks."""
@@ -428,7 +441,7 @@ class TestSolveRows:
         model, profile, inj = ieee37_mixed()
         stack = scaled_rows(inj, [1.0, 0.5])
         starts = np.array([profile.w, profile.w])
-        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+        with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
             powerflow._solve_rows(model, stack, starts, max_iter=0)
         with pytest.raises(ValueError, match="tol_step must be strictly positive"):
             powerflow._solve_rows(model, stack, starts, tol_step=np.nan)
@@ -510,12 +523,31 @@ class TestSolverArguments:
             SOLVERS[solver][1](model, profile, stack, profile.w)
 
 
+def _sweep_from_zero_load(model, profile, inj, max_iter):
+    zero = mplf.InjectionSet.zeros(model)
+    base = mplf.solve_fixed_point(model, profile, zero)
+    return mplf.linear_error_sweep(model, profile, base, zero, inj, [0.0, 1.0], max_iter=max_iter)
+
+
+# entry point -> a call with the given max_iter on a model, its profile and
+# its injections
+BUDGET_CALLS = {
+    "solve_fixed_point": lambda m, p, inj, n: mplf.solve_fixed_point(m, p, inj, max_iter=n),
+    "newton_oracle": lambda m, p, inj, n: mplf.newton_oracle(m, inj, max_iter=n),
+    "_solve_rows": lambda m, p, inj, n: powerflow._solve_rows(
+        m, scaled_rows(inj, [1.0]), p.w[None], max_iter=n
+    ),
+    "recentered_interval": lambda m, p, inj, n: mplf.recentered_interval(m, p, 0.5, inj, max_iter=n),
+    "linear_error_sweep": _sweep_from_zero_load,
+}
+
+
 class TestIterationBudget:
     @pytest.mark.parametrize("max_iter", [0, -3])
     def test_fixed_point_rejects_empty_budget(self, max_iter):
         # Used to escape as an IndexError from the empty step-norm list.
         model, profile, inj = ieee37_mixed()
-        with pytest.raises(ValueError, match=f"max_iter must be >= 1, got {max_iter}"):
+        with pytest.raises(ValueError, match=f"max_iter must be an integer >= 1, got {max_iter}"):
             mplf.solve_fixed_point(model, profile, inj, max_iter=max_iter)
 
     @pytest.mark.parametrize("max_iter", [0, -3])
@@ -523,8 +555,24 @@ class TestIterationBudget:
         # Used to report non-convergence from a start that already met the
         # tolerance.
         model, _, _ = ieee37_mixed()
-        with pytest.raises(ValueError, match=f"max_iter must be >= 1, got {max_iter}"):
+        with pytest.raises(ValueError, match=f"max_iter must be an integer >= 1, got {max_iter}"):
             mplf.newton_oracle(model, mplf.InjectionSet.zeros(model), max_iter=max_iter)
+
+    @pytest.mark.parametrize("entry", BUDGET_CALLS)
+    @pytest.mark.parametrize("max_iter", [np.nan, np.inf, 3.0, 2.5])
+    def test_budget_must_be_an_integer(self, entry, max_iter):
+        # nan ended in numpy's IndexError, a float in newton_oracle's
+        # range(), 2.5 was reported as "2.5 iterations", and inf set no
+        # limit, so a solve that does not converge never returned.
+        model, profile, inj = ieee37_mixed()
+        with pytest.raises(ValueError, match=f"max_iter must be an integer >= 1, got {max_iter}"):
+            BUDGET_CALLS[entry](model, profile, inj, max_iter)
+
+    def test_numpy_integer_budget_accepted(self, golden):
+        model, profile, inj = golden
+        sol = mplf.solve_fixed_point(model, profile, inj, max_iter=np.int64(powerflow.MAX_ITER))
+        assert_same_solve(sol, mplf.solve_fixed_point(model, profile, inj))
+        assert mplf.newton_oracle(model, inj, max_iter=np.int32(4)).iterations == 4
 
     def test_newton_checks_the_last_step(self, golden):
         # The golden case needs four steps; a budget of four must accept
