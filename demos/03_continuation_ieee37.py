@@ -50,4 +50,4 @@ print("  (tangent model wins locally, fixed-point model wins globally)")
 
 write_continuation_csv("ieee37_sweep.csv", result)
 print("\nwrote ieee37_sweep.csv")
-print("interval summary:", interval_summary(result, (-1.5, 1.5)))
+print("interval summary:", interval_summary(result))

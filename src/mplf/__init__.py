@@ -50,7 +50,6 @@ from .netmodel import (
     SlackSpec,
     ZeroLoadProfile,
     assemble_network,
-    build_connection_matrix,
     network_from_file,
     network_from_json,
     write_json,

@@ -51,14 +51,15 @@ class ContinuationResult:
     """Per-kappa record of a sweep: Theorem-2 certificates, exact solutions
     where a solver converged (each started from the row's FPL prediction,
     so ``iterations`` counts the steps from there), relative errors of both
-    linear models (``None`` without an exact solution), and both theorems'
-    intervals by theorem."""
+    linear models (``None`` without an exact solution), the scan bounds of
+    the intervals, and both theorems' intervals by theorem."""
 
     kappas: np.ndarray
     certificates: list = field(repr=False)
     solutions: list = field(repr=False)
     fot_errors: list = field(repr=False)
     fpl_errors: list = field(repr=False)
+    kappa_bounds: tuple
     interval_endpoints: dict = field(default_factory=dict)
 
     def rows(self):
@@ -89,7 +90,11 @@ def _require_finite(name, values):
 
 
 def _require_center(name, center, kappa_bounds):
+    """Raise ``ValueError`` unless ``kappa_bounds`` is an ordered pair of
+    finite numbers and ``center`` a finite number between them."""
     _require_finite("kappa_bounds", kappa_bounds)
+    if np.shape(kappa_bounds) != (2,) or not kappa_bounds[0] <= kappa_bounds[1]:
+        raise ValueError(f"kappa_bounds must be an ordered pair (lo <= hi), got {kappa_bounds!r}")
     _require_finite(name, center)
     lo, hi = kappa_bounds
     if not lo <= center <= hi:
@@ -270,7 +275,10 @@ def linear_error_sweep(
     ``s_hat + s_ref`` gives both theorems' intervals and each row's
     Theorem 2, the closed form at ``|kappa - base_kappa| xi(s_ref)``.
     """
-    kappas = np.sort(np.asarray(kappa_grid, dtype=float))
+    kappas = np.asarray(kappa_grid, dtype=float)
+    if kappas.ndim != 1:
+        raise ValueError(f"kappa_grid must be one-dimensional, got shape {kappas.shape}")
+    kappas = np.sort(kappas)
     if not kappas.size:
         raise ValueError("kappa_grid must not be empty")
     _require_finite("kappa_grid", kappas)
@@ -314,6 +322,7 @@ def linear_error_sweep(
         solutions=solutions,
         fot_errors=fot_errors,
         fpl_errors=fpl_errors,
+        kappa_bounds=tuple(kappa_bounds),
         interval_endpoints=endpoints,
     )
 
@@ -333,14 +342,15 @@ def write_continuation_csv(dest, result: ContinuationResult):
         writer.writerow(["" if row[col] is None else row[col] for col in CSV_COLUMNS])
 
 
-def interval_summary(result: ContinuationResult, kappa_bounds) -> dict:
+def interval_summary(result: ContinuationResult) -> dict:
     """JSON-ready summary of the certified interval endpoints.
 
-    An endpoint equal to its scan bound is labeled ``scan_bound`` (the
-    certified set may reach past it); any other is ``exact``: the edge of
-    the certified set, moved inward by ``ENDPOINT_MARGIN`` relative.
+    An endpoint equal to its bound in ``result.kappa_bounds`` is labeled
+    ``scan_bound`` (the certified set may reach past it); any other is
+    ``exact``: the edge of the certified set, moved inward by
+    ``ENDPOINT_MARGIN`` relative.
     """
-    out = {}
+    kappa_bounds, out = result.kappa_bounds, {}
     for theorem, (lo, hi) in sorted(result.interval_endpoints.items()):
         out[f"theorem{theorem}"] = {
             "kappa_min": lo,

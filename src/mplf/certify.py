@@ -195,11 +195,14 @@ class Certificate:
         )
 
     def ball_radii(self, w_profile: ZeroLoadProfile, rho: float | None = None) -> np.ndarray:
-        """Entrywise radii of the uniqueness ball around ``base_v``."""
+        """Entrywise radii of the uniqueness ball around ``base_v``; ``rho``
+        (default ``rho_used``) must be finite and not negative."""
         if rho is None:
             rho = self.rho_used
         if rho is None:
             raise ValueError("certificate not satisfied; no ball radius available")
+        if not (math.isfinite(rho) and rho >= 0):
+            raise ValueError(f"rho must be finite and >= 0, got {rho}")
         return rho * w_profile.w_abs
 
     def to_dict(self) -> dict:

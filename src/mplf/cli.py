@@ -129,7 +129,6 @@ def cmd_linearize(args) -> int:
 
 def cmd_sweep(args) -> int:
     model, w_profile, s_ref = _load(args)
-    kappa_range = (args.kappa_min, args.kappa_max)
     base_inj = s_ref.scaled(args.base_kappa)
     base_sol = solve_fixed_point(model, w_profile, base_inj, **_solver_options(args))
     kappas = np.linspace(args.kappa_min, args.kappa_max, args.points)
@@ -141,12 +140,12 @@ def cmd_sweep(args) -> int:
         s_ref,
         kappas,
         base_kappa=args.base_kappa,
-        kappa_bounds=kappa_range,
+        kappa_bounds=(args.kappa_min, args.kappa_max),
         **_solver_options(args),
     )
     analysis.write_continuation_csv(_dest(args.output_path), result)
     if args.interval_output_path is not None:
-        summary = analysis.interval_summary(result, kappa_range)
+        summary = analysis.interval_summary(result)
         write_json(summary, _dest(args.interval_output_path))
     return EXIT_OK
 

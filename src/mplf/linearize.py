@@ -22,7 +22,6 @@ from .errors import (
 from .netmodel import NetworkModel, ZeroLoadProfile, check_profile
 from .powerflow import (
     BASE_RESIDUAL_TOL,
-    EPS_DELTA,
     EPS_V,
     InjectionSet,
     SolveResult,
@@ -208,18 +207,18 @@ def fot_linearize(
         A base phase voltage is not above ``EPS_V``: the balance rows cannot
         be divided by it.
     SingularSensitivityError
-        A base phase-pair voltage ``|Hv̂|`` is not above ``EPS_DELTA`` (the
+        A base phase-pair voltage ``|Hv̂|`` is not above ``EPS_V`` (the
         pair rows cannot determine ``dĪ``), or the reduced operator's
         condition estimate is below ``RCOND_FLOOR``: the tangent model is not
         uniquely defined at this base (neither hypothesis holds).
     """
     v_hat, ic_delta, i_hat = checked_base(model, base_solution.v, base_inj, tol_residual)
-    _check_degenerate(v_hat, True, EPS_V, "degenerate phase voltage at the base point")
+    _check_degenerate(v_hat, True, "degenerate phase voltage at the base point")
     hv = model.connection.gather(v_hat)
-    if (smallest := np.abs(hv).min(initial=np.inf)) <= EPS_DELTA:
+    if (smallest := np.abs(hv).min(initial=np.inf)) <= EPS_V:
         raise SingularSensitivityError(
             f"phase-pair voltage |Hv| = {smallest:.3e} at the base is not above "
-            f"{EPS_DELTA:.0e}; the pair currents have no unique sensitivity"
+            f"{EPS_V:.0e}; the pair currents have no unique sensitivity"
         )
     factor = _tangent_factor(
         model, v_hat, ic_delta, i_hat, SingularSensitivityError, "reduced sensitivity operator"
@@ -249,15 +248,15 @@ def fpl_linearize(
     ------
     DegenerateVoltageError
         A base phase voltage, or a base phase-pair voltage, is not above
-        ``EPS_V`` or ``EPS_DELTA``.
+        ``EPS_V``.
     ValueError
         ``w_profile`` was built for another model.
     """
     check_profile(model, w_profile)
     v_hat = checked_base(model, base_solution.v, base_inj, tol_residual)[0]
-    _check_degenerate(v_hat, True, EPS_V, "degenerate phase voltage at the base point")
+    _check_degenerate(v_hat, True, "degenerate phase voltage at the base point")
     hv = model.connection.gather(v_hat)
-    _check_degenerate(hv, True, EPS_DELTA, "degenerate phase-pair voltage at the base point")
+    _check_degenerate(hv, True, "degenerate phase-pair voltage at the base point")
     return _FixedPointModel(model, v_hat, base_inj)
 
 

@@ -63,12 +63,12 @@ class PhaseIndexMap:
 
     PQ buses are numbered in declaration order; within a bus, phases follow
     ``a < b < c`` and delta pairs follow ``ab < bc < ca``.  The slack bus is
-    indexed separately by the owning :class:`NetworkModel`.
+    indexed separately by the owning :class:`NetworkModel`.  Both dicts hold
+    their keys in index order.
     """
 
     bus_ids: tuple
     phases_per_bus: tuple
-    delta_per_bus: tuple
     phase_index: dict = field(repr=False)
     delta_index: dict = field(repr=False)
 
@@ -86,16 +86,18 @@ class PhaseIndexMap:
 
     def phase_labels(self):
         """(bus, phase) pairs ordered by column index."""
-        return sorted(self.phase_index, key=self.phase_index.get)
+        return list(self.phase_index)
 
     def delta_labels(self):
         """(bus, pair) pairs ordered by row index."""
-        return sorted(self.delta_index, key=self.delta_index.get)
+        return list(self.delta_index)
 
 
-def build_phase_index(bus_ids, phases_per_bus, delta_per_bus) -> PhaseIndexMap:
-    phase_index, delta_index = {}, {}
-    for bus, phases, pairs in zip(bus_ids, phases_per_bus, delta_per_bus):
+def build_phase_index(bus_ids, phases_per_bus, pairs_per_bus):
+    """The ``PhaseIndexMap`` of the PQ buses and their pair incidence
+    ``ConnectionMatrix``, numbered in one pass over the buses."""
+    phase_index, delta_index, ends = {}, {}, []
+    for bus, phases, pairs in zip(bus_ids, phases_per_bus, pairs_per_bus):
         for p in phases:
             phase_index[(bus, p)] = len(phase_index)
         for pair in pairs:
@@ -104,13 +106,17 @@ def build_phase_index(bus_ids, phases_per_bus, delta_per_bus) -> PhaseIndexMap:
                     f"bus {bus!r}: delta connection {pair!r} references a missing phase"
                 )
             delta_index[(bus, pair)] = len(delta_index)
-    return PhaseIndexMap(
+            ends.append([phase_index[(bus, p)] for p in pair])
+    first, second = np.array(ends, dtype=np.intp).reshape(-1, 2).T.copy()
+    for arr in (first, second):
+        arr.setflags(write=False)
+    index = PhaseIndexMap(
         bus_ids=tuple(bus_ids),
         phases_per_bus=tuple(phases_per_bus),
-        delta_per_bus=tuple(tuple(p) for p in delta_per_bus),
         phase_index=phase_index,
         delta_index=delta_index,
     )
+    return index, ConnectionMatrix(first=first, second=second)
 
 
 @dataclass(frozen=True)
@@ -160,23 +166,6 @@ class ConnectionMatrix:
         cols = np.concatenate([np.arange(n), p, q, q, p])
         vals = np.concatenate([diag, -pair, -pair, pair, pair])
         return scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(n, n))
-
-
-def build_connection_matrix(index: PhaseIndexMap) -> ConnectionMatrix:
-    """Build the incidence of existing phase-pair connections onto phases."""
-    first = np.empty(index.n_delta, dtype=np.intp)
-    second = np.empty(index.n_delta, dtype=np.intp)
-    for (bus, pair), row in index.delta_index.items():
-        try:
-            first[row] = index.phase_index[(bus, pair[0])]
-            second[row] = index.phase_index[(bus, pair[1])]
-        except KeyError:
-            raise ModelError(
-                f"bus {bus!r}: delta connection {pair!r} references a missing phase"
-            ) from None
-    for arr in (first, second):
-        arr.setflags(write=False)
-    return ConnectionMatrix(first=first, second=second)
 
 
 class LUFactor:
@@ -602,7 +591,7 @@ def assemble_network(buses, lines, slack) -> NetworkModel:
     pq_ids = [b for b in bus_phases if b != slack.id]
     if not pq_ids:
         raise ModelError("network has no bus besides the slack")
-    index = build_phase_index(
+    index, connection = build_phase_index(
         pq_ids, [bus_phases[b] for b in pq_ids], [bus_delta[b] for b in pq_ids]
     )
 
@@ -700,7 +689,7 @@ def assemble_network(buses, lines, slack) -> NetworkModel:
         yll=yll,
         v0=v0,
         index=index,
-        connection=build_connection_matrix(index),
+        connection=connection,
         slack_id=slack.id,
         slack_phases=slack_phases,
     )

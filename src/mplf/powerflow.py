@@ -28,10 +28,9 @@ from .netmodel import (
     list_from_doc,
 )
 
-# Guards for the diagonal inversions in the fixed-point map; voltages this
-# small with a nonzero injection mean the map is no longer well defined.
+# Guard for the divisions by phase and phase-pair voltages; a voltage this
+# small with a nonzero injection means the map is no longer well defined.
 EPS_V = 1e-9
-EPS_DELTA = 1e-9
 
 # Largest power-balance residual accepted for a solved point: a solver's
 # answer, or the base pair of a certificate or a linear model.
@@ -94,16 +93,16 @@ class SolveResult:
     step_norms: tuple = ()
 
 
-def _check_degenerate(values, live, eps, message):
+def _check_degenerate(values, live, message):
     """Raise ``DegenerateVoltageError`` when an entry of ``values`` under a
-    ``live`` (nonzero) injection is not above ``eps``; ``live=True`` checks
+    ``live`` (nonzero) injection is not above ``EPS_V``; ``live=True`` checks
     every entry.  The check runs along the last axis, so its ``rows`` name
     the degenerate rows of a stack (a 0-d ``True`` for one vector)."""
     magnitude = np.abs(values)
     # One reduction settles the common case, no entry near zero at all.
-    if magnitude.min(initial=np.inf) > eps:
+    if magnitude.min(initial=np.inf) > EPS_V:
         return
-    rows = ((magnitude <= eps) & live).any(axis=-1)
+    rows = ((magnitude <= EPS_V) & live).any(axis=-1)
     if rows.any():
         raise DegenerateVoltageError(message, rows=rows)
 
@@ -112,11 +111,11 @@ _DEGENERATE_WYE = "near-zero phase voltage with nonzero wye injection"
 _DEGENERATE_PAIR = "near-zero phase-to-phase voltage with nonzero delta injection"
 
 
-def _quotients(s, values, live, eps, message):
+def _quotients(s, values, live, message):
     """``s / values`` where ``live``, and ``+0`` elsewhere, shaped as ``s``,
     once ``_check_degenerate`` has passed ``values`` under ``live``.
     ``live`` is where ``s`` is nonzero, or a part of that."""
-    _check_degenerate(values, live, eps, message)
+    _check_degenerate(values, live, message)
     out = np.zeros(s.shape, dtype=complex)
     return np.divide(s, values, out=out, where=live)
 
@@ -132,7 +131,7 @@ def power_flow_mismatch(model: NetworkModel, v, inj: InjectionSet):
     every product works along the last axis.
     """
     hv = model.connection.gather(v)
-    ic_delta = _quotients(inj.s_delta, hv, inj.s_delta != 0, EPS_DELTA, _DEGENERATE_PAIR)
+    ic_delta = _quotients(inj.s_delta, hv, inj.s_delta != 0, _DEGENERATE_PAIR)
     i = model.yl0 @ model.v0 + (model.yll @ v.T).T
     pair_current = model.connection.scatter(ic_delta, model.n_phases)
     return pair_current * v + inj.s_wye - v * np.conj(i), ic_delta, i
@@ -270,12 +269,12 @@ class _UpdateKernel:
 
     def rhs(self, v):
         live = self._live_wye
-        rhs = _quotients(self._s_wye, v, live, EPS_V, _DEGENERATE_WYE)
+        rhs = _quotients(self._s_wye, v, live, _DEGENERATE_WYE)
         np.conjugate(rhs, out=rhs, where=live)
         # The scatter is added on every model, with no pair or no live pair
         # too: its zeros turn a -0.0 of the wye term to +0.0.
         live, hv = self._live_delta, self._pairs.gather(v)
-        pair = _quotients(self._s_delta, hv, live, EPS_DELTA, _DEGENERATE_PAIR)
+        pair = _quotients(self._s_delta, hv, live, _DEGENERATE_PAIR)
         np.conjugate(pair, out=pair, where=live)
         rhs += self._pairs.scatter(pair, rhs.shape[-1])
         return rhs
@@ -500,7 +499,7 @@ def _tangent_factor(model: NetworkModel, v, ic_delta, i, error, what) -> LUFacto
     exactly, so the response to ``ds_Y = m`` is the Newton step.
     """
     conn, n = model.connection, model.n_phases
-    pair = _quotients(ic_delta, conn.gather(v), ic_delta != 0, EPS_DELTA, _DEGENERATE_PAIR)
+    pair = _quotients(ic_delta, conn.gather(v), ic_delta != 0, _DEGENERATE_PAIR)
     # F = conj(diag(f_diag) - H^T diag(pair) H), assembled bus-local.
     f_diag = (conn.scatter(ic_delta, n) - np.conj(i)) / v
     f = conn.bus_block(np.conj(f_diag), np.conj(pair))
@@ -567,7 +566,7 @@ def newton_oracle(
                 f"Newton did not converge in {max_iter} iterations (residual {fnorm:.3e})",
                 last_v=v,
             )
-        _check_degenerate(v, True, EPS_V, "near-zero phase voltage at a Newton iterate")
+        _check_degenerate(v, True, "near-zero phase voltage at a Newton iterate")
         factor = _tangent_factor(model, v, ic_delta, i, SingularJacobianError, "Newton Jacobian")
         dv = _tangent_solve(factor, np.conj(f / v))
 

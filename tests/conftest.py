@@ -32,6 +32,22 @@ def single_phase_model(y=1.0, v0=1.0):
     return model, mplf.zero_load_voltage(model)
 
 
+def zero_base(model, profile):
+    """The zero-load base pair ``(w, 0)``."""
+    return (profile.w, mplf.InjectionSet.zeros(model))
+
+
+def solve_stacked(model, profile, x, v_start):
+    """The fixed-point voltages at the stacked real injection vector ``x``
+    (wye real, wye imaginary, delta real, delta imaginary), solved tightly
+    from ``v_start``."""
+    n, d = model.n_phases, model.n_delta
+    inj = mplf.InjectionSet(x[:n] + 1j * x[n : 2 * n], x[2 * n : 2 * n + d] + 1j * x[2 * n + d :])
+    return mplf.solve_fixed_point(
+        model, profile, inj, v_init=v_start, tol_step=1e-13, max_iter=5000
+    ).v
+
+
 def dense_incidence(conn, n):
     """The dense signed incidence ``H`` (pairs by ``n`` phases), built from the
     connection's pair index arrays as the reference for its methods."""

@@ -16,7 +16,15 @@ import mplf
 from mplf.certify import check_theorem1, check_theorem2, gamma_quantities, xi_norms
 from mplf.datafiles import bundled_path
 from mplf.linearize import evaluate_linear, fot_linearize, fpl_linearize, stack_injections
-from conftest import certified_instance, random_injections, random_network, single_phase_model, wye_injection
+from conftest import (
+    certified_instance,
+    random_injections,
+    random_network,
+    single_phase_model,
+    solve_stacked,
+    wye_injection,
+    zero_base,
+)
 
 RESULTS = []
 
@@ -24,10 +32,6 @@ RESULTS = []
 def record(num, passed, detail):
     RESULTS.append(f"criterion {num}: {'PASS' if passed else 'FAIL'} - {detail}")
     assert passed, f"criterion {num}: {detail}"
-
-
-def zero_base(model, profile):
-    return (profile.w, mplf.InjectionSet.zeros(model))
 
 
 def test_criterion_1_oracle_equivalence():
@@ -160,8 +164,8 @@ def test_criterion_6_fot_correctness():
         for k in range(x_hat.size):
             shift = np.zeros_like(x_hat)
             shift[k] = h
-            vp = _solve_stacked(model, profile, x_hat + shift, sol.v)
-            vm = _solve_stacked(model, profile, x_hat - shift, sol.v)
+            vp = solve_stacked(model, profile, x_hat + shift, sol.v)
+            vm = solve_stacked(model, profile, x_hat - shift, sol.v)
             fd = (vp - vm) / (2 * h)
             rel = np.abs(fd - m_full[:, k]).max() / max(np.abs(m_full[:, k]).max(), 1e-9)
             worst_rel = max(worst_rel, float(rel))
@@ -187,14 +191,6 @@ def test_criterion_6_fot_correctness():
         fd_ok and agree_ok,
         f"FD max rel err {worst_rel:.2e} (<= 1e-4), zero-load FOT/FPL gap {worst_gap:.2e} (<= 1e-9)",
     )
-
-
-def _solve_stacked(model, profile, x, v_start):
-    n, d = model.n_phases, model.n_delta
-    inj = mplf.InjectionSet(x[:n] + 1j * x[n : 2 * n], x[2 * n : 2 * n + d] + 1j * x[2 * n + d :])
-    return mplf.solve_fixed_point(
-        model, profile, inj, v_init=v_start, tol_step=1e-13, max_iter=5000
-    ).v
 
 
 def test_criterion_7_theorem2_implies_theorem1():

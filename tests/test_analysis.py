@@ -24,6 +24,7 @@ from conftest import (
     single_phase_model,
     solve_outcome,
     wye_injection,
+    zero_base,
 )
 
 
@@ -32,10 +33,6 @@ def single_phase_case():
     model, profile = single_phase_model()
     s_ref = wye_injection(model, "load", "a", -0.1)
     return model, profile, s_ref
-
-
-def zero_base(model, profile):
-    return (profile.w, mplf.InjectionSet.zeros(model))
 
 
 class TestFeasibleInterval:
@@ -557,13 +554,17 @@ class TestLinearErrorSweep:
             ([0.0, np.inf], 0.0, "kappa_grid must be finite, got inf"),
             ([0.0, 0.5], np.nan, "base_kappa must be finite"),
             ([0.0, 0.5], 1.0, r"base_kappa = 1.0 lies outside the kappa bounds \[0.0, 0.5\]"),
+            ([[0.0, 0.5]], 0.0, r"kappa_grid must be one-dimensional, got shape \(1, 2\)"),
+            (0.5, 0.5, r"kappa_grid must be one-dimensional, got shape \(\)"),
         ],
     )
     def test_bad_kappa_inputs_rejected(self, single_phase_case, kappas, base_kappa, message):
         # An empty grid used to escape as numpy's "zero-size array" error, a
         # nan entry as KeyError: 1, an inf entry as "injections must be
         # finite", a base outside the grid as "center_kappa must lie within
-        # kappa_bounds", which names no argument of the sweep.
+        # kappa_bounds", which names no argument of the sweep, a 2-D grid as
+        # "can't multiply sequence by non-int of type 'float'" and a scalar
+        # one as numpy's "axis -1 is out of bounds".
         model, profile, s_ref = single_phase_case
         base_sol = mplf.solve_fixed_point(model, profile, s_ref.scaled(0.0))
         with pytest.raises(ValueError, match=message):
@@ -571,9 +572,32 @@ class TestLinearErrorSweep:
                 model, profile, base_sol, s_ref.scaled(0.0), s_ref, kappas, base_kappa=base_kappa
             )
 
+    @pytest.mark.parametrize("entry", ["feasible_interval", "recentered_interval", "linear_error_sweep"])
+    @pytest.mark.parametrize("bounds", [(-5, 0, 5), (5, -5), (0.5,), 1.0])
+    def test_kappa_bounds_must_be_an_ordered_pair(self, single_phase_case, entry, bounds):
+        # Three bounds used to end in "too many values to unpack", reversed
+        # ones in "center_kappa = 0.0 lies outside the kappa bounds [5, -5]".
+        model, profile, s_ref = single_phase_case
+        base_inj = mplf.InjectionSet.zeros(model)
+        calls = {
+            "feasible_interval": lambda: mplf.feasible_interval(
+                model, profile, zero_base(model, profile), s_ref, kappa_bounds=bounds
+            ),
+            "recentered_interval": lambda: mplf.recentered_interval(
+                model, profile, 0.0, s_ref, kappa_bounds=bounds
+            ),
+            "linear_error_sweep": lambda: mplf.linear_error_sweep(
+                model, profile, mplf.solve_fixed_point(model, profile, base_inj), base_inj,
+                s_ref, [0.0, 0.5], kappa_bounds=bounds,
+            ),
+        }
+        with pytest.raises(ValueError, match=r"kappa_bounds must be an ordered pair \(lo <= hi\)"):
+            calls[entry]()
+
     def test_interval_endpoints_recorded(self, single_phase_case):
         model, profile, s_ref = single_phase_case
         result = self.run_sweep(model, profile, s_ref, 0.0, np.linspace(-1, 1, 5))
+        assert result.kappa_bounds == (-1.0, 1.0)  # the grid's ends by default
         assert set(result.interval_endpoints) == {1, 2}
         lo2, hi2 = result.interval_endpoints[2]
         assert (lo2, hi2) == (-1.0, 1.0)  # whole grid certifies
@@ -787,9 +811,26 @@ class TestOutputs:
             "kappa", "cert_pass", "rho_ddagger", "rho_dagger",
             "solver_iters", "fot_err", "fpl_err",
         }
-        summary = interval_summary(result, (-1.5, 1.5))
+        summary = interval_summary(result)
         # base 1, half-width 1.5: the interval runs from -0.5 past 1.5
         assert summary["theorem2"]["kappa_min"] == pytest.approx(-0.5, rel=1e-9)
         assert summary["theorem2"]["kappa_min_kind"] == "exact"
         assert summary["theorem2"]["kappa_max"] == 1.5
         assert summary["theorem2"]["kappa_max_kind"] == "scan_bound"
+
+    @pytest.mark.parametrize("hi, kind", [(1.5, "scan_bound"), (3.0, "exact")])
+    def test_summary_reads_the_sweep_bounds(self, single_phase_case, hi, kind):
+        # The summary used to take the bounds as a second argument, which
+        # could differ from the sweep's and mislabel an edge.
+        model, profile, s_ref = single_phase_case
+        base_inj = s_ref.scaled(1.0)
+        base_sol = mplf.solve_fixed_point(model, profile, base_inj, tol_step=1e-12)
+        result = mplf.linear_error_sweep(
+            model, profile, base_sol, base_inj, s_ref, np.linspace(-1.5, 1.5, 7),
+            base_kappa=1.0, kappa_bounds=(-1.5, hi),
+        )
+        assert result.kappa_bounds == (-1.5, hi)
+        # base 1, half-width 1.5: the certified set ends at 2.5
+        t2 = interval_summary(result)["theorem2"]
+        assert t2["kappa_max"] == pytest.approx(min(hi, 2.5), rel=1e-9)
+        assert t2["kappa_max_kind"] == kind

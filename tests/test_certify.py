@@ -166,6 +166,15 @@ class TestTheorem2:
         with pytest.raises(ValueError, match="no ball radius available"):
             cert.ball_radii(profile)
 
+    @pytest.mark.parametrize("rho", [-1.0, np.nan, np.inf])
+    def test_ball_radii_reject_bad_rho(self, golden, rho):
+        # Used to return negative or NaN radii.
+        model, profile, inj = golden
+        cert = mplf.check_theorem2(model, profile, (profile.w, mplf.InjectionSet.zeros(model)), inj)
+        with pytest.raises(ValueError, match=f"rho must be finite and >= 0, got {rho}"):
+            cert.ball_radii(profile, rho=rho)
+        assert np.array_equal(cert.ball_radii(profile, rho=0.0), np.zeros(model.n_phases))
+
     def test_target_equal_base_gives_zero_radius(self, rng):
         model, profile, inj = certified_instance(rng)
         sol = mplf.solve_fixed_point(model, profile, inj)

@@ -20,6 +20,7 @@ from conftest import (
     random_network,
     scaled_rows,
     single_phase_model,
+    solve_stacked,
     wye_injection,
 )
 
@@ -153,8 +154,8 @@ class TestFotGeneral:
             for k in cols:
                 shift = np.zeros_like(x_hat)
                 shift[k] = h
-                vp = _resolve(model, profile, x_hat + shift, sol.v)
-                vm = _resolve(model, profile, x_hat - shift, sol.v)
+                vp = solve_stacked(model, profile, x_hat + shift, sol.v)
+                vm = solve_stacked(model, profile, x_hat - shift, sol.v)
                 fd = (vp - vm) / (2 * h)
                 scale = max(np.abs(m_full[:, k]).max(), 1e-9)
                 assert np.abs(fd - m_full[:, k]).max() / scale <= 1e-4
@@ -169,7 +170,7 @@ class TestFotGeneral:
         ratios = []
         for t in (1e-2, 1e-3, 1e-4):
             x = x_hat + t * d
-            v_exact = _resolve(model, profile, x, sol.v)
+            v_exact = solve_stacked(model, profile, x, sol.v)
             v_lin, _ = mplf.evaluate_linear(lin, x)
             ratios.append(np.abs(v_lin - v_exact).max() / t)
         assert ratios[0] > ratios[1] > ratios[2]
@@ -287,15 +288,6 @@ class TestReducedOperator:
             mplf.DegenerateVoltageError, match="^degenerate phase-pair voltage at the base point$"
         ):
             mplf.fpl_linearize(model, mplf.zero_load_voltage(model), base, inj)
-
-
-def _resolve(model, profile, x, v_start):
-    n, d = model.n_phases, model.n_delta
-    inj = mplf.InjectionSet(x[:n] + 1j * x[n : 2 * n], x[2 * n : 2 * n + d] + 1j * x[2 * n + d :])
-    sol = mplf.solve_fixed_point(
-        model, profile, inj, v_init=v_start, tol_step=1e-13, max_iter=5000
-    )
-    return sol.v
 
 
 class TestFpl:

@@ -725,7 +725,7 @@ def artifact_documents(feeder, injections):
         "theorem2": mplf.check_theorem2(model, profile, zero, inj).to_dict(),
         "fot": mplf.fot_linearize(model, sol, inj).to_dict(),
         "fpl": mplf.fpl_linearize(model, profile, sol, inj).to_dict(),
-        "intervals": interval_summary(sweep, (-1.5, 1.5)),
+        "intervals": interval_summary(sweep),
     }
 
 
