@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certify import _theorem1_ray, check_theorem2, theorem2_closed_form
+from .certify import _theorem1_ray, check_theorem2, theorem2_closed_forms
 from .errors import MplfError
 from .linearize import fot_linearize, fpl_linearize
 from .netmodel import NetworkModel, ZeroLoadProfile
@@ -35,15 +35,16 @@ log = logging.getLogger(__name__)
 ENDPOINT_MARGIN = 1e-10
 # Default scan bounds of a certified interval.
 KAPPA_BOUNDS = (-10.0, 10.0)
-# Sweep rows solved together.  Each step of a block is one SuperLU solve
-# with a right-hand side per row of the block, until its last row stops, so
-# wider blocks take fewer, wider solves, but their temporaries raise the
-# peak resident set.  Sweeps of 61 rows on ieee37 and ieee123 (one BLAS
-# thread, 2-vCPU host) took 11.5 and 18.4 ms with 4-row blocks, 8.5 and
-# 15.1 ms with 8, 7.0 and 12.9 ms with 16 and 5.5 and 11.9 ms with all 61;
-# the ieee123 sweep's traced peak was 0.86, 0.92, 1.20 and 2.35 MB, and
-# 0.86 MB solving the rows one at a time.
-_ROW_BLOCK = 8
+# Entries (rows times phases) of one stack of sweep rows, 256 KiB per
+# complex work array.  A stack is solved together, each step one SuperLU
+# solve with a right-hand side per row still iterating, so a 61-point sweep
+# of ieee37 or ieee123 (14,884 entries) is one stack, and a longer grid
+# splits into stacks of as many rows as fit.  On 600 ieee123 rows (one
+# BLAS thread, 2-vCPU host) the sweep's tracemalloc peak was 7.3, 8.5, 10.5
+# and 15.5 MiB at 2**13, 2**14, 2**15 and 2**16 entries, and its fastest of
+# seven runs 99.6, 95.4, 98.5 and 110.8 ms: past this budget, wider stacks
+# save solves but not time, and their peak keeps growing.
+_STACK_ENTRIES = 2**14
 
 
 @dataclass
@@ -52,7 +53,8 @@ class ContinuationResult:
     where a solver converged (each started from the row's FPL prediction,
     so ``iterations`` counts the steps from there), relative errors of both
     linear models (``None`` without an exact solution), the scan bounds of
-    the intervals, and both theorems' intervals by theorem."""
+    the intervals, and both theorems' intervals by theorem.  A solution of
+    the fixed point holds views of the arrays of its stack of rows."""
 
     kappas: np.ndarray
     certificates: list = field(repr=False)
@@ -219,7 +221,7 @@ def recentered_interval(
 
 
 def _solve_exact(model, targets, j, fixed_point, v_start, tol_residual):
-    """The exact solution of row ``j`` of a sweep block's injections
+    """The exact solution of row ``j`` of a sweep stack's injections
     ``targets`` from its fixed-point outcome, with the Newton fallback, or
     ``None``.
 
@@ -260,20 +262,23 @@ def linear_error_sweep(
 ) -> ContinuationResult:
     """Solve along the ray and record relative errors of both linear models.
 
-    Models are built once at the supplied base.  The rows are solved in
-    blocks of ``_ROW_BLOCK``, in kappa order.  Both models are evaluated on
-    a block's stack of injections first, with no real injection vectors in
-    between, and each row's FPL prediction is its start: the fixed point
-    iterates the block's rows together with one update kernel until the
-    last row stops (``powerflow._solve_rows``, the loop of
+    Models are built once at the supplied base.  The rows are solved as one
+    stack, in kappa order, or in stacks of as many rows as fit where the
+    grid holds more than ``_STACK_ENTRIES`` rows times phases.  Each model
+    is evaluated once per stack, with no real injection vectors in between,
+    and each row's FPL prediction is its start: the fixed point iterates
+    the stack's rows together with one update kernel, each step solving
+    the rows still iterating only (``powerflow._solve_rows``, the loop of
     ``solve_fixed_point``), each row as ``solve_fixed_point`` from that
     start would, and one stacked residual check covers every row of the
-    block that met ``tol_step``.  A row that degenerates, does not converge
+    stack that met ``tol_step``.  A row that degenerates, does not converge
     or misses ``tol_residual`` falls back to Newton (see ``_solve_exact``),
     and only such a row gets an ``InjectionSet`` of its own.  A row's FPL
-    error is its start's distance from its solution.  One Theorem-2 call at
-    ``s_hat + s_ref`` gives both theorems' intervals and each row's
-    Theorem 2, the closed form at ``|kappa - base_kappa| xi(s_ref)``.
+    error is its start's distance from its solution; the FOT model is
+    evaluated after the solves, so that its temporaries and theirs do not
+    meet.  One Theorem-2 call at ``s_hat + s_ref`` gives both theorems'
+    intervals and, in one pass, each row's Theorem 2, the closed form at
+    ``|kappa - base_kappa| xi(s_ref)`` (``certify.theorem2_closed_forms``).
     """
     kappas = np.asarray(kappa_grid, dtype=float)
     if kappas.ndim != 1:
@@ -291,29 +296,31 @@ def linear_error_sweep(
     ray = check_theorem2(model, w_profile, base, base_inj + s_ref, tol_residual=tol_residual)
     endpoints = {t: _ray_interval(ray, t, kappa_bounds, base_kappa) for t in (1, 2)}
     ref = ray.xi_change  # xi(s_ref): the norms of a unit step along the ray
-    certificates = [
-        theorem2_closed_form(ray.base_v, ray.base_s, ray.margins, ray.xi_base, ref.scaled(span))
-        for span in np.abs(kappas - base_kappa).tolist()
-    ]
+    certificates = theorem2_closed_forms(
+        ray.base_v, ray.base_s, ray.margins, ray.xi_base,
+        [ref.scaled(span) for span in np.abs(kappas - base_kappa).tolist()],
+    )
 
     fot = fot_linearize(model, base_solution, base_inj, tol_residual=tol_residual)
     fpl = fpl_linearize(model, w_profile, base_solution, base_inj, tol_residual=tol_residual)
     solutions, fot_errors, fpl_errors = ([None] * len(kappas) for _ in range(3))
-    for start in range(0, len(kappas), _ROW_BLOCK):
-        block = kappas[start : start + _ROW_BLOCK, None]
-        targets = s_ref.scaled(block)
-        v_fpl, v_fot = fpl._voltages(targets), fot._voltages(targets)
+    stack = max(1, _STACK_ENTRIES // max(1, model.n_phases))
+    for start in range(0, len(kappas), stack):
+        rows = kappas[start : start + stack, None]
+        targets = s_ref.scaled(rows)
+        v_fpl = fpl._voltages(targets)
         outcomes = _solve_rows(model, targets, v_fpl, tol_step, tol_residual, max_iter)
+        v_fot = fot._voltages(targets)
         for j, outcome in enumerate(outcomes):
             solutions[start + j] = _solve_exact(model, targets, j, outcome, v_fpl[j], tol_residual)
-        rows = [j for j in range(len(block)) if solutions[start + j] is not None]
-        if not rows:
+        solved = [j for j in range(len(rows)) if solutions[start + j] is not None]
+        if not solved:
             continue
-        v = np.stack([solutions[start + j].v for j in rows])
+        v = np.stack([solutions[start + j].v for j in solved])
         scale = np.abs(v).max(axis=-1)
         for errors, v_lin in ((fot_errors, v_fot), (fpl_errors, v_fpl)):
-            relative = np.abs(v_lin[rows] - v).max(axis=-1) / scale
-            for j, err in zip(rows, relative.tolist()):
+            relative = np.abs(v_lin[solved] - v).max(axis=-1) / scale
+            for j, err in zip(solved, relative.tolist()):
                 errors[start + j] = err
 
     return ContinuationResult(

@@ -19,6 +19,7 @@ from .netmodel import NetworkModel, ZeroLoadProfile, check_profile
 from .powerflow import (
     BASE_RESIDUAL_TOL,
     InjectionSet,
+    _check_fit,
     _check_injections,
     _checked_vector,
     checked_base,
@@ -154,8 +155,8 @@ def radius_samples(gamma: float, *polys) -> np.ndarray:
     """
     roots = np.concatenate([np.roots(p).real for p in polys])
     inside = roots[(roots > 0.0) & (roots < gamma)]
-    radii = np.unique(np.r_[0.0, inside, np.nextafter(gamma, 0.0)])
-    return np.sort(np.r_[radii, 0.5 * (radii[1:] + radii[:-1])])
+    radii = np.unique(np.concatenate([[0.0], inside, [np.nextafter(gamma, 0.0)]]))
+    return np.sort(np.concatenate([radii, 0.5 * (radii[1:] + radii[:-1])]))
 
 
 @dataclass
@@ -195,8 +196,10 @@ class Certificate:
         )
 
     def ball_radii(self, w_profile: ZeroLoadProfile, rho: float | None = None) -> np.ndarray:
-        """Entrywise radii of the uniqueness ball around ``base_v``; ``rho``
+        """Entrywise radii of the uniqueness ball around ``base_v``; the
+        profile must have one entry per phase of ``base_v``, and ``rho``
         (default ``rho_used``) must be finite and not negative."""
+        _check_fit("w_profile", w_profile.w_abs, self.base_v.size)
         if rho is None:
             rho = self.rho_used
         if rho is None:
@@ -258,27 +261,42 @@ def theorem2_closed_form(v_hat, s_hat, gam, xi_hat, xi_diff) -> Certificate:
     and the solution for the target is unique in the ``rho_used`` ball,
     reachable by the fixed-point iteration from anywhere in it, and contained
     in the tighter ``rho_dagger`` ball.  Only ``xi_diff`` depends on the
-    target, so one base evaluation serves a whole injection ray.
+    target, so one base evaluation serves a whole injection ray: this is the
+    one-change case of :func:`theorem2_closed_forms`.
     """
+    return theorem2_closed_forms(v_hat, s_hat, gam, xi_hat, [xi_diff])[0]
+
+
+def theorem2_closed_forms(v_hat, s_hat, gam, xi_hat, xi_diffs) -> list:
+    """:func:`theorem2_closed_form` for each change norm of ``xi_diffs``
+    around one base: condition 1 and the right side of condition 2 depend
+    on the base only, so they are taken once for all the changes."""
     cond1_rhs = gam.gamma**2
     cond1_ok = xi_hat.xi_total < cond1_rhs
     # A zero margin leaves no ball: condition 1 fails, and so does 2.
     cond2_rhs = 0.25 * ((cond1_rhs - xi_hat.xi_total) / gam.gamma) ** 2 if gam.gamma else 0.0
-    cond2_ok = xi_diff.xi_total < cond2_rhs
-    satisfied = cond1_ok and cond2_ok
-
-    rho_used = rho_dagger = None
-    if satisfied:
-        rho_used = 0.5 * (cond1_rhs - xi_hat.xi_total) / gam.gamma
-        rho_dagger = rho_used - math.sqrt(max(rho_used**2 - xi_diff.xi_total, 0.0))
-
-    return Certificate(
-        "theorem2", satisfied, rho_used, rho_dagger, v_hat, s_hat, gam, xi_hat, xi_diff,
-        diagnostics={
-            "condition1": {"lhs": xi_hat.xi_total, "rhs": cond1_rhs, "satisfied": cond1_ok},
-            "condition2": {"lhs": xi_diff.xi_total, "rhs": cond2_rhs, "satisfied": cond2_ok},
-        },
-    )
+    # Condition 1 passes only with a nonzero gamma.
+    rho_ball = 0.5 * (cond1_rhs - xi_hat.xi_total) / gam.gamma if cond1_ok else None
+    condition1 = {"lhs": xi_hat.xi_total, "rhs": cond1_rhs, "satisfied": cond1_ok}
+    out = []
+    for xi_diff in xi_diffs:
+        xi_total = xi_diff.xi_total
+        cond2_ok = xi_total < cond2_rhs
+        satisfied = cond1_ok and cond2_ok
+        rho_used = rho_dagger = None
+        if satisfied:
+            rho_used = rho_ball
+            rho_dagger = rho_used - math.sqrt(max(rho_used**2 - xi_total, 0.0))
+        out.append(
+            Certificate(
+                "theorem2", satisfied, rho_used, rho_dagger, v_hat, s_hat, gam, xi_hat, xi_diff,
+                diagnostics={
+                    "condition1": dict(condition1),
+                    "condition2": {"lhs": xi_total, "rhs": cond2_rhs, "satisfied": cond2_ok},
+                },
+            )
+        )
+    return out
 
 
 def theorem1_radius(gam: GammaQuantities, xi_change, xi_base, xi_target) -> tuple[bool, float]:
@@ -306,7 +324,7 @@ def theorem1_radius(gam: GammaQuantities, xi_change, xi_base, xi_target) -> tupl
     rho = np.zeros(1)
     if gam.gamma:
         n1, d = theorem1_polynomials(gam, xi_change, xi_base)
-        rho = radius_samples(gam.gamma, np.polysub(np.r_[d, 0.0], n1))
+        rho = radius_samples(gam.gamma, np.polysub(np.append(d, 0.0), n1))
     ok, slack = passes(rho)
     if not ok.any():
         return False, float(rho[np.argmin(slack)])
@@ -348,7 +366,7 @@ def _theorem1_ray(gam, xi_hat, xi_ref, center_kappa: float):
         return None
     zero = XiQuantities(0.0, 0.0)
     na, d = theorem1_polynomials(gam, xi_ref, zero)
-    nr = np.polysub(np.r_[d, 0.0], theorem1_polynomials(gam, zero, xi_hat)[0])
+    nr = np.polysub(np.append(d, 0.0), theorem1_polynomials(gam, zero, xi_hat)[0])
     peaks = np.polysub(np.convolve(np.polyder(nr), na), np.convolve(nr, np.polyder(na)))
     rho = radius_samples(gam.gamma, peaks)
     per_change, per_target = theorem1_sides(gam, rho, xi_ref, zero, xi_ref)

@@ -93,31 +93,53 @@ class SolveResult:
     step_norms: tuple = ()
 
 
-def _check_degenerate(values, live, message):
+def _check_degenerate(values, loads, message):
     """Raise ``DegenerateVoltageError`` when an entry of ``values`` under a
-    ``live`` (nonzero) injection is not above ``EPS_V``; ``live=True`` checks
-    every entry.  The check runs along the last axis, so its ``rows`` name
-    the degenerate rows of a stack (a 0-d ``True`` for one vector)."""
+    nonzero entry of ``loads`` (the injections on them) is not above
+    ``EPS_V``; ``loads=True`` checks every entry.  The check runs along the
+    last axis, so its ``rows`` name the degenerate rows of a stack (a 0-d
+    ``True`` for one vector).  Returns whether every entry, loaded or not,
+    is finite and above ``EPS_V``."""
     magnitude = np.abs(values)
-    # One reduction settles the common case, no entry near zero at all.
-    if magnitude.min(initial=np.inf) > EPS_V:
-        return
-    rows = ((magnitude <= EPS_V) & live).any(axis=-1)
+    # Two reductions settle the common case, every entry finite and clear
+    # of zero; a NaN fails both.
+    if magnitude.min(initial=np.inf) > EPS_V and magnitude.max(initial=0.0) < np.inf:
+        return True
+    rows = ((magnitude <= EPS_V) & (loads != 0)).any(axis=-1)
     if rows.any():
         raise DegenerateVoltageError(message, rows=rows)
+    return False
 
 
 _DEGENERATE_WYE = "near-zero phase voltage with nonzero wye injection"
 _DEGENERATE_PAIR = "near-zero phase-to-phase voltage with nonzero delta injection"
 
 
-def _quotients(s, values, live, message):
-    """``s / values`` where ``live``, and ``+0`` elsewhere, shaped as ``s``,
-    once ``_check_degenerate`` has passed ``values`` under ``live``.
-    ``live`` is where ``s`` is nonzero, or a part of that."""
-    _check_degenerate(values, live, message)
+def _quotients(s, values, message):
+    """``s / values`` where ``s`` is nonzero, and ``+0`` elsewhere, once
+    ``_check_degenerate`` has passed ``values`` under ``s``."""
+    _check_degenerate(values, s, message)
     out = np.zeros(s.shape, dtype=complex)
-    return np.divide(s, values, out=out, where=live)
+    return np.divide(s, values, out=out, where=s != 0)
+
+
+def _conj_quotients(s, values, message):
+    """``conj(s / values)`` where ``s`` is nonzero, and a zero of either
+    sign elsewhere, once ``_check_degenerate`` has passed ``values`` under
+    ``s``: the update kernel's terms.
+
+    Where every entry of ``values`` is finite and clear of zero, the common
+    case, the quotient and its conjugate are taken on every entry, unmasked
+    (a masked ufunc takes about twice as long, a masked conjugate about
+    twenty times), and no mask is formed; ``0 / values`` is then a zero.
+    Only the sign of a zero differs from ``_quotients``, and the kernel's
+    sums turn every such zero to ``+0`` (see ``_UpdateKernel``).
+    """
+    if _check_degenerate(values, s, message):
+        out = s / values
+    else:
+        out = np.divide(s, values, out=np.zeros(s.shape, dtype=complex), where=s != 0)
+    return np.conjugate(out, out=out)
 
 
 def power_flow_mismatch(model: NetworkModel, v, inj: InjectionSet):
@@ -128,13 +150,17 @@ def power_flow_mismatch(model: NetworkModel, v, inj: InjectionSet):
     balance can be violated.  Returns the mismatch, ``conj(i_delta)`` and
     ``i = yl0 @ v0 + yll @ v``.  A stack of voltage rows with a stack of
     injection rows gives each row's terms, bit for bit as that row alone:
-    every product works along the last axis.
+    every product works along the last axis.  The load term is taken as
+    ``np.multiply(v, conj(i))``: numpy's ``*`` would reuse a temporary
+    ``conj(i)`` of 256 KiB or more, a wide stack's, as its output and swap
+    the operands, and a complex product with FMA is not commutative in its
+    last bit.
     """
     hv = model.connection.gather(v)
-    ic_delta = _quotients(inj.s_delta, hv, inj.s_delta != 0, _DEGENERATE_PAIR)
+    ic_delta = _quotients(inj.s_delta, hv, _DEGENERATE_PAIR)
     i = model.yl0 @ model.v0 + (model.yll @ v.T).T
     pair_current = model.connection.scatter(ic_delta, model.n_phases)
-    return pair_current * v + inj.s_wye - v * np.conj(i), ic_delta, i
+    return pair_current * v + inj.s_wye - np.multiply(v, np.conj(i)), ic_delta, i
 
 
 def power_flow_residual(model: NetworkModel, v, inj: InjectionSet):
@@ -246,36 +272,30 @@ class _UpdateKernel:
     operator on ``rhs`` at the base voltages of a kernel built on the change
     of the injections.
 
-    The kernel keeps the injections as given, with their nonzero masks,
-    and ``yll``'s solve.  An application works over every phase and pair
-    along the last axis, so a vector is the one-row case, and every row of
-    a stack comes out bit for bit as that row alone: its quotients are
-    taken where its own injection is nonzero (``+0`` elsewhere, see
-    ``_quotients``) and conjugated there only, both degeneracy checks look
-    at its own nonzero injections, and its right-hand side is one column
-    of a single SuperLU solve.  ``drop(rows)`` clears the masks of the rows
-    of a boolean mask: from then on those rows are neither loaded nor
-    checked, and come out as ``w``.  The right-hand side is the wye term
-    plus the pair scatter, which ``scatter`` accumulates from a zero
-    vector; scattering straight into the wye term reorders the sums and
-    moves the iterates in their last bits.
+    The kernel keeps the injections as given and ``yll``'s solve.  An
+    application works over every phase and pair along the last axis, so a
+    vector is the one-row case, and every row of a stack comes out bit for
+    bit as that row alone: its quotients are taken where its own injection
+    is nonzero (a zero elsewhere, see ``_conj_quotients``), both degeneracy
+    checks look at its own nonzero injections, and its right-hand side is
+    one column of a single SuperLU solve.  ``keep(rows)`` keeps the rows of
+    a boolean mask and lets the others go: from then on a call takes ``v``
+    for the kept rows only, and solves a column for each.  The right-hand
+    side is the wye term plus the pair scatter, which ``scatter``
+    accumulates from a zero vector; scattering straight into the wye term
+    reorders the sums and moves the iterates in their last bits.
     """
 
     def __init__(self, model: NetworkModel, inj: InjectionSet):
         self._s_wye, self._s_delta = inj.s_wye, inj.s_delta
-        self._live_wye, self._live_delta = inj.s_wye != 0, inj.s_delta != 0
         self._model, self._pairs = model, model.connection
         self._solve = model.factor.solve
 
     def rhs(self, v):
-        live = self._live_wye
-        rhs = _quotients(self._s_wye, v, live, _DEGENERATE_WYE)
-        np.conjugate(rhs, out=rhs, where=live)
+        rhs = _conj_quotients(self._s_wye, v, _DEGENERATE_WYE)
+        pair = _conj_quotients(self._s_delta, self._pairs.gather(v), _DEGENERATE_PAIR)
         # The scatter is added on every model, with no pair or no live pair
-        # too: its zeros turn a -0.0 of the wye term to +0.0.
-        live, hv = self._live_delta, self._pairs.gather(v)
-        pair = _quotients(self._s_delta, hv, live, _DEGENERATE_PAIR)
-        np.conjugate(pair, out=pair, where=live)
+        # too: its zeros, all +0.0, turn a -0.0 of the wye term to +0.0.
         rhs += self._pairs.scatter(pair, rhs.shape[-1])
         return rhs
 
@@ -284,9 +304,9 @@ class _UpdateKernel:
         v_next += self._model.zero_load.w
         return v_next
 
-    def drop(self, rows):
-        self._live_wye[rows] = False
-        self._live_delta[rows] = False
+    def keep(self, rows):
+        """Keep only the rows ``rows`` (a boolean mask) of the stack."""
+        self._s_wye, self._s_delta = self._s_wye[rows], self._s_delta[rows]
 
 
 def fixed_point_map(model: NetworkModel, w_profile: ZeroLoadProfile, inj: InjectionSet, v):
@@ -310,29 +330,39 @@ def _not_converged(v, step_norms, max_iter):
     )
 
 
-def _solve_result(v, step_norms, terms, tol_residual) -> SolveResult:
-    """The result of a fixed-point solve that stopped at ``v`` after the
-    updates of ``step_norms``; ``terms`` are the mismatch terms at ``v``.
+def _solve_results(v, norms, stopped_at, terms, tol_residual) -> list:
+    """The results of the fixed-point solves of a stack of rows, row ``j``
+    stopped at ``v[j]`` after the updates ``norms[j, :stopped_at[j]]``;
+    ``terms`` are the stacked mismatch terms at ``v``.
 
     ``converged`` is the residual check against ``tol_residual``, and
-    ``contraction_estimate`` the largest ratio of consecutive steps.
+    ``contraction_estimate`` the largest ratio of consecutive steps.  Every
+    array operation takes the whole stack, along the last axis, and a
+    row's arrays are views of the stacked ones.
     """
     mismatch, ic_delta, i = terms
-    residual_inf = _inf_norm(mismatch)
+    residual_inf = np.abs(mismatch).max(axis=-1, initial=0.0).tolist()
     # Ratios of steps at the rounding floor are measurement noise, not
     # contraction information; skip them.
-    floor = 1e3 * np.finfo(float).eps * max(1.0, float(np.abs(v).max(initial=0.0)))
-    ratios = [b / a for a, b in zip(step_norms, step_norms[1:]) if a > floor]
-    return SolveResult(
-        v=v,
-        i_delta=np.conj(ic_delta),
-        i=i,
-        iterations=len(step_norms),
-        residual_inf=residual_inf,
-        converged=residual_inf <= tol_residual,
-        contraction_estimate=float(max(ratios)) if ratios else 0.0,
-        step_norms=tuple(step_norms),
-    )
+    eps = 1e3 * np.finfo(float).eps
+    floor = (eps * np.maximum(1.0, np.abs(v).max(axis=-1, initial=0.0))).tolist()
+    i_delta, out = np.conj(ic_delta), []
+    for j, row_norms in enumerate(norms.tolist()):
+        step_norms = row_norms[: stopped_at[j]]
+        ratios = [b / a for a, b in zip(step_norms, step_norms[1:]) if a > floor[j]]
+        out.append(
+            SolveResult(
+                v=v[j],
+                i_delta=i_delta[j],
+                i=i[j],
+                iterations=len(step_norms),
+                residual_inf=residual_inf[j],
+                converged=residual_inf[j] <= tol_residual,
+                contraction_estimate=float(max(ratios)) if ratios else 0.0,
+                step_norms=tuple(step_norms),
+            )
+        )
+    return out
 
 
 def _injection_rows(inj: InjectionSet, rows) -> InjectionSet:
@@ -348,8 +378,9 @@ def _solve_rows(
     max_iter: int = MAX_ITER,
 ) -> list:
     """The fixed-point solve of each row of a stack of injections, the
-    rows iterated together with one update kernel and their residuals
-    checked in one stacked pass at the end (see ``_iterate_rows``).
+    rows iterated together with one update kernel, each step solving the
+    rows still iterating only, and their residuals checked and their
+    results built in one stacked pass at the end (see ``_iterate_rows``).
 
     ``inj`` holds ``k`` rows (``s_wye`` of shape ``(k, n)``, ``s_delta`` of
     shape ``(k, d)``) and ``v_init`` one start per row, shape ``(k, n)``.
@@ -364,61 +395,79 @@ def _solve_rows(
 
 def _iterate_rows(model, inj, v, tol_step, tol_residual, max_iter) -> list:
     """The fixed-point loop on checked arguments: ``k`` rows of injections
-    and a start per row, ``v`` of shape ``(k, n)``.
+    and a start per row, ``v`` of shape ``(k, n)``, an array of the loop's
+    own that it overwrites.
 
     One update kernel is built for the call, and each step applies it to
-    every row, one SuperLU solve with a right-hand side per row, until the
-    last row stops.  A row stops when its step drops below ``tol_step``
-    (the loop records that step and its iterate), when it degenerates (the
-    step is redone without it), or after ``max_iter`` steps.  A row that
-    stops is dropped from the kernel, so it is neither loaded nor checked
-    again.  After the loop, one stacked ``power_flow_mismatch`` checks the
-    residual of every row that met ``tol_step``, at its own iterate; a row
-    that degenerates in that check gets its error, and the check is redone
-    without it.
+    the rows still iterating only: one SuperLU solve with a right-hand side
+    per such row, so the solves narrow as rows stop.  A row stops when its
+    step drops below ``tol_step`` (the loop records that step and its
+    iterate), when it degenerates (the step is redone without it), or after
+    ``max_iter`` steps.  A row that stops leaves the kernel and the stack of
+    iterates.  After the loop, one stacked ``power_flow_mismatch`` checks
+    the residual of every row that met ``tol_step``, at its own iterate, and
+    ``_solve_results`` builds their results; a row that degenerates in that
+    check gets its error, and the check is redone without it.
 
     Returns a list with, per row, its ``SolveResult``, or the
     ``NonConvergenceError`` or ``DegenerateVoltageError`` its solve ends
     in; an empty stack gives an empty list.  No operation mixes rows, so a
     row comes out bit for bit as it would alone.
     """
-    update = _UpdateKernel(model, inj)
-    outcomes, steps = [None] * len(v), []
-    # live marks the rows still iterating; stopped_at is the step at which
-    # a row met tol_step (zero for the others), and v_stop its iterate there.
-    live = np.ones(len(v), dtype=bool)
-    stopped_at, v_stop = np.zeros(len(v), dtype=int), np.empty_like(v)
-    while live.any() and len(steps) < max_iter:
+    update, k = _UpdateKernel(model, inj), len(v)
+    outcomes = [None] * k
+    # live holds the stack indices of the rows still iterating, the rows of
+    # v and of the kernel.  runs holds, per run of steps taken on one set of
+    # live rows, that set and each step's norms; stopped_at is the step at
+    # which a row met tol_step (zero for the others), v_stop its iterate.
+    live, runs, taken = np.arange(k), [], 0
+    stopped_at, v_stop = np.zeros(k, dtype=int), np.empty_like(v)
+    while live.size and taken < max_iter:
         try:
             v_next = update(v)
         except DegenerateVoltageError as exc:
             stop = exc.rows
-            for row in np.flatnonzero(stop).tolist():
+            for row in live[stop].tolist():
                 outcomes[row] = DegenerateVoltageError(str(exc), rows=np.bool_(True))
         else:
-            # Each row's update norm, zero on a model with no phases.
-            steps.append(np.abs(v_next - v).max(axis=-1, initial=0.0))
-            v = v_next
-            stop = live & (steps[-1] < tol_step)
+            # Each row's update norm, zero on a model with no phases; the
+            # difference overwrites the last iterate, which is not read again.
+            step = np.abs(np.subtract(v_next, v, out=v)).max(axis=-1, initial=0.0)
+            if not runs or runs[-1][0] is not live:
+                runs.append((live, []))
+            runs[-1][1].append(step)
+            v, taken = v_next, taken + 1
+            stop = step < tol_step
             if not stop.any():
                 continue
-            stopped_at[stop], v_stop[stop] = len(steps), v[stop]
-        update.drop(stop)
-        live[stop] = False
-    norms, rows = np.array(steps).T, np.flatnonzero(stopped_at)
+            stopped = live[stop]
+            stopped_at[stopped], v_stop[stopped] = taken, v[stop]
+        keep = ~stop
+        live, v = live[keep], v[keep]
+        update.keep(keep)
+    norms, first = np.zeros((k, taken)), 0
+    for run_rows, steps in runs:
+        norms[run_rows, first : first + len(steps)] = np.transpose(steps)
+        first += len(steps)
+    rows = np.flatnonzero(stopped_at)
+    v_rows, inj_rows = v_stop, inj
+    # Every row met tol_step, the common case: the stack itself, uncopied.
+    if rows.size < k:
+        v_rows, inj_rows = v_stop[rows], _injection_rows(inj, rows)
     if rows.size:
         try:
-            terms = power_flow_mismatch(model, v_stop[rows], _injection_rows(inj, rows))
+            terms = power_flow_mismatch(model, v_rows, inj_rows)
         except DegenerateVoltageError as exc:
             for row in rows[exc.rows].tolist():
                 outcomes[row] = DegenerateVoltageError(str(exc), rows=np.bool_(True))
-            rows = rows[~exc.rows]
-            terms = power_flow_mismatch(model, v_stop[rows], _injection_rows(inj, rows))
-        for row, *row_terms in zip(rows.tolist(), *terms):
-            row_norms = norms[row, : stopped_at[row]].tolist()
-            outcomes[row] = _solve_result(v_stop[row], row_norms, row_terms, tol_residual)
-    for row in np.flatnonzero(live).tolist():
-        outcomes[row] = _not_converged(v[row], norms[row].tolist(), max_iter)
+            kept = ~exc.rows
+            rows, v_rows, inj_rows = rows[kept], v_rows[kept], _injection_rows(inj_rows, kept)
+            terms = power_flow_mismatch(model, v_rows, inj_rows)
+        results = _solve_results(v_rows, norms[rows], stopped_at[rows].tolist(), terms, tol_residual)
+        for row, result in zip(rows.tolist(), results):
+            outcomes[row] = result
+    for row, v_row in zip(live.tolist(), v):
+        outcomes[row] = _not_converged(v_row, norms[row].tolist(), max_iter)
     return outcomes
 
 
@@ -467,9 +516,39 @@ def solve_fixed_point(
 
 def _real_form(a, b):
     """The real form, on ``(Re x, Im x)``, of the sparse map
-    ``x -> a x + b conj(x)``, as one CSC matrix."""
-    return scipy.sparse.bmat(
-        [[a.real + b.real, -a.imag + b.imag], [a.imag + b.imag, a.real - b.real]], format="csc"
+    ``x -> a x + b conj(x)``, as one CSC matrix, for canonical CSC ``a``
+    and ``b`` of one square shape.
+
+    The blocks are ``[[ar + br, bi - ai], [ai + bi, ar - br]]``, each
+    formed on the union of the two patterns (a missing entry reads as zero)
+    and kept where it is nonzero, and every column holds its upper block's
+    entries and then its lower block's, each in row order.  These are the
+    arrays that ``scipy.sparse.bmat`` builds from the sums of the parts,
+    bit for bit, assembled directly instead of through about twenty
+    intermediate sparse matrices.
+    """
+    n = a.shape[0]
+    # Column-major keys, sorted within each matrix; a stable sort merges
+    # the two runs, and its repeats are the entries both patterns hold.
+    keys = [np.repeat(np.arange(n), np.diff(m.indptr)) * n + m.indices for m in (a, b)]
+    union = np.sort(np.concatenate(keys), kind="stable")
+    union = union[np.concatenate([[True], union[1:] != union[:-1]])]
+    parts = np.zeros((4, union.size))
+    for m, at, key in ((a, 0, keys[0]), (b, 2, keys[1])):
+        where = np.searchsorted(union, key)
+        parts[at, where], parts[at + 1, where] = m.data.real, m.data.imag
+    ar, ai, br, bi = parts
+    col, row = np.divmod(union, n)
+    values = np.concatenate([ar + br, ai + bi, -ai + bi, ar - br])
+    rows = np.concatenate([row, row + n, row, row + n])
+    cols = np.concatenate([col, col, col + n, col + n])
+    kept = values != 0
+    # A stable sort by column keeps each block's row order, upper first.
+    order = np.argsort(cols[kept], kind="stable")
+    indptr = np.zeros(2 * n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols[kept], minlength=2 * n), out=indptr[1:])
+    return scipy.sparse.csc_matrix(
+        (values[kept][order], rows[kept][order], indptr), shape=(2 * n, 2 * n)
     )
 
 
@@ -499,7 +578,7 @@ def _tangent_factor(model: NetworkModel, v, ic_delta, i, error, what) -> LUFacto
     exactly, so the response to ``ds_Y = m`` is the Newton step.
     """
     conn, n = model.connection, model.n_phases
-    pair = _quotients(ic_delta, conn.gather(v), ic_delta != 0, _DEGENERATE_PAIR)
+    pair = _quotients(ic_delta, conn.gather(v), _DEGENERATE_PAIR)
     # F = conj(diag(f_diag) - H^T diag(pair) H), assembled bus-local.
     f_diag = (conn.scatter(ic_delta, n) - np.conj(i)) / v
     f = conn.bus_block(np.conj(f_diag), np.conj(pair))
@@ -511,7 +590,8 @@ def _tangent_solve(factor: LUFactor, rhs):
     the last axis: one solve with a column per row of a stack."""
     n = rhs.shape[-1]
     z = factor.solve(np.concatenate([rhs.real, rhs.imag], axis=-1).T).T
-    return z[..., :n] + 1j * z[..., n:]
+    dv = 1j * z[..., n:]
+    return np.add(z[..., :n], dv, out=dv)
 
 
 def newton_oracle(

@@ -655,9 +655,9 @@ class TestLinearErrorSweep:
 
     @pytest.mark.parametrize("case", ["ieee37", "ieee123"])
     def test_errors_equal_one_row_evaluations(self, case, monkeypatch):
-        # Each error is the one a one-row evaluation gives.  Each model is
-        # evaluated once per block of rows: FPL gives the starts, and its
-        # error is measured from them.
+        # Each error is the one a one-row evaluation gives.  A 61-point
+        # sweep is one stack, so each model is evaluated once: FPL gives the
+        # starts, and its error is measured from them.
         model, profile, s_ref = mixed_case(case)
         kappas = np.linspace(-1.5, 1.5, 61)
         base_sol = mplf.solve_fixed_point(model, profile, s_ref, tol_step=1e-12)
@@ -673,10 +673,7 @@ class TestLinearErrorSweep:
             model, profile, base_sol, s_ref, s_ref, kappas, base_kappa=1.0
         )
         monkeypatch.undo()
-        block = analysis._ROW_BLOCK
-        sizes = [min(block, 61 - start) for start in range(0, 61, block)]
-        assert len(sizes) > 1
-        assert sorted(calls) == sorted((kind, size) for size in sizes for kind in ("fot", "fpl"))
+        assert sorted(calls) == [("fot", 61), ("fpl", 61)]
         models = {
             "fot": mplf.fot_linearize(model, base_sol, s_ref),
             "fpl": mplf.fpl_linearize(model, profile, base_sol, s_ref),
@@ -707,7 +704,7 @@ def chained_solutions(model, profile, base_v, s_ref, kappas, base_kappa):
 
 
 class TestSweepRows:
-    """Each row is solved in a block of rows, from its FPL prediction."""
+    """Each row is solved in a stack of rows, from its FPL prediction."""
 
     KAPPAS = np.linspace(-1.5, 1.5, 61)
 
@@ -741,13 +738,13 @@ class TestSweepRows:
         for sol, ref in zip(result.solutions, chained):
             assert np.abs(sol.v - ref.v).max() <= 1e-9
 
-    def test_failing_row_leaves_its_block_unchanged(self, single_phase_case):
+    def test_failing_row_leaves_its_stack_unchanged(self, single_phase_case):
         # kappa = 4 is past the nose of the single-phase curve (0.1 kappa
         # <= 1/4): the fixed point and Newton both fail there.  The rows
-        # share one block, and the others are the solves from their starts.
+        # share one stack, and the others are the solves from their starts.
         kappas = np.array([-1.0, 0.0, 0.5, 1.0, 2.0, 4.0])
-        assert len(kappas) <= analysis._ROW_BLOCK
         model, profile, s_ref, _, fpl, result = self.sweep(single_phase_case, 0.0, kappas)
+        assert len(kappas) * model.n_phases <= analysis._STACK_ENTRIES
         assert result.solutions[-1] is None
         assert result.fot_errors[-1] is None and result.fpl_errors[-1] is None
         start = fpl_start(fpl, s_ref, 4.0)
@@ -759,9 +756,58 @@ class TestSweepRows:
                 sol, mplf.solve_fixed_point(model, profile, s_ref.scaled(kappa), v_init=start)
             )
 
+    @pytest.mark.parametrize("case", ["ieee37", "ieee123"])
+    def test_each_step_solves_the_live_rows(self, case, monkeypatch):
+        # The FPL evaluation solves a column per row, and each step of the
+        # fixed point one per row still iterating: step t solves the rows
+        # that take at least t steps, and no more.
+        model, profile, s_ref = mixed_case(case)
+        base_sol = mplf.solve_fixed_point(model, profile, s_ref, tol_step=1e-12)
+        solve, widths = model.factor.solve, []
+
+        def counted(rhs):
+            widths.append(rhs.shape[1])
+            return solve(rhs)
+
+        monkeypatch.setattr(model.factor, "solve", counted)
+        result = mplf.linear_error_sweep(
+            model, profile, base_sol, s_ref, s_ref, self.KAPPAS, base_kappa=1.0
+        )
+        monkeypatch.undo()
+        # Every row is the fixed point's; Newton reports no contraction.
+        assert not any(np.isnan(sol.contraction_estimate) for sol in result.solutions)
+        iterations = [sol.iterations for sol in result.solutions]
+        live = [sum(it >= step for it in iterations) for step in range(1, max(iterations) + 1)]
+        assert widths == [len(self.KAPPAS)] + live
+        assert live[-1] < live[0]
+
+    def test_long_grid_splits_into_stacks(self, monkeypatch):
+        # 600 rows of ieee123's 244 phases exceed the stack's entry budget:
+        # the sweep solves them in stacks of as many rows as fit, and every
+        # row is still its one-row solve from its FPL start, bit for bit.
+        model, profile, s_ref = mixed_case("ieee123")
+        kappas = np.linspace(-1.5, 1.5, 600)
+        rows = analysis._STACK_ENTRIES // model.n_phases
+        assert rows < len(kappas)
+        sizes, evaluate = [], linearize._FixedPointModel._voltages
+
+        def voltages(lin, inj):
+            sizes.append(len(inj.s_wye))
+            return evaluate(lin, inj)
+
+        monkeypatch.setattr(linearize._FixedPointModel, "_voltages", voltages)
+        model, profile, s_ref, _, fpl, result = self.sweep((model, profile, s_ref), 1.0, kappas)
+        monkeypatch.undo()
+        assert sizes == [min(rows, len(kappas) - start) for start in range(0, len(kappas), rows)]
+        for kappa, sol in zip(kappas, result.solutions):
+            start = fpl_start(fpl, s_ref, kappa)
+            assert_same_solve(
+                sol, mplf.solve_fixed_point(model, profile, s_ref.scaled(kappa), v_init=start)
+            )
+
     def test_newton_takes_rows_the_fixed_point_cannot(self, monkeypatch):
         # Rows whose fixed point degenerates go to Newton from their FPL
-        # start; the other rows of the block are unchanged.
+        # start; the other rows of the stack are unchanged.
         model, profile = single_phase_model()
         s_ref = wye_injection(model, "load", "a", -0.1)
         kappas = np.array([0.0, 0.5, 1.0, 1.5])

@@ -175,6 +175,17 @@ class TestTheorem2:
             cert.ball_radii(profile, rho=rho)
         assert np.array_equal(cert.ball_radii(profile, rho=0.0), np.zeros(model.n_phases))
 
+    def test_ball_radii_reject_another_models_profile(self, golden):
+        # Used to return radii of the other profile's length.
+        model = mplf.network_from_file(bundled_path("ieee37_network.json"))
+        profile = mplf.zero_load_voltage(model)
+        inj = mplf.injections_from_file(bundled_path("ieee37_injections_mixed.json"), model)
+        cert = mplf.check_theorem2(model, profile, (profile.w, mplf.InjectionSet.zeros(model)), inj)
+        message = r"^w_profile has shape \(1,\); the model needs length 108$"
+        with pytest.raises(ValueError, match=message):
+            cert.ball_radii(golden[1])
+        assert cert.ball_radii(profile).shape == (model.n_phases,)
+
     def test_target_equal_base_gives_zero_radius(self, rng):
         model, profile, inj = certified_instance(rng)
         sol = mplf.solve_fixed_point(model, profile, inj)

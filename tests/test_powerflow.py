@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse
 
 import mplf
 from mplf import powerflow
@@ -293,6 +294,71 @@ class TestNewtonStep:
             )
             expected = dense[: v.size] + 1j * dense[v.size :]
             assert np.abs(step - expected).max() <= 1e-10 * np.abs(expected).max()
+
+
+def bmat_real_form(a, b):
+    """The real form of ``x -> a x + b conj(x)`` through ``scipy.sparse.bmat``
+    of the sums of the parts: the reference of ``powerflow._real_form``."""
+    return scipy.sparse.bmat(
+        [[a.real + b.real, -a.imag + b.imag], [a.imag + b.imag, a.real - b.real]], format="csc"
+    )
+
+
+def assert_same_csc(actual, expected):
+    assert actual.shape == expected.shape
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(actual, name), getattr(expected, name)
+        assert got.dtype == want.dtype, name
+        assert_bitwise(got, want)
+
+
+class TestRealForm:
+    """The tangent operator's real form is assembled directly, with the
+    arrays that ``bmat`` gives, bit for bit."""
+
+    def test_tangent_operator_equals_bmat(self, rng, monkeypatch):
+        real_form, parts = powerflow._real_form, []
+
+        def recorded(a, b):
+            parts.append((a, b, real_form(a, b)))
+            return parts[-1][2]
+
+        monkeypatch.setattr(powerflow, "_real_form", recorded)
+        cases = list(TestNewtonStep().cases(rng))
+        for model, profile, inj in cases:
+            v = mplf.solve_fixed_point(model, profile, inj).v
+            for point in (v, v * (1.0 + 0.01 * rng.standard_normal(v.size))):
+                _, ic_delta, i = powerflow.power_flow_mismatch(model, point, inj)
+                powerflow._tangent_factor(model, point, ic_delta, i, mplf.SingularJacobianError, "J")
+        assert len(parts) == 2 * len(cases)
+        for a, b, got in parts:
+            assert_same_csc(got, bmat_real_form(a, b))
+
+    def test_patterns_that_differ_and_cancel(self, rng):
+        # Entries of b outside a's pattern, entries with a zero real or
+        # imaginary part, and sums that cancel to zero, which bmat's sums
+        # leave out.
+        n = 12
+
+        def pattern(density):
+            return rng.random((n, n)) < density
+
+        def entries(density):
+            return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * pattern(density)
+
+        a, b = entries(0.3), entries(0.3)
+        a.real[pattern(0.2)] = 0.0
+        a.imag[pattern(0.2)] = 0.0
+        for sign in (1.0, -1.0):
+            same = pattern(0.3) & (a != 0)
+            b[same] = sign * a[same]
+        real = pattern(0.2) & (a.real != 0)
+        b.real[real] = -a.real[real]
+        a, b = scipy.sparse.csc_matrix(a), scipy.sparse.csc_matrix(b)
+        assert_same_csc(powerflow._real_form(a, b), bmat_real_form(a, b))
+        empty = scipy.sparse.csc_matrix((n, n), dtype=complex)
+        assert_same_csc(powerflow._real_form(a, empty), bmat_real_form(a, empty))
+        assert_same_csc(powerflow._real_form(empty, b), bmat_real_form(empty, b))
 
 
 def ieee37_mixed(feeder="ieee37"):
