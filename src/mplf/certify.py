@@ -77,10 +77,14 @@ def xi_norms(model: NetworkModel, w_profile: ZeroLoadProfile, inj: InjectionSet)
     ``diag(w)^-1 yll^-1 diag(w)^-1 diag(s_wye)`` and the delta part the same
     for ``diag(w)^-1 yll^-1 H^T diag(L|w|)^-1 diag(s_delta)``; column scaling
     by a diagonal reduces both to weighted absolute matrix-vector products
-    with the model's cached weights.  ``inj`` must fit ``model``.
+    with the model's cached weights.  ``inj`` must fit ``model``.  An
+    ``inj`` with no nonzero entry has zero norms, which are returned without
+    building or reading the weights.
     """
     check_profile(model, w_profile)
     _check_injections(model, inj, "inj")
+    if not (inj.s_wye.any() or inj.s_delta.any()):
+        return XiQuantities(xi_wye=0.0, xi_delta=0.0)
     weights_w, weights_d = model.xi_weights
     xi_wye = float((weights_w @ np.abs(inj.s_wye)).max(initial=0.0))
     xi_delta = float((weights_d @ np.abs(inj.s_delta)).max(initial=0.0))

@@ -307,7 +307,9 @@ def fpl_error_bound(
 
     Returns ``(bound, q)`` where ``q`` is the contraction coefficient at the
     tight containment radius and ``bound = q * rho_dagger * max|w|``.  The
-    certificate guarantees ``q < 1``.
+    certificate guarantees ``q < 1``.  ``q`` needs ``xi(target)``; at a base
+    with all-zero injections it is the certificate's change norm, as
+    ``target - 0`` equals ``target``, and otherwise it is evaluated here.
 
     Raises
     ------
@@ -320,7 +322,10 @@ def fpl_error_bound(
         raise CertificateRequiredError(
             "explicit certificate fails for the target injections; no bound available"
         )
-    rho_d, xi_t = cert.rho_dagger, xi_norms(model, w_profile, target)
+    s_hat = cert.base_s
+    zero_base = not (s_hat.s_wye.any() or s_hat.s_delta.any())
+    xi_t = cert.xi_change if zero_base else xi_norms(model, w_profile, target)
+    rho_d = cert.rho_dagger
     # Theorem 1's contraction side at the tight containment radius.
     q = theorem1_sides(cert.margins, rho_d, cert.xi_change, cert.xi_base, xi_t)[1]
     if not q < 1.0:

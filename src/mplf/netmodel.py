@@ -10,12 +10,13 @@ impedance-to-admittance conversion from feeder data sheets lives in the
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import json
 import math
 import os
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -40,6 +41,10 @@ PROFILE_FLOOR = 1e-12
 # Identity columns per solve in ``LUFactor.inverse``, and buses per step of
 # the tree walk in ``_tree_inverse``.
 INVERSE_BLOCK = 32
+
+# Entries per column block of ``NetworkModel.xi_weights``: 128 KiB of
+# weights and 256 KiB of ``yll^-1``, which stay in a core's L2 cache.
+XI_BLOCK = 2**14
 
 
 # Phase strings already in canonical order, which ``canonical_phases`` returns as they are.
@@ -96,17 +101,16 @@ class PhaseIndexMap:
 def build_phase_index(bus_ids, phases_per_bus, pairs_per_bus):
     """The ``PhaseIndexMap`` of the PQ buses and their pair incidence
     ``ConnectionMatrix``, numbered in one pass over the buses."""
-    phase_index, delta_index, ends = {}, {}, []
+    keys = [(bus, p) for bus, phases in zip(bus_ids, phases_per_bus) for p in phases]
+    phase_index, delta_index, ends = dict(zip(keys, range(len(keys)))), {}, []
     for bus, phases, pairs in zip(bus_ids, phases_per_bus, pairs_per_bus):
-        for p in phases:
-            phase_index[(bus, p)] = len(phase_index)
         for pair in pairs:
             if pair[0] not in phases or pair[1] not in phases:
                 raise ModelError(
                     f"bus {bus!r}: delta connection {pair!r} references a missing phase"
                 )
             delta_index[(bus, pair)] = len(delta_index)
-            ends.append([phase_index[(bus, p)] for p in pair])
+            ends += (phase_index[(bus, pair[0])], phase_index[(bus, pair[1])])
     first, second = np.array(ends, dtype=np.intp).reshape(-1, 2).T.copy()
     for arr in (first, second):
         arr.setflags(write=False)
@@ -172,8 +176,9 @@ class LUFactor:
     """Sparse LU factors of a square matrix under one singularity rule.
 
     The matrix is factored by SuperLU (``splu``) in CSC form, and ``rcond``
-    is the 1-norm reciprocal condition estimate ``1 / (‖A‖₁ ‖A⁻¹‖₁)``,
-    with ``‖A⁻¹‖₁`` estimated by ``onenormest`` from solves with the
+    is the 1-norm reciprocal condition estimate ``1 / (‖A‖₁ ‖A⁻¹‖₁)``
+    (``_rcond``), with ``‖A⁻¹‖₁`` estimated by the iteration of scipy's
+    ``onenormest`` with one probe column, run directly on solves with the
     factors.  ``error`` is raised when the factorization fails or when
     ``rcond`` is non-finite or below ``RCOND_FLOOR`` (an exactly singular
     matrix reports ``rcond=0``); ``what`` names the matrix in the message.
@@ -217,21 +222,59 @@ class LUFactor:
 
 
 def _rcond(matrix, lu):
-    adjoint = partial(lu.solve, trans="H")
-    inverse = scipy.sparse.linalg.LinearOperator(
-        matrix.shape,
-        matvec=lu.solve,
-        rmatvec=adjoint,
-        matmat=lu.solve,
-        rmatmat=adjoint,
-        dtype=matrix.dtype,
-    )
-    anorm = float(abs(matrix).sum(axis=0).max())
-    # One probe column (t=1) is the Hager-Higham estimator of LAPACK's
-    # condition estimates; more columns would draw from numpy's global
-    # random state.
+    """``1 / (‖A‖₁ ‖A⁻¹‖₁)`` for the CSC ``matrix`` A and its SuperLU
+    factors ``lu``, which leave ``matrix`` in canonical form.  ``‖A‖₁`` is
+    the largest column sum of ``|A|`` as ``abs(A).sum(axis=0)`` takes it,
+    and ``‖A⁻¹‖₁`` is ``_inverse_norm_estimate``."""
+    nonempty = np.flatnonzero(np.diff(matrix.indptr))
+    anorm = np.add.reduceat(np.abs(matrix.data), matrix.indptr[nonempty]).max(initial=0.0)
     with np.errstate(divide="ignore"):
-        return float(1.0 / (anorm * scipy.sparse.linalg.onenormest(inverse, t=1)))
+        return float(1.0 / (float(anorm) * _inverse_norm_estimate(lu.solve, matrix.shape[0])))
+
+
+def _inverse_norm_estimate(solve, n):
+    """``scipy.sparse.linalg.onenormest(A⁻¹, t=1)`` from the solves with A,
+    equal to it bit for bit for fewer than 2^20 rows.
+
+    One probe column (t=1) is the Hager-Higham estimator of LAPACK's
+    condition estimates; more columns would draw from numpy's global random
+    state.  ``onenormest`` takes the exact norm when ``n <= t``; otherwise
+    this is its iteration for ``t = 1``, with the same solves, the same
+    numpy operations and the same stopping rules, but without its operator
+    wrappers and its bookkeeping for several columns: the probe starts at
+    ``ones / n``; each step takes the estimate ``‖A⁻¹x‖₁``, stops when it
+    no longer grows, after five steps, or when the sign vector repeats,
+    solves with the adjoint on the signs, stops when the probe's own row
+    already holds the largest magnitude, and moves the probe to the unit
+    vector of the row that ``argsort`` ranks last.
+    """
+    if n <= 1:
+        sums = np.abs(solve(np.identity(n))).sum(axis=0)
+        return sums[np.argmax(sums)]
+    x = np.ones((n, 1))
+    x /= float(n)
+    est_old, signs_old, k = 0, None, 1
+    while True:
+        y = solve(x)
+        est = np.max(np.sum(np.abs(y), axis=0))
+        if k >= 2 and est <= est_old:
+            return est_old
+        est_old = est
+        if k > 5:
+            return est
+        signs = y.copy()
+        signs[signs == 0] = 1
+        signs /= np.abs(signs)
+        if k >= 2 and np.dot(signs[:, 0], signs_old[:, 0]) == n:
+            return est
+        signs_old = signs
+        h = np.max(np.abs(solve(signs, trans="H")), axis=1)
+        if k >= 2 and max(h.tolist()) == h[probe]:
+            return est
+        probe = np.argsort(h)[-1]
+        x = np.zeros((n, 1))
+        x[probe] = 1.0
+        k += 1
 
 
 @dataclass
@@ -314,12 +357,13 @@ class NetworkModel:
         # (lower, higher).  The walk then visits a bus's higher neighbours
         # before its lower ones, each in bus order; the order of siblings is
         # the order of the walk's sums.
-        nb = index.bus_count
+        nb, yll = index.bus_count, self.yll
         bus = np.repeat(np.arange(nb), [len(p) for p in index.phases_per_bus])
-        coo = self.yll.tocoo()
-        ends = np.sort([bus[coo.row], bus[coo.col]], axis=0)
+        row, col = bus[yll.indices], np.repeat(bus, np.diff(yll.indptr))
+        off = row != col
         fed = bus[self.yl0.any(axis=1)]
-        lo, hi = np.hstack([ends[:, ends[0] != ends[1]], [fed, np.full(fed.size, nb)]])
+        lo = np.concatenate([np.minimum(row, col)[off], fed])
+        hi = np.concatenate([np.maximum(row, col)[off], np.full(fed.size, nb)])
         graph = scipy.sparse.csr_matrix((np.ones(lo.size), (lo, hi)), shape=(nb + 1, nb + 1))
         order, parent = scipy.sparse.csgraph.breadth_first_order(
             graph, nb, directed=False, return_predecessors=True
@@ -330,13 +374,25 @@ class NetworkModel:
         # Duplicate edges are summed into one, so a tree has one per PQ bus.
         self._tree = (bus, order[1:], parent) if graph.nnz == nb else None
 
-        # Symmetry of the full matrix [[y00, y0l], [yl0, yll]], checked block by block.
+        # Symmetry of the full matrix [[y00, y0l], [yl0, yll]], checked block by
+        # block; the CSC form of yll^T shares yll's pattern when yll is
+        # structurally symmetric, and its entries then pair up position by
+        # position.
         dense = (self.y00, self.y0l, self.yl0)
-        scale = max(1.0, *(np.abs(b).max() for b in dense), abs(self.yll).max())
+        scale = max(1.0, *(np.abs(b).max() for b in dense), abs(yll).max())
+        yll_t = yll.T.tocsc()
+        if (
+            yll.has_canonical_format
+            and np.array_equal(yll.indptr, yll_t.indptr)
+            and np.array_equal(yll.indices, yll_t.indices)
+        ):
+            yll_asymmetry = np.abs(yll.data - yll_t.data).max(initial=0.0)
+        else:
+            yll_asymmetry = abs(yll - yll.T).max()
         asymmetry = max(
             np.abs(self.y00 - self.y00.T).max(),
             np.abs(self.y0l - self.yl0.T).max(),
-            abs(self.yll - self.yll.T).max(),
+            yll_asymmetry,
         )
         if asymmetry > SYMMETRY_RTOL * scale:
             raise ModelError("admittance matrix is not symmetric (non-reciprocal network)")
@@ -387,17 +443,30 @@ class NetworkModel:
     def xi_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Weights of the injection norms, built from ``yll^-1`` on first use:
         ``|diag(w)^-1 yll^-1 diag(w)^-1|`` for wye injections and
-        ``|diag(w)^-1 yll^-1 H^T diag(L|w|)^-1|`` for delta injections, with
-        ``yll^-1 H^T`` taken as column differences of ``yll^-1``.  Both are
-        formed in real arithmetic: the magnitudes of ``yll^-1`` and of its
-        column differences, scaled by ``1/|w|`` on the rows and by ``1/|w|``
-        or ``1/L|w|`` on the columns."""
-        yinv, profile = self.yll_inverse, self.zero_load
+        ``|diag(w)^-1 yll^-1 H^T diag(L|w|)^-1|`` for delta injections.  Both
+        are Fortran-ordered, like ``yll^-1``, and formed in real arithmetic
+        ``XI_BLOCK`` entries of columns at a time: the magnitudes of a block
+        of ``yll^-1``'s columns, or of the column differences that are the
+        block's columns of ``yll^-1 H^T``, go straight into the weights,
+        which are then scaled by ``1/|w|`` on the rows and by ``1/|w|`` or
+        ``1/L|w|`` on the columns while the block is in cache.  Each entry
+        takes the same magnitude and the same two products as with whole
+        arrays, so the weights do not depend on the block size."""
+        yinv, profile, conn = self.yll_inverse, self.zero_load, self.connection
+        n = yinv.shape[0]
         w_scale = 1.0 / profile.w_abs
-        weights = np.abs(yinv), np.abs(self.connection.gather(yinv))
-        for arr, col_scale in zip(weights, (w_scale, 1.0 / profile.Lw)):
-            arr *= w_scale[:, None]
-            arr *= col_scale[None, :]
+        weights = np.empty((n, n), order="F"), np.empty((n, conn.first.size), order="F")
+        step = max(1, XI_BLOCK // n)
+        for pairs, (arr, col_scale) in enumerate(zip(weights, (w_scale, 1.0 / profile.Lw))):
+            for start in range(0, arr.shape[1], step):
+                cols = slice(start, start + step)
+                out = arr[:, cols]
+                if pairs:
+                    np.abs(yinv[:, conn.first[cols]] - yinv[:, conn.second[cols]], out=out)
+                else:
+                    np.abs(yinv[:, cols], out=out)
+                out *= w_scale[:, None]
+                out *= col_scale[None, cols]
             arr.setflags(write=False)
         return weights
 
@@ -569,11 +638,13 @@ def assemble_network(buses, lines, slack) -> NetworkModel:
             raise ModelError(f"duplicate bus id {b.id!r}")
         bus_phases[b.id] = canonical_phases(b.phases)
         pairs = tuple(b.delta_connections)
-        if len(set(pairs)) != len(pairs):
-            raise ModelError(f"bus {b.id!r}: duplicate delta connection")
-        bus_delta[b.id] = tuple(p for p in DELTA_PAIRS if p in pairs)
-        if set(bus_delta[b.id]) != set(pairs):
-            raise ModelError(f"bus {b.id!r}: unknown phase pair in {pairs!r}")
+        bus_delta[b.id] = pairs
+        if pairs:
+            if len(set(pairs)) != len(pairs):
+                raise ModelError(f"bus {b.id!r}: duplicate delta connection")
+            bus_delta[b.id] = tuple(p for p in DELTA_PAIRS if p in pairs)
+            if set(bus_delta[b.id]) != set(pairs):
+                raise ModelError(f"bus {b.id!r}: unknown phase pair in {pairs!r}")
     if slack.id not in bus_phases:
         raise ModelError(f"slack bus {slack.id!r} is not a declared bus")
     if bus_delta[slack.id]:
@@ -598,29 +669,37 @@ def assemble_network(buses, lines, slack) -> NetworkModel:
     m = len(slack_phases)
     n = index.n_phases
     size = m + n
-    gidx = {(slack.id, p): i for i, p in enumerate(slack_phases)}
-    gidx.update({key: m + col for key, col in index.phase_index.items()})
+    # Each bus's phases and their columns in the full matrix, in phase order.
+    columns, col = {}, 0
+    for bus in (slack.id, *pq_ids):
+        columns[bus] = (bus_phases[bus], list(range(col, col + len(bus_phases[bus]))))
+        col += len(bus_phases[bus])
 
     # The per-line loop checks what Python must: the buses, the phases and
     # the block shapes.  It groups the blocks by (phase count, kind) as
-    # (line, position of the first triplet, (from, to) phase columns, block).
+    # (line, position of the first triplet, from and then to phase columns,
+    # block).
     stacks = {}
     count = 0
     try:
         for li, line in enumerate(lines):
             for end in (line.from_bus, line.to_bus):
-                if end not in bus_phases:
+                if end not in columns:
                     raise ModelError(f"line {li}: unknown bus {end!r}")
             phases = canonical_phases(line.phases)
+            ends = []
             for end in (line.from_bus, line.to_bus):
-                missing = set(phases) - set(bus_phases[end])
-                if missing:
-                    raise ModelError(
-                        f"line {li} ({line.from_bus!r}-{line.to_bus!r}): phase(s) "
-                        f"{''.join(sorted(missing))!r} absent at bus {end!r}"
-                    )
+                at, cols = columns[end]
+                if phases != at:
+                    missing = set(phases) - set(at)
+                    if missing:
+                        raise ModelError(
+                            f"line {li} ({line.from_bus!r}-{line.to_bus!r}): phase(s) "
+                            f"{''.join(sorted(missing))!r} absent at bus {end!r}"
+                        )
+                    cols = [cols[at.index(p)] for p in phases]
+                ends += cols
             k = len(phases)
-            ends = [[gidx[(end, p)] for p in phases] for end in (line.from_bus, line.to_bus)]
             for kind, blk in enumerate((line.y_series, line.y_shunt_from, line.y_shunt_to)):
                 if kind and blk is None:
                     continue
@@ -650,21 +729,24 @@ def assemble_network(buses, lines, slack) -> NetworkModel:
                               for r, c, _ in terms])
         vals[at] = np.hstack([v.reshape(-1, k * k) for *_, v in terms])
 
-    # np.add.at sums each entry's terms one after another in that order, so
+    # np.bincount sums each entry's terms one after another in that order,
+    # the real and the imaginary parts apart as complex addition does, so
     # every entry is the same float sum as dense ``+=`` assembly gives (a
     # COO-to-CSC conversion would reorder the additions); np.unique sorts
     # the keys into CSC order.
     keys, where = np.unique(keys, return_inverse=True)
-    entries = np.zeros(keys.size, dtype=complex)
+    entries = np.empty(keys.size, dtype=complex)
     rows, cols = keys % size, keys // size
 
     # Finite entries can still sum past the float range; the 1-norm of the
     # condition estimate and the symmetry check would then see inf and NaN.
     with np.errstate(over="ignore", invalid="ignore"):
-        np.add.at(entries, where, vals)
+        entries.real = np.bincount(where, vals.real, keys.size)
+        entries.imag = np.bincount(where, vals.imag, keys.size)
         bad = np.flatnonzero(~np.isfinite(np.bincount(cols, np.abs(entries), size)))
     if bad.size:
-        bus, phase = next(key for key, col in gidx.items() if col == bad[0])
+        bus = next(bus for bus, (_, cols) in columns.items() if bad[0] in cols)
+        phase = columns[bus][0][columns[bus][1].index(bad[0])]
         at = ", ".join(str(li) for li, ln in enumerate(lines) if bus in (ln.from_bus, ln.to_bus))
         raise InputFormatError(
             f"bus {bus!r} phase {phase!r}: admittance entries of line(s) {at} "
@@ -706,7 +788,7 @@ def _stacked_blocks(stacks):
         bad = np.flatnonzero(~np.isfinite(y).all(axis=(1, 2)))
         if bad.size:
             faults.append((line_no[bad[0]], key[1]))
-        stacked[key] = (np.array(at), np.array(ends), y)
+        stacked[key] = (np.array(at), np.array(ends).reshape(-1, 2, key[0]), y)
     if faults:
         li, kind = min(faults)
         raise InputFormatError(f"line {li}: {_BLOCK_NAMES[kind]} block must be finite")
@@ -838,21 +920,84 @@ def _write_items(brackets, items, indent, write):
     write("\n" + indent + brackets[1])
 
 
-def _block_from_doc(entries, k, where):
-    if entries is None:
-        return None
-    if len(list_from_doc(entries, where)) != k * k:
-        raise InputFormatError(f"{where}: expected {k * k} complex entries for {k} phases")
+def complex_entries(entries, where):
+    """The complex values of a list of ``{"re", "im"}`` objects, as one
+    array, equal to ``complex(float(re), float(im))`` entry by entry.
+
+    The real and imaginary parts are gathered in one comprehension each and
+    taken as numpy arrays when numpy reads them as real numbers, which it
+    converts as ``float`` does (JSON's floats, ints and bools), and then
+    checked for finiteness in one pass.  Otherwise, or when a check fails,
+    the entries are converted one by one, so that the ``InputFormatError``
+    names the first bad entry ``j`` as ``where(j)``.
+    """
     try:
-        vals = [complex(float(e["re"]), float(e["im"])) for e in entries]
-        valid = all(map(cmath.isfinite, vals))
+        parts = [np.array([e[key] for e in entries]) for key in ("re", "im")]
     except _ENTRY_ERRORS:
-        valid = False
-    if not valid:
-        # Entry by entry, so that the message names the first bad one.
-        for i, e in enumerate(entries):
-            complex_from_doc(e, f"{where}[{i}]")
-    return np.array(vals, dtype=complex).reshape(k, k)
+        parts = None
+    if parts and all(p.dtype.kind in "biuf" and p.shape == (len(entries),) for p in parts):
+        values = np.empty(len(entries), dtype=complex)
+        values.real, values.imag = parts
+        if np.isfinite(values).all():
+            return values
+    return np.array([complex_from_doc(e, where(j)) for j, e in enumerate(entries)], dtype=complex)
+
+
+# The admittance blocks of a line document, in ``LineSpec``'s order.
+_DOC_BLOCKS = ("series_admittance", "shunt_from", "shunt_to")
+
+
+def _line_specs(docs):
+    """The ``LineSpec``s of a document's lines.
+
+    One pass reads each line's fields and checks the type and length of
+    its blocks; then the entries of all blocks are converted at once (see
+    ``complex_entries``), and each block is a reshaped view of that array.
+    When a line fails its checks, the entries of the blocks before it are
+    converted first, so that the error names the first fault in document
+    order, as when each line was read in turn.
+    """
+    fields, blocks, entries = [], [], []
+
+    def where(j):
+        i, name, start = blocks[bisect.bisect_right(blocks, j, key=lambda b: b[2]) - 1]
+        return f"lines[{i}].{name}[{j - start}]"
+
+    try:
+        for i, ln in enumerate(list_from_doc(docs, "lines")):
+            if not isinstance(ln, dict):
+                raise InputFormatError(f"lines[{i}]: expected an object")
+            try:
+                phases = canonical_phases(str(ln["phases"]))
+                ends = str(ln["from"]), str(ln["to"])
+                line_blocks = [ln["series_admittance"], ln.get("shunt_from"), ln.get("shunt_to")]
+            except KeyError as exc:
+                raise InputFormatError(f"lines[{i}]: missing field {exc}") from None
+            k = len(phases)
+            for name, block in zip(_DOC_BLOCKS, line_blocks):
+                if block is not None:
+                    if not isinstance(block, (list, tuple)) or len(block) != k * k:
+                        list_from_doc(block, f"lines[{i}].{name}")
+                        raise InputFormatError(
+                            f"lines[{i}].{name}: expected {k * k} complex entries for {k} phases"
+                        )
+                    blocks.append((i, name, len(entries)))
+                    entries.extend(block)
+            fields.append((ends, phases, line_blocks))
+    except InputFormatError:
+        complex_entries(entries, where)  # a bad entry of an earlier block is reported first
+        raise
+    values = complex_entries(entries, where)
+    lines, at = [], 0
+    for (from_bus, to_bus), phases, line_blocks in fields:
+        k = len(phases)
+        views = [None] * 3
+        for kind, block in enumerate(line_blocks):
+            if block is not None:
+                views[kind] = values[at : at + k * k].reshape(k, k)
+                at += k * k
+        lines.append(LineSpec(from_bus, to_bus, phases, *views))
+    return lines
 
 
 def network_from_json(doc: dict) -> NetworkModel:
@@ -877,35 +1022,16 @@ def network_from_json(doc: dict) -> NetworkModel:
 
     buses = []
     for i, b in enumerate(list_from_doc(doc["buses"], "buses")):
-        where = f"buses[{i}]"
         try:
             spec = BusSpec(id=str(b["id"]), phases=str(b["phases"]))
         except (TypeError, KeyError):
-            raise InputFormatError(f"{where}: expected id and phases") from None
-        pairs = list_from_doc(b.get("delta_connections", ()), f"{where}.delta_connections")
-        spec.delta_connections = tuple(map(str, pairs))
+            raise InputFormatError(f"buses[{i}]: expected id and phases") from None
+        if "delta_connections" in b:
+            pairs = list_from_doc(b["delta_connections"], f"buses[{i}].delta_connections")
+            spec.delta_connections = tuple(map(str, pairs))
         buses.append(spec)
 
-    lines = []
-    for i, ln in enumerate(list_from_doc(doc["lines"], "lines")):
-        where = f"lines[{i}]"
-        if not isinstance(ln, dict):
-            raise InputFormatError(f"{where}: expected an object")
-        try:
-            phases = canonical_phases(str(ln["phases"]))
-            k = len(phases)
-            lines.append(
-                LineSpec(
-                    from_bus=str(ln["from"]),
-                    to_bus=str(ln["to"]),
-                    phases=phases,
-                    y_series=_block_from_doc(ln["series_admittance"], k, f"{where}.series_admittance"),
-                    y_shunt_from=_block_from_doc(ln.get("shunt_from"), k, f"{where}.shunt_from"),
-                    y_shunt_to=_block_from_doc(ln.get("shunt_to"), k, f"{where}.shunt_to"),
-                )
-            )
-        except KeyError as exc:
-            raise InputFormatError(f"{where}: missing field {exc}") from None
+    lines = _line_specs(doc["lines"])
 
     sl = doc["slack"]
     try:

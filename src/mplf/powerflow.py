@@ -24,7 +24,7 @@ from .netmodel import (
     ZeroLoadProfile,
     _read_json,
     check_profile,
-    complex_from_doc,
+    complex_entries,
     list_from_doc,
 )
 
@@ -692,7 +692,9 @@ def injections_from_json(doc: dict, model: NetworkModel) -> InjectionSet:
 
     Omitted entries are zero.  Entries referencing phases or connections the
     model does not declare, repeated entries and non-finite values are
-    rejected.
+    rejected.  Each section is read in one pass, and its values are added
+    to the zero vector in one fancy-indexed ``+=``, so that a ``-0.0``
+    entry is stored as ``0j + (-0.0)``, that is ``+0.0``.
     """
     if not isinstance(doc, dict):
         raise InputFormatError("injection document must be a JSON object")
@@ -702,24 +704,29 @@ def injections_from_json(doc: dict, model: NetworkModel) -> InjectionSet:
         ("delta", "pair", model.index.delta_index, inj.s_delta, "connection {!r} is not declared"),
     )
     for section, label, index, values, unknown in sections:
-        seen = {}
-        for i, entry in enumerate(list_from_doc(doc.get(section, ()), section)):
-            where = f"{section}[{i}]"
-            try:
-                key = (str(entry["bus"]), str(entry[label]))
-            except (TypeError, KeyError):
-                raise InputFormatError(f"{where}: expected bus, {label}, re, im") from None
-            if key not in index:
-                raise InputFormatError(
-                    f"{where}: {unknown.format(key[1])} at bus {key[0]!r}"
-                )
-            if key in seen:
-                raise InputFormatError(
-                    f"{where}: duplicate of {section}[{seen[key]}] "
-                    f"({label} {key[1]!r} at bus {key[0]!r})"
-                )
-            seen[key] = i
-            values[index[key]] += complex_from_doc(entry, where)
+        seen, entries, where = {}, [], (section + "[{}]").format
+        try:
+            for i, entry in enumerate(list_from_doc(doc.get(section, ()), section)):
+                try:
+                    key = (str(entry["bus"]), str(entry[label]))
+                except (TypeError, KeyError):
+                    raise InputFormatError(f"{where(i)}: expected bus, {label}, re, im") from None
+                if key not in index:
+                    raise InputFormatError(
+                        f"{where(i)}: {unknown.format(key[1])} at bus {key[0]!r}"
+                    )
+                if key in seen:
+                    raise InputFormatError(
+                        f"{where(i)}: duplicate of {section}[{seen[key]}] "
+                        f"({label} {key[1]!r} at bus {key[0]!r})"
+                    )
+                seen[key] = i
+                entries.append(entry)
+        except InputFormatError:
+            complex_entries(entries, where)  # an earlier bad value is reported first
+            raise
+        # Repeated entries were rejected, so each position is added to once.
+        values[[index[key] for key in seen]] += complex_entries(entries, where)
     return inj
 
 

@@ -9,10 +9,13 @@ target loading norm, which is how the certified-instance suites are built.
 import dataclasses
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis.configuration import set_hypothesis_home_dir
 
 import mplf
@@ -109,6 +112,20 @@ def wye_injection(model, bus, phase, value):
 
 
 BALANCED_V0 = np.exp(-2j * np.pi / 3 * np.array([0.0, 1.0, 2.0]))
+
+
+def onenormest_rcond(matrix):
+    """``1 / (‖A‖₁ ‖A⁻¹‖₁)`` for a canonical CSC ``matrix``, with ``‖A⁻¹‖₁``
+    from scipy's ``onenormest`` with one probe column on an operator over
+    SuperLU's solves: the reference of ``LUFactor.rcond``."""
+    lu = scipy.sparse.linalg.splu(matrix)
+    adjoint = partial(lu.solve, trans="H")
+    inverse = scipy.sparse.linalg.LinearOperator(
+        matrix.shape, matvec=lu.solve, rmatvec=adjoint, matmat=lu.solve, rmatmat=adjoint,
+        dtype=matrix.dtype,
+    )
+    anorm = float(abs(matrix).sum(axis=0).max())
+    return float(1.0 / (anorm * scipy.sparse.linalg.onenormest(inverse, t=1)))
 
 
 def _line_admittance(rng, k, size_scale=1.0):

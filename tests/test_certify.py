@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import mplf
+from mplf import netmodel
 from mplf.certify import (
     GammaQuantities,
     XiQuantities,
@@ -35,6 +36,44 @@ class TestXiNorms:
         model, profile = random_network(rng)
         xi = xi_norms(model, profile, mplf.InjectionSet.zeros(model))
         assert xi.xi_wye == xi.xi_delta == xi.xi_total == 0.0
+
+    def test_zero_injections_build_no_weights(self, rng):
+        # Zero norms come back without the weights, or yll^-1, being built,
+        # once the injections are checked against the model.
+        for model in [mplf.network_from_file(bundled_path("ieee37_network.json"))] + [
+            mplf.assemble_network(*random_network_specs(rng)) for _ in range(5)
+        ]:
+            profile = mplf.zero_load_voltage(model)
+            zero = mplf.InjectionSet.zeros(model)
+            assert xi_norms(model, profile, zero) == XiQuantities(0.0, 0.0)
+            signed = mplf.InjectionSet(-0.0 * zero.s_wye, -0.0 * zero.s_delta)
+            assert xi_norms(model, profile, signed) == XiQuantities(0.0, 0.0)
+            assert "xi_weights" not in vars(model) and "yll_inverse" not in vars(model)
+            short = mplf.InjectionSet(np.zeros(model.n_phases + 1), zero.s_delta)
+            with pytest.raises(ValueError, match="inj"):
+                xi_norms(model, profile, short)
+            assert "xi_weights" not in vars(model)
+
+    @pytest.mark.parametrize("block", [1, 100, netmodel.XI_BLOCK])
+    def test_blocked_weights_equal_whole_array_formula(self, rng, monkeypatch, block):
+        # The weights are written a block of columns at a time; every entry
+        # is the one the whole-array products give, bit for bit, whatever
+        # the block size.  ieee123 spans several blocks at the default size.
+        monkeypatch.setattr(netmodel, "XI_BLOCK", block)
+        models = [mplf.network_from_file(bundled_path(f"{name}_network.json"))
+                  for name in ("ieee37", "ieee123")]
+        models += [random_network(rng, max_buses=12)[0] for _ in range(3)]
+        assert models[1].n_phases > netmodel.XI_BLOCK // models[1].n_phases
+        for model in models:
+            yinv, profile = model.yll_inverse, model.zero_load
+            w_scale = 1.0 / profile.w_abs
+            expected = np.abs(yinv), np.abs(model.connection.gather(yinv))
+            for arr, col_scale in zip(expected, (w_scale, 1.0 / profile.Lw)):
+                arr *= w_scale[:, None]
+                arr *= col_scale[None, :]
+            for got, want in zip(model.xi_weights, expected):
+                assert got.flags.f_contiguous and want.flags.f_contiguous
+                assert_bitwise(got, want)
 
     def test_single_phase_value(self, golden):
         model, profile, inj = golden

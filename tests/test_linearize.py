@@ -8,6 +8,7 @@ import pytest
 
 import mplf
 from mplf import linearize
+from mplf.certify import theorem1_sides, xi_norms
 from mplf.linearize import stack_injections
 from mplf.netmodel import LUFactor
 from mplf.datafiles import bundled_path
@@ -593,6 +594,28 @@ class TestErrorBound:
         got = mplf.fpl_error_bound(model, profile, base, target)
         assert got == (bound, q)
         assert [type(x) for x in got] == [float, float]
+
+    def test_zero_base_takes_the_change_norm(self, rng, monkeypatch):
+        # At an all-zero base, xi(target) is the certificate's change norm,
+        # target - 0, so the bound evaluates no norm of its own; at another
+        # base it evaluates xi(target).  Either way (bound, q) is the
+        # formula's with an explicit xi(target).
+        evaluated = []
+        monkeypatch.setattr(
+            linearize, "xi_norms", lambda *args: evaluated.append(args) or xi_norms(*args)
+        )
+        for _ in range(10):
+            model, profile, inj = certified_instance(rng)
+            zero = mplf.InjectionSet.zeros(model)
+            half = mplf.solve_fixed_point(model, profile, inj.scaled(0.5))
+            for base in ((profile.w, zero), (half.v, inj.scaled(0.5))):
+                evaluated.clear()
+                got = mplf.fpl_error_bound(model, profile, base, inj)
+                assert len(evaluated) == (0 if base[1] is zero else 1)
+                cert = mplf.check_theorem2(model, profile, base, inj)
+                q = theorem1_sides(cert.margins, cert.rho_dagger, cert.xi_change, cert.xi_base,
+                                   xi_norms(model, profile, inj))[1]
+                assert got == (q * cert.rho_dagger * float(profile.w_abs.max()), q)
 
     def test_zero_change_gives_zero_bound(self, rng):
         model, profile, inj = certified_instance(rng)

@@ -25,6 +25,7 @@ from conftest import (
     BALANCED_V0,
     assert_bitwise,
     dense_incidence,
+    onenormest_rcond,
     random_injections,
     random_network,
     random_network_specs,
@@ -227,6 +228,14 @@ class TestAssembly:
         with pytest.raises(mplf.ModelError, match="symmetric"):
             mplf.assemble_network(buses, lines, mplf.SlackSpec("s", BALANCED_V0[:2]))
 
+    def test_structurally_asymmetric_block_rejected(self):
+        # yll has a (0, 1) entry and no (1, 0) entry, so the check takes the
+        # general difference of yll and its transpose.
+        buses = [mplf.BusSpec("s", "ab"), mplf.BusSpec("b", "ab")]
+        lines = [mplf.LineSpec("s", "b", "ab", np.array([[1.0, 0.5], [0.0, 1.0]], complex))]
+        with pytest.raises(mplf.ModelError, match="symmetric"):
+            mplf.assemble_network(buses, lines, mplf.SlackSpec("s", BALANCED_V0[:2]))
+
     def test_singular_yll_rejected(self):
         buses = [mplf.BusSpec("s", "ab"), mplf.BusSpec("b", "ab")]
         lines = [mplf.LineSpec("s", "b", "ab", np.ones((2, 2), complex))]
@@ -326,6 +335,22 @@ class TestLUFactor:
         assert inv.dtype == full.dtype and inv.flags.f_contiguous
         assert np.array_equal(inv, full)
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_condition_estimate_equals_onenormest(self, rng, dtype):
+        # The t=1 iteration runs on the factors directly: the same estimate,
+        # bit for bit, on matrices whose estimates take one to several steps,
+        # and the exact norm of a 1x1 matrix.
+        matrices = [banded(n, dtype) for n in (3, 7, 40, 300)]
+        for n in (2, 5, 30):
+            dense = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.4) + np.eye(n)
+            if dtype is complex:
+                dense = dense + 1j * rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.4)
+            matrices.append(scipy.sparse.csc_matrix(dense))
+        matrices.append(scipy.sparse.csc_matrix(np.array([[dtype(2.0)]])))
+        for matrix in matrices:
+            factor = LUFactor(matrix, mplf.SingularModelError, "test matrix")
+            assert factor.rcond == onenormest_rcond(matrix)
+
     def test_exactly_singular_sparse_matrix_rejected(self):
         matrix = banded(10, float).tolil()
         matrix[:, 4] = 0.0
@@ -367,6 +392,10 @@ class TestYllFactor:
             _, dense_rcond = dense_lu_reference(model.yll.toarray())
             assert model.rcond == LUFactor(model.yll, mplf.SingularModelError, "yll").rcond
             assert abs(model.rcond - dense_rcond) <= 1e-12 * dense_rcond
+
+    def test_condition_estimate_equals_onenormest(self, rng):
+        for model in self.models(rng):
+            assert model.rcond == onenormest_rcond(model.yll)
 
 
 def forest_specs(rng, trees):
@@ -997,12 +1026,14 @@ def assert_same_model(a, b):
 def test_document_path_equals_spec_path_bitwise(rng):
     # Random trees with one-, two- and three-phase lines, shunts and parallel
     # lines; the specs also go in with list-valued blocks.
-    phase_counts = set()
+    phase_counts, delta_pairs, shunts = set(), 0, 0
     for _ in range(25):
         buses, lines, slack = random_network_specs(rng, max_buses=12, shunt_prob=0.5)
         lines = lines + parallel_lines(rng, lines)
         phase_counts.update(len(line.phases) for line in lines)
+        shunts += sum(line.y_shunt_from is not None for line in lines)
         model = mplf.assemble_network(buses, lines, slack)
+        delta_pairs += model.n_delta
         assert_same_model(mplf.network_from_json(network_document(buses, lines, slack)), model)
         listed = [
             dataclasses.replace(
@@ -1015,6 +1046,38 @@ def test_document_path_equals_spec_path_bitwise(rng):
         ]
         assert_same_model(mplf.assemble_network(buses, listed, slack), model)
     assert phase_counts == {1, 2, 3}
+    assert delta_pairs > 0 and shunts > 0
+
+
+def reference_line_specs(doc):
+    """The line specs of a valid network document, each block converted on
+    its own, entry by entry."""
+
+    def block(entries, k):
+        if entries is None:
+            return None
+        values = [complex(float(e["re"]), float(e["im"])) for e in entries]
+        return np.array(values, dtype=complex).reshape(k, k)
+
+    lines = []
+    for ln in doc["lines"]:
+        k = len(ln["phases"])
+        lines.append(mplf.LineSpec(
+            ln["from"], ln["to"], ln["phases"], block(ln["series_admittance"], k),
+            block(ln.get("shunt_from"), k), block(ln.get("shunt_to"), k),
+        ))
+    return lines
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_document_equals_its_specs_bitwise(name, monkeypatch):
+    # The reader converts all of a document's entries at once and hands
+    # assemble_network views of that array: the model is the one that blocks
+    # converted one at a time give.
+    buses, _, slack = bundled_specs(name, monkeypatch)
+    lines = reference_line_specs(bundled_document(name))
+    expected = mplf.assemble_network(buses, lines, slack)
+    assert_same_model(mplf.network_from_file(bundled_path(f"{name}_network.json")), expected)
 
 
 def bundled_document(name):
@@ -1145,3 +1208,98 @@ def test_assembly_reports_first_fault(changes, error, message):
     with pytest.raises(error) as info:
         mplf.assemble_network(buses, lines, slack)
     assert str(info.value) == message
+
+
+def entry_update(key, at, **fields):
+    return lambda doc: doc["lines"][5][key][at].update(**fields)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (entry_update("series_admittance", 4, im=math.inf),
+         "lines[5].series_admittance[4]: value must be finite"),
+        (lambda doc: doc["lines"][5]["series_admittance"].pop(),
+         "lines[5].series_admittance: expected 9 complex entries for 3 phases"),
+        (entry_update("series_admittance", 2, re="x"),
+         "lines[5].series_admittance[2]: expected a {'re': ..., 'im': ...} object"),
+        (lambda doc: doc["lines"][5]["series_admittance"][3].pop("im"),
+         "lines[5].series_admittance[3]: expected a {'re': ..., 'im': ...} object"),
+        (entry_update("shunt_from", 8, re=math.nan),
+         "lines[5].shunt_from[8]: value must be finite"),
+        (lambda doc: doc["lines"][5].update(shunt_to=[{"re": 0.0, "im": 0.0}] * 4),
+         "lines[5].shunt_to: expected 9 complex entries for 3 phases"),
+        (lambda doc: doc["lines"][5].update(series_admittance={"re": 1.0}),
+         "lines[5].series_admittance: expected a list"),
+        (lambda doc: doc["buses"][3].update(delta_connections=None),
+         "buses[3].delta_connections: expected a list"),
+    ],
+    ids=["nonfinite", "wrong-length", "non-numeric", "missing-im", "shunt-nonfinite",
+         "shunt-wrong-length", "block-not-a-list", "pairs-not-a-list"],
+)
+def test_reader_names_the_bad_entry_after_valid_lines(mutate, message):
+    # The entries of every line are converted at once; a fault falls back to
+    # the entry-by-entry reading, whose messages name the line, block and entry.
+    doc = bundled_document("ieee37")
+    assert doc["lines"][5]["phases"] == "abc" and "shunt_from" in doc["lines"][5]
+    mutate(doc)
+    with pytest.raises(mplf.InputFormatError) as info:
+        mplf.network_from_json(doc)
+    assert str(info.value) == message
+
+
+def test_injection_reader_stores_negative_zero_as_zero():
+    # Each value is added to a zero entry, as 0j + value, so -0.0 reads +0.0.
+    model = mplf.network_from_file(bundled_path("ieee37_network.json"))
+    doc = json.loads(bundled_path("ieee37_injections_mixed.json").read_text())
+    doc["wye"][0].update(re=-0.0, im=-0.0)
+    doc["delta"][0].update(re=-0.0, im=-0.0)
+    inj = mplf.injections_from_json(doc, model)
+    wye = model.index.phase_index[(doc["wye"][0]["bus"], doc["wye"][0]["phase"])]
+    delta = model.index.delta_index[(doc["delta"][0]["bus"], doc["delta"][0]["pair"])]
+    for z in (inj.s_wye[wye], inj.s_delta[delta]):
+        assert z == 0 and not np.signbit(z.real) and not np.signbit(z.imag)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda doc: (doc["wye"][1].update(re=math.nan), doc["wye"][2].update(bus="zz")),
+         "wye[1]: value must be finite"),
+        (lambda doc: (doc["wye"][2].update(re=math.nan), doc["wye"][1].update(bus="zz")),
+         "wye[1]: phase 'b' does not exist at bus 'zz'"),
+        (lambda doc: doc["delta"][3].pop("im"),
+         "delta[3]: expected a {'re': ..., 'im': ...} object"),
+    ],
+    ids=["value-then-key", "key-then-value", "missing-im"],
+)
+def test_injection_reader_reports_first_fault(mutate, message):
+    model = mplf.network_from_file(bundled_path("ieee37_network.json"))
+    doc = json.loads(bundled_path("ieee37_injections_mixed.json").read_text())
+    mutate(doc)
+    with pytest.raises(mplf.InputFormatError) as info:
+        mplf.injections_from_json(doc, model)
+    assert str(info.value) == message
+
+
+ENTRY_VALUES = [0.5, -0.0, 1, -3, 2**53 + 1, 2**63 + 5, 2**64 + 1, 10**400, True, "1.5", "nan",
+                None, [1.0], np.float32(0.1), np.uint64(2**63 + 9), np.longdouble(0.1), math.inf]
+
+
+@pytest.mark.parametrize("re_value", ENTRY_VALUES, ids=repr)
+def test_entries_convert_as_float_does(re_value):
+    # The one-pass conversion gives complex(float(re), float(im)) entry by
+    # entry, bit for bit, or the entry-by-entry error, for any value next to
+    # JSON floats and ints.
+    for im_value in ENTRY_VALUES:
+        for entries in ([{"re": re_value, "im": im_value}],
+                        [{"re": 0.25, "im": 1}, {"re": re_value, "im": im_value}]):
+            try:
+                expected = [netmodel.complex_from_doc(e, "x") for e in entries]
+            except mplf.InputFormatError as exc:
+                with pytest.raises(mplf.InputFormatError) as info:
+                    netmodel.complex_entries(entries, "x[{}]".format)
+                assert str(info.value) == str(exc).replace("x", f"x[{len(entries) - 1}]", 1)
+                continue
+            got = netmodel.complex_entries(entries, "x[{}]".format)
+            assert_bitwise(got, np.array(expected, dtype=complex))

@@ -14,6 +14,7 @@ from conftest import (
     certified_instance,
     dense_incidence,
     injection_row,
+    onenormest_rcond,
     random_network,
     scaled_rows,
     single_phase_model,
@@ -333,6 +334,25 @@ class TestRealForm:
         assert len(parts) == 2 * len(cases)
         for a, b, got in parts:
             assert_same_csc(got, bmat_real_form(a, b))
+
+    @pytest.mark.parametrize("feeder", ["ieee37", "ieee123", "three_bus", "single_phase"])
+    def test_bundled_tangent_operator_equals_bmat(self, feeder, monkeypatch):
+        # At each bundled feeder's solution: the operator is bmat's, and its
+        # condition estimate is onenormest's, bit for bit.
+        real_form, parts = powerflow._real_form, []
+
+        def recorded(a, b):
+            parts.append((a, b, real_form(a, b)))
+            return parts[-1][2]
+
+        monkeypatch.setattr(powerflow, "_real_form", recorded)
+        model = mplf.network_from_file(bundled_path(f"{feeder}_network.json"))
+        inj = mplf.injections_from_file(bundled_path(f"{feeder}_injections.json"), model)
+        sol = mplf.solve_fixed_point(model, mplf.zero_load_voltage(model), inj)
+        fot = mplf.fot_linearize(model, sol, inj)
+        ((a, b, got),) = parts
+        assert_same_csc(got, bmat_real_form(a, b))
+        assert fot._factor.rcond == onenormest_rcond(got)
 
     def test_patterns_that_differ_and_cancel(self, rng):
         # Entries of b outside a's pattern, entries with a zero real or
